@@ -1,9 +1,13 @@
 #!/usr/bin/env python3
 """Benchmark the compiled series kernels against the pure-Python fallback.
 
-Times the two hot operations (truncated multiplication and scaled
-accumulation) on dense random series of a few representative shapes, plus
-one end-to-end composition through the public API under each backend.
+Times the two hot operations (multiplication and scaled accumulation).
+The multiplications cover the three paths of the pure-Python `mul_terms`:
+truncated products of dense random series of a few representative shapes,
+an untruncated (order -1) product of sparse polynomials with mixed
+denominators, shaped like the entries of the Bareiss rank code, and a
+single-term factor times a dense series.  One end-to-end composition
+through the public API runs under whichever backend is selected.
 
 Run:  python benchmarks/bench_kernels.py
 """
@@ -32,6 +36,20 @@ def dense_terms(arity, order, rng, density=1.0):
                              Fraction(rng.randint(-99, 99), rng.randint(1, 12)))
         if c:
             terms[e] = c
+    return terms
+
+
+def sparse_terms(arity, degree, count, rng):
+    """Sparse polynomial shaped like a Bareiss entry: up to 15-bit
+    numerators over a couple of dozen distinct small denominators."""
+    pool = [e for e in multidegrees(arity, degree) if sum(e)]
+    dens = [2 ** a * 3 ** b * 5 ** c * 7 ** d for a in range(3)
+            for b in range(3) for c in range(2) for d in range(2)]
+    terms = {}
+    for e in rng.sample(pool, count):
+        terms[e] = GaussianRational(
+            Fraction(rng.randint(-2 ** 15, 2 ** 15), rng.choice(dens)),
+            Fraction(rng.randint(-2 ** 15, 2 ** 15), rng.choice(dens)))
     return terms
 
 
@@ -71,16 +89,24 @@ def bench_compose(order, arity, rng):
 
 def main():
     rng = random.Random(20240)
-    shapes = [(2, 10), (4, 8), (6, 6)]
     print("kernel backends: pure python%s"
           % (", cython" if _kernels else " (extension not built)"))
     print()
     print("%-28s %12s %12s %8s" % ("operation", "python", "cython", "speedup"))
-    for arity, order in shapes:
-        A = dense_terms(arity, order, rng)
-        B = dense_terms(arity, order, rng)
+    cases = []
+    for arity, order in [(2, 10), (4, 8), (6, 6)]:
+        cases.append(("mul  %d vars, order %d" % (arity, order),
+                      dense_terms(arity, order, rng),
+                      dense_terms(arity, order, rng), order))
+    cases.append(("mul  untruncated, 6 vars",
+                  sparse_terms(6, 6, 60, rng),
+                  sparse_terms(6, 6, 60, rng), -1))
+    monomial = {(1, 0, 2, 0):
+                GaussianRational(Fraction(3, 7), Fraction(-2, 5))}
+    cases.append(("mul  single term x series", monomial,
+                  dense_terms(4, 8, rng), 8))
+    for label, A, B, order in cases:
         t_py, out_py = bench_mul(_kernels_py, A, B, order)
-        label = "mul  %d vars, order %d" % (arity, order)
         if _kernels:
             t_cy, out_cy = bench_mul(_kernels, A, B, order)
             assert out_py == out_cy, "backends disagree"

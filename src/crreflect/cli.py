@@ -67,11 +67,8 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        manifest = Manifest.load(args.manifest)
-        if args.order is not None:
-            manifest.order = args.order
-        if args.seed is not None:
-            manifest.seed = args.seed
+        manifest = Manifest.load(args.manifest, order=args.order,
+                                 seed=args.seed)
         report = run(manifest)
     except (ManifestError, ParseError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -76,31 +76,59 @@ def build_manifold(spec: dict, order: int, primed: bool) -> GraphedManifold:
     raise ManifestError("manifold spec needs 'rho' or 'theta_bar'")
 
 
+def _int_field(data: dict, key: str, default: int) -> int:
+    value = data.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ManifestError("'%s' must be an integer, got %r" % (key, value))
+
+
 class Manifest:
     def __init__(self, data: dict):
-        self.order = int(data.get("order", 6))
-        self.seed = int(data.get("seed", 0))
+        if not isinstance(data, dict):
+            raise ManifestError("a manifest must be a JSON object")
+        self.order = _int_field(data, "order", 6)
+        self.seed = _int_field(data, "seed", 0)
         if self.order < 0:
-            raise ManifestError("order must be non-negative")
+            raise ManifestError("'order' must be non-negative, got %d"
+                                % self.order)
         if "source" not in data:
             raise ManifestError("manifest needs a 'source' manifold")
         self.source_spec = data["source"]
         self.target_spec = data.get("target")
         self.map_spec = data.get("map")
         self.analyses = data.get("analyses", [])
+        if not isinstance(self.analyses, list):
+            raise ManifestError("'analyses' must be a list")
         for a in self.analyses:
-            if "name" not in a:
+            if not isinstance(a, dict) or "name" not in a:
                 raise ManifestError("every analysis needs a 'name'")
             for key in ("kmax", "Dmax", "Gmax", "betamax", "ell0", "k"):
-                if key in a and int(a[key]) > self.order:
+                if key in a and _int_field(a, key, 0) > self.order:
                     raise ManifestError(
                         "analysis bound %s=%s exceeds order %d"
                         % (key, a[key], self.order))
 
     @classmethod
-    def load(cls, path: str) -> "Manifest":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls(json.load(fh))
+    def load(cls, path: str, order=None, seed=None) -> "Manifest":
+        """Read a manifest file; `order` and `seed`, when given, replace the
+        file's values before anything is validated."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise ManifestError("cannot read manifest %s: %s"
+                                % (path, exc.strerror or exc))
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ManifestError("manifest %s is not valid JSON: %s"
+                                % (path, exc))
+        if isinstance(data, dict):
+            if order is not None:
+                data["order"] = order
+            if seed is not None:
+                data["seed"] = seed
+        return cls(data)
 
 
 # -- serialization helpers -----------------------------------------------------

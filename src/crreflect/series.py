@@ -261,7 +261,11 @@ class TruncatedSeries:
         """Substitute one series per context variable.
 
         Every argument must have zero constant term (otherwise the truncated
-        data of `self` does not determine the result).
+        data of `self` does not determine the result).  Arguments with at
+        most one term (variables, renamed or scaled monomials, zero) act on
+        the exponents of `self` directly.  The terms of `self` are grouped
+        by their exponents in the remaining ("moving") arguments, and each
+        group is multiplied once by the matching power of those.
         """
         if isinstance(args, SeriesMap):
             args = args.components
@@ -279,24 +283,69 @@ class TruncatedSeries:
             if a.constant_term():
                 raise SeriesError("composition argument has nonzero constant term")
             order = min(order, a.order)
-        arg_terms = [a.terms for a in args]
-        powers = {zero_exponent(len(args)): {zero_exponent(target.arity): ONE}}
 
-        def power(alpha):
-            got = powers.get(alpha)
+        moving = [i for i, a in enumerate(args) if len(a.terms) > 1]
+        dropped = [i for i, a in enumerate(args) if not a.terms]
+        # monomial arguments: (index, [(position, exponent)], degree, coeff)
+        monos = []
+        for i, a in enumerate(args):
+            if len(a.terms) == 1:
+                (m, c), = a.terms.items()
+                monos.append((i, [(p, x) for p, x in enumerate(m) if x],
+                              sum(m), None if c == ONE else c))
+        scale_powers: dict = {}
+        groups: dict = {}
+        for alpha, c in self.terms.items():
+            if any(alpha[i] for i in dropped):
+                continue
+            beta = tuple([alpha[i] for i in moving])
+            deg = sum(beta)
+            shifted = [0] * target.arity
+            for i, places, mdeg, mc in monos:
+                k = alpha[i]
+                if k:
+                    deg += k * mdeg
+                    for p, x in places:
+                        shifted[p] += k * x
+                    if mc is not None:
+                        f = scale_powers.get((i, k))
+                        if f is None:
+                            f = scale_powers[(i, k)] = mc ** k
+                        c = c * f
+            if deg > order:
+                continue
+            e = tuple(shifted)
+            group = groups.get(beta)
+            if group is None:
+                groups[beta] = {e: c}
+            else:
+                prev = group.get(e)
+                group[e] = c if prev is None else prev + c
+
+        moving_terms = [args[i].terms for i in moving]
+        powers = {zero_exponent(len(moving)):
+                  {zero_exponent(target.arity): ONE}}
+
+        def power(beta):
+            got = powers.get(beta)
             if got is not None:
                 return got
-            i = next(j for j, x in enumerate(alpha) if x)
-            prev = power(alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:])
-            got = mul_terms(prev, arg_terms[i], order)
-            powers[alpha] = got
+            i = next(j for j, x in enumerate(beta) if x)
+            prev = power(beta[:i] + (beta[i] - 1,) + beta[i + 1:])
+            got = mul_terms(prev, moving_terms[i], order)
+            powers[beta] = got
             return got
 
         out: dict = {}
-        for alpha in sorted(self.terms, key=sum):
-            if sum(alpha) > order:
+        for beta, group in groups.items():
+            group = {e: c for e, c in group.items() if c}
+            if not group:
                 continue
-            iadd_scaled(out, power(alpha), self.terms[alpha])
+            prod = mul_terms(group, power(beta), order) if any(beta) else group
+            if out:
+                iadd_scaled(out, prod, ONE)
+            else:
+                out = prod
         return TruncatedSeries._make(target, order, out)
 
     def substitute(self, replacements, target=None) -> "TruncatedSeries":

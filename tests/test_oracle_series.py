@@ -1,0 +1,196 @@
+"""The exact kernels and `compose` against an independent oracle: sympy's
+Gaussian-rational polynomial ring (`QQ_I`), expand first, truncate after."""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("sympy")
+pytest.importorskip("hypothesis")
+
+from hypothesis import example, given, settings, strategies as st
+from sympy.polys.domains import QQ, QQ_I
+from sympy.polys.rings import ring
+
+from crreflect import _kernels_py
+from crreflect.context import VariableContext
+from crreflect.gaussian import GaussianRational, gr
+from crreflect.series import TruncatedSeries
+
+SETTINGS = settings(max_examples=40, deadline=None)
+
+# Distinct non-unit denominators make the common-denominator path rescale.
+_DENS = (1, 2, 3, 4, 5, 7, 12)
+
+
+@st.composite
+def coefficients(draw):
+    def part():
+        return Fraction(draw(st.integers(-30, 30)),
+                        draw(st.sampled_from(_DENS)))
+    c = GaussianRational(part(), part())
+    return c if c else GaussianRational(1)
+
+
+def term_dicts(arity, max_exp, min_size=0, max_size=8, min_degree=0):
+    exps = st.tuples(*[st.integers(0, max_exp)] * arity).filter(
+        lambda e: sum(e) >= min_degree)
+    return st.dictionaries(exps, coefficients(), min_size=min_size,
+                           max_size=max_size)
+
+
+def _ring(arity):
+    return ring(["x%d" % i for i in range(arity)], QQ_I)[0]
+
+
+def to_sympy(R, terms):
+    return R({e: QQ_I(QQ(c.a, c.c), QQ(c.b, c.c)) for e, c in terms.items()})
+
+
+def from_sympy(p, order=-1):
+    """Term dict of a sympy polynomial, truncated to degree <= order."""
+    out = {}
+    for e, v in p.items():
+        if order >= 0 and sum(e) > order:
+            continue
+        out[tuple(e)] = GaussianRational(
+            Fraction(int(v.x.numerator), int(v.x.denominator)),
+            Fraction(int(v.y.numerator), int(v.y.denominator)))
+    return out
+
+
+def oracle_product(A, B, arity, order):
+    R = _ring(arity)
+    return from_sympy(to_sympy(R, A) * to_sympy(R, B), order)
+
+
+def check_mul(A, B, order):
+    arity = len(next(iter(A or B), ()))
+    got = _kernels_py.mul_terms(dict(A), dict(B), order)
+    assert got == oracle_product(A, B, arity, order)
+    assert all(got.values())
+    assert all(type(e) is tuple and len(e) == arity for e in got)
+
+
+@st.composite
+def mul_cases(draw):
+    arity = draw(st.integers(0, 4))
+    order = draw(st.integers(-1, 7))
+    max_exp = max(order, 3)
+    A = draw(term_dicts(arity, max_exp))
+    B = draw(term_dicts(arity, max_exp))
+    return A, B, order
+
+
+@SETTINGS
+@given(mul_cases())
+def test_mul_terms_matches_oracle(case):
+    check_mul(*case)
+
+
+@SETTINGS
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(term_dicts(n, 4, 1, 1), term_dicts(n, 4, 2, 10),
+                        st.integers(-1, 6), st.booleans())))
+def test_mul_terms_single_term_either_side(case):
+    one, many, order, left = case
+    check_mul(*((one, many) if left else (many, one)), order)
+
+
+@pytest.mark.parametrize("order", [1, 3, 7, 8])
+def test_mul_terms_full_exponent_fields(order):
+    # exponents equal to the order fill every bit of a packed field
+    A = {(order, 0, 0): gr("1/2", 3), (0, order, 0): gr(-2, "5/7"),
+         (0, 0, 0): gr(1, 1), (1, 0, order - 1): gr("3/4")}
+    B = {(0, 0, order): gr(5, "-1/3"), (0, 0, 0): gr("2/5", 1),
+         (order, 0, 0): gr(-1), (0, 1, 0): gr(0, "7/12")}
+    check_mul(A, B, order)
+    check_mul(A, B, -1)
+
+
+def test_mul_terms_arity_zero_and_one():
+    check_mul({(): gr("1/2", 3)}, {(): gr(-4, "1/5")}, 0)
+    check_mul({(): gr(2)}, {(): gr(0, 1)}, -1)
+    A = {(0,): gr(1, 2), (2,): gr("1/3"), (5,): gr(0, "-3/7")}
+    B = {(1,): gr(-1, "1/2"), (4,): gr("5/12", 1), (0,): gr(3)}
+    for order in (-1, 0, 1, 5, 6, 9):
+        check_mul(A, B, order)
+
+
+@SETTINGS
+@given(st.integers(0, 3).flatmap(
+    lambda n: st.tuples(term_dicts(n, 4), term_dicts(n, 4), coefficients())))
+def test_iadd_scaled_matches_oracle(case):
+    out, A, coeff = case
+    arity = len(next(iter(out or A), ()))
+    R = _ring(arity)
+    c = QQ_I(QQ(coeff.a, coeff.c), QQ(coeff.b, coeff.c))
+    want = from_sympy(to_sympy(R, out) + to_sympy(R, A) * c)
+    got = dict(out)
+    _kernels_py.iadd_scaled(got, A, coeff)
+    assert got == want
+
+
+# -- compose ----------------------------------------------------------------
+
+_KINDS = ("variable", "renamed", "scaled", "monomial", "zero", "series")
+
+
+@st.composite
+def compose_cases(draw):
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    src = VariableContext(["x%d" % i for i in range(n)])
+    tgt = VariableContext(["y%d" % i for i in range(m)])
+    order = draw(st.integers(0, 5))
+    f = TruncatedSeries(src, order, draw(term_dicts(n, order, max_size=10)))
+    args = []
+    for i in range(n):
+        kind = draw(st.sampled_from(_KINDS))
+        a_order = draw(st.integers(order, order + 2))
+        if kind in ("variable", "renamed", "scaled"):
+            name = tgt.names[i % m] if kind == "variable" \
+                else draw(st.sampled_from(tgt.names))
+            a = TruncatedSeries.variable(tgt, a_order, name)
+            if kind == "scaled":
+                a = a * draw(coefficients())
+        elif kind == "monomial":
+            e = draw(st.tuples(*[st.integers(0, 2)] * m).filter(any))
+            a = TruncatedSeries.monomial(tgt, a_order, e, draw(coefficients()))
+        elif kind == "zero":
+            a = TruncatedSeries.zero(tgt, a_order)
+        else:
+            a = TruncatedSeries(tgt, a_order, draw(
+                term_dicts(m, a_order, 2, 5, min_degree=1)))
+        args.append(a)
+    return f, args
+
+
+def oracle_compose(f, args):
+    R = _ring(args[0].context.arity)
+    order = min([f.order] + [a.order for a in args])
+    total = R.zero
+    images = [to_sympy(R, a.terms) for a in args]
+    for alpha, c in f.terms.items():
+        term = to_sympy(R, {(0,) * R.ngens: c})
+        for g, k in zip(images, alpha):
+            if k:
+                term *= g ** k
+        total += term
+    return order, from_sympy(total, order)
+
+
+@SETTINGS
+@given(compose_cases())
+@example((TruncatedSeries(VariableContext(["x0", "x1"]), 3,
+                          {(1, 1): gr(1), (0, 2): gr(-1), (1, 0): gr(2)}),
+          [TruncatedSeries.variable(VariableContext(["y0"]), 3, "y0"),
+           TruncatedSeries.variable(VariableContext(["y0"]), 3, "y0")]))
+def test_compose_matches_oracle(case):
+    # the example renames both variables to y0: x0*x1 - x1^2 cancels
+    f, args = case
+    got = f.compose(args)
+    order, terms = oracle_compose(f, args)
+    assert got.order == order
+    assert got.terms == terms
+    assert all(got.terms.values())

@@ -173,3 +173,37 @@ def test_cli_parse_check(capsys):
 def test_cli_version(capsys):
     assert main(["version"]) == 0
     assert capsys.readouterr().out.strip()
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["--order", "-1"], "'order'"),
+    (["--order", "2"], "kmax=3"),
+])
+def test_cli_overrides_are_validated(tmp_path, capsys, argv, field):
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(HEIS_MANIFEST))
+    out = tmp_path / "r.json"
+    assert main(["analyze", str(mpath), "--out", str(out)] + argv) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, needle", [
+    (None, "cannot read manifest"),
+    ("{not json", "not valid JSON"),
+    ("[1, 2]", "JSON object"),
+    (json.dumps(dict(HEIS_MANIFEST, order="six")), "'order'"),
+    (json.dumps(dict(HEIS_MANIFEST, seed=[1])), "'seed'"),
+    (json.dumps(dict(HEIS_MANIFEST, analyses={"name": "verify-cr"})),
+     "'analyses'"),
+])
+def test_cli_bad_manifest_file_exits_2(tmp_path, capsys, text, needle):
+    mpath = tmp_path / "m.json"
+    if text is not None:
+        mpath.write_text(text)
+    assert main(["analyze", str(mpath), "--out",
+                 str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err
+    if text is None:
+        assert str(mpath) in err
