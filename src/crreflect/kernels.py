@@ -1,8 +1,232 @@
-"""Kernel backend selection: compiled extension if built, else pure Python."""
+"""The exact kernels every layer above builds on.
 
-try:
-    from ._kernels import BACKEND, iadd_scaled, mul_terms  # type: ignore[attr-defined]
-except ImportError:  # extension not built; the fallback is always available
-    from ._kernels_py import BACKEND, iadd_scaled, mul_terms
+Term dicts map exponent tuples to nonzero
+:class:`~crreflect.gaussian.GaussianRational` coefficients.  This module is
+the bottom layer (it imports only `gaussian`), so `series` and `linalg` can
+both use it without an import cycle.
 
-__all__ = ["BACKEND", "mul_terms", "iadd_scaled"]
+* `mul_terms` and `iadd_scaled`: the truncated product and the scaled
+  accumulation of term dicts.
+* `divexact`: exact division of term dicts by graded-lex reduction.
+* `echelon`: Gauss-Jordan elimination of a constant matrix, the one
+  elimination behind every rank, kernel, inverse and span test.
+
+`mul_terms` never multiplies `GaussianRational` objects.  It takes one of
+two paths:
+
+* **Single-term factor.**  A product with a one-term operand is a shift of
+  the other operand's exponents and a scaling of its coefficients, one
+  normalization per output term (none for a factor of 1).
+* **Common denominator, packed exponents.**  Otherwise each operand is
+  converted once to Gaussian-integer numerators over the lcm of its
+  denominators (the layout of FLINT's ``fmpq_poly``).  Exponent tuples are
+  packed into ints, one field per variable with the total degree in the
+  top field (Monagan & Pearce, "Polynomial division using dynamic arrays,
+  heaps, and packed exponent vectors", CASC 2007).  Adding two keys
+  multiplies the monomials, and since keys sort by degree first, one
+  binary search per row of the smaller operand finds the terms of the
+  other that stay within the truncation order.  Real and imaginary parts
+  are accumulated as plain ints per packed key, and one normalized
+  coefficient is built per nonzero output term.
+
+`iadd_scaled` likewise forms `acc + coeff * c` on the integer triples and
+normalizes once per updated term.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_left
+from math import gcd, lcm
+from operator import add, mul
+
+from .gaussian import ONE, GaussianRational
+
+_new = object.__new__
+
+
+def _make(a: int, b: int, c: int) -> GaussianRational:
+    """Normalize (a + b*i)/c, c > 0, and wrap it."""
+    g = gcd(a, b, c)
+    if g != 1:
+        a //= g
+        b //= g
+        c //= g
+    z = _new(GaussianRational)
+    z.a = a
+    z.b = b
+    z.c = c
+    return z
+
+
+def _scale_shift(e: tuple, c: GaussianRational, T: dict, order: int) -> dict:
+    """`{e: c} * T` truncated to total degree <= order (order < 0: none)."""
+    if order >= 0:
+        room = order - sum(e)
+        T = {f: d for f, d in T.items() if sum(f) <= room}
+    if not any(e):
+        keys = T
+    else:
+        keys = [tuple(map(add, e, f)) for f in T]
+    if c == ONE:
+        return dict(zip(keys, T.values()))
+    a1, b1, c1 = c.a, c.b, c.c
+    return {k: _make(a1 * d.a - b1 * d.b, a1 * d.b + b1 * d.a, c1 * d.c)
+            for k, d in zip(keys, T.values())}
+
+
+def _numerators(T: dict, weights: list, limit):
+    """Common-denominator form of a term dict: (lcm of the denominators,
+    [(packed key, re, im)] sorted by packed key), keeping only packed keys
+    below `limit` (all of them when `limit` is None)."""
+    kept = [(sum(map(mul, e, weights)), c) for e, c in T.items()]
+    if limit is not None:
+        kept = [t for t in kept if t[0] < limit]
+    den = lcm(*[c.c for _, c in kept])
+    rows = [(p, c.a * m, c.b * m) for p, c in kept for m in (den // c.c,)]
+    rows.sort()
+    return den, rows
+
+
+def mul_terms(A: dict, B: dict, order: int) -> dict:
+    """Truncated product of two term dicts (total degree <= order).
+
+    A negative order disables truncation (used by the symbolic rank code,
+    where entries are honest polynomials).
+    """
+    if not A or not B:
+        return {}
+    if len(A) == 1:
+        (e, c), = A.items()
+        return _scale_shift(e, c, B, order)
+    if len(B) == 1:
+        (e, c), = B.items()
+        return _scale_shift(e, c, A, order)
+    if len(A) > len(B):
+        A, B = B, A
+    arity = len(next(iter(A)))
+    if order >= 0:
+        top = order
+    else:
+        top = max(max(e) for e in A) + max(max(e) for e in B)
+    # One field of `width` bits per variable, the total degree above them:
+    # e . weights packs e, and a key is below `limit` iff degree <= order.
+    width = max(top.bit_length(), 1)
+    shift = width * arity
+    weights = [(1 << (width * i)) + (1 << shift) for i in range(arity)]
+    limit = (order + 1) << shift if order >= 0 else None
+    da, ra = _numerators(A, weights, limit)
+    db, rb = _numerators(B, weights, limit)
+    if not ra or not rb:
+        return {}
+    bkeys = [p for p, _, _ in rb]
+    acc: dict = {}
+    get = acc.get
+    for pa, xa, ya in ra:
+        if limit is not None:
+            hi = bisect_left(bkeys, limit - pa)
+            if not hi:
+                break
+            rows = rb[:hi]
+        else:
+            rows = rb
+        for pb, xb, yb in rows:
+            k = pa + pb
+            s = get(k)
+            if s is None:
+                acc[k] = [xa * xb - ya * yb, xa * yb + ya * xb]
+            else:
+                s[0] += xa * xb - ya * yb
+                s[1] += xa * yb + ya * xb
+    den = da * db
+    mask = (1 << width) - 1
+    shifts = range(0, shift, width)
+    out = {}
+    for k, (x, y) in acc.items():
+        if x or y:
+            out[tuple([(k >> s) & mask for s in shifts])] = _make(x, y, den)
+    return out
+
+
+def iadd_scaled(out: dict, A: dict, coeff) -> None:
+    """In-place `out += coeff * A`; zero entries are removed."""
+    if not coeff or not A:
+        return
+    a1, b1, c1 = coeff.a, coeff.b, coeff.c
+    get = out.get
+    for e, c in A.items():
+        x = a1 * c.a - b1 * c.b
+        y = a1 * c.b + b1 * c.a
+        z = c1 * c.c
+        s = get(e)
+        if s is not None:
+            x = s.a * z + x * s.c
+            y = s.b * z + y * s.c
+            if not (x or y):
+                del out[e]
+                continue
+            z *= s.c
+        out[e] = _make(x, y, z)
+
+
+def _grlex_key(e):
+    return (sum(e), e)
+
+
+def divexact(f: dict, g: dict) -> dict:
+    """Exact quotient f / g of term dicts (any degrees, no truncation).
+
+    Graded-lex reduction: each step cancels the leading term of the
+    remainder.  Raises ZeroDivisionError for g = 0 and ArithmeticError,
+    naming the leading term left over, when g does not divide f.
+    """
+    if not f:
+        return {}
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    glead = max(g, key=_grlex_key)
+    gc = g[glead]
+    q: dict = {}
+    rem = dict(f)
+    while rem:
+        flead = max(rem, key=_grlex_key)
+        t = tuple(a - b for a, b in zip(flead, glead))
+        if any(x < 0 for x in t):
+            raise ArithmeticError("remainder at %r" % (flead,))
+        coeff = rem[flead] / gc
+        q[t] = coeff
+        iadd_scaled(rem, mul_terms({t: coeff}, g, -1), -ONE)
+    return q
+
+
+def echelon(rows):
+    """Reduced row echelon form of a GaussianRational matrix (Gauss-Jordan).
+
+    Returns (pivots, reduced): `reduced[i]` is the i-th nonzero row of the
+    RREF and `pivots[i]` the column of its leading 1, so len(pivots) is the
+    rank.  The first nonzero entry of each column is the pivot, and the
+    elimination stops once every row holds one.  The input is not modified.
+    """
+    a = [list(r) for r in rows]
+    if not a:
+        return [], []
+    nrows, ncols = len(a), len(a[0])
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, nrows) if a[r][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        inv = a[rank][col].inverse()
+        prow = a[rank] = [x * inv if x else x for x in a[rank]]
+        nonzero = [(j, prow[j]) for j in range(col, ncols) if prow[j]]
+        for r in range(nrows):
+            row = a[r]
+            f = row[col]
+            if r != rank and f:
+                for j, y in nonzero:
+                    row[j] = row[j] - f * y
+        pivots.append(col)
+        if len(pivots) == nrows:
+            break
+    return pivots, a[:len(pivots)]

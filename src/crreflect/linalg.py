@@ -1,12 +1,12 @@
 """Exact linear algebra over the Gaussian rationals and their polynomials.
 
-Two rank notions live here.  `numeric_rank` works on constant matrices.
-`symbolic_rank` computes the rank of a matrix of (truncated) polynomial
-entries over the fraction field of the polynomial ring, via fraction-free
-Bareiss elimination with exact multivariate division; a seeded random
-evaluation supplies a fast certified lower bound that the symbolic result
-is checked against.
-"""
+Two rank notions live here.  On constant matrices, `numeric_rank` and
+`kernel_basis` read the rank and the right kernel off `kernels.echelon`,
+the package's one Gauss-Jordan elimination.  `symbolic_rank` computes the
+rank of a matrix of (truncated) polynomial entries over the fraction field
+of the polynomial ring, via fraction-free Bareiss elimination with the
+exact division `kernels.divexact`; a seeded random evaluation supplies a
+fast certified lower bound that the symbolic result is checked against."""
 
 from __future__ import annotations
 
@@ -14,32 +14,13 @@ import random
 from fractions import Fraction
 
 from .gaussian import GaussianRational, ONE, ZERO
-from .kernels import iadd_scaled, mul_terms
-from .series import TruncatedSeries, SeriesMap, _grlex_key
+from .kernels import divexact, echelon, iadd_scaled, mul_terms
+from .series import TruncatedSeries, SeriesMap
 
 
 def numeric_rank(matrix) -> int:
-    """Rank of a matrix of GaussianRational entries (row reduction)."""
-    rows = [list(r) for r in matrix]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    """Rank of a matrix of GaussianRational entries."""
+    return len(echelon(matrix)[0])
 
 
 def rank_at_origin(F: SeriesMap) -> int:
@@ -57,27 +38,6 @@ def random_rational_point(arity: int, rng: random.Random):
         den = rng.randint(1, 7)
         pts.append(GaussianRational(Fraction(num, den)))
     return pts
-
-
-def _poly_divexact(f: dict, g: dict) -> dict:
-    """Exact division of term dicts (any degrees); graded-lex reduction."""
-    if not f:
-        return {}
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    glead = max(g, key=_grlex_key)
-    gc = g[glead]
-    q: dict = {}
-    rem = dict(f)
-    while rem:
-        flead = max(rem, key=_grlex_key)
-        t = tuple(a - b for a, b in zip(flead, glead))
-        if any(x < 0 for x in t):
-            raise ArithmeticError("inexact polynomial division")
-        coeff = rem[flead] / gc
-        q[t] = coeff
-        iadd_scaled(rem, mul_terms({t: coeff}, g, -1), -ONE)
-    return q
 
 
 def bareiss_rank(entries) -> int:
@@ -124,7 +84,7 @@ def bareiss_rank(entries) -> int:
                 term = mul_terms(pivot, m[r][c], -1)
                 if head:
                     iadd_scaled(term, mul_terms(head, m[rank][c], -1), -ONE)
-                m[r][c] = _poly_divexact(term, prev) if term else {}
+                m[r][c] = divexact(term, prev) if term else {}
         prev = pivot
         rank += 1
         if rank == nrows:
@@ -164,24 +124,6 @@ def generic_rank(F: SeriesMap, seed: int = 0) -> int:
     return symbolic_rank(F.jacobian(), seed=seed)
 
 
-def solve_constant_system(matrix, rhs):
-    """Solve a square exact linear system; raises ZeroDivisionError if singular."""
-    n = len(matrix)
-    a = [list(matrix[i]) + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            raise ZeroDivisionError("singular system")
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col].inverse()
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
-
-
 def kernel_basis(matrix):
     """Basis of the right kernel of a GaussianRational matrix.
 
@@ -189,31 +131,13 @@ def kernel_basis(matrix):
     """
     if not matrix:
         return []
-    nrows, ncols = len(matrix), len(matrix[0])
-    a = [list(r) for r in matrix]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if a[r][col]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = a[rank][col].inverse()
-        a[rank] = [x * inv for x in a[rank]]
-        for r in range(nrows):
-            if r != rank and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    ncols = len(matrix[0])
+    pivots, reduced = echelon(matrix)
     basis = []
-    for fc in free:
+    for fc in sorted(set(range(ncols)) - set(pivots)):
         v = [ZERO] * ncols
         v[fc] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -a[r][fc]
+        for row, pc in zip(reduced, pivots):
+            v[pc] = -row[fc]
         basis.append(v)
     return basis

@@ -18,8 +18,9 @@ from .context import VariableContext
 from .exprparse import parse_expression
 from .gaussian import GaussianRational
 from .linalg import generic_rank
-from .manifold import (GraphedManifold, Names, RealDefiningSystem,
-                       complexify_and_graph, verify_reality)
+from .manifold import (GraphedManifold, ManifoldError, Names,
+                       RealDefiningSystem, complexify_and_graph,
+                       verify_reality)
 from .nondegen import (classify_manifold, classify_map_cr,
                        holomorphic_degeneracy_field, psi_and_h_conditions)
 from .reflection import (FormalCRMap, reflection_components,
@@ -52,28 +53,52 @@ def _role_aliases(m, d, primed):
 
 
 def build_manifold(spec: dict, order: int, primed: bool) -> GraphedManifold:
-    m = spec.get("m")
-    d = spec.get("d")
-    if m is None or d is None:
-        raise ManifestError("manifold spec needs 'm' and 'd'")
+    """Graph a manifold spec checked by `Manifest`; a `ManifoldError` is
+    reported as a `ManifestError` naming the source or target manifold."""
+    m, d = spec["m"], spec["d"]
     names = Names(m, d, primed)
     aliases = _role_aliases(m, d, primed)
-    if "rho" in spec:
-        ctx = VariableContext(names.t + names.tau)
-        comps = [parse_expression(text, ctx, order, aliases)
-                 for text in spec["rho"]]
-        system = RealDefiningSystem(m + d, d, SeriesMap(comps))
-        split = spec.get("split")
-        if split is None:
-            split = list(range(m, m + d))
-        return complexify_and_graph(system, split=split, primed=primed)
-    if "theta_bar" in spec:
-        ctx = VariableContext(names.z + names.zeta + names.xi)
-        comps = [parse_expression(text, ctx, order, aliases)
-                 for text in spec["theta_bar"]]
-        return GraphedManifold.from_theta_bar(m, d, SeriesMap(comps),
-                                              primed=primed)
+    try:
+        if "rho" in spec:
+            ctx = VariableContext(names.t + names.tau)
+            comps = [parse_expression(text, ctx, order, aliases)
+                     for text in spec["rho"]]
+            system = RealDefiningSystem(m + d, d, SeriesMap(comps))
+            split = spec.get("split")
+            if split is None:
+                split = list(range(m, m + d))
+            return complexify_and_graph(system, split=split, primed=primed)
+        if "theta_bar" in spec:
+            ctx = VariableContext(names.z + names.zeta + names.xi)
+            comps = [parse_expression(text, ctx, order, aliases)
+                     for text in spec["theta_bar"]]
+            return GraphedManifold.from_theta_bar(m, d, SeriesMap(comps),
+                                                  primed=primed)
+    except ManifoldError as exc:
+        raise ManifestError("%s manifold: %s"
+                            % ("target" if primed else "source", exc)) from None
     raise ManifestError("manifold spec needs 'rho' or 'theta_bar'")
+
+
+def _check_manifold_spec(spec, role: str) -> None:
+    """Check the shape of a source or target spec: positive ints `m` and
+    `d`, and `split`, when given, as d distinct indices into t."""
+    if not isinstance(spec, dict):
+        raise ManifestError("%s manifold must be a JSON object" % role)
+    for key in ("m", "d"):
+        value = spec.get(key)
+        if type(value) is not int or value < 1:
+            raise ManifestError("%s manifold: '%s' must be a positive "
+                                "integer, got %r" % (role, key, value))
+    n, d = spec["m"] + spec["d"], spec["d"]
+    split = spec.get("split")
+    if split is not None and not (
+            isinstance(split, list) and len(split) == d
+            and all(type(i) is int and 0 <= i < n for i in split)
+            and len(set(split)) == d):
+        raise ManifestError("%s manifold: 'split' must list %d distinct "
+                            "indices in 0..%d, got %r"
+                            % (role, d, n - 1, split))
 
 
 def _int_field(data: dict, key: str, default: int) -> int:
@@ -97,18 +122,26 @@ class Manifest:
             raise ManifestError("manifest needs a 'source' manifold")
         self.source_spec = data["source"]
         self.target_spec = data.get("target")
+        _check_manifold_spec(self.source_spec, "source")
+        if self.target_spec is not None:
+            _check_manifold_spec(self.target_spec, "target")
         self.map_spec = data.get("map")
-        self.analyses = data.get("analyses", [])
-        if not isinstance(self.analyses, list):
+        analyses = data.get("analyses", [])
+        if not isinstance(analyses, list):
             raise ManifestError("'analyses' must be a list")
-        for a in self.analyses:
+        self.analyses = []
+        for a in analyses:
             if not isinstance(a, dict) or "name" not in a:
                 raise ManifestError("every analysis needs a 'name'")
+            a = dict(a)
             for key in ("kmax", "Dmax", "Gmax", "betamax", "ell0", "k"):
-                if key in a and _int_field(a, key, 0) > self.order:
-                    raise ManifestError(
-                        "analysis bound %s=%s exceeds order %d"
-                        % (key, a[key], self.order))
+                if key in a:
+                    a[key] = _int_field(a, key, 0)
+                    if a[key] > self.order:
+                        raise ManifestError(
+                            "analysis bound %s=%s exceeds order %d"
+                            % (key, a[key], self.order))
+            self.analyses.append(a)
 
     @classmethod
     def load(cls, path: str, order=None, seed=None) -> "Manifest":

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from .context import VariableContext, multidegrees, numbered
 from .gaussian import GaussianRational, I, ONE, ZERO
+from .kernels import echelon
 from .linalg import numeric_rank
 from .series import SeriesMap, TruncatedSeries, SeriesError, formal_ift
 
@@ -126,29 +127,6 @@ class RealDefiningSystem:
     def t_jacobian_at_zero(self):
         return [[r.derive(i).constant_term() for i in range(self.n)]
                 for r in self.rho.components]
-
-
-def _greedy_split(jac, n, d):
-    """Choose d pivot columns of the d x n matrix `jac` (indices into t)."""
-    rows = [list(r) for r in jac]
-    pivots = []
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, d) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(d):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == d:
-            break
-    return pivots, rank
 
 
 class GraphedManifold:
@@ -309,11 +287,11 @@ def complexify_and_graph(system: RealDefiningSystem, split=None,
     n, d = system.n, system.d
     jac = system.t_jacobian_at_zero()
     if split is None:
-        split, rank = _greedy_split(jac, n, d)
-        if rank < d:
+        split = echelon(jac)[0]
+        if len(split) < d:
             raise ManifoldError(
                 "manifold is not generic: rank d rho/d t(0) = %d < %d"
-                % (rank, d))
+                % (len(split), d))
     else:
         split = list(split)
         block = [[jac[r][c] for c in split] for r in range(d)]

@@ -14,7 +14,8 @@ import random
 from fractions import Fraction
 
 from .context import VariableContext, multidegrees
-from .gaussian import GaussianRational, ONE, ZERO
+from .gaussian import GaussianRational, ZERO
+from .kernels import echelon
 from .linalg import (generic_rank, kernel_basis, rank_at_origin,
                      symbolic_rank)
 from .manifold import GraphedManifold, cr_fields
@@ -120,32 +121,12 @@ def ideal_contains_power_of_maximal(generators, dmax: int):
                     rows.append(vec)
         if not rows:
             continue
-        # Echelonize the span of the generator multiples.
-        pivots = {}
-        for row in rows:
-            row = list(row)
-            for col, prow in sorted(pivots.items()):
-                if row[col]:
-                    f = row[col]
-                    row = [x - f * y for x, y in zip(row, prow)]
-            lead = next((c for c in range(len(monos)) if row[c]), None)
-            if lead is not None:
-                inv = row[lead].inverse()
-                pivots[lead] = [x * inv for x in row]
-        ok = True
-        for e in monos:
-            if sum(e) != D:
-                continue
-            target = [ZERO] * len(monos)
-            target[index[e]] = ONE
-            for col, prow in sorted(pivots.items()):
-                if target[col]:
-                    f = target[col]
-                    target = [x - f * y for x, y in zip(target, prow)]
-            if any(target):
-                ok = False
-                break
-        if ok:
+        # x^e lies in the span iff column e is a pivot whose reduced row
+        # is the unit vector.
+        pivots, reduced = echelon(rows)
+        units = {col for col, row in zip(pivots, reduced)
+                 if sum(map(bool, row)) == 1}
+        if all(index[e] in units for e in monos if sum(e) == D):
             return D
     return None
 

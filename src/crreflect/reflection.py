@@ -18,6 +18,7 @@ from math import comb
 
 from .context import VariableContext, multidegrees, zero_exponent
 from .gaussian import ONE, ZERO, MINUS_ONE
+from .kernels import echelon
 from .linalg import kernel_basis, numeric_rank
 from .manifold import (GraphedManifold, JetSymbols, cr_fields,
                        extend_derivation_to_jets, transversal_fields)
@@ -1002,20 +1003,10 @@ def resolve_finitely_nondeg(h: FormalCRMap, M=None, Mp=None,
 
 
 def _independent_rows(matrix, need):
-    """Indices of `need` rows spanning rank `need`, or None."""
-    if not matrix:
-        return None
-    ncols = len(matrix[0])
-    work = []
-    chosen = []
-    for idx, row in enumerate(matrix):
-        cand = [list(r) for r in work] + [list(row)]
-        if numeric_rank(cand) > len(work):
-            work = cand
-            chosen.append(idx)
-            if len(chosen) == need:
-                return chosen
-    return None
+    """Indices of the first `need` rows, chosen greedily, each independent
+    of those before it; None if the rank is below `need`."""
+    pivots, _ = echelon(list(zip(*matrix)))
+    return pivots[:need] if len(pivots) >= need else None
 
 
 # -- biholomorphic transport of the component table ---------------------------

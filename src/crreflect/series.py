@@ -17,7 +17,7 @@ from math import factorial
 from .context import (VariableContext, multidegrees, unit_exponent,
                       zero_exponent)
 from .gaussian import GaussianRational, ONE, ZERO, _coerce
-from .kernels import iadd_scaled, mul_terms
+from .kernels import divexact, echelon, iadd_scaled, mul_terms
 
 
 class SeriesError(ValueError):
@@ -621,34 +621,14 @@ def divide_with_valuation(num: TruncatedSeries, den: TruncatedSeries):
             if d_parts[mu + l]:
                 prod = mul_terms(q_parts[s - l], d_parts[mu + l], order)
                 iadd_scaled(rhs, prod, -ONE)
-        q_parts.append(_divide_homogeneous(rhs, lead, num.context.arity))
+        try:
+            q_parts.append(divexact(rhs, lead))
+        except ArithmeticError as exc:
+            raise SeriesError("series not divisible (%s)" % exc) from None
     out: dict = {}
     for qp in q_parts:
         out.update(qp)
     return TruncatedSeries._make(num.context, order - mu, out), mu
-
-
-def _grlex_key(e):
-    return (sum(e), e)
-
-
-def _divide_homogeneous(f: dict, g: dict, arity: int) -> dict:
-    """Exact division of homogeneous term dicts; raises on remainder."""
-    if not f:
-        return {}
-    glead = max(g, key=_grlex_key)
-    gc = g[glead]
-    q: dict = {}
-    rem = dict(f)
-    while rem:
-        flead = max(rem, key=_grlex_key)
-        t = tuple(a - b for a, b in zip(flead, glead))
-        if any(x < 0 for x in t):
-            raise SeriesError("series not divisible (remainder at %r)" % (flead,))
-        coeff = rem[flead] / gc
-        q[t] = coeff
-        iadd_scaled(rem, mul_terms({t: coeff}, g, -1), -ONE)
-    return q
 
 
 def formal_ift(F: SeriesMap, unknowns) -> SeriesMap:
@@ -709,22 +689,15 @@ def formal_ift(F: SeriesMap, unknowns) -> SeriesMap:
 
 
 def invert_matrix(m):
-    """Exact inverse of a square GaussianRational matrix (Gauss-Jordan)."""
+    """Exact inverse of a square GaussianRational matrix; raises
+    ZeroDivisionError if it is singular."""
     n = len(m)
-    a = [[_coeff(x) for x in row] + [ONE if i == j else ZERO for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col].inverse()
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+    pivots, reduced = echelon(
+        [[_coeff(x) for x in row] + [ONE if i == j else ZERO for j in range(n)]
+         for i, row in enumerate(m)])
+    if pivots != list(range(n)):
+        raise ZeroDivisionError("singular matrix")
+    return [row[n:] for row in reduced]
 
 
 def factorial_multi(alpha) -> int:

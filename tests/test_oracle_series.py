@@ -1,5 +1,6 @@
-"""The exact kernels and `compose` against an independent oracle: sympy's
-Gaussian-rational polynomial ring (`QQ_I`), expand first, truncate after."""
+"""The exact kernels, `compose` and the constant linear algebra against an
+independent oracle: sympy's Gaussian-rational polynomial ring (`QQ_I`),
+expand first, truncate after, and sympy's `Matrix`."""
 
 from fractions import Fraction
 
@@ -9,13 +10,16 @@ pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings, strategies as st
+from sympy import Matrix
 from sympy.polys.domains import QQ, QQ_I
+from sympy.polys.polyerrors import ExactQuotientFailed
 from sympy.polys.rings import ring
 
-from crreflect import _kernels_py
+from crreflect import kernels
 from crreflect.context import VariableContext
-from crreflect.gaussian import GaussianRational, gr
-from crreflect.series import TruncatedSeries
+from crreflect.gaussian import ONE, ZERO, GaussianRational, gr
+from crreflect.reflection import _independent_rows
+from crreflect.series import TruncatedSeries, invert_matrix
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -53,10 +57,14 @@ def from_sympy(p, order=-1):
     for e, v in p.items():
         if order >= 0 and sum(e) > order:
             continue
-        out[tuple(e)] = GaussianRational(
-            Fraction(int(v.x.numerator), int(v.x.denominator)),
-            Fraction(int(v.y.numerator), int(v.y.denominator)))
+        out[tuple(e)] = from_qq_i(v)
     return out
+
+
+def from_qq_i(v):
+    return GaussianRational(
+        Fraction(int(v.x.numerator), int(v.x.denominator)),
+        Fraction(int(v.y.numerator), int(v.y.denominator)))
 
 
 def oracle_product(A, B, arity, order):
@@ -66,7 +74,7 @@ def oracle_product(A, B, arity, order):
 
 def check_mul(A, B, order):
     arity = len(next(iter(A or B), ()))
-    got = _kernels_py.mul_terms(dict(A), dict(B), order)
+    got = kernels.mul_terms(dict(A), dict(B), order)
     assert got == oracle_product(A, B, arity, order)
     assert all(got.values())
     assert all(type(e) is tuple and len(e) == arity for e in got)
@@ -127,7 +135,7 @@ def test_iadd_scaled_matches_oracle(case):
     c = QQ_I(QQ(coeff.a, coeff.c), QQ(coeff.b, coeff.c))
     want = from_sympy(to_sympy(R, out) + to_sympy(R, A) * c)
     got = dict(out)
-    _kernels_py.iadd_scaled(got, A, coeff)
+    kernels.iadd_scaled(got, A, coeff)
     assert got == want
 
 
@@ -194,3 +202,92 @@ def test_compose_matches_oracle(case):
     assert got.order == order
     assert got.terms == terms
     assert all(got.terms.values())
+
+
+# -- divexact ---------------------------------------------------------------
+
+
+@SETTINGS
+@given(st.integers(0, 3).flatmap(
+    lambda n: st.tuples(term_dicts(n, 3), term_dicts(n, 3, min_size=1),
+                        term_dicts(n, 3, max_size=3), st.booleans())))
+def test_divexact_matches_oracle(case):
+    f, g, extra, exact = case
+    arity = len(next(iter(g)))
+    R = _ring(arity)
+    P, G = to_sympy(R, f) * to_sympy(R, g), to_sympy(R, g)
+    if not exact:
+        P += to_sympy(R, extra)
+    try:
+        want = from_sympy(P.exquo(G))
+    except ExactQuotientFailed:
+        with pytest.raises(ArithmeticError):
+            kernels.divexact(from_sympy(P), g)
+    else:
+        assert kernels.divexact(from_sympy(P), g) == want
+
+
+def test_divexact_by_zero_raises():
+    with pytest.raises(ZeroDivisionError):
+        kernels.divexact({(1,): gr(1)}, {})
+
+
+# -- echelon and the code built on it ---------------------------------------
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None):
+    """A product B*C of random sparse matrices: its rank is at most the
+    inner size, so rank-deficient, wide and tall shapes all occur."""
+    nrows = rows or draw(st.integers(1, 5))
+    ncols = cols or draw(st.integers(1, 5))
+    inner = draw(st.integers(0, max(nrows, ncols)))
+    entry = st.one_of(st.just(ZERO), coefficients())
+    B = [[draw(entry) for _ in range(inner)] for _ in range(nrows)]
+    C = [[draw(entry) for _ in range(ncols)] for _ in range(inner)]
+    return [[sum((B[i][k] * C[k][j] for k in range(inner)), ZERO)
+             for j in range(ncols)] for i in range(nrows)]
+
+
+def to_matrix(rows):
+    return Matrix([[QQ_I.to_sympy(QQ_I(QQ(c.a, c.c), QQ(c.b, c.c)))
+                    for c in row] for row in rows])
+
+
+def from_matrix(M):
+    return [[from_qq_i(QQ_I.from_sympy(x)) for x in M.row(i)]
+            for i in range(M.rows)]
+
+
+@SETTINGS
+@given(matrices())
+def test_echelon_matches_sympy_rref(rows):
+    R, want_pivots = to_matrix(rows).rref()
+    pivots, reduced = kernels.echelon(rows)
+    assert pivots == list(want_pivots)
+    assert reduced == from_matrix(R)[:len(pivots)]
+
+
+@SETTINGS
+@given(st.integers(1, 4).flatmap(lambda n: matrices(n, n)))
+def test_invert_matrix_or_singular(A):
+    n = len(A)
+    if to_matrix(A).rank() < n:
+        with pytest.raises(ZeroDivisionError):
+            invert_matrix(A)
+        return
+    inv = invert_matrix(A)
+    assert [[sum((inv[i][k] * A[k][j] for k in range(n)), ZERO)
+             for j in range(n)] for i in range(n)] == \
+        [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+
+
+@SETTINGS
+@given(matrices(), st.integers(1, 5))
+def test_independent_rows_is_greedy(rows, need):
+    chosen = []
+    for i in range(len(rows)):
+        if to_matrix([rows[j] for j in chosen + [i]]).rank() > len(chosen):
+            chosen.append(i)
+    want = chosen[:need] if len(chosen) >= need else None
+    assert _independent_rows(rows, need) == want

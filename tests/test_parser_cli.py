@@ -207,3 +207,51 @@ def test_cli_bad_manifest_file_exits_2(tmp_path, capsys, text, needle):
     assert err.startswith("error: ") and needle in err
     if text is None:
         assert str(mpath) in err
+
+
+@pytest.mark.parametrize("analysis, key, value", [
+    ("minimality", "kmax", "3"),
+    ("chains", "k", "2"),
+    ("classify-manifold", "Dmax", "2"),
+])
+def test_string_bounds_are_stored_as_ints(analysis, key, value):
+    data = dict(HEIS_MANIFEST, order=4)
+    as_text = dict(data, analyses=[{"name": analysis, key: value}])
+    as_int = dict(data, analyses=[{"name": analysis, key: int(value)}])
+    assert render_report(run(Manifest(as_text))) == \
+        render_report(run(Manifest(as_int)))
+
+
+HEIS_RHO = ["w1 - xi1 - i*z1*zeta1"]
+
+
+@pytest.mark.parametrize("source, needle", [
+    ({"m": 1, "d": 1, "rho": ["w1 - xi1 - z1*zeta1"]}, "source manifold: "
+     "defining system is not real"),
+    ({"m": 1, "d": 1, "rho": HEIS_RHO, "split": [7]}, "'split'"),
+    ({"m": 1, "d": 1, "rho": HEIS_RHO, "split": [0, 1]}, "'split'"),
+    ({"m": 2, "d": 2, "rho": HEIS_RHO * 2, "split": [1, 1]}, "'split'"),
+    ({"m": 1, "d": 1, "rho": HEIS_RHO, "split": ["1"]}, "'split'"),
+    ({"m": "x", "d": 1, "rho": HEIS_RHO}, "source manifold: 'm'"),
+    ({"m": 0, "d": 1, "rho": HEIS_RHO}, "source manifold: 'm'"),
+    ({"m": 1, "rho": HEIS_RHO}, "source manifold: 'd'"),
+    ("heisenberg", "source manifold must be a JSON object"),
+])
+def test_cli_bad_manifold_spec_exits_2(tmp_path, capsys, source, needle):
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(dict(HEIS_MANIFEST, source=source)))
+    out = tmp_path / "r.json"
+    assert main(["analyze", str(mpath), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err
+    assert not out.exists()
+
+
+def test_cli_bad_target_is_named(tmp_path, capsys):
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(dict(
+        HEIS_MANIFEST, target={"m": 1, "d": 1, "rho": ["w1 - xi1"],
+                               "split": [0]})))
+    assert main(["analyze", str(mpath), "--out",
+                 str(tmp_path / "r.json")]) == 2
+    assert "target manifold: " in capsys.readouterr().err

@@ -323,24 +323,3 @@ def test_evaluate_exact():
     val = f.evaluate([gr("1/2"), gr(2, 1)])
     # 3*(1/4)*(2+i) - i*(2+i) + 1 = (3/2+3/4 i) + (1-2i) + 1
     assert val == gr("7/2") + gr(0, "-5/4")
-
-
-def test_kernel_backends_agree():
-    # the compiled kernel and the pure fallback must produce identical dicts
-    pytest.importorskip("crreflect._kernels")
-    from crreflect import _kernels, _kernels_py
-    rng = random.Random(123)
-    for _ in range(10):
-        A = random_series(CTX2, 6, rng).terms
-        B = random_series(CTX2, 6, rng).terms
-        for order in (6, 3, -1):
-            assert _kernels.mul_terms(dict(A), dict(B), order) == \
-                _kernels_py.mul_terms(dict(A), dict(B), order)
-        out_c, out_p = {}, {}
-        coeff = gr("3/7", "-2/5")
-        _kernels.iadd_scaled(out_c, A, coeff)
-        _kernels_py.iadd_scaled(out_p, A, coeff)
-        assert out_c == out_p
-        _kernels.iadd_scaled(out_c, A, -coeff)
-        _kernels_py.iadd_scaled(out_p, A, -coeff)
-        assert out_c == out_p == {}
