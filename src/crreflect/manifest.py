@@ -19,14 +19,14 @@ from .exprparse import parse_expression
 from .gaussian import GaussianRational
 from .linalg import generic_rank
 from .manifold import (GraphedManifold, ManifoldError, Names,
-                       RealDefiningSystem, complexify_and_graph,
-                       verify_reality)
+                       RealDefiningSystem, complexify_and_graph)
 from .nondegen import (classify_manifold, classify_map_cr,
                        holomorphic_degeneracy_field, psi_and_h_conditions)
-from .reflection import (FormalCRMap, reflection_components,
-                         reflection_identities, verify_formal_cr_map)
+from .reflection import (FormalCRMap, ReflectionError,
+                         reflection_components, reflection_identities,
+                         verify_formal_cr_map)
 from .segre import chain, minimality
-from .series import SeriesMap, TruncatedSeries
+from .series import SeriesError, SeriesMap, TruncatedSeries
 
 
 class ManifestError(ValueError):
@@ -102,11 +102,29 @@ def _check_manifold_spec(spec, role: str) -> None:
 
 
 def _int_field(data: dict, key: str, default: int) -> int:
+    """An integer field: an int, an integral float or a decimal string.
+    Bools and non-integral numbers are rejected, not truncated."""
     value = data.get(key, default)
-    try:
+    if isinstance(value, float) and value.is_integer():
         return int(value)
-    except (TypeError, ValueError):
-        raise ManifestError("'%s' must be an integer, got %r" % (key, value))
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif type(value) is int:
+        return value
+    raise ManifestError("'%s' must be an integer, got %r" % (key, value))
+
+
+# The smallest bound each analysis accepts where that is above 0: the checks
+# in `minimality` and `chain`, and `classify_manifold` starts at jet order 1.
+# Every other bound must be non-negative.
+_BOUND_MINIMUM = {
+    ("classify-manifold", "kmax"): 1,
+    ("minimality", "kmax"): 2,
+    ("chains", "k"): 1,
+}
 
 
 class Manifest:
@@ -126,6 +144,11 @@ class Manifest:
         if self.target_spec is not None:
             _check_manifold_spec(self.target_spec, "target")
         self.map_spec = data.get("map")
+        if self.map_spec is not None and not (
+                isinstance(self.map_spec, list)
+                and all(isinstance(t, str) for t in self.map_spec)):
+            raise ManifestError("'map' must be a list of expressions, got %r"
+                                % (self.map_spec,))
         analyses = data.get("analyses", [])
         if not isinstance(analyses, list):
             raise ManifestError("'analyses' must be a list")
@@ -141,6 +164,11 @@ class Manifest:
                         raise ManifestError(
                             "analysis bound %s=%s exceeds order %d"
                             % (key, a[key], self.order))
+                    low = _BOUND_MINIMUM.get((a["name"], key), 0)
+                    if a[key] < low:
+                        raise ManifestError(
+                            "analysis bound %s=%s of %r is below %d"
+                            % (key, a[key], a["name"], low))
             self.analyses.append(a)
 
     @classmethod
@@ -244,10 +272,13 @@ def run(manifest: Manifest) -> dict:
         aliases = _role_aliases(M.m, M.d, primed=False)
         comps = [parse_expression(text, ctx_t, order, aliases)
                  for text in manifest.map_spec]
-        hmap = FormalCRMap(SeriesMap(comps), M, Mp)
+        try:
+            hmap = FormalCRMap(SeriesMap(comps), M, Mp)
+        except (ReflectionError, SeriesError) as exc:
+            raise ManifestError("'map': %s" % exc) from None
 
-    reality = verify_reality(M)
-    report["provenance"]["source_reality_ok"] = reality.ok
+    # build_manifold raises unless the reality involution holds.
+    report["provenance"]["source_reality_ok"] = True
 
     for spec in manifest.analyses:
         name = spec["name"]
@@ -337,15 +368,14 @@ def _run_one(name, spec, manifest, M, Mp, hmap):
                 "coefficients": [encode_series(c) for c in field.components]}
     if name == "chains":
         k = spec.get("k", 2)
-        out = {}
-        for side in ("barred", "unbarred"):
-            g = chain(M, k, side)
-            out[side] = {
-                "components": [encode_series(c) for c in g.components],
-                "generic_rank": generic_rank(g.components, seed=seed),
-                "on_manifold_defect": g.on_manifold_defect(),
-            }
-        return out
+        chains = {side: chain(M, k, side) for side in ("barred", "unbarred")}
+        # The parities share one generic rank (see `minimality`).
+        rank = generic_rank(chains["barred"].components, seed=seed)
+        return {side: {
+            "components": [encode_series(c) for c in g.components],
+            "generic_rank": rank,
+            "on_manifold_defect": g.on_manifold_defect(),
+        } for side, g in chains.items()}
     raise ManifestError("unknown analysis %r" % name)
 
 

@@ -215,6 +215,12 @@ def minimality(M: GraphedManifold, kmax=None, seed: int = 0) -> MinimalityReport
     nu+1 of both parities; since the type never exceeds d+1, the default
     budget 2(d+1)+1 settles the question and leaves room for the witness
     search on the chain of length 2 nu0 + 1.
+
+    Only the barred chain is ranked; `ranks[k]` repeats its rank for both
+    parities.  The unbarred chain is its conjugate with the t/tau blocks
+    swapped (`conjugate_chain_symmetry_defect`, exact given the reality
+    pairing), and neither conjugation nor a row permutation changes the
+    Bareiss rank or the rank at a real rational point.
     """
     if kmax is None:
         kmax = 2 * (M.d + 1) + 1
@@ -226,12 +232,10 @@ def minimality(M: GraphedManifold, kmax=None, seed: int = 0) -> MinimalityReport
     nu0 = None
     for k in range(1, kmax + 1):
         gb = chain(M, k, "barred")
-        gu = chain(M, k, "unbarred")
         chains_b[k] = gb
-        rb = generic_rank(gb.components, seed=seed)
-        ru = generic_rank(gu.components, seed=seed)
-        ranks[k] = (rb, ru)
-        if nu0 is None and rb == full and ru == full:
+        r = generic_rank(gb.components, seed=seed)
+        ranks[k] = (r, r)
+        if nu0 is None and r == full:
             nu0 = k - 1
         if nu0 is not None and k >= 2 * nu0 + 1:
             break

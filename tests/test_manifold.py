@@ -9,7 +9,7 @@ from conftest import (make_flat, make_heisenberg, make_z2zb2,
 from crreflect.context import VariableContext
 from crreflect.gaussian import I, ONE
 from crreflect.manifold import (DerivationWord, GraphedManifold,
-                                ManifoldError, RealDefiningSystem,
+                                ManifoldError, Names, RealDefiningSystem,
                                 apply_derivation, complexify_and_graph,
                                 cr_fields, transversal_fields, verify_reality)
 from crreflect.series import SeriesMap, TruncatedSeries
@@ -58,6 +58,56 @@ def test_reality_violation_detected():
     assert not rep.ok and rep.first_failing_degree == 1
 
 
+def _two_way_reality_degree(M):
+    """Reference: the smallest valuation of the substituted involution
+    residuals in both directions, w - theta_bar(z, zeta, theta) and
+    xi - theta(zeta, z, theta_bar); None when both vanish."""
+    vals = []
+    ctx = VariableContext(M.names.z + M.names.w + M.names.zeta)
+    repl = {x: t.remapped(ctx) for x, t in zip(M.names.xi, M.theta)}
+    for j, tb in enumerate(M.theta_bar.components):
+        vals.append((tb.substitute(repl, ctx)
+                     - tvar(ctx, M.names.w[j], M.order)).valuation())
+    ctx = VariableContext(M.names.zeta + M.names.z + M.names.xi)
+    repl = {w: t.remapped(ctx) for w, t in zip(M.names.w, M.theta_bar)}
+    for j, th in enumerate(M.theta.components):
+        vals.append((th.substitute(repl, ctx)
+                     - tvar(ctx, M.names.xi[j], M.order)).valuation())
+    vals = [v for v in vals if v is not None]
+    return min(vals) if vals else None
+
+
+def test_one_way_reality_matches_both_directions():
+    ctx = VariableContext(("z1", "zeta1", "xi1"))
+    for broken in (tvar(ctx, "xi1", 6) + tvar(ctx, "z1", 6),
+                   tvar(ctx, "xi1", 6) * 2,
+                   tvar(ctx, "xi1", 6) + tvar(ctx, "z1", 6) ** 3):
+        M = GraphedManifold.from_theta_bar(1, 1, SeriesMap([broken]),
+                                           check=False)
+        rep = verify_reality(M)
+        assert not rep.ok
+        assert rep.first_failing_degree == _two_way_reality_degree(M)
+
+
+def test_unpaired_graph_is_not_real():
+    # theta_bar = xi + 2 z zeta and theta = w - 2 zeta z invert each other,
+    # so both substituted identities hold, but they are not conjugates:
+    # only the pairing residual -4 z zeta shows it.
+    names = Names(1, 1)
+    ctx_tb = VariableContext(names.z + names.zeta + names.xi)
+    ctx_t = VariableContext(names.zeta + names.z + names.w)
+    theta_bar = SeriesMap([tvar(ctx_tb, "xi1", 6) + tvar(ctx_tb, "z1", 6)
+                           * tvar(ctx_tb, "zeta1", 6) * 2])
+    theta = SeriesMap([tvar(ctx_t, "w1", 6) - tvar(ctx_t, "zeta1", 6)
+                       * tvar(ctx_t, "z1", 6) * 2])
+    M = GraphedManifold(1, 1, theta, theta_bar, names, check=False)
+    assert _two_way_reality_degree(M) is None
+    rep = verify_reality(M)
+    assert not rep.ok and rep.first_failing_degree == 2
+    with pytest.raises(ManifoldError):
+        GraphedManifold(1, 1, theta, theta_bar, names)
+
+
 def test_anti_real_normalization():
     # w - xi - i z zeta is anti-real; its i-multiple defines the same set
     M = make_heisenberg()
@@ -90,6 +140,7 @@ def test_random_systems_reality_and_involution():
         assert system.reality_defect() is None
         M = complexify_and_graph(system)
         assert verify_reality(M).ok
+        assert _two_way_reality_degree(M) is None
 
 
 def test_cr_fields_heisenberg():

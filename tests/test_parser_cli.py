@@ -1,5 +1,6 @@
 """Expression grammar, manifest orchestration, CLI determinism."""
 
+import hashlib
 import json
 import random
 
@@ -255,3 +256,87 @@ def test_cli_bad_target_is_named(tmp_path, capsys):
     assert main(["analyze", str(mpath), "--out",
                  str(tmp_path / "r.json")]) == 2
     assert "target manifold: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("map_spec, needle", [
+    (["z1"], "'map': map must have 2 components"),
+    (["z1", "w1", "z1"], "'map': map must have 2 components"),
+    ([], "'map': "),
+    (["z1", "w1 + 1"], "'map': map components must vanish at 0"),
+    ("z1", "'map' must be a list"),
+    (["z1", 1], "'map' must be a list"),
+])
+def test_cli_bad_map_exits_2(tmp_path, capsys, map_spec, needle):
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(dict(HEIS_MANIFEST, map=map_spec)))
+    out = tmp_path / "r.json"
+    assert main(["analyze", str(mpath), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("order", 4.7), ("order", True), ("order", "4.0"), ("seed", 1.5),
+    ("seed", False), ("kmax", 3.5), ("kmax", True),
+])
+def test_cli_non_integers_exit_2(tmp_path, capsys, key, value):
+    if key == "kmax":
+        data = dict(HEIS_MANIFEST,
+                    analyses=[{"name": "minimality", "kmax": value}])
+    else:
+        data = dict(HEIS_MANIFEST, **{key: value})
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(data))
+    assert main(["analyze", str(mpath), "--out",
+                 str(tmp_path / "r.json")]) == 2
+    assert "'%s' must be an integer" % key in capsys.readouterr().err
+
+
+def test_integral_floats_are_accepted():
+    data = dict(HEIS_MANIFEST, order=4.0, analyses=[])
+    assert run(Manifest(data))["provenance"]["order"] == 4
+
+
+@pytest.mark.parametrize("analysis, key, value, low", [
+    ("minimality", "kmax", -1, 2),
+    ("minimality", "kmax", 1, 2),
+    ("chains", "k", 0, 1),
+    ("classify-manifold", "kmax", 0, 1),
+    ("classify-manifold", "Dmax", -1, 0),
+    ("psi-conditions", "kmax", -2, 0),
+    ("reflection", "Gmax", -1, 0),
+    ("reflection", "betamax", -1, 0),
+    ("degeneracy-field", "Dmax", -3, 0),
+])
+def test_cli_bound_below_minimum_exits_2(tmp_path, capsys, analysis, key,
+                                         value, low):
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(dict(
+        HEIS_MANIFEST, analyses=[{"name": analysis, key: value}])))
+    assert main(["analyze", str(mpath), "--out",
+                 str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert "%s=%d of %r is below %d" % (key, value, analysis, low) in err
+
+
+QUADRIC_MANIFEST = {
+    "order": 7,
+    "seed": 0,
+    "source": {"m": 1, "d": 2, "rho": ["t2 - tau2 - i*t1*tau1",
+                                      "t3 - tau3 - i*t1^2*tau1^2"]},
+    "analyses": [{"name": "chains", "k": 3},
+                 {"name": "minimality", "kmax": 7}],
+}
+
+
+@pytest.mark.parametrize("data, sha256", [
+    (HEIS_MANIFEST,
+     "6f7290bf9ff26538a0088d00f8a45a2482530eb23cf0877c7d6d4e414722b29e"),
+    (QUADRIC_MANIFEST,
+     "2480f5624ebe38747cfc3cc624585a7ed67e3d50fbe1122d6bc14262e8a57448"),
+])
+def test_report_bytes_are_pinned(data, sha256):
+    # A new digest means the same manifest now gives different report bytes.
+    text = render_report(run(Manifest(data)))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha256

@@ -146,3 +146,17 @@ def test_segre_jet_component_count():
     M = make_z2zb2()
     ph3 = segre_jet_map(M, 3)
     assert len(ph3.components) == M.m + M.d * 4  # C(1+3,3) = 4
+
+
+def test_chain_parities_share_generic_rank():
+    # minimality ranks only the barred chain.  Seed 7 is a (2,1) manifold
+    # whose order-6 chain of length 3 has rank 6 > 2m+d: the truncated
+    # chain rank defect, where the parities must agree all the same.
+    manifolds = [make_heisenberg(order=6), make_z2zb2(order=6)]
+    manifolds += [random_minimal_manifold(seed) for seed in (0, 2, 7)]
+    for M in manifolds:
+        for k in range(1, M.d + 3):
+            barred, unbarred = (generic_rank(chain(M, k, side).components)
+                                for side in ("barred", "unbarred"))
+            assert barred == unbarred
+    assert generic_rank(chain(manifolds[-1], 3, "barred").components) == 6
