@@ -117,13 +117,18 @@ def _int_field(data: dict, key: str, default: int) -> int:
     raise ManifestError("'%s' must be an integer, got %r" % (key, value))
 
 
-# The smallest bound each analysis accepts where that is above 0: the checks
-# in `minimality` and `chain`, and `classify_manifold` starts at jet order 1.
-# Every other bound must be non-negative.
-_BOUND_MINIMUM = {
-    ("classify-manifold", "kmax"): 1,
-    ("minimality", "kmax"): 2,
-    ("chains", "k"): 1,
+# Each analysis, the bounds it reads and the smallest value of each: the
+# checks in `minimality` and `chain`, and `classify_manifold` starts at jet
+# order 1.  Every bound is also at most the order.
+ANALYSES = {
+    "verify-cr": {},
+    "classify-manifold": {"kmax": 1, "Dmax": 0},
+    "classify-map": {"Dmax": 0},
+    "psi-conditions": {"kmax": 0},
+    "minimality": {"kmax": 2},
+    "reflection": {"Gmax": 0, "betamax": 0},
+    "degeneracy-field": {"Dmax": 0},
+    "chains": {"k": 1},
 }
 
 
@@ -156,19 +161,28 @@ class Manifest:
         for a in analyses:
             if not isinstance(a, dict) or "name" not in a:
                 raise ManifestError("every analysis needs a 'name'")
+            name = a["name"]
+            if not isinstance(name, str) or name not in ANALYSES:
+                raise ManifestError("unknown analysis %r; known: %s"
+                                    % (name, ", ".join(ANALYSES)))
+            bounds = ANALYSES[name]
             a = dict(a)
-            for key in ("kmax", "Dmax", "Gmax", "betamax", "ell0", "k"):
-                if key in a:
-                    a[key] = _int_field(a, key, 0)
-                    if a[key] > self.order:
-                        raise ManifestError(
-                            "analysis bound %s=%s exceeds order %d"
-                            % (key, a[key], self.order))
-                    low = _BOUND_MINIMUM.get((a["name"], key), 0)
-                    if a[key] < low:
-                        raise ManifestError(
-                            "analysis bound %s=%s of %r is below %d"
-                            % (key, a[key], a["name"], low))
+            for key in a:
+                if key == "name":
+                    continue
+                if key not in bounds:
+                    raise ManifestError(
+                        "analysis %r does not read '%s'; it reads %s"
+                        % (name, key, ", ".join(bounds) or "no bounds"))
+                a[key] = _int_field(a, key, 0)
+                if a[key] > self.order:
+                    raise ManifestError(
+                        "analysis bound %s=%s exceeds order %d"
+                        % (key, a[key], self.order))
+                if a[key] < bounds[key]:
+                    raise ManifestError(
+                        "analysis bound %s=%s of %r is below %d"
+                        % (key, a[key], name, bounds[key]))
             self.analyses.append(a)
 
     @classmethod
@@ -376,7 +390,6 @@ def _run_one(name, spec, manifest, M, Mp, hmap):
             "generic_rank": rank,
             "on_manifold_defect": g.on_manifold_defect(),
         } for side, g in chains.items()}
-    raise ManifestError("unknown analysis %r" % name)
 
 
 def render_report(report: dict) -> str:
@@ -420,6 +433,4 @@ def summarize(report: dict) -> str:
             lines.append("chains: ranks %s / %s"
                          % (result["barred"]["generic_rank"],
                             result["unbarred"]["generic_rank"]))
-        else:
-            lines.append("%s: done" % name)
     return "\n".join(lines)

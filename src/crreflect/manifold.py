@@ -149,6 +149,7 @@ class GraphedManifold:
         self.ctx_theta = VariableContext(names.zeta + names.z + names.w)
         self.ctx_theta_bar = VariableContext(names.z + names.zeta + names.xi)
         self.ctx_joint = VariableContext(names.z + names.w + names.zeta + names.xi)
+        self._restrictions = {}
         if theta.context != self.ctx_theta:
             raise ManifoldError("theta context must be (zeta, z, w)")
         if theta_bar.context != self.ctx_theta_bar:
@@ -205,34 +206,73 @@ class GraphedManifold:
     @property
     def ctx_restrict_xi(self):
         """Context after substituting xi := theta: (z, w, zeta)."""
-        return VariableContext(self.names.z + self.names.w + self.names.zeta)
+        return self._restriction("xi")[0]
 
     @property
     def ctx_restrict_w(self):
         """Context after substituting w := theta_bar: (z, zeta, xi)."""
-        return VariableContext(self.names.z + self.names.zeta + self.names.xi)
+        return self._restriction("w")[0]
 
-    def restrict(self, f, side: str):
-        """Substitute one graphed equation into a series over the joint context.
+    def _restriction(self, side):
+        """(target context, {coordinate: series over the target}) of one
+        side, built on first use and kept: the manifold never changes."""
+        got = self._restrictions.get(side)
+        if got is not None:
+            return got
+        nm = self.names
+        if side == "xi":
+            kept, zeroed, solved, graph = \
+                nm.z + nm.w + nm.zeta, (), nm.xi, self.theta
+        elif side == "w":
+            kept, zeroed, solved, graph = \
+                nm.z + nm.zeta + nm.xi, (), nm.w, self.theta_bar
+        elif side == "leaf":
+            kept, zeroed, solved, graph = \
+                nm.z, nm.zeta + nm.xi, nm.w, self.theta_bar
+        elif side == "leaf_bar":
+            kept, zeroed, solved, graph = \
+                nm.zeta, nm.z + nm.w, nm.xi, self.theta
+        else:
+            raise ValueError("side must be 'xi', 'w', 'leaf' or 'leaf_bar'")
+        target = VariableContext(kept)
+        table = {n: TruncatedSeries.variable(target, self.order, n)
+                 for n in kept}
+        table.update((n, TruncatedSeries.zero(target, self.order))
+                     for n in zeroed)
+        table.update((n, g.compose([table[v] for v in g.context.names]))
+                     for n, g in zip(solved, graph.components))
+        got = self._restrictions[side] = (target, table)
+        return got
 
-        side='xi' replaces xi by theta(zeta, t); side='w' replaces w by
-        theta_bar(z, tau).  Maps restrict componentwise.
+    def restrict(self, f, side: str, extra=None):
+        """Put a series on the complexified manifold by substituting one of
+        its graphed equations.
+
+        side='xi' replaces xi by theta(zeta, z, w), giving a series over
+        (z, w, zeta); side='w' replaces w by theta_bar(z, zeta, xi), over
+        (z, zeta, xi).  side='leaf' restricts to the Segre leaf through 0,
+        zeta = xi = 0 and w = theta_bar(z, 0, 0), over (z); 'leaf_bar' is
+        its conjugate, z = w = 0 and xi = theta(zeta, 0, 0), over (zeta).
+        `f` may live in any context made of the manifold's coordinates and
+        of names that `extra` maps to series over the target context.  The
+        result is exact to the least order of `f`, the manifold and the
+        `extra` series used.  Maps restrict componentwise.
         """
         if isinstance(f, SeriesMap):
-            return SeriesMap([self.restrict(c, side) for c in f.components])
-        if f.context != self.ctx_joint:
-            f = f.remapped(self.ctx_joint)
-        if side == "xi":
-            target = self.ctx_restrict_xi
-            repl = {name: s.remapped(target)
-                    for name, s in zip(self.names.xi, self.theta.components)}
-        elif side == "w":
-            target = self.ctx_restrict_w
-            repl = {name: s.remapped(target)
-                    for name, s in zip(self.names.w, self.theta_bar.components)}
-        else:
-            raise ValueError("side must be 'xi' or 'w'")
-        return f.substitute(repl, target)
+            return SeriesMap([self.restrict(c, side, extra)
+                              for c in f.components])
+        _, table = self._restriction(side)
+        extra = extra or {}
+        args = []
+        for n in f.context.names:
+            if n in extra:
+                args.append(extra[n])
+            elif n in table:
+                args.append(table[n])
+            else:
+                raise ValueError("cannot restrict: %r is not a coordinate "
+                                 "of the manifold" % n)
+        return f.compose(args)
 
     def __repr__(self):
         return "GraphedManifold(m=%d, d=%d, order=%d)" % (self.m, self.d, self.order)
@@ -259,12 +299,10 @@ def verify_reality(M: GraphedManifold) -> RealityReport:
     conjugate-swap of the forward one, so this is sound for a manifold
     built with `check=False` too."""
     swap = M.names.swap_map()
-    ctx = VariableContext(M.names.z + M.names.w + M.names.zeta)
-    repl = {x: t.remapped(ctx) for x, t in zip(M.names.xi, M.theta)}
     residuals = [th.conjugate_swapped(swap, M.ctx_theta_bar) - tb
                  for th, tb in zip(M.theta, M.theta_bar)]
-    residuals += [tb.substitute(repl, ctx)
-                  - TruncatedSeries.variable(ctx, M.order, w)
+    residuals += [M.restrict(tb, "xi")
+                  - TruncatedSeries.variable(M.ctx_restrict_xi, M.order, w)
                   for w, tb in zip(M.names.w, M.theta_bar)]
     vals = [r.valuation() for r in residuals if r]
     worst = min(vals) if vals else None

@@ -174,15 +174,7 @@ def holomorphic_degeneracy_field(Mp: GraphedManifold, dmax: int = 4):
 def _nd4_restricted_map(Mp: GraphedManifold, k: int) -> SeriesMap:
     """The jet map restricted to the Segre leaf through 0: substitute
     zeta' := 0 and w' := theta_bar'(z', 0), leaving a map of z' alone."""
-    jets = segre_jet_map(Mp, k)
-    ctx_z = VariableContext(Mp.names.z)
-    order = jets.components.order
-    zs = [TruncatedSeries.variable(ctx_z, order, n) for n in Mp.names.z]
-    zero = TruncatedSeries.zero(ctx_z, order)
-    tb0 = [t.truncated(order).compose(zs + [zero] * (Mp.m + Mp.d))
-           for t in Mp.theta_bar.components]
-    args = [zero] * Mp.m + zs + tb0
-    return SeriesMap([c.compose(args) for c in jets.components.components])
+    return Mp.restrict(segre_jet_map(Mp, k).components, "leaf")
 
 
 def classify_manifold(Mp: GraphedManifold, kmax: int = None,
@@ -375,29 +367,10 @@ def psi_and_h_conditions(h: FormalCRMap, M=None, Mp=None, kmax: int = 2,
 
     # h4: rank of the t'-gradients of Psi along the Segre leaf through 0,
     # evaluated at t' = h(z, theta_bar(z, 0)).
-    ctx_z = VariableContext(M.names.z)
-    zs = [TruncatedSeries.variable(ctx_z, h.order, n) for n in M.names.z]
-    zero_z = TruncatedSeries.zero(ctx_z, h.order)
-    tb0 = [t.compose(zs + [zero_z] * (M.m + M.d))
-           for t in M.theta_bar.components]
-    h_on = [c.compose(zs + tb0) for c in h.h.components]
-    args = []
-    for name in ctx_psi.names:
-        if name in M.names.z:
-            args.append(zs[M.names.z.index(name)])
-        elif name in M.names.w:
-            args.append(tb0[M.names.w.index(name)])
-        elif name in Mp.names.t:
-            args.append(h_on[Mp.names.t.index(name)])
-        else:
-            args.append(zero_z)
+    h_on = dict(zip(Mp.names.t, M.restrict(h.h, "leaf").components))
     tp_idx = [ctx_psi.index(n) for n in Mp.names.t]
-    rows = []
-    for key in sorted(table):
-        s = table[key]
-        row = [s.derive(i).compose([a.truncated(s.order - 1) for a in args])
-               for i in tp_idx]
-        rows.append(row)
+    rows = [[M.restrict(table[key].derive(i), "leaf", h_on) for i in tp_idx]
+            for key in sorted(table)]
     r4 = symbolic_rank(rows, seed=seed)
     h4 = Verdict(HOLDS if r4 == np_ else FAILS, bound=kmax)
 

@@ -90,26 +90,11 @@ class FormalCRMap:
 
     def horizontal_part(self) -> SeriesMap:
         """The CR-horizontal restriction z -> f(z, theta_bar(z, 0))."""
-        M = self.M
-        ctx_z = VariableContext(M.names.z)
-        zs = [TruncatedSeries.variable(ctx_z, self.order, n) for n in M.names.z]
-        zero = TruncatedSeries.zero(ctx_z, self.order)
-        tb0 = [t.compose(zs + [zero] * (M.m + M.d))
-               for t in M.theta_bar.components]
-        return SeriesMap([c.compose(zs + tb0) for c in self.f.components])
+        return self.M.restrict(self.f, "leaf")
 
     def horizontal_part_bar(self) -> SeriesMap:
         """zeta -> fbar(zeta, theta(zeta, 0)), the conjugate horizontal part."""
-        M = self.M
-        ctx_zeta = VariableContext(M.names.zeta)
-        zero = TruncatedSeries.zero(ctx_zeta, self.order)
-        th0 = [t.compose(
-            [TruncatedSeries.variable(ctx_zeta, self.order, n)
-             for n in M.names.zeta] + [zero] * M.m + [zero] * M.d)
-            for t in M.theta.components]
-        args = [TruncatedSeries.variable(ctx_zeta, self.order, n)
-                for n in M.names.zeta] + th0
-        return SeriesMap([c.compose(args) for c in self.fbar.components])
+        return self.M.restrict(self.fbar, "leaf_bar")
 
     def __repr__(self):
         return "FormalCRMap(%d -> %d, order %d)" % (self.n, self.np, self.order)
@@ -167,25 +152,18 @@ def verify_formal_cr_map(h: FormalCRMap, M=None, Mp=None) -> ResidualReport:
     """
     M = M or h.M
     Mp = Mp or h.Mp
-    N = h.order
     report = ResidualReport()
 
     # family 3 (beta = 0): context (z, zeta, xi)
-    ctx_w = M.ctx_restrict_w
-    tb = [t.remapped(ctx_w) for t in M.theta_bar.components]
-    args_t = [TruncatedSeries.variable(ctx_w, N, n) for n in M.names.z] + tb
-    h_on = [c.compose(args_t) for c in h.h.components]
-    hbar_emb = [c.remapped(ctx_w) for c in h.hbar.components]
+    h_on = list(M.restrict(h.h, "w"))
+    hbar_emb = [c.remapped(M.ctx_restrict_w) for c in h.hbar.components]
     for jp in range(h.dp):
         rhs = Mp.theta_bar[jp].compose(h_on[:h.mp] + hbar_emb)
         report.add(3, jp, (), h_on[h.mp + jp] - rhs)
 
     # family 1 (beta = 0): context (z, w, zeta)
-    ctx_x = M.ctx_restrict_xi
-    th = [t.remapped(ctx_x) for t in M.theta.components]
-    args_tau = [TruncatedSeries.variable(ctx_x, N, n) for n in M.names.zeta] + th
-    hbar_on = [c.compose(args_tau) for c in h.hbar.components]
-    h_emb = [c.remapped(ctx_x) for c in h.h.components]
+    hbar_on = list(M.restrict(h.hbar, "xi"))
+    h_emb = [c.remapped(M.ctx_restrict_xi) for c in h.h.components]
     for jp in range(h.dp):
         rhs = Mp.theta[jp].compose(hbar_on[:h.mp] + h_emb)
         report.add(1, jp, (), hbar_on[h.mp + jp] - rhs)
@@ -274,25 +252,30 @@ def reflection_components(h: FormalCRMap, Mp=None, gmax=None) -> ReflectionCompo
     if gmax > h.order:
         raise ReflectionError("gmax exceeds the truncation order")
     table, _ = target_component_tables(Mp)
-    out = {}
+    return ReflectionComponents(h, gmax, _compose_components(
+        h, gmax, (((jp, gamma), s) for jp in range(h.dp)
+                  for gamma, s in table[jp].items())))
+
+
+def _compose_components(h: FormalCRMap, gmax: int, entries) -> dict:
+    """gamma' -> [Theta'_{j',gamma'}(h(t)) for each j'] from the pairs
+    ((j', gamma'), Theta'_{j',gamma'}) with |gamma'| <= gmax.  A j' without
+    an entry is zero, exact to order - |gamma'|; a gamma' whose entries all
+    vanish is dropped."""
     h_args = list(h.h.components)
-    for jp in range(h.dp):
-        for gamma, coeff_series in table[jp].items():
-            if sum(gamma) > gmax:
-                continue
-            composed = coeff_series.compose(h_args)
-            entry = out.setdefault(
-                gamma, [None] * h.dp)
-            entry[jp] = composed
+    composed = {}
+    for (jp, gamma), s in entries:
+        if sum(gamma) <= gmax:
+            composed.setdefault(tuple(gamma), {})[jp] = s.compose(h_args)
     ctx_t = VariableContext(h.M.names.t)
-    final = {}
-    for gamma, entry in out.items():
-        filled = [e if e is not None
+    table = {}
+    for gamma, entry in composed.items():
+        filled = [entry[jp] if jp in entry
                   else TruncatedSeries.zero(ctx_t, h.order - sum(gamma))
-                  for e in entry]
+                  for jp in range(h.dp)]
         if any(filled):
-            final[gamma] = filled
-    return ReflectionComponents(h, gmax, final)
+            table[gamma] = filled
+    return table
 
 
 # -- derivation caches --------------------------------------------------------
@@ -510,14 +493,10 @@ def q_jbeta_cramer(h: FormalCRMap, M=None, Mp=None, beta_max=1) -> CramerTable:
     Mp = Mp or h.Mp
     if not h.is_invertible():
         raise ReflectionError("Cramer identities need an invertible map")
-    N = h.order
     m = M.m
     ctx = M.ctx_restrict_xi
-
-    th = [t.remapped(ctx) for t in M.theta.components]
-    args_tau = [TruncatedSeries.variable(ctx, N, n) for n in M.names.zeta] + th
-    fbar_on = [c.compose(args_tau) for c in h.fbar.components]
-    gbar_on = [c.compose(args_tau) for c in h.gbar.components]
+    fbar_on = list(M.restrict(h.fbar, "xi"))
+    gbar_on = list(M.restrict(h.gbar, "xi"))
     h_emb = [c.remapped(ctx) for c in h.h.components]
     zeta_idx = [ctx.index(n) for n in M.names.zeta]
 
@@ -723,21 +702,6 @@ def transversality_uniqueness_defect(h: FormalCRMap, M=None, degree: int = 2,
     caches = {g: _WordCache(Lbar, power(g)) for g in gammas}
 
     ctx_z = VariableContext(M.names.z)
-    zs = [TruncatedSeries.variable(ctx_z, h.order, n) for n in M.names.z]
-    zero = TruncatedSeries.zero(ctx_z, h.order)
-    tb0 = [t.compose(zs + [zero] * (M.m + M.d)) for t in M.theta_bar.components]
-
-    def on_segre(series):
-        args = []
-        for name in ctxj.names:
-            if name in M.names.z:
-                args.append(zs[M.names.z.index(name)])
-            elif name in M.names.w:
-                args.append(tb0[M.names.w.index(name)])
-            else:
-                args.append(zero)
-        return series.compose(args)
-
     rel_monos = list(multidegrees(M.m, degree))
     unknowns = [(g, mono) for g in gammas for mono in rel_monos]
     rows = {}
@@ -746,7 +710,7 @@ def transversality_uniqueness_defect(h: FormalCRMap, M=None, degree: int = 2,
         if room < 0:
             continue
         for (g, mono) in unknowns:
-            w = on_segre(caches[g].get(beta)).truncated(room)
+            w = M.restrict(caches[g].get(beta), "leaf").truncated(room)
             shifted = w * TruncatedSeries.monomial(ctx_z, room, mono)
             col = unknowns.index((g, mono))
             for e, c in shifted.terms.items():
@@ -787,51 +751,23 @@ class Resolution:
         self.phi = phi
         self.rows_used = rows_used
 
-    def _jet_args_unbarred(self, level, jets):
-        """u_{i,alpha} -> (d^alpha hbar_i)(zeta, theta(zeta,t)) - constant,
-        as series over the (z, w, zeta) chart."""
+    def _jet_args(self, level, jets, side):
+        """u_{i,alpha} -> the strict jet values on the manifold.  On side
+        'xi', (d^alpha hbar_i)(zeta, theta(zeta, t)) minus the constant, over
+        (z, w, zeta); on side 'w', the conjugate line: jets of h composed
+        with (z, theta_bar(z, tau)) minus the conjugated constants, over
+        (z, zeta, xi)."""
         h, M = self.h, self.h.M
-        ctx_v = M.ctx_restrict_xi
-        th = [t.remapped(ctx_v) for t in M.theta.components]
-        zetas = [TruncatedSeries.variable(ctx_v, h.order, n)
-                 for n in M.names.zeta]
+        comps = h.hbar if side == "xi" else h.h
         out = {}
-        for i, comp in enumerate(h.hbar.components):
+        for i, comp in enumerate(comps.components):
             for alpha in multidegrees(M.n, level):
-                composed = comp.derive_multi(alpha).compose(zetas + th)
-                out[jets.name(i, alpha)] = composed - jets.constant(i, alpha)
-        return out
-
-    def _jet_args_barred(self, level, jets):
-        """Conjugate side: jets of h composed with (z, theta_bar(z, tau)),
-        minus the conjugated constants, over the (z, zeta, xi) chart."""
-        h, M = self.h, self.h.M
-        ctx_v = M.ctx_restrict_w
-        tb = [t.remapped(ctx_v) for t in M.theta_bar.components]
-        zs = [TruncatedSeries.variable(ctx_v, h.order, n) for n in M.names.z]
-        out = {}
-        for i, comp in enumerate(h.h.components):
-            for alpha in multidegrees(M.n, level):
-                composed = comp.derive_multi(alpha).compose(zs + tb)
+                c = jets.constant(i, alpha)
+                if side == "w":
+                    c = c.conjugate()
                 out[jets.name(i, alpha)] = \
-                    composed - jets.constant(i, alpha).conjugate()
+                    M.restrict(comp.derive_multi(alpha), side) - c
         return out
-
-    def _compose_phi(self, phi_comp, uargs, ctx_v, barred):
-        M = self.h.M
-        args = []
-        for name in phi_comp.context.names:
-            if name in uargs:
-                args.append(uargs[name])
-            elif not barred and name in M.names.xi:
-                args.append(M.theta.components[M.names.xi.index(name)]
-                            .remapped(ctx_v))
-            elif barred and name in M.names.w:
-                args.append(M.theta_bar.components[M.names.w.index(name)]
-                            .remapped(ctx_v))
-            else:
-                args.append(TruncatedSeries.variable(ctx_v, self.h.order, name))
-        return phi_comp.compose(args)
 
     def verification_report(self) -> ResidualReport:
         """Both lines of the solved identity; families 1 and 2 label the
@@ -840,18 +776,18 @@ class Resolution:
         report = ResidualReport()
 
         ctx_v = M.ctx_restrict_xi
-        uargs = self._jet_args_unbarred(self.ell0, self.jets)
+        uargs = self._jet_args(self.ell0, self.jets, "xi")
         for i, comp in enumerate(self.phi.components):
-            value = self._compose_phi(comp, uargs, ctx_v, barred=False)
+            value = M.restrict(comp, "xi", uargs)
             res = h.h[i].remapped(ctx_v).truncated(value.order) - value
             report.add(1, i, (), res)
 
         swap = M.names.swap_map()
         ctx_cv = M.ctx_restrict_w
-        uargs_bar = self._jet_args_barred(self.ell0, self.jets)
+        uargs_bar = self._jet_args(self.ell0, self.jets, "w")
         for i, comp in enumerate(self.phi.components):
             phibar = comp.conjugate_swapped(swap, comp.context)
-            value = self._compose_phi(phibar, uargs_bar, ctx_cv, barred=True)
+            value = M.restrict(phibar, "w", uargs_bar)
             res = h.hbar[i].remapped(ctx_cv).truncated(value.order) - value
             report.add(2, i, (), res)
         return report
@@ -930,11 +866,10 @@ class Resolution:
                 exprs[(i, diag)] = expr
 
         report = ResidualReport()
-        ctx_v = M.ctx_restrict_xi
-        uargs = self._jet_args_unbarred(level, jets2)
+        uargs = self._jet_args(level, jets2, "xi")
         for (i, alpha), expr in sorted(exprs.items()):
-            value = self._compose_phi(expr, uargs, ctx_v, barred=False)
-            lhs = h.h[i].derive_multi(alpha).remapped(ctx_v)
+            value = M.restrict(expr, "xi", uargs)
+            lhs = h.h[i].derive_multi(alpha).remapped(M.ctx_restrict_xi)
             res = lhs.truncated(value.order) - value.truncated(lhs.order)
             report.add("jet", i, alpha, res)
         return report
@@ -1065,11 +1000,8 @@ def composed_jet_table(hmap: FormalCRMap, depth: int) -> dict:
     """
     M, Mp = hmap.M, hmap.Mp
     N = hmap.order
-    ctx = M.ctx_restrict_xi
-    th = [t.remapped(ctx) for t in M.theta.components]
-    zetas = [TruncatedSeries.variable(ctx, N, n) for n in M.names.zeta]
-    fbar_on = [c.compose(zetas + th) for c in hmap.fbar.components]
-    h_emb = [c.remapped(ctx) for c in hmap.h.components]
+    fbar_on = list(M.restrict(hmap.fbar, "xi"))
+    h_emb = [c.remapped(M.ctx_restrict_xi) for c in hmap.h.components]
     ctx_t = VariableContext(M.names.t)
     at_zero = {n: TruncatedSeries.zero(ctx_t, N) for n in M.names.zeta}
     out = {}
@@ -1113,23 +1045,8 @@ def target_change_transport(components: ReflectionComponents,
     fb0 = [c.compose([zero] * Mp.m + th0) for c in change.fbar.components]
 
     raw = invert_expansion(q, fb0, Mp.m, depth)
-    table = {}
-    h_args = list(h.h.components)
-    for (j, beta), s in raw.items():
-        if sum(beta) > gmax:
-            continue
-        composed = s.compose(h_args)
-        entry = table.setdefault(tuple(beta), [None] * h.dp)
-        entry[j] = composed
-    ctx_t = VariableContext(M.names.t)
-    final = {}
-    for gamma, entry in table.items():
-        filled = [e if e is not None
-                  else TruncatedSeries.zero(ctx_t, N - sum(gamma))
-                  for e in entry]
-        if any(filled):
-            final[gamma] = filled
-    return ReflectionComponents(hpp, gmax, final)
+    return ReflectionComponents(hpp, gmax,
+                                _compose_components(h, gmax, raw.items()))
 
 
 def chain_pullback(F: SeriesMap, chain: SegreChain) -> SeriesMap:

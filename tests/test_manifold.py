@@ -272,3 +272,133 @@ def test_split_autodetection_permuted():
     M = complexify_and_graph(RealDefiningSystem(2, 1, rho))
     assert M.m == 1 and M.d == 1
     assert verify_reality(M).ok
+
+
+# References for `GraphedManifold.restrict`: the argument lists the
+# reflection and nondegeneracy code built by hand before every graph
+# substitution went through `restrict`.
+
+
+def _chart_reference(M, f, side, uargs=None):
+    """The old `Resolution._compose_phi`: `uargs` first, then xi := theta
+    (side 'xi') or w := theta_bar (side 'w'), every other name kept."""
+    uargs = uargs or {}
+    nm = M.names
+    ctx_v = VariableContext(nm.z + nm.w + nm.zeta if side == "xi"
+                            else nm.z + nm.zeta + nm.xi)
+    args = []
+    for name in f.context.names:
+        if name in uargs:
+            args.append(uargs[name])
+        elif side == "xi" and name in M.names.xi:
+            args.append(M.theta[M.names.xi.index(name)].remapped(ctx_v))
+        elif side == "w" and name in M.names.w:
+            args.append(M.theta_bar[M.names.w.index(name)].remapped(ctx_v))
+        else:
+            args.append(tvar(ctx_v, name, f.order))
+    return f.compose(args)
+
+
+def _leaf_reference(M, f, extra=None):
+    """The old `on_segre` and h4 argument list: z kept,
+    w := theta_bar(z, 0, 0), names in `extra` replaced, the rest zero."""
+    extra = extra or {}
+    ctx_z = VariableContext(M.names.z)
+    zs = [tvar(ctx_z, n, f.order) for n in M.names.z]
+    zero = TruncatedSeries.zero(ctx_z, f.order)
+    tb0 = [t.compose(zs + [zero] * (M.m + M.d)) for t in M.theta_bar]
+    args = []
+    for name in f.context.names:
+        if name in extra:
+            args.append(extra[name])
+        elif name in M.names.z:
+            args.append(zs[M.names.z.index(name)])
+        elif name in M.names.w:
+            args.append(tb0[M.names.w.index(name)])
+        else:
+            args.append(zero)
+    return f.compose(args)
+
+
+def _leaf_bar_reference(M, f):
+    """The old `horizontal_part_bar` argument list, for f over tau:
+    zeta kept, xi := theta(zeta, 0, 0)."""
+    ctx_zeta = VariableContext(M.names.zeta)
+    zetas = [tvar(ctx_zeta, n, f.order) for n in M.names.zeta]
+    zero = TruncatedSeries.zero(ctx_zeta, f.order)
+    th0 = [t.compose(zetas + [zero] * (M.m + M.d)) for t in M.theta]
+    return f.compose(zetas + th0)
+
+
+SEEDED = [complexify_and_graph(random_real_system(seed, m, d, 5),
+                               primed=primed)
+          for seed, (m, d) in enumerate([(1, 1), (2, 1), (1, 2)])
+          for primed in (False, True)]
+SEEDED_IDS = ["(%d,%d)%s" % (M.m, M.d, "p" if M.names.z[0] == "zp1" else "")
+              for M in SEEDED]
+
+
+@pytest.mark.parametrize("M", SEEDED, ids=SEEDED_IDS)
+def test_restrict_matches_hand_built_arguments(M):
+    rng = random.Random(M.m * 10 + M.d)
+    ctxj = M.ctx_joint
+    ctx_tau = VariableContext(M.names.tau)
+    for order in (M.order, M.order - 2):
+        f = random_series(ctxj, order, rng, degree=3, density=0.3)
+        for side in ("xi", "w"):
+            got = M.restrict(f, side)
+            assert got == _chart_reference(M, f, side)
+            assert got.order == order
+        assert M.restrict(f, "leaf") == _leaf_reference(M, f)
+        g = random_series(ctx_tau, order, rng, degree=3, density=0.5)
+        assert M.restrict(g, "leaf_bar") == _leaf_bar_reference(M, g)
+    # leaf and leaf_bar zero the conjugate block: a pure-tau series
+    # restricts to its constant term on the leaf.
+    g = random_series(ctx_tau, M.order, rng, degree=2, density=1.0)
+    assert M.restrict(g, "leaf") == TruncatedSeries.constant(
+        VariableContext(M.names.z), M.order, g.constant_term())
+
+
+@pytest.mark.parametrize("M", SEEDED[:2], ids=SEEDED_IDS[:2])
+def test_restrict_with_extra_names(M):
+    rng = random.Random(3)
+    ctx = VariableContext(M.ctx_joint.names + ("u1", "u2"))
+    f = random_series(ctx, M.order - 1, rng, degree=3, density=0.2)
+    for side in ("xi", "w"):
+        target = M.ctx_restrict_xi if side == "xi" else M.ctx_restrict_w
+        uargs = {u: random_series(target, M.order - 1, rng, degree=2,
+                                  min_degree=1, density=0.4)
+                 for u in ("u1", "u2")}
+        got = M.restrict(f, side, uargs)
+        assert got == _chart_reference(M, f, side, uargs)
+        assert got.order == M.order - 1
+    ctx_z = VariableContext(M.names.z)
+    extra = {"u1": TruncatedSeries.zero(ctx_z, M.order),
+             "u2": random_series(ctx_z, M.order, rng, degree=2,
+                                 min_degree=1)}
+    assert M.restrict(f, "leaf", extra) == _leaf_reference(M, f, extra)
+
+
+def test_restrict_rejects_unknown_side_and_names():
+    M = make_heisenberg(order=4)
+    f = M.embedded_theta()[0]
+    with pytest.raises(ValueError):
+        M.restrict(f, "zeta")
+    stray = TruncatedSeries.variable(
+        VariableContext(("z1", "u1")), 4, "u1")
+    with pytest.raises(ValueError):
+        M.restrict(stray, "xi")
+    with pytest.raises(ValueError):
+        M.restrict(stray, "leaf", {"u2": TruncatedSeries.zero(
+            VariableContext(("z1",)), 4)})
+
+
+def test_leaf_zeros_stay_zero():
+    # zeta and xi are zero series on the leaf; a lookup that treated a
+    # falsy series as missing would keep them as variables.
+    M = make_heisenberg(order=4)
+    ctxj = M.ctx_joint
+    out = M.restrict(tvar(ctxj, "zeta1", 4) + tvar(ctxj, "xi1", 4), "leaf")
+    assert out.is_zero() and out.context.names == ("z1",)
+    out = M.restrict(tvar(ctxj, "z1", 4) * tvar(ctxj, "w1", 4), "leaf_bar")
+    assert out.is_zero() and out.context.names == ("zeta1",)

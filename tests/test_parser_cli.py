@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -340,3 +341,47 @@ def test_report_bytes_are_pinned(data, sha256):
     # A new digest means the same manifest now gives different report bytes.
     text = render_report(run(Manifest(data)))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha256
+
+
+def test_cli_unknown_analysis_exits_2_before_any_runs(tmp_path, capsys,
+                                                      monkeypatch):
+    ran = []
+    monkeypatch.setattr("crreflect.manifest.minimality",
+                        lambda *args, **kw: ran.append(args))
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(dict(
+        HEIS_MANIFEST, order=4,
+        analyses=[{"name": "minimality", "kmax": 3}, {"name": "bogus"}])))
+    out = tmp_path / "r.json"
+    assert main(["analyze", str(mpath), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "unknown analysis 'bogus'" in captured.err
+    assert captured.out == "" and not ran and not out.exists()
+
+
+@pytest.mark.parametrize("analysis, key", [
+    ("chains", "ell0"),
+    ("chains", "kmax"),
+    ("verify-cr", "kmax"),
+    ("classify-map", "kmax"),
+    ("reflection", "k"),
+    ("minimality", "Dmax"),
+])
+def test_cli_unread_bound_exits_2(tmp_path, capsys, analysis, key):
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(dict(
+        HEIS_MANIFEST, analyses=[{"name": analysis, key: 1}])))
+    out = tmp_path / "r.json"
+    assert main(["analyze", str(mpath), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "%r does not read '%s'" % (analysis, key) in err
+    assert not out.exists()
+
+
+def test_readme_example_manifest_runs(tmp_path):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    example = readme.read_text(encoding="utf-8").split("```json\n")[1]
+    mpath = tmp_path / "m.json"
+    mpath.write_text(example.split("```")[0])
+    assert main(["analyze", str(mpath), "--out",
+                 str(tmp_path / "r.json")]) == 0
