@@ -9,7 +9,6 @@ need a reproducible component order.
 
 from __future__ import annotations
 
-import itertools
 from math import comb
 
 
@@ -47,10 +46,6 @@ class VariableContext:
 
     def extended(self, extra_names) -> "VariableContext":
         return VariableContext(self.names + tuple(extra_names))
-
-    def subcontext(self, keep) -> "VariableContext":
-        keep = set(keep)
-        return VariableContext(tuple(n for n in self.names if n in keep))
 
 
 def ctx(*names) -> VariableContext:
@@ -91,20 +86,5 @@ def count_multidegrees(arity: int, max_degree: int) -> int:
     return comb(arity + max_degree, arity)
 
 
-def jet_space_size(n_components: int, arity: int, order: int) -> int:
-    """Number of partial derivatives of order <= `order` of a map with
-    `n_components` components in `arity` variables."""
-    return n_components * comb(arity + order, order)
-
-
-def compose_name_map(names, mapping):
-    """Apply a {old: new} renaming to a name tuple, defaulting to identity."""
-    return tuple(mapping.get(n, n) for n in names)
-
-
 def numbered(prefix: str, count: int, start: int = 1):
     return tuple("%s%d" % (prefix, i) for i in range(start, start + count))
-
-
-def product_exponents(*ranges):
-    return itertools.product(*ranges)

@@ -50,10 +50,6 @@ class GaussianRational:
         self.a, self.b, self.c = a, b, c
         return self
 
-    @classmethod
-    def from_triple(cls, a: int, b: int, c: int) -> "GaussianRational":
-        return cls._raw(*_norm(a, b, c))
-
     @property
     def re(self) -> Fraction:
         return Fraction(self.a, self.c)

@@ -100,11 +100,6 @@ class FormalCRMap:
         return "FormalCRMap(%d -> %d, order %d)" % (self.n, self.np, self.order)
 
 
-def identity_map(M: GraphedManifold) -> FormalCRMap:
-    ctx_t = VariableContext(M.names.t)
-    return FormalCRMap(SeriesMap.identity(ctx_t, M.order), M, M)
-
-
 # -- residual reports ---------------------------------------------------------
 
 
@@ -703,18 +698,20 @@ def transversality_uniqueness_defect(h: FormalCRMap, M=None, degree: int = 2,
 
     ctx_z = VariableContext(M.names.z)
     rel_monos = list(multidegrees(M.m, degree))
-    unknowns = [(g, mono) for g in gammas for mono in rel_monos]
+    column = {u: k for k, u in enumerate(
+        (g, mono) for g in gammas for mono in rel_monos)}
     rows = {}
     for beta in multidegrees(M.m, beta_max):
         room = nwork - sum(beta)
         if room < 0:
             continue
-        for (g, mono) in unknowns:
+        for g in gammas:
             w = M.restrict(caches[g].get(beta), "leaf").truncated(room)
-            shifted = w * TruncatedSeries.monomial(ctx_z, room, mono)
-            col = unknowns.index((g, mono))
-            for e, c in shifted.terms.items():
-                rows.setdefault((beta, e), [ZERO] * len(unknowns))[col] = c
+            for mono in rel_monos:
+                shifted = w * TruncatedSeries.monomial(ctx_z, room, mono)
+                col = column[(g, mono)]
+                for e, c in shifted.terms.items():
+                    rows.setdefault((beta, e), [ZERO] * len(column))[col] = c
     matrix = [rows[k] for k in sorted(rows)]
     if not matrix:
         return 0

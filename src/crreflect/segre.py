@@ -103,10 +103,6 @@ class SegreChain:
     def t_components(self):
         return SeriesMap(self.components.components[:self.M.n])
 
-    @property
-    def tau_components(self):
-        return SeriesMap(self.components.components[self.M.n:])
-
     def on_manifold_defect(self):
         """Valuation of the worst xi - theta residual; None when exact."""
         m, d = self.M.m, self.M.d
@@ -287,10 +283,6 @@ class JetMapData:
         self.k = k
         self.components = components
         self.betas = betas
-
-    def jet_block(self):
-        """The components past the plain zeta' prefix."""
-        return SeriesMap(self.components.components[self.M.m:])
 
     def project(self, k2: int) -> "JetMapData":
         """Drop jet entries of order above k2 (projection compatibility)."""

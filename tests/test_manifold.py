@@ -1,18 +1,21 @@
 """Graphing, the reality involution, tangent fields and derivations."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from conftest import (make_flat, make_heisenberg, make_z2zb2,
                       random_real_system, random_series)
-from crreflect.context import VariableContext
-from crreflect.gaussian import I, ONE
-from crreflect.manifold import (DerivationWord, GraphedManifold,
-                                ManifoldError, Names, RealDefiningSystem,
-                                apply_derivation, complexify_and_graph,
-                                cr_fields, transversal_fields, verify_reality)
-from crreflect.series import SeriesMap, TruncatedSeries
+from crreflect.context import VariableContext, multidegrees
+from crreflect.gaussian import I, ONE, gr
+from crreflect.manifold import (Derivation, DerivationWord, GraphedManifold,
+                                JetSymbols, ManifoldError, Names,
+                                RealDefiningSystem, apply_derivation,
+                                complexify_and_graph, cr_fields,
+                                extend_derivation_to_jets, transversal_fields,
+                                verify_reality)
+from crreflect.series import SeriesError, SeriesMap, TruncatedSeries
 
 
 def tvar(ctx, name, order=8):
@@ -402,3 +405,141 @@ def test_leaf_zeros_stay_zero():
     assert out.is_zero() and out.context.names == ("z1",)
     out = M.restrict(tvar(ctxj, "z1", 4) * tvar(ctxj, "w1", 4), "leaf_bar")
     assert out.is_zero() and out.context.names == ("zeta1",)
+
+
+# Reference for `Derivation.apply`: the loop it ran before the fused kernel,
+# one derivative, one product and one sum per coefficient.
+
+
+def _apply_reference(D, f):
+    if f.context != D.context:
+        f = f.remapped(D.context)
+    if D.forbidden and (f.support_variables() & D.forbidden):
+        raise SeriesError(
+            "operand involves jet symbols beyond the lifted level")
+    out = None
+    for i, c in D.coeffs.items():
+        df = f.derive(i)
+        if isinstance(c, TruncatedSeries):
+            piece = df * c.truncated(df.order)
+        else:
+            piece = df * c
+        out = piece if out is None else out + piece
+    if out is None:
+        raise SeriesError("empty derivation")
+    return out
+
+
+def _check_apply(D, f):
+    got = D.apply(f)
+    want = _apply_reference(D, f)
+    assert got == want
+    assert got.order == want.order and got.context == D.context
+    assert all(got.terms.values())
+    return got
+
+
+@pytest.mark.parametrize("M", SEEDED, ids=SEEDED_IDS)
+def test_apply_matches_reference_loop(M):
+    rng = random.Random(M.m * 10 + M.d + 1)
+    ctxj = M.ctx_joint
+    L, Lbar = cr_fields(M)
+    U, Ubar = transversal_fields(M)
+    ctx_t = VariableContext(M.names.t)
+    for order in (M.order, M.order - 2, 1):
+        f = random_series(ctxj, order, rng, degree=4, density=0.3)
+        g = random_series(ctx_t, order, rng, degree=3, density=0.5)
+        for D in L + Lbar + U + Ubar:
+            _check_apply(D, f)
+            _check_apply(D, g)  # remapped into the joint context first
+    # iterated, so operands carry the reduced orders of earlier results
+    f = random_series(ctxj, M.order, rng, degree=3, density=0.4)
+    for D in L + U + L:
+        f = _check_apply(D, f)
+
+
+@pytest.mark.parametrize("M", SEEDED[::2], ids=SEEDED_IDS[::2])
+def test_apply_matches_reference_on_jet_lifts(M):
+    """Both lifts: hbar jets over tau at level 2 with constants (as in
+    `jet_identity_report`), and one component's jets over t at level 1
+    (its `vres` block)."""
+    rng = random.Random(7 + M.m + 2 * M.d)
+    N = M.order
+    L, Lbar = cr_fields(M)
+    U, _ = transversal_fields(M)
+    tau_jets = JetSymbols("u", 2, M.names.tau, 2, {
+        (c, a): gr(rng.randint(-3, 3), rng.randint(-3, 3))
+        for c in range(2) for a in multidegrees(M.n, 2)})
+    t_jets = JetSymbols("v", 1, M.names.t, 1, {})
+    for jets, fields in ((tau_jets, L + U), (t_jets, Lbar + U)):
+        ctx = VariableContext(M.ctx_joint.names + jets.names)
+        lifted = [extend_derivation_to_jets(D, [jets], ctx, N)
+                  for D in fields]
+        low = [jets.name(c, a) for c in range(jets.n_components)
+               for a in jets.alphas if not any(a)]
+        base = VariableContext(M.ctx_joint.names[:M.n] + tuple(low))
+        f = random_series(base, N, rng, degree=3, density=0.3).remapped(ctx)
+        f = f + jets.jet_series(0, (0,) * len(jets.dep_names), ctx, N)
+        for D in lifted:
+            assert D.forbidden
+            g = _check_apply(D, f)
+            for E in lifted:
+                top = g.support_variables() & E.forbidden
+                if top:  # level 1: D put the top jets into g
+                    _raises_same(E, g, "beyond the lifted level")
+                else:
+                    _check_apply(E, g)
+
+
+def test_apply_constant_zero_and_series_coefficients():
+    rng = random.Random(11)
+    ctx = VariableContext(("x", "y", "z", "s"))
+    c = random_series(ctx, 5, rng, degree=3, density=0.5)
+    coeff_sets = [
+        {"x": 3, "y": Fraction(-2, 7), "z": gr(1, -2)},
+        {"x": 0, "y": TruncatedSeries.zero(ctx, 6)},
+        {"x": c, "y": ONE, "s": TruncatedSeries.zero(ctx, 3)},
+        {"z": c.truncated(2), "s": c, "x": gr(0, 1)},
+    ]
+    for coeffs in coeff_sets:
+        D = Derivation(ctx, coeffs)
+        for order in (6, 4, 1):
+            f = random_series(ctx, order, rng, degree=4, density=0.4)
+            _check_apply(D, f)
+            _check_apply(D, TruncatedSeries.zero(ctx, order))
+    # the result order is the least of f.order - 1 and the coefficients'
+    D = Derivation(ctx, {"x": c.truncated(2), "y": 5})
+    f = random_series(ctx, 6, rng, degree=4, density=0.4)
+    assert D.apply(f).order == 2
+    assert Derivation(ctx, {"x": 5}).apply(f).order == 5
+
+
+def _raises_same(D, f, text):
+    with pytest.raises(SeriesError, match=text):
+        D.apply(f)
+    with pytest.raises(SeriesError, match=text):
+        _apply_reference(D, f)
+
+
+def test_apply_errors_match_reference():
+    M = make_heisenberg(order=4)
+    ctxj = M.ctx_joint
+    L, _ = cr_fields(M)
+    f = M.embedded_theta()[0]
+    _raises_same(L[0], f.truncated(0), "no precision left")
+    _raises_same(Derivation(ctxj, {}), f, "empty derivation")
+    _raises_same(Derivation(ctxj, {}), f.truncated(0), "empty derivation")
+    jets = JetSymbols("u", 1, M.names.tau, 1)
+    ctx = VariableContext(ctxj.names + jets.names)
+    lifted = extend_derivation_to_jets(L[0], [jets], ctx, 4)
+    top = jets.name(0, (1, 0))
+    assert ctx.index(top) in lifted.forbidden
+    g = TruncatedSeries.variable(ctx, 4, top) * f.remapped(ctx)
+    _raises_same(lifted, g, "beyond the lifted level")
+    # checked first: an empty derivation with forbidden names says so too
+    _raises_same(Derivation(ctx, {}, forbidden={top}), g,
+                 "beyond the lifted level")
+    # a symbol below the top level is fine
+    low = jets.name(0, (0, 0))
+    h = TruncatedSeries.variable(ctx, 4, low) * f.remapped(ctx)
+    _check_apply(lifted, h)

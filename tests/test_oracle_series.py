@@ -139,6 +139,57 @@ def test_iadd_scaled_matches_oracle(case):
     assert got == want
 
 
+# -- derivations ------------------------------------------------------------
+
+
+@st.composite
+def derivation_cases(draw):
+    n = draw(st.integers(1, 4))
+    order = draw(st.integers(0, 6))
+    f = draw(term_dicts(n, 4, max_size=10))
+    coeffs = {}
+    for i in sorted(draw(st.sets(st.integers(0, n - 1)))):
+        kind = draw(st.sampled_from(("zero", "constant", "series")))
+        if kind == "zero":
+            coeffs[i] = {}
+        elif kind == "constant":
+            coeffs[i] = {(0,) * n: draw(coefficients())}
+        else:
+            coeffs[i] = draw(term_dicts(n, 4, 1, 6))
+    forbidden = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    return n, f, coeffs, order, forbidden
+
+
+@SETTINGS
+@given(derivation_cases())
+@example((2, {(2, 0): gr(1), (0, 2): gr(1)},
+          {0: {(0, 1): gr(1)}, 1: {(1, 0): gr(-1)}}, 4, set()))
+@example((3, {(1, 2, 0): gr("1/2", 3), (0, 0, 3): gr(0, "-2/7")},
+          {1: {(0, 0, 0): gr(2, "1/3")}, 2: {(0, 1, 0): gr("5/12"),
+                                             (3, 1, 0): gr(1, 1)}},
+          3, {0}))
+@example((2, {(1, 1): gr(1, 1), (2, 0): gr("1/3", -2)},
+          {0: {(1, 0): gr(2, 3), (0, 0): gr(0, "1/5")},
+           1: {(0, 1): gr(-1, "1/2")}}, 3, set()))
+def test_derivation_apply_matches_oracle(case):
+    # the first example, (y d/dx - x d/dy)(x^2 + y^2), cancels to zero; in
+    # the third, both complex coefficients add into the x*y term
+    n, f, coeffs, order, forbidden = case
+    table = kernels.derivation_table(coeffs, forbidden)
+    got = kernels.derivation_apply(dict(f), table, order)
+    if any(e[i] for e in f for i in forbidden):
+        assert got is None
+        return
+    R = _ring(n)
+    p = to_sympy(R, f)
+    total = R.zero
+    for i, c in coeffs.items():
+        total += to_sympy(R, c) * p.diff(R.gens[i])
+    assert got == from_sympy(total, order)
+    assert all(got.values())
+    assert all(type(e) is tuple and len(e) == n for e in got)
+
+
 # -- compose ----------------------------------------------------------------
 
 _KINDS = ("variable", "renamed", "scaled", "monomial", "zero", "series")
