@@ -5,8 +5,9 @@ Two rank notions live here.  On constant matrices, `numeric_rank` and
 the package's one Gauss-Jordan elimination.  `symbolic_rank` computes the
 rank of a matrix of (truncated) polynomial entries over the fraction field
 of the polynomial ring, via fraction-free Bareiss elimination with the
-exact division `kernels.divexact`; a seeded random evaluation supplies a
-fast certified lower bound that the symbolic result is checked against."""
+exact division `kernels.divexact`, checked against the rank at a seeded
+rational point (`symbolic_rank` states why that is a certified lower
+bound)."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 from .gaussian import GaussianRational, ONE, ZERO
 from .kernels import divexact, echelon, iadd_scaled, mul_terms
-from .series import TruncatedSeries, SeriesMap
+from .series import SeriesMap
 
 
 def numeric_rank(matrix) -> int:
@@ -98,22 +99,24 @@ def symbolic_rank(matrix, seed: int = 0) -> int:
     The value is the rank over the fraction field of the polynomial ring of
     the stored truncations; it equals the true generic rank once the
     truncation order is past the degree where the rank stabilizes.
+
+    Bareiss decides the value.  The entries are also evaluated exactly
+    over Q(i) at the point `random_rational_point` draws from
+    `random.Random(seed)`.  A minor that is nonzero at a point is a nonzero
+    polynomial, so that point rank is a certified lower bound
+    (Schwartz, J. ACM 1980; Zippel 1979): point rank <= generic rank
+    <= min(rows, cols).  A Bareiss rank below it raises `AssertionError`.
     """
-    entries = [[e.terms if isinstance(e, TruncatedSeries) else dict(e)
-                for e in row] for row in matrix]
-    rank = bareiss_rank(entries)
-    if matrix and matrix[0]:
-        arity = (matrix[0][0].context.arity
-                 if isinstance(matrix[0][0], TruncatedSeries) else None)
-        if arity is not None:
-            rng = random.Random(seed)
-            point = random_rational_point(arity, rng)
-            numeric = numeric_rank(
-                [[e.evaluate(point) for e in row] for row in matrix])
-            if numeric > rank:
-                raise AssertionError(
-                    "rank witness exceeds symbolic rank (%d > %d)"
-                    % (numeric, rank))
+    if not matrix or not matrix[0]:
+        return 0
+    rank = bareiss_rank([[e.terms for e in row] for row in matrix])
+    point = random_rational_point(matrix[0][0].context.arity,
+                                  random.Random(seed))
+    numeric = numeric_rank([[e.evaluate(point) for e in row]
+                            for row in matrix])
+    if numeric > rank:
+        raise AssertionError(
+            "rank witness exceeds symbolic rank (%d > %d)" % (numeric, rank))
     return rank
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from math import comb
 
-from .context import VariableContext, multidegrees
+from .context import VariableContext, count_multidegrees, multidegrees
 from .gaussian import ONE, ZERO
 from .linalg import generic_rank, numeric_rank, random_rational_point
 from .manifold import GraphedManifold, ManifoldError
@@ -55,6 +55,11 @@ def flow(M: GraphedManifold, field: str, p, time):
     """
     p = list(p)
     check_on_manifold(M, p)
+    return _flow(M, field, p, time)
+
+
+def _flow(M: GraphedManifold, field: str, p, time):
+    """`flow` without the base-point check, for points on M by construction."""
     z, w, zeta, xi = _split_point(M, p)
     time = list(time)
     if field in ("L", "Lbar"):
@@ -154,20 +159,41 @@ def chain(M: GraphedManifold, k: int, start_side: str = "barred",
         raise ValueError("chain length must be >= 1")
     if start_side not in ("barred", "unbarred"):
         raise ValueError("start_side must be 'barred' or 'unbarred'")
-    from .context import count_multidegrees
+    _check_chain_budget(M, k, budget)
+    *_, last = _chains(M, k, start_side, budget)
+    return last
+
+
+def _check_chain_budget(M: GraphedManifold, k: int, budget: int):
     if count_multidegrees(M.m * k, M.order) > budget:
         raise SeriesError(
             "chain budget exceeded: %d time variables at order %d"
             % (M.m * k, M.order))
-    ctx = VariableContext(chain_time_names(M.m, k))
-    p = origin_point(M, ctx)
-    for j in range(1, k + 1):
-        time = [TruncatedSeries.variable(ctx, M.order, "z%d_%d" % (j, i))
+
+
+def _chains(M: GraphedManifold, kmax: int, start_side: str, budget: int):
+    """Yield the chains of lengths 1..kmax, each one extending the last.
+
+    The chain of length k is the one of length k-1 remapped into the k-th
+    time context, then one more flow.  The remap is exact: the same
+    polynomials are truncated at the same total degree.  The origin is on
+    the manifold and every flow keeps the point on it, so no step
+    re-checks its base point.  The budget is checked for each k just
+    before its flow, so a caller that stops early never pays for a longer
+    chain.
+    """
+    first_barred = (start_side == "barred")
+    p = None
+    for k in range(1, kmax + 1):
+        _check_chain_budget(M, k, budget)
+        ctx = VariableContext(chain_time_names(M.m, k))
+        p = (origin_point(M, ctx) if p is None
+             else [c.remapped(ctx) for c in p])
+        time = [TruncatedSeries.variable(ctx, M.order, "z%d_%d" % (k, i))
                 for i in range(1, M.m + 1)]
-        first_barred = (start_side == "barred")
-        barred_step = (j % 2 == 1) == first_barred
-        p = flow(M, "Lbar" if barred_step else "L", p, time)
-    return SegreChain(M, k, start_side, SeriesMap(p))
+        barred_step = (k % 2 == 1) == first_barred
+        p = _flow(M, "Lbar" if barred_step else "L", p, time)
+        yield SegreChain(M, k, start_side, SeriesMap(p))
 
 
 def conjugate_chain_symmetry_defect(M, k):
@@ -226,8 +252,8 @@ def minimality(M: GraphedManifold, kmax=None, seed: int = 0) -> MinimalityReport
     ranks = {}
     chains_b = {}
     nu0 = None
-    for k in range(1, kmax + 1):
-        gb = chain(M, k, "barred")
+    for gb in _chains(M, kmax, "barred", DEFAULT_CHAIN_BUDGET):
+        k = gb.k
         chains_b[k] = gb
         r = generic_rank(gb.components, seed=seed)
         ranks[k] = (r, r)

@@ -2,10 +2,14 @@
 
 import random
 
+import pytest
+
 from conftest import make_heisenberg, random_series
+from crreflect import linalg
 from crreflect.context import VariableContext
 from crreflect.gaussian import ONE, ZERO, gr
-from crreflect.linalg import (generic_rank, kernel_basis, numeric_rank,
+from crreflect.linalg import (bareiss_rank, generic_rank, kernel_basis,
+                              numeric_rank, random_rational_point,
                               rank_at_origin, symbolic_rank)
 from crreflect.segre import chain
 from crreflect.series import SeriesMap, TruncatedSeries
@@ -80,6 +84,77 @@ def test_symbolic_rank_catches_hidden_dependence():
     assert symbolic_rank(m) == 1
     m2 = [[x, y], [y, x]]
     assert symbolic_rank(m2) == 2
+
+
+def _spy_bareiss(monkeypatch):
+    """Record every matrix that `symbolic_rank` hands to Bareiss."""
+    calls = []
+
+    def spy(entries):
+        calls.append(entries)
+        return bareiss_rank(entries)
+    monkeypatch.setattr(linalg, "bareiss_rank", spy)
+    return calls
+
+
+def _rank_cases(seed):
+    """(name, matrix, generic rank, whether the point rank falls short)."""
+    ctx = VariableContext(("x", "y"))
+    x = TruncatedSeries.variable(ctx, 6, "x")
+    y = TruncatedSeries.variable(ctx, 6, "y")
+    one = TruncatedSeries.constant(ctx, 6, 1)
+    zero = TruncatedSeries.zero(ctx, 6)
+    # x - a vanishes at the seeded point, so these full-rank matrices are
+    # singular there and only Bareiss can see their rank.
+    point = random_rational_point(2, random.Random(seed))
+    xa = x - point[0]
+    return point, [
+        ("square", [[x, y], [y, x]], 2, False),
+        ("tall", [[x, one], [y, x], [x * y, y]], 2, False),
+        ("wide", [[x, y, x * y], [one, x, y]], 2, False),
+        ("square, singular at the point", [[xa, y], [zero, xa]], 2, True),
+        ("wide, singular at the point",
+         [[xa, y, one], [zero, xa, zero]], 2, True),
+        ("tall, singular at the point",
+         [[xa * y, zero], [one, xa], [zero, zero]], 2, True),
+        ("rank-deficient square", [[x, y], [x * x, x * y]], 1, True),
+        ("rank-deficient tall",
+         [[x, y], [x * x, x * y], [y * x, y * y]], 1, True),
+        ("rank-deficient wide",
+         [[x, y, x + y], [x * y, y * y, x * y + y * y]], 1, True),
+        ("zero", [[zero, zero], [zero, zero]], 0, True),
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_symbolic_rank_equals_bareiss(monkeypatch, seed):
+    point, cases = _rank_cases(seed)
+    for name, m, expected, short in cases:
+        at_point = numeric_rank([[e.evaluate(point) for e in row]
+                                 for row in m])
+        assert (at_point < min(len(m), len(m[0]))) == short, name
+        calls = _spy_bareiss(monkeypatch)
+        got = symbolic_rank(m, seed=seed)
+        assert len(calls) == 1, name
+        assert got == bareiss_rank([[e.terms for e in row] for row in m]) \
+            == expected, name
+
+
+def test_symbolic_rank_value_does_not_depend_on_the_seed():
+    for name, m, expected, _ in _rank_cases(0)[1]:
+        assert [symbolic_rank(m, seed=s) for s in range(6)] \
+            == [expected] * 6, name
+
+
+def test_symbolic_rank_keeps_the_witness_check(monkeypatch):
+    # A point rank above the Bareiss rank cannot happen for polynomial
+    # entries; a Bareiss that undercounts must still be caught.
+    ctx = VariableContext(("x", "y"))
+    x = TruncatedSeries.variable(ctx, 6, "x")
+    y = TruncatedSeries.variable(ctx, 6, "y")
+    monkeypatch.setattr(linalg, "bareiss_rank", lambda entries: 0)
+    with pytest.raises(AssertionError, match="exceeds symbolic rank"):
+        symbolic_rank([[x, y], [x * x, x * y]])
 
 
 def test_kernel_basis():

@@ -1,7 +1,9 @@
-"""The exact kernels, `compose` and the constant linear algebra against an
+"""The exact kernels, `compose` and the linear algebra against an
 independent oracle: sympy's Gaussian-rational polynomial ring (`QQ_I`),
-expand first, truncate after, and sympy's `Matrix`."""
+expand first, truncate after, sympy's `Matrix`, and `DomainMatrix` over
+the rational function field `QQ_I(x0, x1)`."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,14 +12,16 @@ pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings, strategies as st
-from sympy import Matrix
+from sympy import Matrix, symbols
 from sympy.polys.domains import QQ, QQ_I
+from sympy.polys.matrices import DomainMatrix
 from sympy.polys.polyerrors import ExactQuotientFailed
 from sympy.polys.rings import ring
 
 from crreflect import kernels
 from crreflect.context import VariableContext
 from crreflect.gaussian import ONE, ZERO, GaussianRational, gr
+from crreflect.linalg import random_rational_point, symbolic_rank
 from crreflect.reflection import _independent_rows
 from crreflect.series import TruncatedSeries, invert_matrix
 
@@ -342,3 +346,62 @@ def test_independent_rows_is_greedy(rows, need):
             chosen.append(i)
     want = chosen[:need] if len(chosen) >= need else None
     assert _independent_rows(rows, need) == want
+
+
+# -- generic rank of polynomial matrices ------------------------------------
+
+
+def _seed_shift(R, seed):
+    """x0 - a, with a the first coordinate of `symbolic_rank`'s point."""
+    a = random_rational_point(2, random.Random(seed))[0]
+    return R.gens[0] - to_sympy(R, {(0, 0): a})
+
+
+@st.composite
+def polynomial_matrices(draw):
+    """(seed, rows of sympy polynomials in x0, x1).
+
+    A product of an r x k and a k x c matrix has rank at most k, so
+    rank-deficient, wide and tall shapes all occur.  Scaling a row by
+    x0 - a keeps the generic rank but zeroes the row at the seeded point,
+    so the point rank falls short and Bareiss has to decide."""
+    R = _ring(2)
+    seed = draw(st.integers(0, 3))
+    nrows, ncols, inner = (draw(st.integers(1, 3)) for _ in range(3))
+    entry = term_dicts(2, 1, max_size=3)
+    B = [[to_sympy(R, draw(entry)) for _ in range(inner)]
+         for _ in range(nrows)]
+    C = [[to_sympy(R, draw(entry)) for _ in range(ncols)]
+         for _ in range(inner)]
+    shift = _seed_shift(R, seed)
+    rows = []
+    for i in range(nrows):
+        row = [sum((B[i][k] * C[k][j] for k in range(inner)), R.zero)
+               for j in range(ncols)]
+        if draw(st.booleans()):
+            row = [p * shift for p in row]
+        rows.append(row)
+    return seed, rows
+
+
+def _example_rank_case(seed):
+    """Full generic rank 2, singular at the seeded point."""
+    R = _ring(2)
+    x0, x1 = R.gens
+    shift = _seed_shift(R, seed)
+    return seed, [[shift, x1, R.one], [R.zero, shift, R.zero]]
+
+
+@SETTINGS
+@given(polynomial_matrices())
+@example(_example_rank_case(0))
+@example(_example_rank_case(3))
+def test_symbolic_rank_matches_oracle(case):
+    seed, rows = case
+    ctx = VariableContext(["x0", "x1"])
+    matrix = [[TruncatedSeries(ctx, 6, from_sympy(p)) for p in row]
+              for row in rows]
+    K = QQ_I.frac_field(*symbols("x0 x1"))
+    want = DomainMatrix([[K.field(p) for p in row] for row in rows],
+                        (len(rows), len(rows[0])), K).rank()
+    assert symbolic_rank(matrix, seed=seed) == want

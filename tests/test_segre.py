@@ -4,13 +4,15 @@ import pytest
 
 from conftest import (make_flat, make_heisenberg, make_z2zb2,
                       random_minimal_manifold)
+from crreflect import segre
 from crreflect.context import VariableContext
 from crreflect.linalg import generic_rank
 from crreflect.manifold import ManifoldError
-from crreflect.segre import (chain, chain_time_names,
+from crreflect.segre import (DEFAULT_CHAIN_BUDGET, _chains, chain,
+                             chain_time_names,
                              conjugate_chain_symmetry_defect, flow,
                              minimality, origin_point, segre_jet_map)
-from crreflect.series import TruncatedSeries
+from crreflect.series import SeriesError, TruncatedSeries
 
 
 def test_flow_time_zero_is_identity():
@@ -67,6 +69,78 @@ def test_chain_invariants():
             g = chain(M, k, "barred")
             assert g.restricted_to_shorter(k - 1).components == \
                 chain(M, k - 1, "barred").components
+
+
+def _chain_reference(M, k, start_side):
+    """The from-origin loop `_chains` replaced: the chain of length k
+    rebuilt from the origin with k checked flows."""
+    ctx = VariableContext(chain_time_names(M.m, k))
+    p = origin_point(M, ctx)
+    for j in range(1, k + 1):
+        time = [TruncatedSeries.variable(ctx, M.order, "z%d_%d" % (j, i))
+                for i in range(1, M.m + 1)]
+        barred_step = (j % 2 == 1) == (start_side == "barred")
+        p = flow(M, "Lbar" if barred_step else "L", p, time)
+    return p
+
+
+def test_chain_builder_matches_reference():
+    # Seeds 0, 1, 2 are the (1,1), (2,1) and (1,2) shapes.
+    for seed in (0, 1, 2):
+        M = random_minimal_manifold(seed)
+        kmax = M.d + 2
+        for side in ("barred", "unbarred"):
+            built = list(_chains(M, kmax, side, DEFAULT_CHAIN_BUDGET))
+            assert [g.k for g in built] == list(range(1, kmax + 1))
+            for g in built:
+                ref = _chain_reference(M, g.k, side)
+                assert g.context == ref[0].context
+                assert g.order == M.order
+                assert list(g.components.components) == ref
+                assert list(chain(M, g.k, side).components.components) == ref
+
+
+def test_chain_builder_checks_before_work(monkeypatch):
+    M = make_heisenberg()  # m = 1, order 8: 45 monomials in 2 times, 165 in 3
+    assert chain(M, 2, budget=100).k == 2
+    flows = []
+    monkeypatch.setattr(segre, "_flow", lambda *args: flows.append(args))
+    with pytest.raises(SeriesError, match="3 time variables"):
+        chain(M, 3, budget=100)
+    with pytest.raises(ValueError):
+        chain(M, 0)
+    with pytest.raises(ValueError):
+        chain(M, 2, "sideways")
+    assert not flows
+
+
+def test_minimality_reports_unchanged():
+    # The reports the from-origin chains with a Bareiss rank at every k
+    # gave.  Seed 7 is the (2,1) truncated-chain-rank case (rank 6 > 2m+d).
+    cases = [
+        (make_heisenberg(), None, True, 2,
+         [(1, 1), (2, 2), (3, 3), (3, 3), (3, 3)], 5, 8,
+         ["1", "9", "0", "-9", "-1"]),
+        (make_flat(), None, False, None,
+         [(1, 1), (2, 2), (2, 2), (2, 2), (2, 2)], 5, 8, None),
+        (random_minimal_manifold(7), None, False, None,
+         [(2, 2), (4, 4), (6, 6), (6, 6), (6, 6)], 5, 6, None),
+        (random_minimal_manifold(7), 3, False, None,
+         [(2, 2), (4, 4), (6, 6)], 3, 6, None),
+        # The loop stops at k = 5; chains of length 22 and more would be
+        # over the budget, and none of them is built.
+        (make_heisenberg(), 30, True, 2,
+         [(1, 1), (2, 2), (3, 3), (3, 3), (3, 3)], 30, 8,
+         ["1", "9", "0", "-9", "-1"]),
+    ]
+    for M, kmax, minimal, nu0, ranks, want_kmax, order, witness in cases:
+        rep = minimality(M, kmax=kmax)
+        assert (rep.minimal, rep.nu0, rep.kmax, rep.order, rep.conclusive) \
+            == (minimal, nu0, want_kmax, order, True)
+        assert rep.ranks == dict(enumerate(ranks, 1))
+        got = (None if rep.mu0_witness is None
+               else [str(c) for c in rep.mu0_witness])
+        assert got == witness
 
 
 def test_chain_symmetry():
