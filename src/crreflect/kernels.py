@@ -7,6 +7,8 @@ both use it without an import cycle.
 
 * `mul_terms` and `iadd_scaled`: the truncated product and the scaled
   accumulation of term dicts.
+* `compose_terms`: the body of `TruncatedSeries.compose`, the sum of
+  group_beta * u^beta over the exponents beta of the moving arguments u.
 * `derivation_table` and `derivation_apply`: a first-order operator
   sum_i c_i d/dx_i with series coefficients, converted once and then
   applied to a term dict in one pass.
@@ -32,6 +34,19 @@ two paths:
   are accumulated as plain ints per packed key, and one normalized
   coefficient is built per nonzero output term.
 
+`compose_terms` keeps that layout across a whole composition instead of
+one product.  It packs exponents once, with one field width for the
+order.  Each moving argument is converted to (lcm denominator, packed
+rows) the first time a power needs it; many compositions use few of their
+arguments.  Each power u^beta is built from the one a step lower as packed
+rows over the product of the denominators, never normalized.  Every
+product group_beta * u^beta then goes into one accumulator over the lcm
+of all the products' denominators, each group's numerators rescaled to
+it first.  The group beta = 0 is added without a product, and when it is
+the only group it is returned as it is.  One normalized coefficient is
+built per nonzero output term.  `mul_terms` and `compose_terms` share the
+packed product loop `_product`.
+
 `iadd_scaled` likewise forms `acc + coeff * c` on the integer triples and
 normalizes once per updated term.
 
@@ -48,6 +63,7 @@ and unpacking that many fields cost more than it saved.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import lru_cache
 from itertools import compress
 from math import gcd, lcm
 from operator import add, itemgetter, mul
@@ -100,39 +116,29 @@ def _numerators(T: dict, weights: list, limit):
     return den, rows
 
 
-def mul_terms(A: dict, B: dict, order: int) -> dict:
-    """Truncated product of two term dicts (total degree <= order).
-
-    A negative order disables truncation (used by the symbolic rank code,
-    where entries are honest polynomials).
-    """
-    if not A or not B:
-        return {}
-    if len(A) == 1:
-        (e, c), = A.items()
-        return _scale_shift(e, c, B, order)
-    if len(B) == 1:
-        (e, c), = B.items()
-        return _scale_shift(e, c, A, order)
-    if len(A) > len(B):
-        A, B = B, A
-    arity = len(next(iter(A)))
-    if order >= 0:
-        top = order
-    else:
-        top = max(max(e) for e in A) + max(max(e) for e in B)
-    # One field of `width` bits per variable, the total degree above them:
-    # e . weights packs e, and a key is below `limit` iff degree <= order.
+@lru_cache(maxsize=None)
+def _packing(arity: int, top: int):
+    """(width, weights) for exponent fields of at most `top`: one field of
+    `width` bits per variable and the total degree above them, so that
+    e . weights packs e, keys sort by degree first, and for order <= top a
+    key is below (order + 1) << (width * arity) iff its degree is <= order."""
     width = max(top.bit_length(), 1)
     shift = width * arity
-    weights = [(1 << (width * i)) + (1 << shift) for i in range(arity)]
-    limit = (order + 1) << shift if order >= 0 else None
-    da, ra = _numerators(A, weights, limit)
-    db, rb = _numerators(B, weights, limit)
-    if not ra or not rb:
-        return {}
+    return width, tuple([(1 << (width * i)) + (1 << shift)
+                         for i in range(arity)])
+
+
+def _product(acc: dict, ra: list, rb: list, limit) -> None:
+    """acc[pa + pb] += (xa + i*ya) * (xb + i*yb) for every pair of rows
+    with pa + pb < limit (every pair when `limit` is None).
+
+    Rows are (packed key, re, im) sorted by key; `acc` maps packed keys to
+    [re, im] lists.  One binary search per row of the shorter operand
+    finds the rows of the other that stay below the limit.
+    """
+    if len(ra) > len(rb):
+        ra, rb = rb, ra
     bkeys = [p for p, _, _ in rb]
-    acc: dict = {}
     get = acc.get
     for pa, xa, ya in ra:
         if limit is not None:
@@ -150,14 +156,109 @@ def mul_terms(A: dict, B: dict, order: int) -> dict:
             else:
                 s[0] += xa * xb - ya * yb
                 s[1] += xa * yb + ya * xb
-    den = da * db
+
+
+def _unpacked(acc: dict, den: int, width: int, arity: int) -> dict:
+    """Term dict of an accumulator over `den`: one normalized coefficient
+    per nonzero packed key."""
     mask = (1 << width) - 1
-    shifts = range(0, shift, width)
-    out = {}
-    for k, (x, y) in acc.items():
-        if x or y:
-            out[tuple([(k >> s) & mask for s in shifts])] = _make(x, y, den)
-    return out
+    shifts = range(0, width * arity, width)
+    return {tuple([(k >> s) & mask for s in shifts]): _make(x, y, den)
+            for k, (x, y) in acc.items() if x or y}
+
+
+def mul_terms(A: dict, B: dict, order: int) -> dict:
+    """Truncated product of two term dicts (total degree <= order).
+
+    A negative order disables truncation (used by the symbolic rank code,
+    where entries are honest polynomials).
+    """
+    if not A or not B:
+        return {}
+    if len(A) == 1:
+        (e, c), = A.items()
+        return _scale_shift(e, c, B, order)
+    if len(B) == 1:
+        (e, c), = B.items()
+        return _scale_shift(e, c, A, order)
+    arity = len(next(iter(A)))
+    if order >= 0:
+        top = order
+    else:
+        top = max(max(e) for e in A) + max(max(e) for e in B)
+    width, weights = _packing(arity, top)
+    limit = (order + 1) << (width * arity) if order >= 0 else None
+    da, ra = _numerators(A, weights, limit)
+    db, rb = _numerators(B, weights, limit)
+    acc: dict = {}
+    _product(acc, ra, rb, limit)
+    return _unpacked(acc, da * db, width, arity)
+
+
+def compose_terms(groups: dict, args: list, arity: int, order: int) -> dict:
+    """sum_beta groups[beta] * prod_i args[i]**beta[i], truncated to total
+    degree <= order.
+
+    `groups` maps exponent tuples beta over `args` to term dicts of the
+    target arity; `args` are term dicts with no constant term.  Zero
+    coefficients in a group are dropped.  When the group beta = 0 is the
+    only nonzero one, it is the result as it is.
+    """
+    zero = (0,) * len(args)
+    nonzero = []
+    for beta, group in groups.items():
+        group = {e: c for e, c in group.items() if c}
+        if group:
+            nonzero.append((beta, group))
+    if not nonzero:
+        return {}
+    if len(nonzero) == 1 and nonzero[0][0] == zero:
+        return nonzero[0][1]
+    width, weights = _packing(arity, order)
+    limit = (order + 1) << (width * arity)
+    powers = {zero: (1, [(0, 1, 0)])}
+
+    def power(beta):
+        got = powers.get(beta)
+        if got is None:
+            i = next(j for j, x in enumerate(beta) if x)
+            unit = zero[:i] + (1,) + zero[i + 1:]
+            if beta == unit:
+                got = _numerators(args[i], weights, limit)
+            else:
+                dp, rp = power(beta[:i] + (beta[i] - 1,) + beta[i + 1:])
+                da, ra = power(unit)
+                acc: dict = {}
+                _product(acc, rp, ra, limit)
+                got = (dp * da, sorted([(k, x, y) for k, (x, y)
+                                        in acc.items() if x or y]))
+            powers[beta] = got
+        return got
+
+    parts = []
+    for beta, group in nonzero:
+        dp, rp = power(beta)
+        if rp:
+            dg, rg = _numerators(group, weights, None)
+            parts.append((dp * dg, rg, rp if beta != zero else None))
+    den = lcm(*[d for d, _, _ in parts])
+    acc: dict = {}
+    get = acc.get
+    for d, rg, rp in parts:
+        m = den // d
+        if m != 1:
+            rg = [(p, x * m, y * m) for p, x, y in rg]
+        if rp is not None:
+            _product(acc, rg, rp, limit)
+            continue
+        for p, x, y in rg:  # the group beta = 0, added without a product
+            s = get(p)
+            if s is None:
+                acc[p] = [x, y]
+            else:
+                s[0] += x
+                s[1] += y
+    return _unpacked(acc, den, width, arity)
 
 
 def iadd_scaled(out: dict, A: dict, coeff) -> None:

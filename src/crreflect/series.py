@@ -17,7 +17,8 @@ from math import factorial
 from .context import (VariableContext, multidegrees, unit_exponent,
                       zero_exponent)
 from .gaussian import GaussianRational, ONE, ZERO, _coerce
-from .kernels import divexact, echelon, iadd_scaled, mul_terms
+from .kernels import (compose_terms, divexact, echelon, iadd_scaled,
+                      mul_terms)
 
 
 class SeriesError(ValueError):
@@ -264,8 +265,11 @@ class TruncatedSeries:
         data of `self` does not determine the result).  Arguments with at
         most one term (variables, renamed or scaled monomials, zero) act on
         the exponents of `self` directly.  The terms of `self` are grouped
-        by their exponents in the remaining ("moving") arguments, and each
-        group is multiplied once by the matching power of those.
+        by their exponents beta in the remaining ("moving") arguments u, and
+        `kernels.compose_terms` sums group_beta * u^beta in numerator form:
+        each moving argument is converted once, the powers and the sum stay
+        Gaussian-integer numerators over common denominators, and each
+        output term is normalized once.
         """
         if isinstance(args, SeriesMap):
             args = args.components
@@ -322,30 +326,8 @@ class TruncatedSeries:
                 prev = group.get(e)
                 group[e] = c if prev is None else prev + c
 
-        moving_terms = [args[i].terms for i in moving]
-        powers = {zero_exponent(len(moving)):
-                  {zero_exponent(target.arity): ONE}}
-
-        def power(beta):
-            got = powers.get(beta)
-            if got is not None:
-                return got
-            i = next(j for j, x in enumerate(beta) if x)
-            prev = power(beta[:i] + (beta[i] - 1,) + beta[i + 1:])
-            got = mul_terms(prev, moving_terms[i], order)
-            powers[beta] = got
-            return got
-
-        out: dict = {}
-        for beta, group in groups.items():
-            group = {e: c for e, c in group.items() if c}
-            if not group:
-                continue
-            prod = mul_terms(group, power(beta), order) if any(beta) else group
-            if out:
-                iadd_scaled(out, prod, ONE)
-            else:
-                out = prod
+        out = compose_terms(groups, [args[i].terms for i in moving],
+                            target.arity, order)
         return TruncatedSeries._make(target, order, out)
 
     def substitute(self, replacements, target=None) -> "TruncatedSeries":
@@ -566,14 +548,13 @@ def mul_precise(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     If a is exact to degree p and b has valuation v, the unknown tail of a
     only pollutes degrees above p+v; the product is therefore exact to
     min(a.order + val(b), b.order + val(a)), which can exceed both inputs'
-    orders.  The stored terms suffice to compute it.
+    orders.  A factor that is zero to its order p vanishes to degree p + 1
+    at least, so p + 1 stands in for its valuation.  The stored terms
+    suffice to compute the product.
     """
     a._check_compatible(b)
-    va = a.valuation()
-    vb = b.valuation()
-    if va is None or vb is None:
-        return TruncatedSeries.zero(
-            a.context, max(a.order, b.order))
+    va = a.valuation() if a.terms else a.order + 1
+    vb = b.valuation() if b.terms else b.order + 1
     order = min(a.order + vb, b.order + va)
     return TruncatedSeries._make(a.context, order,
                                  mul_terms(a.terms, b.terms, order))

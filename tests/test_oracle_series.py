@@ -23,7 +23,7 @@ from crreflect.context import VariableContext
 from crreflect.gaussian import ONE, ZERO, GaussianRational, gr
 from crreflect.linalg import random_rational_point, symbolic_rank
 from crreflect.reflection import _independent_rows
-from crreflect.series import TruncatedSeries, invert_matrix
+from crreflect.series import TruncatedSeries, invert_matrix, mul_precise
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -243,20 +243,97 @@ def oracle_compose(f, args):
     return order, from_sympy(total, order)
 
 
+def _series(names, order, terms):
+    """A series over `names` from {exponent: gr arguments}."""
+    return TruncatedSeries(VariableContext(names), order,
+                           {e: gr(*c) for e, c in terms.items()})
+
+
+_XY = (["x0", "x1"], ["y0", "y1"])
+_X3 = ["x0", "x1", "x2"]
+_Y12 = ["y%d" % i for i in range(12)]
+
+
 @SETTINGS
 @given(compose_cases())
-@example((TruncatedSeries(VariableContext(["x0", "x1"]), 3,
-                          {(1, 1): gr(1), (0, 2): gr(-1), (1, 0): gr(2)}),
+@example((_series(_XY[0], 3, {(1, 1): (1,), (0, 2): (-1,), (1, 0): (2,)}),
           [TruncatedSeries.variable(VariableContext(["y0"]), 3, "y0"),
            TruncatedSeries.variable(VariableContext(["y0"]), 3, "y0")]))
+@example((_series(_XY[0], 3, {(2, 0): ("1/5",), (0, 1): ("-1/5",),
+                               (1, 0): ("2/7", 1)}),
+          [_series(_XY[1], 3, {(1, 0): ("1/2",), (0, 1): ("1/3",)}),
+           _series(_XY[1], 3, {(2, 0): ("1/4",), (1, 1): ("1/3",),
+                               (0, 2): ("1/9",), (3, 0): (-1,)})]))
+@example((_series(_X3, 3, {(3, 0, 0): (1,), (0, 3, 0): (1, 1),
+                           (0, 0, 3): ("1/2",), (1, 1, 1): (-1,),
+                           (1, 0, 0): (0, 1)}),
+          [_series(["y0", "y1", "y2"], 3, {(1, 0, 0): (1,),
+                                           (0, 3, 0): ("1/2",)}),
+           _series(["y0", "y1", "y2"], 3, {(0, 1, 0): (1,),
+                                           (0, 0, 3): (0, "1/3")}),
+           _series(["y0", "y1", "y2"], 3, {(0, 0, 1): (2, -1),
+                                           (3, 0, 0): ("-1/4",)})]))
+@example((_series(["x0"], 7, {(7,): (1,), (2,): ("1/2", 1)}),
+          [_series(["y0"], 7, {(1,): (1,), (7,): ("1/3",)})]))
+@example((_series(_XY[0], 3, {(0, 0): (3, 1), (1, 0): (1,), (2, 0): (2,)}),
+          [_series(_XY[1], 3, {(1, 0): (1,), (0, 1): ("1/2",)}),
+           TruncatedSeries.zero(VariableContext(_XY[1]), 0)]))
+@example((_series(_X3, 4, {(2, 1, 0): (1,), (0, 2, 0): ("1/3", 2),
+                           (1, 0, 1): (-1,), (1, 0, 0): (1,),
+                           (0, 0, 3): ("1/2",)}),
+          [_series(_Y12, 4, {(1,) + (0,) * 11: (1,),
+                             (0,) * 5 + (1,) + (0,) * 5 + (1,): ("1/2",),
+                             (0,) * 3 + (2,) + (0,) * 8: (0, -1)}),
+           _series(_Y12, 5, {(0,) * 11 + (1,): ("1/3",),
+                             (0,) * 7 + (2,) + (0,) * 4: (0, 1)}),
+           TruncatedSeries.variable(VariableContext(_Y12), 4, "y4")]))
 def test_compose_matches_oracle(case):
-    # the example renames both variables to y0: x0*x1 - x1^2 cancels
+    # Explicit examples: (1) both variables renamed to y0, x0*x1 - x1^2
+    # cancels; (2) the powers x0^2 and x1 of two multi-term arguments with
+    # denominators 6 and 36 cancel on y0^2, y0*y1 and y1^2, and the
+    # products over 180 and 42 share one denominator; (3) and (4)
+    # exponents equal to the order fill every packed field; (5) a zero
+    # argument of order 0 makes the result order 0; (6) a target context
+    # of 12 variables.
     f, args = case
     got = f.compose(args)
     order, terms = oracle_compose(f, args)
     assert got.order == order
     assert got.terms == terms
     assert all(got.terms.values())
+
+
+# -- mul_precise ------------------------------------------------------------
+
+
+@st.composite
+def precise_cases(draw):
+    """(arity, a, tail of a, b, tail of b): each factor with random terms
+    past its order standing for the digits it does not know."""
+    n = draw(st.integers(1, 3))
+    out = [n]
+    for _ in range(2):
+        p = draw(st.integers(0, 4))
+        out.append(TruncatedSeries(VariableContext(["x%d" % i
+                                                    for i in range(n)]),
+                                   p, draw(term_dicts(n, p, max_size=6))))
+        out.append(draw(term_dicts(n, p + 3, max_size=4, min_degree=p + 1)))
+    return tuple(out)
+
+
+@SETTINGS
+@given(precise_cases())
+def test_mul_precise_matches_oracle(case):
+    n, a, ta, b, tb = case
+    got = mul_precise(a, b)
+    # a zero factor vanishes to at least its order + 1
+    va = a.order + 1 if a.is_zero() else a.valuation()
+    vb = b.order + 1 if b.is_zero() else b.valuation()
+    assert got.order == min(a.order + vb, b.order + va)
+    R = _ring(n)
+    full = ((to_sympy(R, a.terms) + to_sympy(R, ta))
+            * (to_sympy(R, b.terms) + to_sympy(R, tb)))
+    assert got.terms == from_sympy(full, got.order)
 
 
 # -- divexact ---------------------------------------------------------------

@@ -5,9 +5,12 @@ from math import comb
 
 import pytest
 
-from conftest import random_series
-from crreflect.context import VariableContext, multidegrees
+from conftest import random_minimal_manifold, random_real_system, random_series
+from crreflect.context import VariableContext, multidegrees, zero_exponent
 from crreflect.gaussian import I, ONE, gr
+from crreflect.kernels import iadd_scaled, mul_terms
+from crreflect.manifold import JetSymbols, complexify_and_graph, verify_reality
+from crreflect.segre import chain
 from crreflect.series import (SeriesMap, TruncatedSeries, SeriesError,
                               divide_with_valuation, formal_ift, jet,
                               factorial_multi, mul_precise)
@@ -108,6 +111,136 @@ def test_compose_associative():
         g = random_series(CTX1, 6, rng, degree=3, min_degree=1)
         h = random_series(CTX1, 6, rng, degree=3, min_degree=1)
         assert f.compose([g]).compose([h]) == f.compose([g.compose([h])])
+
+
+# Reference for `compose`: the loop it ran before `kernels.compose_terms`,
+# one `mul_terms` per power of the moving arguments and per group, summed
+# with `iadd_scaled`.
+
+
+def _compose_reference(f, args):
+    args = list(args)
+    target = args[0].context
+    order = min([f.order] + [a.order for a in args])
+    moving = [i for i, a in enumerate(args) if len(a.terms) > 1]
+    dropped = [i for i, a in enumerate(args) if not a.terms]
+    monos = []
+    for i, a in enumerate(args):
+        if len(a.terms) == 1:
+            (m, c), = a.terms.items()
+            monos.append((i, [(p, x) for p, x in enumerate(m) if x],
+                          sum(m), None if c == ONE else c))
+    groups = {}
+    for alpha, c in f.terms.items():
+        if any(alpha[i] for i in dropped):
+            continue
+        beta = tuple([alpha[i] for i in moving])
+        deg = sum(beta)
+        shifted = [0] * target.arity
+        for i, places, mdeg, mc in monos:
+            k = alpha[i]
+            if k:
+                deg += k * mdeg
+                for p, x in places:
+                    shifted[p] += k * x
+                if mc is not None:
+                    c = c * mc ** k
+        if deg > order:
+            continue
+        e = tuple(shifted)
+        group = groups.setdefault(beta, {})
+        group[e] = group[e] + c if e in group else c
+
+    moving_terms = [args[i].terms for i in moving]
+    powers = {zero_exponent(len(moving)): {zero_exponent(target.arity): ONE}}
+
+    def power(beta):
+        got = powers.get(beta)
+        if got is None:
+            i = next(j for j, x in enumerate(beta) if x)
+            prev = power(beta[:i] + (beta[i] - 1,) + beta[i + 1:])
+            got = powers[beta] = mul_terms(prev, moving_terms[i], order)
+        return got
+
+    out = {}
+    for beta, group in groups.items():
+        group = {e: c for e, c in group.items() if c}
+        if not group:
+            continue
+        prod = mul_terms(group, power(beta), order) if any(beta) else group
+        if out:
+            iadd_scaled(out, prod, ONE)
+        else:
+            out = prod
+    return TruncatedSeries._make(target, order, out)
+
+
+@pytest.fixture
+def checked_compose(monkeypatch):
+    """Make every `compose` call check itself against the reference loop;
+    returns the list of (source arity, target arity) of the calls made."""
+    calls = []
+    plain = TruncatedSeries.compose
+
+    def compose(self, args):
+        got = plain(self, args)
+        if isinstance(args, SeriesMap):
+            args = args.components
+        want = _compose_reference(self, args)
+        assert got == want
+        assert got.order == want.order and got.context == want.context
+        assert all(got.terms.values())
+        calls.append((self.context.arity, got.context.arity))
+        return got
+
+    monkeypatch.setattr(TruncatedSeries, "compose", compose)
+    return calls
+
+
+_SHAPES = [(0, 1, 1), (1, 2, 1), (2, 1, 2)]
+
+
+@pytest.mark.parametrize("seed,m,d", _SHAPES)
+def test_compose_matches_reference_in_graphing_and_reality(
+        checked_compose, seed, m, d):
+    M = complexify_and_graph(random_real_system(seed, m, d, 5))
+    graphed = len(checked_compose)
+    assert verify_reality(M).ok
+    assert graphed and len(checked_compose) > graphed
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_compose_matches_reference_in_segre_flows(checked_compose, seed):
+    M = random_minimal_manifold(seed, order=5)
+    for side in ("barred", "unbarred"):
+        chain(M, M.d + 1, side)
+    assert checked_compose
+
+
+@pytest.mark.parametrize("seed,m,d", _SHAPES)
+def test_compose_matches_reference_in_restrict(checked_compose, seed, m, d):
+    # f lives over the joint coordinates plus two components of level-2
+    # jet symbols: 16 (1,1), 26 (2,1) or 22 (1,2) variables
+    M = complexify_and_graph(random_real_system(seed, m, d, 5))
+    rng = random.Random(seed + 40)
+    jets = JetSymbols("u", 2, M.names.tau, 2)
+    ctx = VariableContext(M.ctx_joint.names + jets.names)
+    assert ctx.arity >= 16
+    f = random_series(ctx, M.order, rng, degree=3, density=0.05)
+    targets = {"xi": M.ctx_restrict_xi, "w": M.ctx_restrict_w,
+               "leaf": VariableContext(M.names.z),
+               "leaf_bar": VariableContext(M.names.zeta)}
+    for side, target in targets.items():
+        if side == "leaf_bar":  # over tau only, as its callers use it
+            f = random_series(VariableContext(M.names.tau + jets.names),
+                              M.order, rng, degree=3, density=0.1)
+        extra = {u: random_series(target, M.order - 1, rng, degree=2,
+                                  min_degree=1, density=0.5)
+                 for u in jets.names}
+        extra[jets.names[0]] = TruncatedSeries.zero(target, M.order)
+        got = M.restrict(f, side, extra)
+        assert got.context == target and got.order == M.order - 1
+    assert len(checked_compose) >= 4
 
 
 # -- conjugation ---------------------------------------------------------------
@@ -226,6 +359,24 @@ def test_mul_precise_gains_precision():
     b = TruncatedSeries.monomial(CTX2, 8, (3, 0))
     assert mul_precise(a, b).order == 7
     assert mul_precise(a, b).coefficient((4, 0)) == ONE
+
+
+def test_mul_precise_zero_factor():
+    # 0 + O(x^3) times x + O(x^11) is O(x^4): exact to degree 3, not 10
+    a = TruncatedSeries.zero(CTX1, 2)
+    b = var(CTX1, "x", order=10)
+    for p in (mul_precise(a, b), mul_precise(b, a)):
+        assert p.order == 3 and p.is_zero()
+    # a zero factor against a unit keeps only the zero factor's order
+    assert mul_precise(a, 1 + b).order == 2
+
+
+@pytest.mark.parametrize("pa,pb", [(0, 0), (2, 5), (4, 1)])
+def test_mul_precise_both_zero(pa, pb):
+    a = TruncatedSeries.zero(CTX2, pa)
+    b = TruncatedSeries.zero(CTX2, pb)
+    assert mul_precise(a, b).order == pa + pb + 1
+    assert mul_precise(a, b).is_zero()
 
 
 # -- implicit solve -------------------------------------------------------------
