@@ -10,6 +10,19 @@ that reality invariant is checked, never assumed.
 Variable conventions (unprimed source, primed target via the `primed` flag):
 z1..zm, w1..wd are the t-coordinates, zeta1..zetam, xi1..xid the tau-ones.
 The joint context used by derivations is ordered (z, w, zeta, xi).
+
+One pair of tables says how the four blocks hang together.  `GRAPHS` sends
+each transversal block to the graph that solves it: xi to theta over
+(zeta, z, w), w to theta_bar over (z, zeta, xi).  `FAMILIES` sends each
+tangent family to the block it moves and the block it solves:
+
+    L: z, solving w      Lbar: zeta, solving xi
+    Ups: w, solving xi   UpsBar: xi, solving w
+
+The field of a family along a moved coordinate a is d/da plus, for each
+solved coordinate, the a-derivative of its graph; the family's flow adds
+the time to the moved block and recomposes the solved one.  `SIDES` lists
+the substitutions of `GraphedManifold.restrict` in the same terms.
 """
 
 from __future__ import annotations
@@ -23,6 +36,23 @@ from .series import SeriesMap, TruncatedSeries, SeriesError, formal_ift
 
 class ManifoldError(ValueError):
     pass
+
+
+# block -> (the graph that solves it, the blocks that graph is a series in)
+GRAPHS = {"xi": ("theta", ("zeta", "z", "w")),
+          "w": ("theta_bar", ("z", "zeta", "xi"))}
+
+# tangent family -> (the block it moves, the block its graph then solves)
+FAMILIES = {"L": ("z", "w"), "Lbar": ("zeta", "xi"),
+            "Ups": ("w", "xi"), "UpsBar": ("xi", "w")}
+
+# side of `GraphedManifold.restrict` -> (kept blocks, zeroed blocks, the
+# block solved by its graph over them)
+SIDES = {"xi": (("z", "w", "zeta"), (), "xi"),
+         "w": (("z", "zeta", "xi"), (), "w"),
+         "leaf": (("z",), ("zeta", "xi"), "w"),
+         "leaf_bar": (("zeta",), ("z", "w"), "xi"),
+         "zeta0": (("z", "w"), ("zeta",), "xi")}
 
 
 def _swap_map_for(context: VariableContext, n: int):
@@ -53,6 +83,14 @@ class Names:
     @property
     def tau(self):
         return self.zeta + self.xi
+
+    def blocks(self, *blocks):
+        """The names of the listed blocks, in that order."""
+        return tuple(n for b in blocks for n in getattr(self, b))
+
+    def graph_context(self, block):
+        """The context of the graph that solves `block`."""
+        return VariableContext(self.blocks(*GRAPHS[block][1]))
 
     def swap_map(self):
         """Renaming that conjugates roles: z <-> zeta, w <-> xi."""
@@ -146,8 +184,8 @@ class GraphedManifold:
         self.theta = theta
         self.theta_bar = theta_bar
         self.order = theta.order
-        self.ctx_theta = VariableContext(names.zeta + names.z + names.w)
-        self.ctx_theta_bar = VariableContext(names.z + names.zeta + names.xi)
+        self.ctx_theta = names.graph_context("xi")
+        self.ctx_theta_bar = names.graph_context("w")
         self.ctx_joint = VariableContext(names.z + names.w + names.zeta + names.xi)
         self._restrictions = {}
         if theta.context != self.ctx_theta:
@@ -171,28 +209,26 @@ class GraphedManifold:
     @classmethod
     def from_theta_bar(cls, m, d, theta_bar: SeriesMap, *, primed=False,
                        check=True) -> "GraphedManifold":
-        names = Names(m, d, primed)
-        ctx_tb = VariableContext(names.z + names.zeta + names.xi)
-        if theta_bar.context != ctx_tb:
-            theta_bar = theta_bar.remapped(ctx_tb)
-        ctx_t = VariableContext(names.zeta + names.z + names.w)
-        theta = SeriesMap([
-            t.conjugate_swapped(names.swap_map(), ctx_t)
-            for t in theta_bar.components])
-        return cls(m, d, theta, theta_bar, names, check=check)
+        return cls._from_graph(m, d, "w", theta_bar, primed, check)
 
     @classmethod
     def from_theta(cls, m, d, theta: SeriesMap, *, primed=False,
                    check=True) -> "GraphedManifold":
+        return cls._from_graph(m, d, "xi", theta, primed, check)
+
+    @classmethod
+    def _from_graph(cls, m, d, block, graph, primed, check):
+        """The manifold whose graph of `block` is `graph`; the other graph
+        is its conjugate with the blocks swapped."""
         names = Names(m, d, primed)
-        ctx_t = VariableContext(names.zeta + names.z + names.w)
-        if theta.context != ctx_t:
-            theta = theta.remapped(ctx_t)
-        ctx_tb = VariableContext(names.z + names.zeta + names.xi)
-        theta_bar = SeriesMap([
-            t.conjugate_swapped(names.swap_map(), ctx_tb)
-            for t in theta.components])
-        return cls(m, d, theta, theta_bar, names, check=check)
+        ctx = names.graph_context(block)
+        if graph.context != ctx:
+            graph = graph.remapped(ctx)
+        other = "w" if block == "xi" else "xi"
+        ctx_other = names.graph_context(other)
+        graphs = {block: graph, other: SeriesMap([
+            g.conjugate_swapped(names.swap_map(), ctx_other) for g in graph])}
+        return cls(m, d, graphs["xi"], graphs["w"], names, check=check)
 
     def embedded_theta(self) -> SeriesMap:
         """theta over the joint (z, w, zeta, xi) context."""
@@ -213,34 +249,34 @@ class GraphedManifold:
         """Context after substituting w := theta_bar: (z, zeta, xi)."""
         return self._restriction("w")[0]
 
+    def graph(self, block) -> SeriesMap:
+        """The graph that solves `block` ('xi' or 'w')."""
+        return getattr(self, GRAPHS[block][0])
+
+    def solve(self, block, values) -> list:
+        """The graph of `block` at `values`, a map from each of its
+        argument names to a series."""
+        graph = self.graph(block)
+        args = [values[n] for n in graph.context.names]
+        return [g.compose(args) for g in graph]
+
     def _restriction(self, side):
         """(target context, {coordinate: series over the target}) of one
         side, built on first use and kept: the manifold never changes."""
         got = self._restrictions.get(side)
         if got is not None:
             return got
+        if side not in SIDES:
+            raise ValueError("side must be one of %s"
+                             % ", ".join(map(repr, SIDES)))
+        kept, zeroed, solved = SIDES[side]
         nm = self.names
-        if side == "xi":
-            kept, zeroed, solved, graph = \
-                nm.z + nm.w + nm.zeta, (), nm.xi, self.theta
-        elif side == "w":
-            kept, zeroed, solved, graph = \
-                nm.z + nm.zeta + nm.xi, (), nm.w, self.theta_bar
-        elif side == "leaf":
-            kept, zeroed, solved, graph = \
-                nm.z, nm.zeta + nm.xi, nm.w, self.theta_bar
-        elif side == "leaf_bar":
-            kept, zeroed, solved, graph = \
-                nm.zeta, nm.z + nm.w, nm.xi, self.theta
-        else:
-            raise ValueError("side must be 'xi', 'w', 'leaf' or 'leaf_bar'")
-        target = VariableContext(kept)
+        target = VariableContext(nm.blocks(*kept))
         table = {n: TruncatedSeries.variable(target, self.order, n)
-                 for n in kept}
+                 for n in target.names}
         table.update((n, TruncatedSeries.zero(target, self.order))
-                     for n in zeroed)
-        table.update((n, g.compose([table[v] for v in g.context.names]))
-                     for n, g in zip(solved, graph.components))
+                     for n in nm.blocks(*zeroed))
+        table.update(zip(nm.blocks(solved), self.solve(solved, table)))
         got = self._restrictions[side] = (target, table)
         return got
 
@@ -253,6 +289,7 @@ class GraphedManifold:
         (z, zeta, xi).  side='leaf' restricts to the Segre leaf through 0,
         zeta = xi = 0 and w = theta_bar(z, 0, 0), over (z); 'leaf_bar' is
         its conjugate, z = w = 0 and xi = theta(zeta, 0, 0), over (zeta).
+        side='zeta0' sets zeta = 0 and xi = theta(0, z, w), over (z, w).
         `f` may live in any context made of the manifold's coordinates and
         of names that `extra` maps to series over the target context.  The
         result is exact to the least order of `f`, the manifold and the
@@ -348,12 +385,7 @@ def complexify_and_graph(system: RealDefiningSystem, split=None,
         theta_bar = formal_ift(rho, list(names.w))
     except SeriesError as exc:
         raise ManifoldError("implicit solve for the graph failed: %s" % exc)
-    ctx_tb = VariableContext(names.z + names.zeta + names.xi)
-    theta_bar = theta_bar.remapped(ctx_tb)
-    ctx_t = VariableContext(names.zeta + names.z + names.w)
-    theta = SeriesMap([t.conjugate_swapped(names.swap_map(), ctx_t)
-                       for t in theta_bar.components])
-    return GraphedManifold(m, d, theta, theta_bar, names)
+    return GraphedManifold.from_theta_bar(m, d, theta_bar, primed=primed)
 
 
 class Derivation:
@@ -427,44 +459,29 @@ class Derivation:
         return "Derivation(%s)" % (self.label or "?")
 
 
+def _fields(M: GraphedManifold, family: str):
+    """The derivations of one tangent family, one per moved coordinate a:
+    d/da plus, on each solved coordinate, the a-derivative of its graph."""
+    moved, solved = FAMILIES[family]
+    ctxj = M.ctx_joint
+    graph = M.graph(solved).remapped(ctxj)
+    out = []
+    for a in getattr(M.names, moved):
+        coeffs = {a: ONE}
+        coeffs.update((b, g.derive(ctxj.index(a)))
+                      for b, g in zip(getattr(M.names, solved), graph))
+        out.append(Derivation(ctxj, coeffs, label="%s_%s" % (family, a)))
+    return out
+
+
 def cr_fields(M: GraphedManifold):
     """The two families of complexified CR fields (L_k, and barred)."""
-    ctxj = M.ctx_joint
-    tb = M.embedded_theta_bar()
-    th = M.embedded_theta()
-    L = []
-    for k, zk in enumerate(M.names.z):
-        coeffs = {zk: ONE}
-        for j, wj in enumerate(M.names.w):
-            coeffs[wj] = tb[j].derive(ctxj.index(zk))
-        L.append(Derivation(ctxj, coeffs, label="L_%s" % zk))
-    Lbar = []
-    for k, zetak in enumerate(M.names.zeta):
-        coeffs = {zetak: ONE}
-        for j, xij in enumerate(M.names.xi):
-            coeffs[xij] = th[j].derive(ctxj.index(zetak))
-        Lbar.append(Derivation(ctxj, coeffs, label="Lbar_%s" % zetak))
-    return L, Lbar
+    return _fields(M, "L"), _fields(M, "Lbar")
 
 
 def transversal_fields(M: GraphedManifold):
     """The two transversal families (Upsilon_j, and barred)."""
-    ctxj = M.ctx_joint
-    th = M.embedded_theta()
-    tb = M.embedded_theta_bar()
-    U = []
-    for j, wj in enumerate(M.names.w):
-        coeffs = {wj: ONE}
-        for l, xil in enumerate(M.names.xi):
-            coeffs[xil] = th[l].derive(ctxj.index(wj))
-        U.append(Derivation(ctxj, coeffs, label="Ups_%s" % wj))
-    Ubar = []
-    for j, xij in enumerate(M.names.xi):
-        coeffs = {xij: ONE}
-        for l, wl in enumerate(M.names.w):
-            coeffs[wl] = tb[l].derive(ctxj.index(xij))
-        Ubar.append(Derivation(ctxj, coeffs, label="UpsBar_%s" % xij))
-    return U, Ubar
+    return _fields(M, "Ups"), _fields(M, "UpsBar")
 
 
 class DerivationWord:
@@ -496,10 +513,9 @@ def apply_derivation(M: GraphedManifold, word: DerivationWord,
     """
     if word.total_order > f.order:
         raise SeriesError("derivation word exhausts the series order")
-    L, Lbar = cr_fields(M)
-    U, Ubar = transversal_fields(M)
-    fields_L = L if word.side == "unbarred" else Lbar
-    fields_U = U if word.side == "unbarred" else Ubar
+    barred = word.side == "barred"
+    fields_L = _fields(M, "Lbar" if barred else "L")
+    fields_U = _fields(M, "UpsBar" if barred else "Ups")
     if len(word.beta) != M.m or (word.delta and len(word.delta) != M.d):
         raise ValueError("word shape does not match the manifold")
     out = f if f.context == M.ctx_joint else f.remapped(M.ctx_joint)

@@ -148,20 +148,16 @@ def verify_formal_cr_map(h: FormalCRMap, M=None, Mp=None) -> ResidualReport:
     M = M or h.M
     Mp = Mp or h.Mp
     report = ResidualReport()
-
-    # family 3 (beta = 0): context (z, zeta, xi)
-    h_on = list(M.restrict(h.h, "w"))
-    hbar_emb = [c.remapped(M.ctx_restrict_w) for c in h.hbar.components]
-    for jp in range(h.dp):
-        rhs = Mp.theta_bar[jp].compose(h_on[:h.mp] + hbar_emb)
-        report.add(3, jp, (), h_on[h.mp + jp] - rhs)
-
-    # family 1 (beta = 0): context (z, w, zeta)
-    hbar_on = list(M.restrict(h.hbar, "xi"))
-    h_emb = [c.remapped(M.ctx_restrict_xi) for c in h.h.components]
-    for jp in range(h.dp):
-        rhs = Mp.theta[jp].compose(hbar_on[:h.mp] + h_emb)
-        report.add(1, jp, (), hbar_on[h.mp + jp] - rhs)
+    # Family 3 puts h on the manifold by w := theta_bar and checks its
+    # w'-part against the target's graph of w' at (f, hbar); family 1 is
+    # the conjugate: hbar by xi := theta against the graph of xi' at
+    # (fbar, h).
+    for family, side, moving, fixed in ((3, "w", h.h, h.hbar),
+                                        (1, "xi", h.hbar, h.h)):
+        on = list(M.restrict(moving, side))
+        args = on[:h.mp] + [c.remapped(on[0].context) for c in fixed]
+        for jp, graph in enumerate(Mp.graph(side)):
+            report.add(family, jp, (), on[h.mp + jp] - graph.compose(args))
     return report
 
 
@@ -318,87 +314,64 @@ def reflection_identities(h: FormalCRMap, M=None, Mp=None, beta_max=1,
                     | {g for tab in table_bar for g in tab},
                     key=lambda g: (sum(g), g))
 
-    f_emb = [c.remapped(ctxj) for c in h.f.components]
-    g_emb = [c.remapped(ctxj) for c in h.g.components]
-    fbar_emb = [c.remapped(ctxj) for c in h.fbar.components]
-    gbar_emb = [c.remapped(ctxj) for c in h.gbar.components]
-    h_args = list(h.h.components)
-    hbar_args = list(h.hbar.components)
+    def data(args, tables):
+        """One conjugate side of h, over the joint context: its transversal
+        part, Theta'_{j',gamma'} composed with it, and the powers of its CR
+        part."""
+        emb = [c.remapped(ctxj) for c in args]
+        comp = {jp: {g: s.compose(args).remapped(ctxj)
+                     for g, s in tables[jp].items()} for jp in range(h.dp)}
+        return emb[h.mp:], comp, _power_cache(emb[:h.mp], N)
 
-    def compose_on_t(series_tp):
-        return series_tp.compose(h_args).remapped(ctxj)
-
-    def compose_on_tau(series_taup):
-        return series_taup.compose(hbar_args).remapped(ctxj)
-
-    comp = {jp: {g: compose_on_t(s) for g, s in table[jp].items()}
-            for jp in range(h.dp)}
-    comp_bar = {jp: {g: compose_on_tau(s) for g, s in table_bar[jp].items()}
-                for jp in range(h.dp)}
-
-    fbar_pow = _power_cache(fbar_emb, N)
-    f_pow = _power_cache(f_emb, N)
+    unbarred = data(list(h.h.components), table)
+    barred = data(list(h.hbar.components), table_bar)
 
     betas = list(multidegrees(M.m, beta_max))
     report = ResidualReport()
 
+    # Families 1/2 apply Lbar to the barred data and substitute xi := theta;
+    # families 3/4 apply L to the unbarred data and substitute w :=
+    # theta_bar.  On each side the first family differentiates the near
+    # data's transversal part and powers against the far Theta'(h or hbar);
+    # the second differentiates the near Theta'(...) against the far powers.
     # gamma'-sum terms are multiplied valuation-aware: a component of order
     # N - |gamma'| times a factor of valuation >= |gamma'| - |beta| is still
     # exact to N - |beta|, so the residual keeps the full surviving precision.
-    if 1 in families or 2 in families:
-        lbar_fbar = {g: _WordCache(Lbar, fbar_pow(g)) for g in gammas}
-        lbar_gbar = [_WordCache(Lbar, s) for s in gbar_emb]
-        lbar_compbar = {jp: {g: _WordCache(Lbar, s)
-                             for g, s in comp_bar[jp].items()}
-                        for jp in range(h.dp)} if 2 in families else None
+    for first, side, fields, near, far in ((1, "xi", Lbar, barred, unbarred),
+                                           (3, "w", L, unbarred, barred)):
+        second = first + 1
+        if first not in families and second not in families:
+            continue
+        near_g, near_comp, near_pow = near
+        far_g, far_comp, far_pow = far
+        words_f = {g: _WordCache(fields, near_pow(g)) for g in gammas}
+        words_g = [_WordCache(fields, s) for s in near_g]
+        words_comp = {jp: {g: _WordCache(fields, s)
+                           for g, s in near_comp[jp].items()}
+                      for jp in range(h.dp)} if second in families else None
         for beta in betas:
             room = N - sum(beta)
             for jp in range(h.dp):
-                if 1 in families:
-                    res = lbar_gbar[jp].get(beta)
+                if first in families:
+                    res = words_g[jp].get(beta)
                     for g in gammas:
-                        piece = comp[jp].get(g)
+                        piece = far_comp[jp].get(g)
                         if piece is None:
                             continue
                         res = res - mul_precise(
-                            lbar_fbar[g].get(beta), piece).truncated(room)
-                    report.add(1, jp, beta, M.restrict(res.truncated(room), "xi"))
-                if 2 in families:
+                            words_f[g].get(beta), piece).truncated(room)
+                    report.add(first, jp, beta,
+                               M.restrict(res.truncated(room), side))
+                if second in families:
                     if sum(beta) == 0:
-                        res = g_emb[jp].truncated(room)
+                        res = far_g[jp].truncated(room)
                     else:
                         res = TruncatedSeries.zero(ctxj, room)
-                    for g, cache in lbar_compbar[jp].items():
+                    for g, cache in words_comp[jp].items():
                         res = res - mul_precise(
-                            f_pow(g), cache.get(beta)).truncated(room)
-                    report.add(2, jp, beta, M.restrict(res.truncated(room), "xi"))
-
-    if 3 in families or 4 in families:
-        l_f = {g: _WordCache(L, f_pow(g)) for g in gammas}
-        l_g = [_WordCache(L, s) for s in g_emb]
-        l_comp = {jp: {g: _WordCache(L, s) for g, s in comp[jp].items()}
-                  for jp in range(h.dp)} if 4 in families else None
-        for beta in betas:
-            room = N - sum(beta)
-            for jp in range(h.dp):
-                if 3 in families:
-                    res = l_g[jp].get(beta)
-                    for g in gammas:
-                        piece = comp_bar[jp].get(g)
-                        if piece is None:
-                            continue
-                        res = res - mul_precise(
-                            l_f[g].get(beta), piece).truncated(room)
-                    report.add(3, jp, beta, M.restrict(res.truncated(room), "w"))
-                if 4 in families:
-                    if sum(beta) == 0:
-                        res = gbar_emb[jp].truncated(room)
-                    else:
-                        res = TruncatedSeries.zero(ctxj, room)
-                    for g, cache in l_comp[jp].items():
-                        res = res - mul_precise(
-                            fbar_pow(g), cache.get(beta)).truncated(room)
-                    report.add(4, jp, beta, M.restrict(res.truncated(room), "w"))
+                            far_pow(g), cache.get(beta)).truncated(room)
+                    report.add(second, jp, beta,
+                               M.restrict(res.truncated(room), side))
     return report
 
 
@@ -771,22 +744,17 @@ class Resolution:
         unbarred and the conjugate line."""
         h, M = self.h, self.h.M
         report = ResidualReport()
-
-        ctx_v = M.ctx_restrict_xi
-        uargs = self._jet_args(self.ell0, self.jets, "xi")
-        for i, comp in enumerate(self.phi.components):
-            value = M.restrict(comp, "xi", uargs)
-            res = h.h[i].remapped(ctx_v).truncated(value.order) - value
-            report.add(1, i, (), res)
-
         swap = M.names.swap_map()
-        ctx_cv = M.ctx_restrict_w
-        uargs_bar = self._jet_args(self.ell0, self.jets, "w")
-        for i, comp in enumerate(self.phi.components):
-            phibar = comp.conjugate_swapped(swap, comp.context)
-            value = M.restrict(phibar, "w", uargs_bar)
-            res = h.hbar[i].remapped(ctx_cv).truncated(value.order) - value
-            report.add(2, i, (), res)
+        phibar = [c.conjugate_swapped(swap, c.context)
+                  for c in self.phi.components]
+        for family, side, lhs, phi in ((1, "xi", h.h, self.phi.components),
+                                       (2, "w", h.hbar, phibar)):
+            uargs = self._jet_args(self.ell0, self.jets, side)
+            for i, comp in enumerate(phi):
+                value = M.restrict(comp, side, uargs)
+                res = lhs[i].remapped(value.context).truncated(value.order) \
+                    - value
+                report.add(family, i, (), res)
         return report
 
     def jet_identity_report(self, ell: int) -> ResidualReport:
@@ -959,17 +927,17 @@ def transform_target(Mp: GraphedManifold, phi_p: SeriesMap) -> GraphedManifold:
            for c in phi_p.components]
     if numeric_rank(lin) < Mp.n:
         raise ReflectionError("target change is not invertible")
-    ctx_src = Mp.ctx_theta
     N = Mp.order
     tau_map = dict(zip(Mp.names.t, Mp.names.tau))
     ctx_taup = VariableContext(Mp.names.tau)
-    phibar = [c.conjugate_swapped(tau_map, ctx_taup)
-              for c in phi_p.components]
-    zetas = [TruncatedSeries.variable(ctx_src, N, n) for n in Mp.names.zeta]
-    th = list(Mp.theta.components)
-    phibar_on = [c.compose(zetas + th) for c in phibar]
+    phibar = SeriesMap([c.conjugate_swapped(tau_map, ctx_taup)
+                        for c in phi_p.components])
+    phibar_on = list(Mp.restrict(phibar, "xi"))
+    ctx_src = phibar_on[0].context
     S = phibar_on[:Mp.m] + [c.remapped(ctx_src) for c in phi_p.components]
 
+    # Solve S(zeta, t) = (tc) for (zeta, t); theta'' is the transversal part
+    # of phibar at that solution, with tc renamed to (zeta'', t'').
     temp = tuple("tc%d" % i for i in range(len(S)))
     ctx_big = VariableContext(temp + ctx_src.names)
     eqs = []
@@ -981,10 +949,9 @@ def transform_target(Mp: GraphedManifold, phi_p: SeriesMap) -> GraphedManifold:
     except SeriesError as exc:
         raise ReflectionError("target split failure after the change: %s"
                               % exc)
+    rename = dict(zip(temp, Mp.names.zeta + Mp.names.t))
     theta_new = [phibar_on[Mp.m + j].compose(list(inv.components))
-                 for j in range(Mp.d)]
-    rename = dict(zip(temp, ctx_src.names))
-    theta_new = [t.remapped(ctx_src, rename) for t in theta_new]
+                 .remapped(Mp.ctx_theta, rename) for j in range(Mp.d)]
     return GraphedManifold.from_theta(Mp.m, Mp.d, SeriesMap(theta_new),
                                       primed=True)
 
@@ -996,17 +963,12 @@ def composed_jet_table(hmap: FormalCRMap, depth: int) -> dict:
     the source t variables; entry (j, beta) is exact to order - |beta|.
     """
     M, Mp = hmap.M, hmap.Mp
-    N = hmap.order
-    fbar_on = list(M.restrict(hmap.fbar, "xi"))
-    h_emb = [c.remapped(M.ctx_restrict_xi) for c in hmap.h.components]
-    ctx_t = VariableContext(M.names.t)
-    at_zero = {n: TruncatedSeries.zero(ctx_t, N) for n in M.names.zeta}
+    args = list(M.restrict(hmap.fbar, "zeta0")) + list(hmap.h.components)
     out = {}
     for j in range(Mp.d):
         for beta in multidegrees(Mp.m, depth):
             d = Mp.theta[j].derive_multi(tuple(beta) + zero_exponent(Mp.n))
-            val = d.compose(fbar_on + h_emb) * (ONE / factorial_multi(beta))
-            out[(j, beta)] = val.substitute(at_zero, ctx_t)
+            out[(j, beta)] = d.compose(args) * (ONE / factorial_multi(beta))
     return out
 
 
@@ -1035,11 +997,7 @@ def target_change_transport(components: ReflectionComponents,
     depth = min(gmax + N, N)
     q = composed_jet_table(change, depth)
 
-    ctx_t_p = VariableContext(Mp.names.t)
-    tps = [TruncatedSeries.variable(ctx_t_p, N, n) for n in Mp.names.t]
-    zero = TruncatedSeries.zero(ctx_t_p, N)
-    th0 = [t.compose([zero] * Mp.m + tps) for t in Mp.theta.components]
-    fb0 = [c.compose([zero] * Mp.m + th0) for c in change.fbar.components]
+    fb0 = list(Mp.restrict(change.fbar, "zeta0").truncated(N))
 
     raw = invert_expansion(q, fb0, Mp.m, depth)
     return ReflectionComponents(hpp, gmax,

@@ -16,7 +16,7 @@ from math import comb
 from .context import VariableContext, count_multidegrees, multidegrees
 from .gaussian import ONE, ZERO
 from .linalg import generic_rank, numeric_rank, random_rational_point
-from .manifold import GraphedManifold, ManifoldError
+from .manifold import FAMILIES, GraphedManifold, ManifoldError
 from .series import (SeriesMap, TruncatedSeries, SeriesError,
                      factorial_multi)
 
@@ -32,17 +32,11 @@ def origin_point(M: GraphedManifold, context: VariableContext, order=None):
     return [zero] * (2 * M.n)
 
 
-def _split_point(M, p):
-    m, d = M.m, M.d
-    return p[:m], p[m:m + d], p[m + d:2 * m + d], p[2 * m + d:]
-
-
 def check_on_manifold(M: GraphedManifold, p):
     """Exact membership check: xi components equal theta(zeta, t)."""
-    z, w, zeta, xi = _split_point(M, p)
-    for j in range(M.d):
-        expected = M.theta[j].compose(list(zeta) + list(z) + list(w))
-        if expected != xi[j].truncated(expected.order):
+    point = dict(zip(M.ctx_joint.names, p))
+    for name, expected in zip(M.names.xi, M.solve("xi", point)):
+        if expected != point[name].truncated(expected.order):
             raise ManifoldError("flow base point is off the manifold")
 
 
@@ -59,36 +53,21 @@ def flow(M: GraphedManifold, field: str, p, time):
 
 
 def _flow(M: GraphedManifold, field: str, p, time):
-    """`flow` without the base-point check, for points on M by construction."""
-    z, w, zeta, xi = _split_point(M, p)
-    time = list(time)
-    if field in ("L", "Lbar"):
-        if len(time) != M.m:
-            raise ValueError("CR flows take m time components")
-    elif field in ("Ups", "UpsBar"):
-        if len(time) != M.d:
-            raise ValueError("transversal flows take d time components")
-    else:
+    """`flow` without the base-point check, for points on M by construction:
+    the time moves the family's block (`manifold.FAMILIES`), and the graph
+    of its solved block recomposes that one."""
+    if field not in FAMILIES:
         raise ValueError("unknown field %r" % field)
-    if field == "L":
-        nz = [a + b for a, b in zip(z, time)]
-        nw = [M.theta_bar[j].compose(nz + list(zeta) + list(xi))
-              for j in range(M.d)]
-        return nz + nw + list(zeta) + list(xi)
-    if field == "Lbar":
-        nzeta = [a + b for a, b in zip(zeta, time)]
-        nxi = [M.theta[j].compose(nzeta + list(z) + list(w))
-               for j in range(M.d)]
-        return list(z) + list(w) + nzeta + nxi
-    if field == "Ups":
-        nw = [a + b for a, b in zip(w, time)]
-        nxi = [M.theta[j].compose(list(zeta) + list(z) + nw)
-               for j in range(M.d)]
-        return list(z) + nw + list(zeta) + nxi
-    nxi = [a + b for a, b in zip(xi, time)]
-    nw = [M.theta_bar[j].compose(list(z) + list(zeta) + nxi)
-          for j in range(M.d)]
-    return list(z) + nw + list(zeta) + nxi
+    moved, solved = FAMILIES[field]
+    moved = getattr(M.names, moved)
+    time = list(time)
+    if len(time) != len(moved):
+        raise ValueError("the %s flow takes %d time components"
+                         % (field, len(moved)))
+    point = dict(zip(M.ctx_joint.names, p))
+    point.update((n, point[n] + s) for n, s in zip(moved, time))
+    point.update(zip(getattr(M.names, solved), M.solve(solved, point)))
+    return [point[n] for n in M.ctx_joint.names]
 
 
 class SegreChain:
@@ -110,14 +89,11 @@ class SegreChain:
 
     def on_manifold_defect(self):
         """Valuation of the worst xi - theta residual; None when exact."""
-        m, d = self.M.m, self.M.d
-        comps = self.components.components
-        z, w = comps[:m], comps[m:m + d]
-        zeta, xi = comps[m + d:2 * m + d], comps[2 * m + d:]
+        point = dict(zip(self.M.ctx_joint.names, self.components.components))
         worst = None
-        for j in range(d):
-            res = self.M.theta[j].compose(list(zeta) + list(z) + list(w)) \
-                - xi[j].truncated(self.order)
+        for name, expected in zip(self.M.names.xi,
+                                  self.M.solve("xi", point)):
+            res = expected - point[name].truncated(self.order)
             if res:
                 v = res.valuation()
                 worst = v if worst is None else min(worst, v)

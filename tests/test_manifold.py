@@ -385,7 +385,7 @@ def test_restrict_with_extra_names(M):
 def test_restrict_rejects_unknown_side_and_names():
     M = make_heisenberg(order=4)
     f = M.embedded_theta()[0]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'leaf_bar', 'zeta0'"):
         M.restrict(f, "zeta")
     stray = TruncatedSeries.variable(
         VariableContext(("z1", "u1")), 4, "u1")
@@ -405,6 +405,97 @@ def test_leaf_zeros_stay_zero():
     assert out.is_zero() and out.context.names == ("z1",)
     out = M.restrict(tvar(ctxj, "z1", 4) * tvar(ctxj, "w1", 4), "leaf_bar")
     assert out.is_zero() and out.context.names == ("zeta1",)
+
+
+def _zeta0_reference(M, f):
+    """The old `composed_jet_table` route: restrict to side 'xi', then set
+    zeta = 0 with `substitute`."""
+    ctx_t = VariableContext(M.names.t)
+    at_zero = {n: TruncatedSeries.zero(ctx_t, f.order) for n in M.names.zeta}
+    return M.restrict(f, "xi").substitute(at_zero, ctx_t)
+
+
+@pytest.mark.parametrize("M", SEEDED, ids=SEEDED_IDS)
+def test_restrict_zeta0(M):
+    rng = random.Random(M.m * 10 + M.d + 5)
+    ctx_t = VariableContext(M.names.t)
+    for order in (M.order, M.order - 2):
+        f = random_series(M.ctx_joint, order, rng, degree=3, density=0.3)
+        got = M.restrict(f, "zeta0")
+        assert got == _zeta0_reference(M, f)
+        assert got.order == order and got.context == ctx_t
+    # xi := theta(0, z, w) over (z, w)
+    xi = [TruncatedSeries.variable(M.ctx_joint, M.order, n)
+          for n in M.names.xi]
+    zero = TruncatedSeries.zero(ctx_t, M.order)
+    tvars = [TruncatedSeries.variable(ctx_t, M.order, n) for n in M.names.t]
+    assert [M.restrict(x, "zeta0") for x in xi] == \
+        [t.compose([zero] * M.m + tvars) for t in M.theta]
+
+
+@pytest.mark.parametrize("M", SEEDED, ids=SEEDED_IDS)
+def test_from_either_graph_gives_the_same_manifold(M):
+    primed = M.names.z[0] == "zp1"
+    for built in (
+            GraphedManifold.from_theta(M.m, M.d, M.theta, primed=primed),
+            GraphedManifold.from_theta_bar(M.m, M.d, M.theta_bar,
+                                           primed=primed)):
+        assert built.theta == M.theta and built.theta_bar == M.theta_bar
+        assert built.names.tau == M.names.tau
+    # a graph over a permuted context is put into the graph's own order
+    permuted = M.theta.remapped(VariableContext(tuple(reversed(
+        M.ctx_theta.names))))
+    built = GraphedManifold.from_theta(M.m, M.d, permuted, primed=primed)
+    assert built.theta == M.theta
+
+
+# Reference for `cr_fields` and `transversal_fields`: the four loops they
+# ran before one builder read the family table.
+
+
+def _fields_reference(M):
+    ctxj = M.ctx_joint
+    tb = M.embedded_theta_bar()
+    th = M.embedded_theta()
+    L = []
+    for k, zk in enumerate(M.names.z):
+        coeffs = {zk: ONE}
+        for j, wj in enumerate(M.names.w):
+            coeffs[wj] = tb[j].derive(ctxj.index(zk))
+        L.append(Derivation(ctxj, coeffs, label="L_%s" % zk))
+    Lbar = []
+    for k, zetak in enumerate(M.names.zeta):
+        coeffs = {zetak: ONE}
+        for j, xij in enumerate(M.names.xi):
+            coeffs[xij] = th[j].derive(ctxj.index(zetak))
+        Lbar.append(Derivation(ctxj, coeffs, label="Lbar_%s" % zetak))
+    U = []
+    for j, wj in enumerate(M.names.w):
+        coeffs = {wj: ONE}
+        for l, xil in enumerate(M.names.xi):
+            coeffs[xil] = th[l].derive(ctxj.index(wj))
+        U.append(Derivation(ctxj, coeffs, label="Ups_%s" % wj))
+    Ubar = []
+    for j, xij in enumerate(M.names.xi):
+        coeffs = {xij: ONE}
+        for l, wl in enumerate(M.names.w):
+            coeffs[wl] = tb[l].derive(ctxj.index(xij))
+        Ubar.append(Derivation(ctxj, coeffs, label="UpsBar_%s" % xij))
+    return L, Lbar, U, Ubar
+
+
+@pytest.mark.parametrize("M", SEEDED, ids=SEEDED_IDS)
+def test_fields_match_reference_loops(M):
+    got = cr_fields(M) + transversal_fields(M)
+    want = _fields_reference(M)
+    assert [len(f) for f in got] == [M.m, M.m, M.d, M.d]
+    for fam_got, fam_want in zip(got, want):
+        assert len(fam_got) == len(fam_want)
+        for D, E in zip(fam_got, fam_want):
+            assert D.label == E.label and D.context == E.context
+            assert D.forbidden == E.forbidden
+            # in insertion order; series equality compares order and context
+            assert list(D.coeffs.items()) == list(E.coeffs.items())
 
 
 # Reference for `Derivation.apply`: the loop it ran before the fused kernel,

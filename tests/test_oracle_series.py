@@ -23,7 +23,9 @@ from crreflect.context import VariableContext
 from crreflect.gaussian import ONE, ZERO, GaussianRational, gr
 from crreflect.linalg import random_rational_point, symbolic_rank
 from crreflect.reflection import _independent_rows
-from crreflect.series import TruncatedSeries, invert_matrix, mul_precise
+from crreflect.series import (SeriesMap, TruncatedSeries,
+                              divide_with_valuation, formal_ift,
+                              invert_matrix, mul_precise)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -362,6 +364,100 @@ def test_divexact_matches_oracle(case):
 def test_divexact_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
         kernels.divexact({(1,): gr(1)}, {})
+
+
+# -- divide_with_valuation and formal_ift ------------------------------------
+
+
+def _context(n, prefix="x"):
+    return VariableContext(["%s%d" % (prefix, i) for i in range(n)])
+
+
+@st.composite
+def division_cases(draw):
+    """(arity, order, mu, planted quotient, denominator): the denominator
+    has valuation mu, with a nonzero term of degree mu."""
+    n = draw(st.integers(1, 3))
+    order = draw(st.integers(0, 5))
+    mu = draw(st.integers(0, order))
+    lead = draw(term_dicts(n, mu, min_size=1, max_size=3, min_degree=mu)
+                .filter(lambda t: any(sum(e) == mu for e in t)))
+    den = {e: c for e, c in lead.items() if sum(e) == mu}
+    den.update((e, c) for e, c in draw(term_dicts(
+        n, order, max_size=5, min_degree=mu + 1)).items() if sum(e) <= order)
+    q = draw(term_dicts(n, order - mu, max_size=6))
+    q = {e: c for e, c in q.items() if sum(e) <= order - mu}
+    return n, order, mu, q, den
+
+
+@SETTINGS
+@given(division_cases())
+@example((2, 4, 2, {(0, 0): gr(1), (1, 1): gr("1/3", 2)},
+          {(2, 0): gr(1), (1, 1): gr(0, -1), (0, 3): gr("5/7")}))
+# a denominator term three degrees above the valuation meets the quotient's
+# constant term
+@example((1, 5, 1, {(0,): gr(1), (1,): gr(0, 1)},
+          {(1,): gr(2, "1/3"), (4,): gr(-3)}))
+def test_divide_with_valuation_matches_oracle(case):
+    n, order, mu, q, den = case
+    R = _ring(n)
+    ctx = _context(n)
+    num = from_sympy(to_sympy(R, q) * to_sympy(R, den), order)
+    quo, lost = divide_with_valuation(TruncatedSeries(ctx, order, num),
+                                      TruncatedSeries(ctx, order, den))
+    assert lost == mu
+    assert quo.order == order - mu and quo.context == ctx
+    # quotient x denominator gives back the numerator to order - mu (and
+    # in fact to the full order: the valuation-mu factor shifts it up)
+    back = to_sympy(R, quo.terms) * to_sympy(R, den)
+    assert from_sympy(back, order - mu) == from_sympy(to_sympy(R, num),
+                                                      order - mu)
+    assert from_sympy(back, order) == num
+    # the planted quotient is the only one
+    assert quo.terms == q
+
+
+@st.composite
+def ift_cases(draw):
+    """(free variables, unknowns, order, equations as term dicts over
+    (x, u)): the u-block of the linear part is a planted invertible
+    lower-triangular matrix, everything else is random of degree >= 1."""
+    nx = draw(st.integers(0, 2))
+    nu = draw(st.integers(1, 2))
+    order = draw(st.integers(1, 4))
+    eqs = []
+    for r in range(nu):
+        terms = draw(term_dicts(nx + nu, order, max_size=6, min_degree=1))
+        terms = {e: c for e, c in terms.items()
+                 if sum(e) <= order
+                 and not (sum(e) == 1 and any(e[nx + k] for k in range(r, nu)))}
+        diag = tuple(int(i == nx + r) for i in range(nx + nu))
+        terms[diag] = draw(coefficients())
+        eqs.append(terms)
+    return nx, nu, order, eqs
+
+
+@SETTINGS
+@given(ift_cases())
+@example((1, 2, 3, [{(0, 1, 0): gr(2), (1, 0, 0): gr(1), (0, 0, 2): gr(0, 1)},
+                    {(0, 1, 0): gr(1, 1), (0, 0, 1): gr("1/3"),
+                     (2, 0, 0): gr(-1), (1, 1, 1): gr(5)}]))
+def test_formal_ift_matches_oracle(case):
+    nx, nu, order, eqs = case
+    names = ["x%d" % i for i in range(nx)] + ["u%d" % k for k in range(nu)]
+    ctx = VariableContext(names)
+    F = SeriesMap([TruncatedSeries(ctx, order, t) for t in eqs])
+    sol = formal_ift(F, names[nx:])
+    assert sol.context.names == tuple(names[:nx]) and sol.order == order
+    assert not any(sol.constant_terms())  # u(0) = 0
+    R, *gens = ring(names, QQ_I)
+    pad = (0,) * nu
+    subs = [(gens[nx + k], to_sympy(R, {e + pad: c
+                                        for e, c in u.terms.items()}))
+            for k, u in enumerate(sol)]
+    for t in eqs:
+        # F(x, u(x)) == 0 mod degree order + 1
+        assert not from_sympy(to_sympy(R, t).compose(subs), order)
 
 
 # -- echelon and the code built on it ---------------------------------------

@@ -1,27 +1,36 @@
 """Reflection map machinery: verification, components, identity families,
 Cramer jets, inversion, transport, resolution, transversality."""
 
+import itertools
 import random
 
 import pytest
 
 from conftest import (make_ex121, make_flat, make_heisenberg, make_sphere3,
                       random_minimal_manifold, random_series)
-from crreflect.context import VariableContext, multidegrees
+from crreflect.context import VariableContext, multidegrees, zero_exponent
 from crreflect.gaussian import GaussianRational, I, ONE, gr
-from crreflect.reflection import (FormalCRMap, ReflectionError,
-                                  chain_pullback,
+from crreflect.manifold import GraphedManifold, cr_fields
+from crreflect.nondegen import (degenerate_selfmap_generator,
+                                holomorphic_degeneracy_field)
+from crreflect.reflection import (FormalCRMap, ReflectionComponents,
+                                  ReflectionError, ResidualReport,
+                                  _WordCache, _compose_components,
+                                  _power_cache, chain_pullback,
+                                  composed_jet_table,
                                   forward_expansion, formal_cramer_solve,
                                   invert_expansion, q_jbeta_cramer,
                                   reflection_components,
                                   reflection_identities,
                                   resolve_finitely_nondeg,
-                                  target_change_transport, transform_target,
+                                  target_change_transport,
+                                  target_component_tables, transform_target,
                                   transversality_kernel,
                                   transversality_uniqueness_defect,
                                   verify_formal_cr_map)
 from crreflect.segre import chain
-from crreflect.series import SeriesMap, TruncatedSeries
+from crreflect.series import (SeriesMap, TruncatedSeries, factorial_multi,
+                              formal_ift, mul_precise)
 
 
 def tvar(ctx, name, order=8):
@@ -457,3 +466,328 @@ def test_transform_target_graph():
     z = tvar(ctx, "zp1")
     zeta = tvar(ctx, "zetap1")
     assert Mpp.theta_bar[0] == xi + 2 * I * z * zeta
+
+
+# References for the conjugate-side bodies: `verify_formal_cr_map`,
+# `reflection_identities` and `Resolution.verification_report` as they were
+# written before one body per side read a (side, data) tuple.  Each test
+# records every residual that reaches `ResidualReport.add`, so the series
+# themselves are compared, not just their valuations.
+
+
+def _verify_formal_cr_map_reference(h):
+    M, Mp = h.M, h.Mp
+    report = ResidualReport()
+    h_on = list(M.restrict(h.h, "w"))
+    hbar_emb = [c.remapped(M.ctx_restrict_w) for c in h.hbar.components]
+    for jp in range(h.dp):
+        rhs = Mp.theta_bar[jp].compose(h_on[:h.mp] + hbar_emb)
+        report.add(3, jp, (), h_on[h.mp + jp] - rhs)
+    hbar_on = list(M.restrict(h.hbar, "xi"))
+    h_emb = [c.remapped(M.ctx_restrict_xi) for c in h.h.components]
+    for jp in range(h.dp):
+        rhs = Mp.theta[jp].compose(hbar_on[:h.mp] + h_emb)
+        report.add(1, jp, (), hbar_on[h.mp + jp] - rhs)
+    return report
+
+
+def _reflection_identities_reference(h, beta_max, families):
+    M, Mp = h.M, h.Mp
+    N = h.order
+    ctxj = M.ctx_joint
+    L, Lbar = cr_fields(M)
+    table, table_bar = target_component_tables(Mp)
+    gammas = sorted({g for tab in table for g in tab}
+                    | {g for tab in table_bar for g in tab},
+                    key=lambda g: (sum(g), g))
+    f_emb = [c.remapped(ctxj) for c in h.f.components]
+    g_emb = [c.remapped(ctxj) for c in h.g.components]
+    fbar_emb = [c.remapped(ctxj) for c in h.fbar.components]
+    gbar_emb = [c.remapped(ctxj) for c in h.gbar.components]
+    h_args = list(h.h.components)
+    hbar_args = list(h.hbar.components)
+    comp = {jp: {g: s.compose(h_args).remapped(ctxj)
+                 for g, s in table[jp].items()} for jp in range(h.dp)}
+    comp_bar = {jp: {g: s.compose(hbar_args).remapped(ctxj)
+                     for g, s in table_bar[jp].items()}
+                for jp in range(h.dp)}
+    fbar_pow = _power_cache(fbar_emb, N)
+    f_pow = _power_cache(f_emb, N)
+    betas = list(multidegrees(M.m, beta_max))
+    report = ResidualReport()
+    if 1 in families or 2 in families:
+        lbar_fbar = {g: _WordCache(Lbar, fbar_pow(g)) for g in gammas}
+        lbar_gbar = [_WordCache(Lbar, s) for s in gbar_emb]
+        lbar_compbar = {jp: {g: _WordCache(Lbar, s)
+                             for g, s in comp_bar[jp].items()}
+                        for jp in range(h.dp)} if 2 in families else None
+        for beta in betas:
+            room = N - sum(beta)
+            for jp in range(h.dp):
+                if 1 in families:
+                    res = lbar_gbar[jp].get(beta)
+                    for g in gammas:
+                        piece = comp[jp].get(g)
+                        if piece is None:
+                            continue
+                        res = res - mul_precise(
+                            lbar_fbar[g].get(beta), piece).truncated(room)
+                    report.add(1, jp, beta,
+                               M.restrict(res.truncated(room), "xi"))
+                if 2 in families:
+                    if sum(beta) == 0:
+                        res = g_emb[jp].truncated(room)
+                    else:
+                        res = TruncatedSeries.zero(ctxj, room)
+                    for g, cache in lbar_compbar[jp].items():
+                        res = res - mul_precise(
+                            f_pow(g), cache.get(beta)).truncated(room)
+                    report.add(2, jp, beta,
+                               M.restrict(res.truncated(room), "xi"))
+    if 3 in families or 4 in families:
+        l_f = {g: _WordCache(L, f_pow(g)) for g in gammas}
+        l_g = [_WordCache(L, s) for s in g_emb]
+        l_comp = {jp: {g: _WordCache(L, s) for g, s in comp[jp].items()}
+                  for jp in range(h.dp)} if 4 in families else None
+        for beta in betas:
+            room = N - sum(beta)
+            for jp in range(h.dp):
+                if 3 in families:
+                    res = l_g[jp].get(beta)
+                    for g in gammas:
+                        piece = comp_bar[jp].get(g)
+                        if piece is None:
+                            continue
+                        res = res - mul_precise(
+                            l_f[g].get(beta), piece).truncated(room)
+                    report.add(3, jp, beta,
+                               M.restrict(res.truncated(room), "w"))
+                if 4 in families:
+                    if sum(beta) == 0:
+                        res = gbar_emb[jp].truncated(room)
+                    else:
+                        res = TruncatedSeries.zero(ctxj, room)
+                    for g, cache in l_comp[jp].items():
+                        res = res - mul_precise(
+                            fbar_pow(g), cache.get(beta)).truncated(room)
+                    report.add(4, jp, beta,
+                               M.restrict(res.truncated(room), "w"))
+    return report
+
+
+def _verification_report_reference(res):
+    h, M = res.h, res.h.M
+    report = ResidualReport()
+    ctx_v = M.ctx_restrict_xi
+    uargs = res._jet_args(res.ell0, res.jets, "xi")
+    for i, comp in enumerate(res.phi.components):
+        value = M.restrict(comp, "xi", uargs)
+        report.add(1, i, (), h.h[i].remapped(ctx_v).truncated(value.order)
+                   - value)
+    swap = M.names.swap_map()
+    ctx_cv = M.ctx_restrict_w
+    uargs_bar = res._jet_args(res.ell0, res.jets, "w")
+    for i, comp in enumerate(res.phi.components):
+        phibar = comp.conjugate_swapped(swap, comp.context)
+        value = M.restrict(phibar, "w", uargs_bar)
+        report.add(2, i, (), h.hbar[i].remapped(ctx_cv).truncated(value.order)
+                   - value)
+    return report
+
+
+@pytest.fixture
+def record_residuals(monkeypatch):
+    """Run a report builder and return (report, [(family, j', beta,
+    residual), ...]) in the order the residuals were added."""
+    add = ResidualReport.add
+
+    def run(fn, *args, **kwargs):
+        seen = []
+
+        def recording(self, family, jp, beta, residual):
+            seen.append((family, jp, tuple(beta), residual))
+            add(self, family, jp, beta, residual)
+
+        monkeypatch.setattr(ResidualReport, "add", recording)
+        try:
+            rep = fn(*args, **kwargs)
+        finally:
+            monkeypatch.setattr(ResidualReport, "add", add)
+        return rep, seen
+
+    return run
+
+
+def _assert_same_residuals(got, want):
+    (rep, seen), (ref, ref_seen) = got, want
+    assert list(rep.entries.items()) == list(ref.entries.items())
+    # series equality compares the context and the order too
+    assert seen == ref_seen
+
+
+def _side_cases():
+    """(label, map): identity and dilation on Heisenberg, a degenerate
+    self-map of the C^3 example, and a map that is not CR."""
+    M, Mp = heis_pair(order=6)
+    ctx_t = VariableContext(M.names.t)
+    z, w = tvar(ctx_t, "z1", 6), tvar(ctx_t, "w1", 6)
+    Mdeg = make_ex121(order=5)
+    field = holomorphic_degeneracy_field(Mdeg, dmax=3)
+    return [("identity", identity_on(M, Mp)),
+            ("dilation", hmap(M, Mp, [2 * z, 4 * w])),
+            ("degenerate", degenerate_selfmap_generator(Mdeg, field, None,
+                                                         seed=3)),
+            ("non-cr", hmap(M, Mp, [z + w * z, w + z * z * z]))]
+
+
+SIDE_CASES = _side_cases()
+FAMILY_SUBSETS = [fams for r in range(5)
+                  for fams in itertools.combinations((1, 2, 3, 4), r)]
+
+
+@pytest.mark.parametrize("label, h", SIDE_CASES,
+                         ids=[c[0] for c in SIDE_CASES])
+def test_verify_formal_cr_map_matches_reference(record_residuals, label, h):
+    got = record_residuals(verify_formal_cr_map, h)
+    _assert_same_residuals(got, record_residuals(
+        _verify_formal_cr_map_reference, h))
+    assert got[0].ok == (label != "non-cr")
+
+
+@pytest.mark.parametrize("label, h", SIDE_CASES,
+                         ids=[c[0] for c in SIDE_CASES])
+def test_reflection_identities_match_reference(record_residuals, label, h):
+    for beta_max in (0, 1, 2):
+        for fams in FAMILY_SUBSETS:
+            got = record_residuals(reflection_identities, h,
+                                   beta_max=beta_max, families=fams)
+            want = record_residuals(_reflection_identities_reference, h,
+                                    beta_max, fams)
+            _assert_same_residuals(got, want)
+            assert {k[0] for k in got[0].entries} == set(fams)
+    if label == "non-cr":
+        assert not got[0].ok
+        assert all(got[0].first_failure(f) is not None for f in (1, 2, 3, 4))
+
+
+def test_verification_report_matches_reference(record_residuals):
+    M, Mp = heis_pair(order=7)
+    ctx_t = VariableContext(M.names.t)
+    z, w = tvar(ctx_t, "z1", 7), tvar(ctx_t, "w1", 7)
+    S = make_sphere3(order=6)
+    Sp = make_sphere3(order=6, primed=True)
+    for h in (identity_on(M, Mp), hmap(M, Mp, [2 * z, 4 * w]),
+              identity_on(S, Sp)):
+        res = resolve_finitely_nondeg(h, ell0=1)
+        got = record_residuals(res.verification_report)
+        _assert_same_residuals(got, record_residuals(
+            _verification_report_reference, res))
+        assert got[0].ok
+        assert [k[0] for k in got[1]] == [1] * h.np + [2] * h.np
+
+
+# References for the three substitutions that built their own arguments
+# before `GraphedManifold.restrict` gained side 'zeta0' and
+# `transform_target` used side 'xi'.
+
+
+def _transform_target_reference(Mp, phi_p):
+    ctx_tp = VariableContext(Mp.names.t)
+    if phi_p.context != ctx_tp:
+        phi_p = phi_p.remapped(ctx_tp)
+    ctx_src = Mp.ctx_theta
+    N = Mp.order
+    tau_map = dict(zip(Mp.names.t, Mp.names.tau))
+    ctx_taup = VariableContext(Mp.names.tau)
+    phibar = [c.conjugate_swapped(tau_map, ctx_taup)
+              for c in phi_p.components]
+    zetas = [TruncatedSeries.variable(ctx_src, N, n) for n in Mp.names.zeta]
+    th = list(Mp.theta.components)
+    phibar_on = [c.compose(zetas + th) for c in phibar]
+    S = phibar_on[:Mp.m] + [c.remapped(ctx_src) for c in phi_p.components]
+    temp = tuple("tc%d" % i for i in range(len(S)))
+    ctx_big = VariableContext(temp + ctx_src.names)
+    eqs = [s.remapped(ctx_big) - TruncatedSeries.variable(ctx_big, N, temp[i])
+           for i, s in enumerate(S)]
+    inv = formal_ift(SeriesMap(eqs), list(ctx_src.names))
+    theta_new = [phibar_on[Mp.m + j].compose(list(inv.components))
+                 for j in range(Mp.d)]
+    rename = dict(zip(temp, ctx_src.names))
+    theta_new = [t.remapped(ctx_src, rename) for t in theta_new]
+    return GraphedManifold.from_theta(Mp.m, Mp.d, SeriesMap(theta_new),
+                                      primed=True)
+
+
+def _composed_jet_table_reference(hmap, depth):
+    M, Mp = hmap.M, hmap.Mp
+    N = hmap.order
+    fbar_on = list(M.restrict(hmap.fbar, "xi"))
+    h_emb = [c.remapped(M.ctx_restrict_xi) for c in hmap.h.components]
+    ctx_t = VariableContext(M.names.t)
+    at_zero = {n: TruncatedSeries.zero(ctx_t, N) for n in M.names.zeta}
+    out = {}
+    for j in range(Mp.d):
+        for beta in multidegrees(Mp.m, depth):
+            d = Mp.theta[j].derive_multi(tuple(beta) + zero_exponent(Mp.n))
+            val = d.compose(fbar_on + h_emb) * (ONE / factorial_multi(beta))
+            out[(j, beta)] = val.substitute(at_zero, ctx_t)
+    return out
+
+
+def _target_change_transport_reference(components, phi_p):
+    h = components.h
+    M, Mp = h.M, h.Mp
+    N = h.order
+    Mpp = _transform_target_reference(Mp, phi_p)
+    ctx_tp = VariableContext(Mp.names.t)
+    if phi_p.context != ctx_tp:
+        phi_p = phi_p.remapped(ctx_tp)
+    hpp = FormalCRMap(SeriesMap([c.compose(list(h.h.components))
+                                 for c in phi_p.components]), M, Mpp)
+    change = FormalCRMap(phi_p, Mp, Mpp)
+    gmax = components.gmax
+    depth = min(gmax + N, N)
+    q = _composed_jet_table_reference(change, depth)
+    tps = [TruncatedSeries.variable(ctx_tp, N, n) for n in Mp.names.t]
+    zero = TruncatedSeries.zero(ctx_tp, N)
+    th0 = [t.compose([zero] * Mp.m + tps) for t in Mp.theta.components]
+    fb0 = [c.compose([zero] * Mp.m + th0) for c in change.fbar.components]
+    raw = invert_expansion(q, fb0, Mp.m, depth)
+    return ReflectionComponents(hpp, gmax,
+                                _compose_components(h, gmax, raw.items()))
+
+
+def _target_changes():
+    """(source, target, nonlinear target change) on Heisenberg and sphere3."""
+    M, Mp = heis_pair(order=7)
+    zp, wp = (tvar(VariableContext(Mp.names.t), n, 7) for n in Mp.names.t)
+    heis = SeriesMap([zp + gr(1, 1) * zp * wp, 2 * wp + zp * wp * wp])
+    S = make_sphere3(order=5)
+    Sp = make_sphere3(order=5, primed=True)
+    z1, z2, w = (tvar(VariableContext(Sp.names.t), n, 5) for n in Sp.names.t)
+    sphere = SeriesMap([z1 + z2 * w, z2 + I * z1 * w, w + w * w])
+    return [(M, Mp, heis), (S, Sp, sphere)]
+
+
+@pytest.mark.parametrize("M, Mp, phi", _target_changes(),
+                         ids=["heisenberg", "sphere3"])
+def test_substitutions_match_reference(M, Mp, phi):
+    got = transform_target(Mp, phi)
+    want = _transform_target_reference(Mp, phi)
+    assert got.theta == want.theta and got.theta_bar == want.theta_bar
+    ctx_t = VariableContext(M.names.t)
+    # h.order below the target's order as well as equal to it
+    for order in (M.order, M.order - 2):
+        h = FormalCRMap(SeriesMap.identity(ctx_t, order), M, Mp)
+        change = FormalCRMap(phi, Mp, got)
+        for depth in (0, 2, order):
+            table = composed_jet_table(change, depth)
+            ref = _composed_jet_table_reference(change, depth)
+            assert list(table.items()) == list(ref.items())
+        comps = reflection_components(h, gmax=2)
+        moved = target_change_transport(comps, phi)
+        ref = _target_change_transport_reference(comps, phi)
+        assert moved.gmax == ref.gmax
+        assert list(moved.table.items()) == list(ref.table.items())
+        assert moved.h.h == ref.h.h
+        assert moved.reassembly_defect() == ref.reassembly_defect()

@@ -2,14 +2,17 @@
 
 import pytest
 
+import random
+
 from conftest import (make_flat, make_heisenberg, make_z2zb2,
-                      random_minimal_manifold)
+                      random_minimal_manifold, random_real_system,
+                      random_series)
 from crreflect import segre
 from crreflect.context import VariableContext
 from crreflect.linalg import generic_rank
-from crreflect.manifold import ManifoldError
+from crreflect.manifold import ManifoldError, complexify_and_graph
 from crreflect.segre import (DEFAULT_CHAIN_BUDGET, _chains, chain,
-                             chain_time_names,
+                             chain_time_names, check_on_manifold,
                              conjugate_chain_symmetry_defect, flow,
                              minimality, origin_point, segre_jet_map)
 from crreflect.series import SeriesError, TruncatedSeries
@@ -46,6 +49,75 @@ def test_flow_rejects_offmanifold_points():
     bad[1] = TruncatedSeries.variable(ctx, M.order, "z1_1")  # w != theta
     with pytest.raises(ManifoldError):
         flow(M, "L", bad, [TruncatedSeries.zero(ctx, M.order)])
+
+
+def test_flow_rejects_bad_fields_and_times():
+    M = make_flat(order=4, m=2, d=1)
+    ctx = VariableContext(chain_time_names(2, 1))
+    p = origin_point(M, ctx)
+    zero = TruncatedSeries.zero(ctx, M.order)
+    with pytest.raises(ValueError, match="unknown field 'Z'"):
+        flow(M, "Z", p, [zero, zero])
+    for field in ("L", "Lbar"):  # CR flows take m = 2 times
+        with pytest.raises(ValueError, match="2 time components"):
+            flow(M, field, p, [zero])
+        with pytest.raises(ValueError, match="2 time components"):
+            flow(M, field, p, [zero] * 3)
+    for field in ("Ups", "UpsBar"):  # transversal flows take d = 1
+        with pytest.raises(ValueError, match="1 time components"):
+            flow(M, field, p, [zero, zero])
+        with pytest.raises(ValueError, match="1 time components"):
+            flow(M, field, p, [])
+
+
+def _flow_reference(M, field, p, time):
+    """The four branches `_flow` ran before it read the family table."""
+    m, d = M.m, M.d
+    z, w, zeta, xi = p[:m], p[m:m + d], p[m + d:2 * m + d], p[2 * m + d:]
+    time = list(time)
+    if field == "L":
+        nz = [a + b for a, b in zip(z, time)]
+        nw = [M.theta_bar[j].compose(nz + list(zeta) + list(xi))
+              for j in range(d)]
+        return nz + nw + list(zeta) + list(xi)
+    if field == "Lbar":
+        nzeta = [a + b for a, b in zip(zeta, time)]
+        nxi = [M.theta[j].compose(nzeta + list(z) + list(w))
+               for j in range(d)]
+        return list(z) + list(w) + nzeta + nxi
+    if field == "Ups":
+        nw = [a + b for a, b in zip(w, time)]
+        nxi = [M.theta[j].compose(list(zeta) + list(z) + nw)
+               for j in range(d)]
+        return list(z) + nw + list(zeta) + nxi
+    assert field == "UpsBar"
+    nxi = [a + b for a, b in zip(xi, time)]
+    nw = [M.theta_bar[j].compose(list(z) + list(zeta) + nxi)
+          for j in range(d)]
+    return list(z) + nw + list(zeta) + nxi
+
+
+@pytest.mark.parametrize("seed, m, d", [(0, 1, 1), (1, 2, 1), (2, 1, 2)])
+def test_flows_match_reference_branches(seed, m, d):
+    M = complexify_and_graph(random_real_system(seed, m, d, 5))
+    rng = random.Random(seed)
+    ctx = VariableContext(("s1", "s2", "s3"))
+
+    def times(k):
+        return [random_series(ctx, M.order, rng, degree=2, min_degree=1,
+                              density=0.5) for _ in range(k)]
+
+    # a point off the origin, on M by construction
+    p = origin_point(M, ctx)
+    for field, k in (("Lbar", m), ("L", m), ("UpsBar", d)):
+        p = _flow_reference(M, field, p, times(k))
+    assert any(c for c in p[:M.n]) and any(c for c in p[M.n:])
+    for field, k in (("L", m), ("Lbar", m), ("Ups", d), ("UpsBar", d)):
+        t = times(k)
+        got = flow(M, field, p, t)
+        want = _flow_reference(M, field, p, t)
+        assert got == want  # context and order included
+        check_on_manifold(M, got)
 
 
 def test_chain_values():
