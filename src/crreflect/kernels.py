@@ -12,7 +12,8 @@ both use it without an import cycle.
 * `derivation_table` and `derivation_apply`: a first-order operator
   sum_i c_i d/dx_i with series coefficients, converted once and then
   applied to a term dict in one pass.
-* `divexact`: exact division of term dicts by graded-lex reduction.
+* `divexact`: exact division of term dicts by graded-lex reduction, the
+  remainder's keys kept in a heap.
 * `echelon`: Gauss-Jordan elimination of a constant matrix, the one
   elimination behind every rank, kernel, inverse and span test.
 
@@ -64,6 +65,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import gcd, lcm
 from operator import add, itemgetter, mul
@@ -363,33 +365,45 @@ def derivation_apply(A: dict, table, order: int):
     return {k: _make(x, y, den) for k, (x, y) in acc.items() if x or y}
 
 
-def _grlex_key(e):
-    return (sum(e), e)
+def _grlex_desc(e):
+    """Sort key under which the graded-lex largest exponent comes first."""
+    return (-sum(e), tuple([-x for x in e]))
 
 
 def divexact(f: dict, g: dict) -> dict:
     """Exact quotient f / g of term dicts (any degrees, no truncation).
 
     Graded-lex reduction: each step cancels the leading term of the
-    remainder.  Raises ZeroDivisionError for g = 0 and ArithmeticError,
-    naming the leading term left over, when g does not divide f.
+    remainder, popped from a heap of its keys (Monagan & Pearce, JSC 2011).
+    A step pushes only the keys it adds, all below the lead it cancels; a
+    popped key no longer in the remainder is skipped.  Raises
+    ZeroDivisionError for g = 0 and ArithmeticError, naming the leading term
+    left over, when g does not divide f.
     """
     if not f:
         return {}
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    glead = max(g, key=_grlex_key)
+    glead = min(g, key=_grlex_desc)
     gc = g[glead]
     q: dict = {}
     rem = dict(f)
+    heap = [(_grlex_desc(e), e) for e in rem]
+    heapify(heap)
     while rem:
-        flead = max(rem, key=_grlex_key)
+        flead = heappop(heap)[1]
+        if flead not in rem:
+            continue
         t = tuple(a - b for a, b in zip(flead, glead))
         if any(x < 0 for x in t):
             raise ArithmeticError("remainder at %r" % (flead,))
         coeff = rem[flead] / gc
         q[t] = coeff
-        iadd_scaled(rem, mul_terms({t: coeff}, g, -1), -ONE)
+        step = mul_terms({t: coeff}, g, -1)
+        added = [e for e in step if e not in rem]
+        iadd_scaled(rem, step, -ONE)
+        for e in added:
+            heappush(heap, (_grlex_desc(e), e))
     return q
 
 

@@ -19,11 +19,10 @@ from .kernels import echelon
 from .linalg import (generic_rank, kernel_basis, rank_at_origin,
                      symbolic_rank)
 from .manifold import GraphedManifold, cr_fields
-from .reflection import (FormalCRMap, ReflectionError, _WordCache,
-                         _power_cache, target_component_tables,
+from .reflection import (FormalCRMap, ReflectionError, _identity_table,
                          transversality_kernel, verify_formal_cr_map)
 from .segre import segre_jet_map
-from .series import SeriesMap, TruncatedSeries, SeriesError, mul_precise
+from .series import SeriesMap, TruncatedSeries, SeriesError
 
 
 HOLDS = "holds"
@@ -296,32 +295,14 @@ def classify_map_cr(h: FormalCRMap, M=None, Mp=None, dmax: int = 4,
 
 def psi_table(h: FormalCRMap, M=None, Mp=None, beta_max: int = 1) -> dict:
     """(j', beta) -> Psi'_{j',beta}(t, tau, t'), the reflection-identity
-    kernel series: Lbar^beta gbar_{j'} minus the gamma'-sum of
-    Lbar^beta[fbar^gamma'] times Theta'_{j',gamma'}(t')."""
+    kernel series: Lbar^beta of gbar_{j'} - Theta'_{j'}(fbar, t'), which is
+    Lbar^beta gbar_{j'} minus the gamma'-sum of Lbar^beta[fbar^gamma'] times
+    Theta'_{j',gamma'}(t')."""
     M = M or h.M
     Mp = Mp or h.Mp
-    ctxj = M.ctx_joint
-    ctx_psi = VariableContext(ctxj.names + Mp.names.t)
-    _, Lbar = cr_fields(M)
-    fbar_emb = [c.remapped(ctxj) for c in h.fbar.components]
-    gbar_emb = [c.remapped(ctxj) for c in h.gbar.components]
-    fpow = _power_cache(fbar_emb, h.order)
-    table, _ = target_component_tables(Mp)
-    gammas = sorted({g for tab in table for g in tab},
-                    key=lambda g: (sum(g), g))
-    caches_f = {g: _WordCache(Lbar, fpow(g)) for g in gammas}
-    caches_g = [_WordCache(Lbar, s) for s in gbar_emb]
-    out = {}
-    for beta in multidegrees(M.m, beta_max):
-        room = h.order - sum(beta)
-        for jp in range(h.dp):
-            psi = caches_g[jp].get(beta).remapped(ctx_psi).truncated(room)
-            for g, s in table[jp].items():
-                term = mul_precise(caches_f[g].get(beta).remapped(ctx_psi),
-                                   s.remapped(ctx_psi))
-                psi = psi - term.truncated(room)
-            out[(jp, tuple(beta))] = psi
-    return out
+    ctx_psi = VariableContext(M.ctx_joint.names + Mp.names.t)
+    hbar = [c.remapped(ctx_psi) for c in h.hbar.components]
+    return _identity_table(h, M, Mp, hbar, [], beta_max)
 
 
 def psi_and_h_conditions(h: FormalCRMap, M=None, Mp=None, kmax: int = 2,

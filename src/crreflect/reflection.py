@@ -295,6 +295,29 @@ class _WordCache:
         return got
 
 
+def _identity_words(fields, near, far, graph, mp):
+    """One `_WordCache` per j', seeded with the fundamental identity
+    near_{m'+j'} - graph_{j'}(near_{<m'}, far).  The fields kill every
+    function of `far`, so each word is the gamma'-sum of the words of
+    near_{<m'}^gamma' times graph_{j',gamma'}(far)."""
+    args = near[:mp] + far
+    return [_WordCache(fields, near[mp + jp] - s.compose(args))
+            for jp, s in enumerate(graph)]
+
+
+def _identity_table(h, M, Mp, near, blocks, beta_max):
+    """(j', beta) -> Lbar^beta of near_{m'+j'} - Theta'_{j'}(near_{<m'}, t')
+    for |beta| <= beta_max, beta outer and j' inner.  `near` lives over a
+    context that contains t'; Lbar is lifted to it over the jet `blocks`."""
+    ctx, N = near[0].context, h.order
+    Lbar = [extend_derivation_to_jets(D, blocks, ctx, N)
+            for D in cr_fields(M)[1]]
+    tp = [TruncatedSeries.variable(ctx, N, n) for n in Mp.names.t]
+    words = _identity_words(Lbar, near, tp, Mp.theta, h.mp)
+    return {(jp, tuple(beta)): words[jp].get(beta)
+            for beta in multidegrees(M.m, beta_max) for jp in range(h.dp)}
+
+
 def reflection_identities(h: FormalCRMap, M=None, Mp=None, beta_max=1,
                           families=(1, 2, 3, 4)) -> ResidualReport:
     """Residuals of the four reflection-identity families up to |beta| <=
@@ -310,18 +333,15 @@ def reflection_identities(h: FormalCRMap, M=None, Mp=None, beta_max=1,
     ctxj = M.ctx_joint
     L, Lbar = cr_fields(M)
     table, table_bar = target_component_tables(Mp)
-    gammas = sorted({g for tab in table for g in tab}
-                    | {g for tab in table_bar for g in tab},
-                    key=lambda g: (sum(g), g))
 
     def data(args, tables):
-        """One conjugate side of h, over the joint context: its transversal
-        part, Theta'_{j',gamma'} composed with it, and the powers of its CR
+        """One conjugate side of h, over the joint context: its components,
+        Theta'_{j',gamma'} composed with it, and the powers of its CR
         part."""
         emb = [c.remapped(ctxj) for c in args]
         comp = {jp: {g: s.compose(args).remapped(ctxj)
                      for g, s in tables[jp].items()} for jp in range(h.dp)}
-        return emb[h.mp:], comp, _power_cache(emb[:h.mp], N)
+        return emb, comp, _power_cache(emb[:h.mp], N)
 
     unbarred = data(list(h.h.components), table)
     barred = data(list(h.hbar.components), table_bar)
@@ -329,23 +349,21 @@ def reflection_identities(h: FormalCRMap, M=None, Mp=None, beta_max=1,
     betas = list(multidegrees(M.m, beta_max))
     report = ResidualReport()
 
-    # Families 1/2 apply Lbar to the barred data and substitute xi := theta;
-    # families 3/4 apply L to the unbarred data and substitute w :=
-    # theta_bar.  On each side the first family differentiates the near
-    # data's transversal part and powers against the far Theta'(h or hbar);
-    # the second differentiates the near Theta'(...) against the far powers.
-    # gamma'-sum terms are multiplied valuation-aware: a component of order
-    # N - |gamma'| times a factor of valuation >= |gamma'| - |beta| is still
-    # exact to N - |beta|, so the residual keeps the full surviving precision.
+    # Families 1/2 apply Lbar and substitute xi := theta; families 3/4
+    # apply L and substitute w := theta_bar.  The first family of a side is
+    # a word of its fundamental identity, gbar - Theta'(fbar, h) or
+    # g - Theta_bar'(f, hbar) (`_identity_words`).  The second sums the far
+    # powers times the words of the near Theta'(...) over gamma', multiplied
+    # valuation-aware: a component of order N - |gamma'| times a factor of
+    # valuation >= |gamma'| - |beta| is still exact to N - |beta|, so the
+    # residual keeps the full surviving precision.
     for first, side, fields, near, far in ((1, "xi", Lbar, barred, unbarred),
                                            (3, "w", L, unbarred, barred)):
         second = first + 1
-        if first not in families and second not in families:
-            continue
-        near_g, near_comp, near_pow = near
-        far_g, far_comp, far_pow = far
-        words_f = {g: _WordCache(fields, near_pow(g)) for g in gammas}
-        words_g = [_WordCache(fields, s) for s in near_g]
+        near_emb, near_comp, _ = near
+        far_emb, _, far_pow = far
+        words = _identity_words(fields, near_emb, far_emb, Mp.graph(side),
+                                h.mp) if first in families else None
         words_comp = {jp: {g: _WordCache(fields, s)
                            for g, s in near_comp[jp].items()}
                       for jp in range(h.dp)} if second in families else None
@@ -353,18 +371,11 @@ def reflection_identities(h: FormalCRMap, M=None, Mp=None, beta_max=1,
             room = N - sum(beta)
             for jp in range(h.dp):
                 if first in families:
-                    res = words_g[jp].get(beta)
-                    for g in gammas:
-                        piece = far_comp[jp].get(g)
-                        if piece is None:
-                            continue
-                        res = res - mul_precise(
-                            words_f[g].get(beta), piece).truncated(room)
                     report.add(first, jp, beta,
-                               M.restrict(res.truncated(room), side))
+                               M.restrict(words[jp].get(beta), side))
                 if second in families:
                     if sum(beta) == 0:
-                        res = far_g[jp].truncated(room)
+                        res = far_emb[h.mp + jp].truncated(room)
                     else:
                         res = TruncatedSeries.zero(ctxj, room)
                     for g, cache in words_comp[jp].items():
@@ -851,36 +862,15 @@ def resolve_finitely_nondeg(h: FormalCRMap, M=None, Mp=None,
     """
     M = M or h.M
     Mp = Mp or h.Mp
-    N = h.order
     if not verify_formal_cr_map(h, M, Mp).ok:
         raise ReflectionError("the map is not CR to the working order")
     jets = JetSymbols("ujb", h.np, M.names.tau, ell0,
                       _jet_constants(h.hbar, ell0))
     ctx_ext = VariableContext(M.ctx_joint.names + jets.names + Mp.names.t)
-    _, Lbar = cr_fields(M)
-    lifted = [extend_derivation_to_jets(D, [jets], ctx_ext, N) for D in Lbar]
-
-    base_u = [jets.jet_series(i, zero_exponent(M.n), ctx_ext, N)
-              for i in range(h.np)]
-    fpow = _power_cache(base_u[:h.mp], N)
-    table, _ = target_component_tables(Mp)
-    gammas = sorted({g for tab in table for g in tab},
-                    key=lambda g: (sum(g), g))
-    caches_f = {g: _WordCache(lifted, fpow(g)) for g in gammas}
-    caches_g = [_WordCache(lifted, base_u[h.mp + j]) for j in range(h.dp)]
-    theta_emb = [{g: s.remapped(ctx_ext) for g, s in table[j].items()}
-                 for j in range(h.dp)]
-
-    rows = []
-    keys = []
-    for beta in multidegrees(M.m, ell0):
-        room = N - sum(beta)
-        for j in range(h.dp):
-            R = caches_g[j].get(beta).truncated(room)
-            for g, s in theta_emb[j].items():
-                R = R - mul_precise(caches_f[g].get(beta), s).truncated(room)
-            rows.append(R)
-            keys.append((j, beta))
+    u = [jets.jet_series(i, zero_exponent(M.n), ctx_ext, h.order)
+         for i in range(h.np)]
+    table = _identity_table(h, M, Mp, u, [jets], ell0)
+    keys, rows = list(table), list(table.values())
     for R in rows:
         if R.constant_term():
             raise ReflectionError("resolution system does not vanish at 0")

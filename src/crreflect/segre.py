@@ -32,12 +32,24 @@ def origin_point(M: GraphedManifold, context: VariableContext, order=None):
     return [zero] * (2 * M.n)
 
 
-def check_on_manifold(M: GraphedManifold, p):
-    """Exact membership check: xi components equal theta(zeta, t)."""
+def _xi_defect(M: GraphedManifold, p):
+    """Valuation of the worst xi - theta(zeta, t) residual at the point p,
+    each known to the lesser of the two orders; None when exact."""
     point = dict(zip(M.ctx_joint.names, p))
+    worst = None
     for name, expected in zip(M.names.xi, M.solve("xi", point)):
-        if expected != point[name].truncated(expected.order):
-            raise ManifoldError("flow base point is off the manifold")
+        res = expected - point[name]  # at the lesser of the two orders
+        if res:
+            v = res.valuation()
+            worst = v if worst is None else min(worst, v)
+    return worst
+
+
+def check_on_manifold(M: GraphedManifold, p):
+    """Exact membership check: xi components equal theta(zeta, t) to the
+    order both are known to."""
+    if _xi_defect(M, p) is not None:
+        raise ManifoldError("flow base point is off the manifold")
 
 
 def flow(M: GraphedManifold, field: str, p, time):
@@ -89,15 +101,7 @@ class SegreChain:
 
     def on_manifold_defect(self):
         """Valuation of the worst xi - theta residual; None when exact."""
-        point = dict(zip(self.M.ctx_joint.names, self.components.components))
-        worst = None
-        for name, expected in zip(self.M.names.xi,
-                                  self.M.solve("xi", point)):
-            res = expected - point[name].truncated(self.order)
-            if res:
-                v = res.valuation()
-                worst = v if worst is None else min(worst, v)
-        return worst
+        return _xi_defect(self.M, self.components.components)
 
     def restricted_to_shorter(self, k2: int) -> "SegreChain":
         """Set the trailing time blocks to zero: the length-k2 prefix chain."""

@@ -8,6 +8,7 @@ import pytest
 from crreflect.context import VariableContext, multidegrees
 from crreflect.gaussian import GaussianRational, I
 from crreflect.manifold import RealDefiningSystem, complexify_and_graph
+from crreflect.reflection import FormalCRMap
 from crreflect.series import SeriesMap, TruncatedSeries
 
 
@@ -143,6 +144,25 @@ def random_minimal_manifold(seed, order=6):
     system = RealDefiningSystem.symmetrize(n, d, SeriesMap(comps))
     return complexify_and_graph(system)
 
+
+
+def seeded_maps(order=5):
+    """(label, map) on seeded random manifolds of dims (1,1), (2,1), (1,2):
+    the identity onto the primed copy, a CR map, and the identity plus
+    seeded terms of degree 2..3, which is not CR."""
+    out = []
+    for seed, (m, d) in zip((11, 12, 13), ((1, 1), (2, 1), (1, 2))):
+        system = random_real_system(seed, m, d, order)
+        M = complexify_and_graph(system)
+        Mp = complexify_and_graph(system, primed=True)
+        ident = SeriesMap.identity(VariableContext(M.names.t), order)
+        rng = random.Random(seed)
+        bent = SeriesMap([c + random_series(c.context, order, rng, degree=3,
+                                            min_degree=2, density=0.3)
+                          for c in ident.components])
+        out.append(("%d%d-cr" % (m, d), FormalCRMap(ident, M, Mp)))
+        out.append(("%d%d-non-cr" % (m, d), FormalCRMap(bent, M, Mp)))
+    return out
 
 ACCEPTANCE_LINES = {}
 

@@ -3,8 +3,8 @@
 import pytest
 
 from conftest import (make_ex121, make_flat, make_heisenberg, make_sphere3,
-                      make_z2zb2)
-from crreflect.context import VariableContext
+                      make_z2zb2, seeded_maps)
+from crreflect.context import VariableContext, multidegrees
 from crreflect.gaussian import ZERO
 from crreflect.manifold import cr_fields
 from crreflect.nondegen import (FAILS, HOLDS, INCONCLUSIVE,
@@ -14,8 +14,9 @@ from crreflect.nondegen import (FAILS, HOLDS, INCONCLUSIVE,
                                 ideal_contains_power_of_maximal,
                                 psi_and_h_conditions, psi_table)
 from crreflect.reflection import (FormalCRMap, ReflectionError, _WordCache,
-                                  _power_cache, verify_formal_cr_map)
-from crreflect.series import SeriesMap, TruncatedSeries
+                                  _power_cache, target_component_tables,
+                                  verify_formal_cr_map)
+from crreflect.series import SeriesMap, TruncatedSeries, mul_precise
 
 
 def tvar(ctx, name, order=8):
@@ -212,20 +213,77 @@ def test_degenerate_direction_fails_h2():
     assert cls.ell0 is None
 
 
+def _dilation(M, Mp, order=8):
+    """The CR dilation (2z, 4w) of a hypersurface w = conj(w) + i<z, z>."""
+    ctx_t = VariableContext(M.names.t)
+    comps = [tvar(ctx_t, n, order) for n in M.names.t]
+    return FormalCRMap(SeriesMap([2 * c for c in comps[:-1]]
+                                 + [4 * comps[-1]]), M, Mp)
+
+
 def test_psi_vanishes_on_graph_of_cr_map():
-    # Psi'_{j',beta}(t, tau, h(t)) restricted to the manifold is zero
-    M = make_heisenberg()
-    Mp = make_heisenberg(primed=True)
-    h = identity_on(M, Mp)
-    table = psi_table(h, beta_max=2)
+    # Psi'_{j',beta}(t, tau, h(t)) restricted to the manifold is zero, for
+    # the identity and dilations
+    heis, heis_p = make_heisenberg(), make_heisenberg(primed=True)
+    sph, sph_p = make_sphere3(order=6), make_sphere3(order=6, primed=True)
+    for h in (identity_on(heis, heis_p), _dilation(heis, heis_p),
+              _dilation(sph, sph_p, 6)):
+        table = psi_table(h, beta_max=2)
+        assert all(v.is_zero() for v in _psi_on_graph(h, table))
+
+
+def _psi_on_graph(h, table):
+    """Each entry of a Psi' table at t' = h(t), restricted to side xi."""
+    M = h.M
+    ctxj = M.ctx_joint
+    args = [TruncatedSeries.variable(ctxj, M.order, n)
+            for n in ctxj.names] + [c.remapped(ctxj) for c in h.h.components]
+    return [M.restrict(series.compose([a.truncated(series.order)
+                                       for a in args]), "xi")
+            for series in table.values()]
+
+
+def _psi_table_reference(h, beta_max):
+    """`psi_table` as a gamma'-sum: Lbar^beta gbar minus Lbar^beta[fbar^gamma']
+    times Theta'_{j',gamma'}(t'), multiplied valuation-aware."""
+    M, Mp = h.M, h.Mp
     ctxj = M.ctx_joint
     ctx_psi = VariableContext(ctxj.names + Mp.names.t)
-    h_emb = [c.remapped(ctxj) for c in h.h.components]
-    for (jp, beta), series in table.items():
-        args = [TruncatedSeries.variable(ctxj, M.order, n)
-                for n in ctxj.names] + h_emb
-        value = series.compose([a.truncated(series.order) for a in args])
-        assert M.restrict(value, "xi").is_zero()
+    _, Lbar = cr_fields(M)
+    fbar_emb = [c.remapped(ctxj) for c in h.fbar.components]
+    gbar_emb = [c.remapped(ctxj) for c in h.gbar.components]
+    fpow = _power_cache(fbar_emb, h.order)
+    table, _ = target_component_tables(Mp)
+    gammas = sorted({g for tab in table for g in tab},
+                    key=lambda g: (sum(g), g))
+    caches_f = {g: _WordCache(Lbar, fpow(g)) for g in gammas}
+    caches_g = [_WordCache(Lbar, s) for s in gbar_emb]
+    out = {}
+    for beta in multidegrees(M.m, beta_max):
+        room = h.order - sum(beta)
+        for jp in range(h.dp):
+            psi = caches_g[jp].get(beta).remapped(ctx_psi).truncated(room)
+            for g, s in table[jp].items():
+                term = mul_precise(caches_f[g].get(beta).remapped(ctx_psi),
+                                   s.remapped(ctx_psi))
+                psi = psi - term.truncated(room)
+            out[(jp, tuple(beta))] = psi
+    return out
+
+
+SEEDED_MAPS = seeded_maps()
+
+
+@pytest.mark.parametrize("label, h", SEEDED_MAPS,
+                         ids=[c[0] for c in SEEDED_MAPS])
+def test_psi_table_matches_reference(label, h):
+    for beta_max in (0, 1, 2):
+        got = psi_table(h, beta_max=beta_max)
+        want = _psi_table_reference(h, beta_max)
+        # series equality compares the context and the order too
+        assert list(got.items()) == list(want.items())
+    cr = not label.endswith("non-cr")
+    assert cr == all(v.is_zero() for v in _psi_on_graph(h, got))
 
 
 def test_lbar_powers_match_expansion_coefficients():

@@ -3,6 +3,7 @@ independent oracle: sympy's Gaussian-rational polynomial ring (`QQ_I`),
 expand first, truncate after, sympy's `Matrix`, and `DomainMatrix` over
 the rational function field `QQ_I(x0, x1)`."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from crreflect.linalg import random_rational_point, symbolic_rank
 from crreflect.reflection import _independent_rows
 from crreflect.series import (SeriesMap, TruncatedSeries,
                               divide_with_valuation, formal_ift,
-                              invert_matrix, mul_precise)
+                              invert_matrix, jet, mul_precise)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -345,6 +346,23 @@ def test_mul_precise_matches_oracle(case):
 @given(st.integers(0, 3).flatmap(
     lambda n: st.tuples(term_dicts(n, 3), term_dicts(n, 3, min_size=1),
                         term_dicts(n, 3, max_size=3), st.booleans())))
+# (x0 - x1)(x0 + x1): the two x0*x1 products cancel, and the reduction adds
+# x0*x1 back and cancels it together with x1^2
+@example(({(1, 0): gr(1), (0, 1): gr(-1)}, {(1, 0): gr(1), (0, 1): gr(1)},
+          {}, True))
+@example(({(1, 0): gr(1), (0, 1): gr(-1)}, {(1, 0): gr(1), (0, 1): gr(1)},
+          {(0, 1): gr(1, 1)}, False))
+# the first step cancels x^2 of the remainder and the second adds it back
+@example(({(0,): gr(2), (1,): gr(-1), (2,): gr(1)},
+          {(0,): gr(2), (1,): gr(2), (2,): gr(1)}, {}, True))
+# besides its lead, the first step cancels x0^2*x1^2 and x0^2*x1: the
+# first pops stale, the second is added back by the next step
+@example(({(1, 1): gr(2), (1, 0): gr(2), (0, 1): gr(2)},
+          {(1, 1): gr(-1), (2, 0): gr(1), (1, 0): gr(1)}, {}, True))
+# x^3, absent from the product, is added, cancelled and added again by
+# three steps; x^4 is cancelled, added back and then popped stale
+@example(({(0,): gr(2), (1,): gr(-2), (2,): gr(2), (3,): gr(1)},
+          {(0,): gr(2), (1,): gr(-1), (2,): gr(-1), (3,): gr(-1)}, {}, True))
 def test_divexact_matches_oracle(case):
     f, g, extra, exact = case
     arity = len(next(iter(g)))
@@ -364,6 +382,12 @@ def test_divexact_matches_oracle(case):
 def test_divexact_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
         kernels.divexact({(1,): gr(1)}, {})
+
+
+def test_divexact_names_the_leftover_lead():
+    # x0^2 + x1 over x0: x0 goes in, x1 is left and x0 does not divide it
+    with pytest.raises(ArithmeticError, match=r"remainder at \(0, 1\)"):
+        kernels.divexact({(2, 0): gr(1), (0, 1): gr(1)}, {(1, 0): gr(1)})
 
 
 # -- divide_with_valuation and formal_ift ------------------------------------
@@ -458,6 +482,44 @@ def test_formal_ift_matches_oracle(case):
     for t in eqs:
         # F(x, u(x)) == 0 mod degree order + 1
         assert not from_sympy(to_sympy(R, t).compose(subs), order)
+
+
+@st.composite
+def jet_cases(draw):
+    """(arity, order, ell, components as term dicts of degree <= order)."""
+    n = draw(st.integers(1, 3))
+    order = draw(st.integers(0, 5))
+    ell = draw(st.integers(0, order))
+    comps = [{e: c for e, c in draw(term_dicts(n, order, max_size=6)).items()
+              if sum(e) <= order}
+             for _ in range(draw(st.integers(1, 2)))]
+    return n, order, ell, comps
+
+
+@SETTINGS
+@given(jet_cases())
+# exponents at the order, and a term whose derivative lands past order - ell
+@example((2, 3, 2, [{(3, 0): gr(1, -2), (1, 2): gr("1/3")},
+                    {(0, 1): gr(5), (2, 1): gr(0, "7/2")}]))
+def test_jet_matches_oracle(case):
+    n, order, ell, comps = case
+    ctx = _context(n)
+    got = jet(SeriesMap([TruncatedSeries(ctx, order, t) for t in comps]), ell)
+    R, *gens = ring(["x%d" % i for i in range(n)], QQ_I)
+    # every partial of order <= ell, by total degree and then lex
+    alphas = sorted((a for a in itertools.product(range(ell + 1), repeat=n)
+                     if sum(a) <= ell), key=lambda a: (sum(a), a))
+    assert len(got) == len(comps) * len(alphas)
+    want = []
+    for t in comps:
+        for alpha in alphas:
+            D = to_sympy(R, t)
+            for x, k in zip(gens, alpha):
+                for _ in range(k):
+                    D = D.diff(x)
+            want.append(from_sympy(D, order - ell))
+    assert all(c.order == order - ell and c.context == ctx for c in got)
+    assert [c.terms for c in got] == want
 
 
 # -- echelon and the code built on it ---------------------------------------

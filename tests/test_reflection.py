@@ -7,15 +7,18 @@ import random
 import pytest
 
 from conftest import (make_ex121, make_flat, make_heisenberg, make_sphere3,
-                      random_minimal_manifold, random_series)
+                      random_minimal_manifold, random_series, seeded_maps)
+from crreflect import reflection
 from crreflect.context import VariableContext, multidegrees, zero_exponent
 from crreflect.gaussian import GaussianRational, I, ONE, gr
-from crreflect.manifold import GraphedManifold, cr_fields
+from crreflect.manifold import (GraphedManifold, JetSymbols, cr_fields,
+                                extend_derivation_to_jets)
 from crreflect.nondegen import (degenerate_selfmap_generator,
                                 holomorphic_degeneracy_field)
 from crreflect.reflection import (FormalCRMap, ReflectionComponents,
                                   ReflectionError, ResidualReport,
                                   _WordCache, _compose_components,
+                                  _jet_constants,
                                   _power_cache, chain_pullback,
                                   composed_jet_table,
                                   forward_expansion, formal_cramer_solve,
@@ -394,6 +397,75 @@ def test_resolution_needs_rank():
     h = hmap(Ms, Mp, [z1, z2, w])
     with pytest.raises(ReflectionError):
         resolve_finitely_nondeg(h, ell0=1)
+
+
+def _resolution_rows_reference(h, ell0):
+    """The resolution rows and their keys as a gamma'-sum: Lbar^beta u_g
+    minus Lbar^beta[u_f^gamma'] times Theta'_{j',gamma'}(t'), multiplied
+    valuation-aware."""
+    M, Mp, N = h.M, h.Mp, h.order
+    jets = JetSymbols("ujb", h.np, M.names.tau, ell0,
+                      _jet_constants(h.hbar, ell0))
+    ctx_ext = VariableContext(M.ctx_joint.names + jets.names + Mp.names.t)
+    _, Lbar = cr_fields(M)
+    lifted = [extend_derivation_to_jets(D, [jets], ctx_ext, N) for D in Lbar]
+    base_u = [jets.jet_series(i, zero_exponent(M.n), ctx_ext, N)
+              for i in range(h.np)]
+    fpow = _power_cache(base_u[:h.mp], N)
+    table, _ = target_component_tables(Mp)
+    gammas = sorted({g for tab in table for g in tab},
+                    key=lambda g: (sum(g), g))
+    caches_f = {g: _WordCache(lifted, fpow(g)) for g in gammas}
+    caches_g = [_WordCache(lifted, base_u[h.mp + j]) for j in range(h.dp)]
+    theta_emb = [{g: s.remapped(ctx_ext) for g, s in table[j].items()}
+                 for j in range(h.dp)]
+    rows = []
+    keys = []
+    for beta in multidegrees(M.m, ell0):
+        room = N - sum(beta)
+        for j in range(h.dp):
+            R = caches_g[j].get(beta).truncated(room)
+            for g, s in theta_emb[j].items():
+                R = R - mul_precise(caches_f[g].get(beta), s).truncated(room)
+            rows.append(R)
+            keys.append((j, beta))
+    return rows, keys
+
+
+def _row_maps():
+    M, Mp = heis_pair(order=7)
+    z, w = (tvar(VariableContext(M.names.t), n, 7) for n in M.names.t)
+    S, Sp = make_sphere3(order=6), make_sphere3(order=6, primed=True)
+    return seeded_maps() + [
+        ("heisenberg-dilation", hmap(M, Mp, [2 * z, 4 * w])),
+        ("sphere3-identity", identity_on(S, Sp))]
+
+
+ROW_MAPS = _row_maps()
+
+
+@pytest.mark.parametrize("label, h", ROW_MAPS, ids=[c[0] for c in ROW_MAPS])
+def test_resolution_rows_match_reference(monkeypatch, label, h):
+    # record the rows `resolve_finitely_nondeg` builds; a map that is not
+    # CR is let through the CR check so that its rows are built as well
+    tables = []
+    build = reflection._identity_table
+    monkeypatch.setattr(reflection, "_identity_table",
+                        lambda *a: tables.append(build(*a)) or tables[-1])
+    monkeypatch.setattr(reflection, "verify_formal_cr_map",
+                        lambda *a: ResidualReport())
+    for ell0 in (1, 2):
+        try:
+            resolve_finitely_nondeg(h, ell0=ell0)
+        except (ReflectionError, AssertionError) as exc:
+            # the identity of a (2,1) or (1,2) manifold resolves at ell0 = 2
+            assert label.endswith("non-cr") or (
+                ell0 == 1 and "rank hypothesis" in str(exc))
+        rows, keys = _resolution_rows_reference(h, ell0)
+        table = tables.pop()
+        assert list(table) == keys
+        # series equality compares the context and the order too
+        assert list(table.values()) == rows
 
 
 # -- transport ------------------------------------------------------------------------

@@ -51,6 +51,29 @@ def test_flow_rejects_offmanifold_points():
         flow(M, "L", bad, [TruncatedSeries.zero(ctx, M.order)])
 
 
+def test_check_on_manifold_compares_to_the_lesser_order():
+    # the two-flow point (z2, i z1 z2, z1, 0) on Heisenberg at order 8
+    M = make_heisenberg()
+    ctx = VariableContext(chain_time_names(1, 2))
+    z1 = TruncatedSeries.variable(ctx, M.order, "z1_1")
+    z2 = TruncatedSeries.variable(ctx, M.order, "z2_1")
+    p = flow(M, "L", flow(M, "Lbar", origin_point(M, ctx), [z1]), [z2])
+    xi = M.ctx_joint.index(M.names.xi[0])
+    z = M.ctx_joint.index(M.names.z[0])
+    for idx in (xi, z):
+        low = list(p)
+        low[idx] = low[idx].truncated(6)
+        check_on_manifold(M, low)
+        assert segre._xi_defect(M, low) is None
+        flow(M, "Lbar", low, [z2])
+    for order in (M.order, 6):
+        off = list(p)
+        off[xi] = (off[xi] + z1 * z2 * z2).truncated(order)
+        assert segre._xi_defect(M, off) == 3
+        with pytest.raises(ManifoldError):
+            check_on_manifold(M, off)
+
+
 def test_flow_rejects_bad_fields_and_times():
     M = make_flat(order=4, m=2, d=1)
     ctx = VariableContext(chain_time_names(2, 1))
