@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 
@@ -27,6 +28,18 @@ def _detect_context(text: str) -> VariableContext:
     if not names:
         names = ["z1", "w1", "zeta1", "xi1"]
     return VariableContext(names)
+
+
+def _unwritable(path: str):
+    """Why `path` cannot be written as a report, or None if it can."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        return "is a directory"
+    if not os.path.isdir(folder):
+        return "no such directory %r" % folder
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        return "permission denied"
+    return None
 
 
 def main(argv=None) -> int:
@@ -66,6 +79,10 @@ def main(argv=None) -> int:
         print(series)
         return 0
 
+    problem = _unwritable(args.out)
+    if problem:
+        print("error: --out %s: %s" % (args.out, problem), file=sys.stderr)
+        return 2
     try:
         manifest = Manifest.load(args.manifest, order=args.order,
                                  seed=args.seed)

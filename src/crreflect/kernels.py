@@ -14,8 +14,9 @@ both use it without an import cycle.
   applied to a term dict in one pass.
 * `divexact`: exact division of term dicts by graded-lex reduction, the
   remainder's keys kept in a heap.
-* `echelon`: Gauss-Jordan elimination of a constant matrix, the one
-  elimination behind every rank, kernel, inverse and span test.
+* `echelon`: Gauss-Jordan elimination of a constant matrix given as sparse
+  {column: coefficient} rows, the one elimination behind every rank,
+  kernel, inverse and span test.
 
 `mul_terms` never multiplies `GaussianRational` objects.  It takes one of
 two paths:
@@ -408,34 +409,33 @@ def divexact(f: dict, g: dict) -> dict:
 
 
 def echelon(rows):
-    """Reduced row echelon form of a GaussianRational matrix (Gauss-Jordan).
+    """Reduced row echelon form of a sparse GaussianRational matrix.
 
-    Returns (pivots, reduced): `reduced[i]` is the i-th nonzero row of the
-    RREF and `pivots[i]` the column of its leading 1, so len(pivots) is the
-    rank.  The first nonzero entry of each column is the pivot, and the
-    elimination stops once every row holds one.  The input is not modified.
+    Each row is a {column: coefficient} dict over sortable column keys;
+    zero entries are dropped.  Returns (pivots, reduced): `pivots` lists
+    the pivot columns in ascending order, so len(pivots) is the rank, and
+    `reduced[i]` is the RREF row with its leading 1 in column `pivots[i]`,
+    as a dict of its nonzero entries.
+
+    Rows enter one at a time: each is reduced by the pivot rows so far, its
+    leading entry is normalised to 1, and that column is cleared from the
+    earlier pivot rows.  The RREF is unique, so the row order does not
+    change the result.  The input is not modified.
     """
-    a = [list(r) for r in rows]
-    if not a:
-        return [], []
-    nrows, ncols = len(a), len(a[0])
-    pivots = []
-    for col in range(ncols):
-        rank = len(pivots)
-        piv = next((r for r in range(rank, nrows) if a[r][col]), None)
-        if piv is None:
+    basis = {}
+    for row in rows:
+        r = {c: x for c, x in row.items() if x}
+        for p in [p for p in r if p in basis]:
+            iadd_scaled(r, basis[p], -r[p])
+        if not r:
             continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = a[rank][col].inverse()
-        prow = a[rank] = [x * inv if x else x for x in a[rank]]
-        nonzero = [(j, prow[j]) for j in range(col, ncols) if prow[j]]
-        for r in range(nrows):
-            row = a[r]
-            f = row[col]
-            if r != rank and f:
-                for j, y in nonzero:
-                    row[j] = row[j] - f * y
-        pivots.append(col)
-        if len(pivots) == nrows:
-            break
-    return pivots, a[:len(pivots)]
+        lead = min(r)
+        inv = r[lead].inverse()
+        r = {c: x * inv for c, x in r.items()}
+        for b in basis.values():
+            f = b.get(lead)
+            if f is not None:
+                iadd_scaled(b, r, -f)
+        basis[lead] = r
+    pivots = sorted(basis)
+    return pivots, [basis[p] for p in pivots]

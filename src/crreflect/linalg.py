@@ -2,7 +2,9 @@
 
 Two rank notions live here.  On constant matrices, `numeric_rank` and
 `kernel_basis` read the rank and the right kernel off `kernels.echelon`,
-the package's one Gauss-Jordan elimination.  `symbolic_rank` computes the
+the package's one Gauss-Jordan elimination, which takes sparse rows:
+`numeric_rank` converts a dense matrix once, and `kernel_basis` takes the
+coefficient column of each unknown.  `symbolic_rank` computes the
 rank of a matrix of (truncated) polynomial entries over the fraction field
 of the polynomial ring, via fraction-free Bareiss elimination with the
 exact division `kernels.divexact`, checked against the rank at a seeded
@@ -20,8 +22,8 @@ from .series import SeriesMap
 
 
 def numeric_rank(matrix) -> int:
-    """Rank of a matrix of GaussianRational entries."""
-    return len(echelon(matrix)[0])
+    """Rank of a dense matrix of GaussianRational entries."""
+    return len(echelon([dict(enumerate(row)) for row in matrix])[0])
 
 
 def rank_at_origin(F: SeriesMap) -> int:
@@ -127,20 +129,23 @@ def generic_rank(F: SeriesMap, seed: int = 0) -> int:
     return symbolic_rank(F.jacobian(), seed=seed)
 
 
-def kernel_basis(matrix):
-    """Basis of the right kernel of a GaussianRational matrix.
+def kernel_basis(columns):
+    """Basis of the kernel of a sparse linear system over Q(i).
 
-    Returns a list of vectors (lists); empty list for a trivial kernel.
+    `columns[j]` maps each equation key to the coefficient of unknown j in
+    that equation.  Returns dense vectors (lists, one entry per unknown);
+    an empty list for a trivial kernel.
     """
-    if not matrix:
-        return []
-    ncols = len(matrix[0])
-    pivots, reduced = echelon(matrix)
+    rows: dict = {}
+    for j, column in enumerate(columns):
+        for key, c in column.items():
+            rows.setdefault(key, {})[j] = c
+    pivots, reduced = echelon(rows.values())
     basis = []
-    for fc in sorted(set(range(ncols)) - set(pivots)):
-        v = [ZERO] * ncols
+    for fc in sorted(set(range(len(columns))) - set(pivots)):
+        v = [ZERO] * len(columns)
         v[fc] = ONE
         for row, pc in zip(reduced, pivots):
-            v[pc] = -row[fc]
+            v[pc] = -row.get(fc, ZERO)
         basis.append(v)
     return basis

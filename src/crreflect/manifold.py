@@ -356,7 +356,7 @@ def complexify_and_graph(system: RealDefiningSystem, split=None,
     n, d = system.n, system.d
     jac = system.t_jacobian_at_zero()
     if split is None:
-        split = echelon(jac)[0]
+        split = echelon([dict(enumerate(row)) for row in jac])[0]
         if len(split) < d:
             raise ManifoldError(
                 "manifold is not generic: rank d rho/d t(0) = %d < %d"

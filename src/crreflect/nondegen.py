@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from .context import VariableContext, multidegrees
-from .gaussian import GaussianRational, ZERO
+from .gaussian import GaussianRational
 from .kernels import echelon
 from .linalg import (generic_rank, kernel_basis, rank_at_origin,
                      symbolic_rank)
@@ -106,25 +106,19 @@ def ideal_contains_power_of_maximal(generators, dmax: int):
         rows = []
         for g in gens:
             v = g.valuation()
-            if v is None or v > D:
+            if v > D:
                 continue
             for mult in multidegrees(arity, D - v):
-                vec = [ZERO] * len(monos)
-                any_entry = False
+                row = {}
                 for e, c in g.terms.items():
                     shifted = tuple(a + b for a, b in zip(e, mult))
                     if sum(shifted) <= D:
-                        vec[index[shifted]] = c
-                        any_entry = True
-                if any_entry:
-                    rows.append(vec)
-        if not rows:
-            continue
+                        row[index[shifted]] = c
+                rows.append(row)
         # x^e lies in the span iff column e is a pivot whose reduced row
         # is the unit vector.
         pivots, reduced = echelon(rows)
-        units = {col for col, row in zip(pivots, reduced)
-                 if sum(map(bool, row)) == 1}
+        units = {col for col, row in zip(pivots, reduced) if len(row) == 1}
         if all(index[e] in units for e in monos if sum(e) == D):
             return D
     return None
@@ -144,18 +138,12 @@ def holomorphic_degeneracy_field(Mp: GraphedManifold, dmax: int = 4):
     partials = [[Mp.theta[j].derive(i) for i in t_idx] for j in range(Mp.d)]
     alphas = list(multidegrees(Mp.n, dmax))
     unknowns = [(i, a) for i in range(Mp.n) for a in alphas]
-    rows = {}
-    for j in range(Mp.d):
-        for col, (i, a) in enumerate(unknowns):
-            mono = TruncatedSeries.monomial(
-                ctx, N - 1, (0,) * Mp.m + tuple(a))
-            prod = partials[j][i] * mono
-            for e, c in prod.terms.items():
-                rows.setdefault((j, e), [ZERO] * len(unknowns))[col] = c
-    matrix = [rows[k] for k in sorted(rows)]
-    if not matrix:
-        return None
-    basis = kernel_basis(matrix)
+    columns = []
+    for i, a in unknowns:
+        mono = TruncatedSeries.monomial(ctx, N - 1, (0,) * Mp.m + tuple(a))
+        columns.append({(j, e): c for j in range(Mp.d)
+                        for e, c in (partials[j][i] * mono).terms.items()})
+    basis = kernel_basis(columns)
     if not basis:
         return None
     ctx_tp = VariableContext(Mp.names.t)
@@ -261,15 +249,13 @@ class MapClassification:
         return "MapClassification(%s)" % ", ".join(parts)
 
 
-def classify_map_cr(h: FormalCRMap, M=None, Mp=None, dmax: int = 4,
+def classify_map_cr(h: FormalCRMap, dmax: int = 4,
                     seed: int = 0) -> MapClassification:
     """The CR-horizontal ladder cr1..cr5 of a verified formal CR map."""
-    M = M or h.M
-    Mp = Mp or h.Mp
-    if not verify_formal_cr_map(h, M, Mp).ok:
+    if not verify_formal_cr_map(h).ok:
         raise ReflectionError("map is not CR to the working order")
     horiz = h.horizontal_part()
-    m, mp = M.m, h.mp
+    m, mp = h.M.m, h.mp
     r0 = rank_at_origin(horiz)
 
     cr1 = Verdict(HOLDS if (mp == m and r0 == m) else FAILS, bound=1)
@@ -282,7 +268,7 @@ def classify_map_cr(h: FormalCRMap, M=None, Mp=None, dmax: int = 4,
         cr3 = Verdict(FAILS, bound=dmax)
     rg = generic_rank(horiz, seed=seed)
     cr4 = Verdict(HOLDS if (mp <= m and rg == mp) else FAILS, bound=h.order)
-    relations = transversality_kernel(h, M, degree=dmax)
+    relations = transversality_kernel(h, degree=dmax)
     if relations:
         cr5 = Verdict(FAILS, bound=dmax, witness=relations)
     else:
@@ -293,26 +279,24 @@ def classify_map_cr(h: FormalCRMap, M=None, Mp=None, dmax: int = 4,
     return cls
 
 
-def psi_table(h: FormalCRMap, M=None, Mp=None, beta_max: int = 1) -> dict:
+def psi_table(h: FormalCRMap, beta_max: int = 1) -> dict:
     """(j', beta) -> Psi'_{j',beta}(t, tau, t'), the reflection-identity
     kernel series: Lbar^beta of gbar_{j'} - Theta'_{j'}(fbar, t'), which is
     Lbar^beta gbar_{j'} minus the gamma'-sum of Lbar^beta[fbar^gamma'] times
     Theta'_{j',gamma'}(t')."""
-    M = M or h.M
-    Mp = Mp or h.Mp
+    M, Mp = h.M, h.Mp
     ctx_psi = VariableContext(M.ctx_joint.names + Mp.names.t)
     hbar = [c.remapped(ctx_psi) for c in h.hbar.components]
     return _identity_table(h, M, Mp, hbar, [], beta_max)
 
 
-def psi_and_h_conditions(h: FormalCRMap, M=None, Mp=None, kmax: int = 2,
+def psi_and_h_conditions(h: FormalCRMap, kmax: int = 2,
                          seed: int = 0) -> MapClassification:
     """Classification of the map through its reflection-identity data."""
-    M = M or h.M
-    Mp = Mp or h.Mp
+    M, Mp = h.M, h.Mp
     if kmax > h.order:
         raise SeriesError("kmax exceeds the truncation order")
-    table = psi_table(h, M, Mp, beta_max=kmax)
+    table = psi_table(h, beta_max=kmax)
     ctxj = M.ctx_joint
     ctx_psi = VariableContext(ctxj.names + Mp.names.t)
     ctx_tp = VariableContext(Mp.names.t)

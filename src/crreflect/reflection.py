@@ -17,7 +17,7 @@ from __future__ import annotations
 from math import comb
 
 from .context import VariableContext, multidegrees, zero_exponent
-from .gaussian import ONE, ZERO, MINUS_ONE
+from .gaussian import ONE, MINUS_ONE
 from .kernels import echelon
 from .linalg import kernel_basis, numeric_rank
 from .manifold import (GraphedManifold, JetSymbols, cr_fields,
@@ -138,15 +138,14 @@ class ResidualReport:
             len(self.entries), bad)
 
 
-def verify_formal_cr_map(h: FormalCRMap, M=None, Mp=None) -> ResidualReport:
+def verify_formal_cr_map(h: FormalCRMap) -> ResidualReport:
     """The beta = 0 reflection identities, in substituted form.
 
     Residuals g(z, theta_bar(z,tau)) - theta_bar'(f(...), hbar(tau)) and the
     coefficient-conjugate family; both must vanish mod degree order+1 for h
     to be a formal CR map.
     """
-    M = M or h.M
-    Mp = Mp or h.Mp
+    M, Mp = h.M, h.Mp
     report = ResidualReport()
     # Family 3 puts h on the manifold by w := theta_bar and checks its
     # w'-part against the target's graph of w' at (f, hbar); family 1 is
@@ -236,13 +235,12 @@ def target_component_tables(Mp: GraphedManifold):
     return table, table_bar
 
 
-def reflection_components(h: FormalCRMap, Mp=None, gmax=None) -> ReflectionComponents:
+def reflection_components(h: FormalCRMap, gmax=None) -> ReflectionComponents:
     """Each Theta'_{j',gamma'}(h(t)) as an exact truncated series."""
-    Mp = Mp or h.Mp
     gmax = h.order if gmax is None else gmax
     if gmax > h.order:
         raise ReflectionError("gmax exceeds the truncation order")
-    table, _ = target_component_tables(Mp)
+    table, _ = target_component_tables(h.Mp)
     return ReflectionComponents(h, gmax, _compose_components(
         h, gmax, (((jp, gamma), s) for jp in range(h.dp)
                   for gamma, s in table[jp].items())))
@@ -318,7 +316,7 @@ def _identity_table(h, M, Mp, near, blocks, beta_max):
             for beta in multidegrees(M.m, beta_max) for jp in range(h.dp)}
 
 
-def reflection_identities(h: FormalCRMap, M=None, Mp=None, beta_max=1,
+def reflection_identities(h: FormalCRMap, beta_max=1,
                           families=(1, 2, 3, 4)) -> ResidualReport:
     """Residuals of the four reflection-identity families up to |beta| <=
     beta_max, including the undifferentiated beta = 0 lines.
@@ -327,8 +325,7 @@ def reflection_identities(h: FormalCRMap, M=None, Mp=None, beta_max=1,
     families 3/4 in the conjugate (z, tau) chart.  For a formal CR map all
     residuals vanish within precision.
     """
-    M = M or h.M
-    Mp = Mp or h.Mp
+    M, Mp = h.M, h.Mp
     N = h.order
     ctxj = M.ctx_joint
     L, Lbar = cr_fields(M)
@@ -461,15 +458,14 @@ class CramerTable:
         return bad
 
 
-def q_jbeta_cramer(h: FormalCRMap, M=None, Mp=None, beta_max=1) -> CramerTable:
+def q_jbeta_cramer(h: FormalCRMap, beta_max=1) -> CramerTable:
     """Iterated Cramer solving of the differentiated fundamental identity.
 
     Requires h invertible; the m x m determinant of the first derivatives of
     the composed fbar must be a unit (its vanishing at 0 would contradict
     invertibility and is reported as an inconsistency).
     """
-    M = M or h.M
-    Mp = Mp or h.Mp
+    M, Mp = h.M, h.Mp
     if not h.is_invertible():
         raise ReflectionError("Cramer identities need an invertible map")
     m = M.m
@@ -619,8 +615,7 @@ def formal_cramer_solve(coeffs, rhs):
 # -- transversality -----------------------------------------------------------
 
 
-def transversality_kernel(h: FormalCRMap, M=None, degree: int = 4,
-                          nwork=None):
+def transversality_kernel(h: FormalCRMap, degree: int = 4, nwork=None):
     """Candidate polynomial relations on the conjugate horizontal part.
 
     Returns a basis (possibly empty) of polynomials Fbar' of degree <=
@@ -628,27 +623,13 @@ def transversality_kernel(h: FormalCRMap, M=None, degree: int = 4,
     degree nwork+1.  An empty basis means CR-transversality holds as far as
     these bounds can see.
     """
-    M = M or h.M
     nwork = h.order if nwork is None else nwork
     if nwork > h.order:
         raise ReflectionError("nwork exceeds the truncation order")
     horiz = [c.truncated(nwork) for c in h.horizontal_part_bar().components]
-    mp = h.mp
-    gammas = list(multidegrees(mp, degree))
+    gammas = list(multidegrees(h.mp, degree))
     power = _power_cache(horiz, nwork)
-    mono_index = {}
-    columns = []
-    for gamma in gammas:
-        vec = {}
-        for e, c in power(gamma).terms.items():
-            vec[e] = c
-            mono_index.setdefault(e, len(mono_index))
-        columns.append(vec)
-    matrix = [[col.get(e, ZERO) for col in columns]
-              for e, _ in sorted(mono_index.items(), key=lambda kv: kv[1])]
-    if not matrix:
-        matrix = [[ZERO] * len(columns)]
-    basis = kernel_basis(matrix)
+    basis = kernel_basis([power(g).terms for g in gammas])
     ctx_rel = VariableContext(h.Mp.names.zeta)
     out = []
     for vec in basis:
@@ -657,7 +638,7 @@ def transversality_kernel(h: FormalCRMap, M=None, degree: int = 4,
     return out
 
 
-def transversality_uniqueness_defect(h: FormalCRMap, M=None, degree: int = 2,
+def transversality_uniqueness_defect(h: FormalCRMap, degree: int = 2,
                                      nwork=None, beta_max=None,
                                      gamma_max=None):
     """The generalized graded uniqueness principle behind CR-transversality.
@@ -669,7 +650,7 @@ def transversality_uniqueness_defect(h: FormalCRMap, M=None, degree: int = 2,
     Returns the kernel dimension: 0 means the only family is zero, which is
     what transversality forces.
     """
-    M = M or h.M
+    M = h.M
     nwork = h.order if nwork is None else nwork
     beta_max = nwork if beta_max is None else beta_max
     gamma_max = degree if gamma_max is None else gamma_max
@@ -682,9 +663,7 @@ def transversality_uniqueness_defect(h: FormalCRMap, M=None, degree: int = 2,
 
     ctx_z = VariableContext(M.names.z)
     rel_monos = list(multidegrees(M.m, degree))
-    column = {u: k for k, u in enumerate(
-        (g, mono) for g in gammas for mono in rel_monos)}
-    rows = {}
+    columns = {(g, mono): {} for g in gammas for mono in rel_monos}
     for beta in multidegrees(M.m, beta_max):
         room = nwork - sum(beta)
         if room < 0:
@@ -693,13 +672,9 @@ def transversality_uniqueness_defect(h: FormalCRMap, M=None, degree: int = 2,
             w = M.restrict(caches[g].get(beta), "leaf").truncated(room)
             for mono in rel_monos:
                 shifted = w * TruncatedSeries.monomial(ctx_z, room, mono)
-                col = column[(g, mono)]
-                for e, c in shifted.terms.items():
-                    rows.setdefault((beta, e), [ZERO] * len(column))[col] = c
-    matrix = [rows[k] for k in sorted(rows)]
-    if not matrix:
-        return 0
-    return len(kernel_basis(matrix))
+                columns[(g, mono)].update(
+                    ((beta, e), c) for e, c in shifted.terms.items())
+    return len(kernel_basis(list(columns.values())))
 
 
 # -- chain pullbacks ----------------------------------------------------------
@@ -851,8 +826,7 @@ class Resolution:
         return report
 
 
-def resolve_finitely_nondeg(h: FormalCRMap, M=None, Mp=None,
-                            ell0: int = 1) -> Resolution:
+def resolve_finitely_nondeg(h: FormalCRMap, ell0: int = 1) -> Resolution:
     """Solve h(t) from the reflection identities of order <= ell0.
 
     Requires the rank-n' hypothesis on the differentiated system at 0 (the
@@ -860,9 +834,8 @@ def resolve_finitely_nondeg(h: FormalCRMap, M=None, Mp=None,
     phi is produced by the formal implicit function theorem on n' selected
     rows and verified against h before being returned.
     """
-    M = M or h.M
-    Mp = Mp or h.Mp
-    if not verify_formal_cr_map(h, M, Mp).ok:
+    M, Mp = h.M, h.Mp
+    if not verify_formal_cr_map(h).ok:
         raise ReflectionError("the map is not CR to the working order")
     jets = JetSymbols("ujb", h.np, M.names.tau, ell0,
                       _jet_constants(h.hbar, ell0))
@@ -895,7 +868,7 @@ def resolve_finitely_nondeg(h: FormalCRMap, M=None, Mp=None,
 def _independent_rows(matrix, need):
     """Indices of the first `need` rows, chosen greedily, each independent
     of those before it; None if the rank is below `need`."""
-    pivots, _ = echelon(list(zip(*matrix)))
+    pivots, _ = echelon([dict(enumerate(col)) for col in zip(*matrix)])
     return pivots[:need] if len(pivots) >= need else None
 
 

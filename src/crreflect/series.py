@@ -16,7 +16,7 @@ from math import factorial
 
 from .context import (VariableContext, multidegrees, unit_exponent,
                       zero_exponent)
-from .gaussian import GaussianRational, ONE, ZERO, _coerce
+from .gaussian import GaussianRational, MINUS_ONE, ONE, ZERO, _coerce
 from .kernels import (compose_terms, divexact, echelon, iadd_scaled,
                       mul_terms)
 
@@ -154,14 +154,19 @@ class TruncatedSeries:
             raise SeriesError("context mismatch: %r vs %r"
                               % (self.context, other.context))
 
-    def __add__(self, other):
+    def _plus(self, other, coeff):
+        """self + coeff * other in one pass, at the lesser order."""
         if not isinstance(other, TruncatedSeries):
-            return self + TruncatedSeries.constant(self.context, self.order, other)
+            other = TruncatedSeries.constant(self.context, self.order, other)
         self._check_compatible(other)
         order = min(self.order, other.order)
         out = {e: c for e, c in self.terms.items() if sum(e) <= order}
-        iadd_scaled(out, {e: c for e, c in other.terms.items() if sum(e) <= order}, ONE)
+        iadd_scaled(out, {e: c for e, c in other.terms.items() if sum(e) <= order},
+                    coeff)
         return TruncatedSeries._make(self.context, order, out)
+
+    def __add__(self, other):
+        return self._plus(other, ONE)
 
     __radd__ = __add__
 
@@ -170,12 +175,11 @@ class TruncatedSeries:
                                      {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return self - TruncatedSeries.constant(self.context, self.order, other)
-        return self + (-other)
+        return self._plus(other, MINUS_ONE)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return TruncatedSeries.constant(self.context, self.order,
+                                        other)._plus(self, MINUS_ONE)
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -350,15 +354,10 @@ class TruncatedSeries:
 
     def invert_unit(self) -> "TruncatedSeries":
         """Multiplicative inverse of a series with nonzero constant term."""
-        c0 = self.constant_term()
-        if not c0:
+        if not self.constant_term():
             raise SeriesError("cannot invert: zero constant term")
-        inv0 = c0.inverse()
-        u = (self * inv0) - ONE
-        acc = TruncatedSeries.constant(self.context, self.order, ONE)
-        for _ in range(self.order):
-            acc = ONE - (u * acc)
-        return acc * inv0
+        one = TruncatedSeries.constant(self.context, self.order, ONE)
+        return divide_with_valuation(one, self)[0]
 
     def __rtruediv__(self, other):
         return self.invert_unit() * other
@@ -674,11 +673,11 @@ def invert_matrix(m):
     ZeroDivisionError if it is singular."""
     n = len(m)
     pivots, reduced = echelon(
-        [[_coeff(x) for x in row] + [ONE if i == j else ZERO for j in range(n)]
+        [{**dict(enumerate(map(_coeff, row))), n + i: ONE}
          for i, row in enumerate(m)])
     if pivots != list(range(n)):
         raise ZeroDivisionError("singular matrix")
-    return [row[n:] for row in reduced]
+    return [[row.get(n + j, ZERO) for j in range(n)] for row in reduced]
 
 
 def factorial_multi(alpha) -> int:

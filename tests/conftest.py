@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from crreflect.context import VariableContext, multidegrees
-from crreflect.gaussian import GaussianRational, I
+from crreflect.gaussian import ONE, ZERO, GaussianRational, I
 from crreflect.manifold import RealDefiningSystem, complexify_and_graph
 from crreflect.reflection import FormalCRMap
 from crreflect.series import SeriesMap, TruncatedSeries
@@ -65,6 +65,19 @@ def make_z2zb2(order=8, primed=False):
     system = RealDefiningSystem(
         2, 1, SeriesMap([t2 - s2 - I * t1 * t1 * s1 * s1]))
     return complexify_and_graph(system, primed=primed)
+
+
+def quadric_pair(order=8):
+    """w1 = conj(w1) + i z conj(z),  w2 = conj(w2) + i z^2 conj(z)^2."""
+    ctx = VariableContext(("t1", "t2", "t3", "tau1", "tau2", "tau3"))
+    v = {n: TruncatedSeries.variable(ctx, order, n) for n in ctx.names}
+    rho = SeriesMap([
+        v["t2"] - v["tau2"] - I * v["t1"] * v["tau1"],
+        v["t3"] - v["tau3"] - I * v["t1"] ** 2 * v["tau1"] ** 2,
+    ])
+    M = complexify_and_graph(RealDefiningSystem(3, 2, rho))
+    Mp = complexify_and_graph(RealDefiningSystem(3, 2, rho), primed=True)
+    return M, Mp
 
 
 def random_coeff(rng, small=False):
@@ -163,6 +176,51 @@ def seeded_maps(order=5):
         out.append(("%d%d-cr" % (m, d), FormalCRMap(ident, M, Mp)))
         out.append(("%d%d-non-cr" % (m, d), FormalCRMap(bent, M, Mp)))
     return out
+
+def echelon_reference(rows):
+    """Dense Gauss-Jordan elimination, the layout `kernels.echelon` had
+    before it took sparse rows: (pivots, reduced) with list rows."""
+    a = [list(r) for r in rows]
+    if not a:
+        return [], []
+    nrows, ncols = len(a), len(a[0])
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, nrows) if a[r][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        inv = a[rank][col].inverse()
+        prow = a[rank] = [x * inv if x else x for x in a[rank]]
+        nonzero = [(j, prow[j]) for j in range(col, ncols) if prow[j]]
+        for r in range(nrows):
+            row = a[r]
+            f = row[col]
+            if r != rank and f:
+                for j, y in nonzero:
+                    row[j] = row[j] - f * y
+        pivots.append(col)
+        if len(pivots) == nrows:
+            break
+    return pivots, a[:len(pivots)]
+
+
+def kernel_basis_reference(matrix):
+    """Right kernel of a dense matrix, read off `echelon_reference`."""
+    if not matrix:
+        return []
+    ncols = len(matrix[0])
+    pivots, reduced = echelon_reference(matrix)
+    basis = []
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        v = [ZERO] * ncols
+        v[fc] = ONE
+        for row, pc in zip(reduced, pivots):
+            v[pc] = -row[fc]
+        basis.append(v)
+    return basis
+
 
 ACCEPTANCE_LINES = {}
 

@@ -1,9 +1,8 @@
 """Cross-module workout at codimension 2 (two graphed equations)."""
 
+from conftest import quadric_pair
 from crreflect.context import VariableContext
-from crreflect.gaussian import I
-from crreflect.manifold import (RealDefiningSystem, complexify_and_graph,
-                                verify_reality)
+from crreflect.manifold import verify_reality
 from crreflect.nondegen import HOLDS, classify_manifold, psi_and_h_conditions
 from crreflect.reflection import (FormalCRMap, q_jbeta_cramer,
                                   reflection_components,
@@ -11,20 +10,7 @@ from crreflect.reflection import (FormalCRMap, q_jbeta_cramer,
                                   resolve_finitely_nondeg,
                                   verify_formal_cr_map)
 from crreflect.segre import minimality
-from crreflect.series import SeriesMap, TruncatedSeries
-
-
-def quadric_pair(order=8):
-    """w1 = conj(w1) + i z conj(z),  w2 = conj(w2) + i z^2 conj(z)^2."""
-    ctx = VariableContext(("t1", "t2", "t3", "tau1", "tau2", "tau3"))
-    v = {n: TruncatedSeries.variable(ctx, order, n) for n in ctx.names}
-    rho = SeriesMap([
-        v["t2"] - v["tau2"] - I * v["t1"] * v["tau1"],
-        v["t3"] - v["tau3"] - I * v["t1"] ** 2 * v["tau1"] ** 2,
-    ])
-    M = complexify_and_graph(RealDefiningSystem(3, 2, rho))
-    Mp = complexify_and_graph(RealDefiningSystem(3, 2, rho), primed=True)
-    return M, Mp
+from crreflect.series import SeriesMap
 
 
 def test_codim2_graph_and_reality():

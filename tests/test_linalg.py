@@ -158,9 +158,9 @@ def test_symbolic_rank_keeps_the_witness_check(monkeypatch):
 
 
 def test_kernel_basis():
-    m = [[ONE, ONE, ZERO], [ZERO, ZERO, ONE]]
-    basis = kernel_basis(m)
+    # equations x0 + x1 = 0 and x2 = 0, one coefficient column per unknown
+    basis = kernel_basis([{"a": ONE}, {"a": ONE}, {"b": ONE}])
     assert len(basis) == 1
     v = basis[0]
     assert v[0] + v[1] == ZERO and v[2] == ZERO
-    assert kernel_basis([[ONE, ZERO], [ZERO, ONE]]) == []
+    assert kernel_basis([{"a": ONE}, {"b": ONE}]) == []

@@ -2,8 +2,9 @@
 
 import pytest
 
-from conftest import (make_ex121, make_flat, make_heisenberg, make_sphere3,
-                      make_z2zb2, seeded_maps)
+from conftest import (echelon_reference, kernel_basis_reference, make_ex121,
+                      make_flat, make_heisenberg, make_sphere3, make_z2zb2,
+                      quadric_pair, seeded_maps)
 from crreflect.context import VariableContext, multidegrees
 from crreflect.gaussian import ZERO
 from crreflect.manifold import cr_fields
@@ -16,6 +17,7 @@ from crreflect.nondegen import (FAILS, HOLDS, INCONCLUSIVE,
 from crreflect.reflection import (FormalCRMap, ReflectionError, _WordCache,
                                   _power_cache, target_component_tables,
                                   verify_formal_cr_map)
+from crreflect.segre import segre_jet_map
 from crreflect.series import SeriesMap, TruncatedSeries, mul_precise
 
 
@@ -346,3 +348,108 @@ def test_nontangent_field_rejected():
                      TruncatedSeries.zero(ctx_tp, 8)])
     with pytest.raises(ReflectionError):
         degenerate_selfmap_generator(Mp, bad, TruncatedSeries.zero(ctx_tp, 8))
+
+
+# -- the sparse systems against the dense builders they replaced ---------------
+
+
+def _ideal_contains_power_of_maximal_reference(generators, dmax):
+    """One padded row per shifted generator, eliminated densely."""
+    gens = [g - g.constant_term() for g in generators]
+    gens = [g for g in gens if g]
+    if not gens:
+        return None
+    arity = gens[0].context.arity
+    for D in range(1, dmax + 1):
+        monos = list(multidegrees(arity, D))
+        index = {e: i for i, e in enumerate(monos)}
+        rows = []
+        for g in gens:
+            v = g.valuation()
+            if v is None or v > D:
+                continue
+            for mult in multidegrees(arity, D - v):
+                vec = [ZERO] * len(monos)
+                any_entry = False
+                for e, c in g.terms.items():
+                    shifted = tuple(a + b for a, b in zip(e, mult))
+                    if sum(shifted) <= D:
+                        vec[index[shifted]] = c
+                        any_entry = True
+                if any_entry:
+                    rows.append(vec)
+        if not rows:
+            continue
+        pivots, reduced = echelon_reference(rows)
+        units = {col for col, row in zip(pivots, reduced)
+                 if sum(map(bool, row)) == 1}
+        if all(index[e] in units for e in monos if sum(e) == D):
+            return D
+    return None
+
+
+def _holomorphic_degeneracy_field_reference(Mp, dmax):
+    """One padded row per (j, exponent), a dense kernel."""
+    ctx = Mp.ctx_theta
+    N = Mp.order
+    t_idx = [ctx.index(n) for n in Mp.names.t]
+    partials = [[Mp.theta[j].derive(i) for i in t_idx] for j in range(Mp.d)]
+    alphas = list(multidegrees(Mp.n, dmax))
+    unknowns = [(i, a) for i in range(Mp.n) for a in alphas]
+    rows = {}
+    for j in range(Mp.d):
+        for col, (i, a) in enumerate(unknowns):
+            mono = TruncatedSeries.monomial(
+                ctx, N - 1, (0,) * Mp.m + tuple(a))
+            prod = partials[j][i] * mono
+            for e, c in prod.terms.items():
+                rows.setdefault((j, e), [ZERO] * len(unknowns))[col] = c
+    matrix = [rows[k] for k in sorted(rows)]
+    if not matrix:
+        return None
+    basis = kernel_basis_reference(matrix)
+    if not basis:
+        return None
+    ctx_tp = VariableContext(Mp.names.t)
+    comps = []
+    for i in range(Mp.n):
+        terms = {tuple(a): basis[0][col]
+                 for col, (ci, a) in enumerate(unknowns)
+                 if ci == i and basis[0][col]}
+        comps.append(TruncatedSeries(ctx_tp, N, terms))
+    return SeriesMap(comps)
+
+
+def _target_manifolds():
+    seeded = [h.Mp for label, h in SEEDED_MAPS if "non-cr" not in label]
+    return seeded + [make_heisenberg(primed=True), make_z2zb2(primed=True),
+                     make_ex121(), make_flat(primed=True),
+                     make_flat(m=1, d=2, primed=True), quadric_pair()[1]]
+
+
+@pytest.mark.parametrize("label, h", SEEDED_MAPS,
+                         ids=[c[0] for c in SEEDED_MAPS])
+def test_ideal_membership_matches_reference(label, h):
+    horiz = h.horizontal_part().components
+    for gens in (horiz, [g * g for g in horiz], horiz[:1]):
+        for dmax in (1, 2, 4):
+            assert (ideal_contains_power_of_maximal(gens, dmax)
+                    == _ideal_contains_power_of_maximal_reference(gens, dmax))
+
+
+def test_jet_map_ideals_match_reference():
+    for Mp in _target_manifolds():
+        for k in (1, 2):
+            gens = segre_jet_map(Mp, k).components.components
+            assert (ideal_contains_power_of_maximal(gens, 3)
+                    == _ideal_contains_power_of_maximal_reference(gens, 3))
+
+
+def test_degeneracy_field_matches_reference():
+    for Mp in _target_manifolds():
+        for dmax in (1, 2):
+            got = holomorphic_degeneracy_field(Mp, dmax)
+            want = _holomorphic_degeneracy_field_reference(Mp, dmax)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.components == want.components

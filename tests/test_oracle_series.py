@@ -22,7 +22,7 @@ from sympy.polys.rings import ring
 from crreflect import kernels
 from crreflect.context import VariableContext
 from crreflect.gaussian import ONE, ZERO, GaussianRational, gr
-from crreflect.linalg import random_rational_point, symbolic_rank
+from crreflect.linalg import kernel_basis, random_rational_point, symbolic_rank
 from crreflect.reflection import _independent_rows
 from crreflect.series import (SeriesMap, TruncatedSeries,
                               divide_with_valuation, formal_ift,
@@ -553,9 +553,30 @@ def from_matrix(M):
 @given(matrices())
 def test_echelon_matches_sympy_rref(rows):
     R, want_pivots = to_matrix(rows).rref()
-    pivots, reduced = kernels.echelon(rows)
+    pivots, reduced = kernels.echelon([dict(enumerate(r)) for r in rows])
     assert pivots == list(want_pivots)
-    assert reduced == from_matrix(R)[:len(pivots)]
+    assert reduced == [{j: x for j, x in enumerate(r) if x}
+                       for r in from_matrix(R)[:len(pivots)]]
+
+
+@SETTINGS
+@given(matrices().flatmap(lambda m: st.tuples(st.just(m), st.permutations(m))))
+def test_echelon_ignores_row_order(pair):
+    rows, shuffled = pair
+    assert (kernels.echelon([dict(enumerate(r)) for r in shuffled])
+            == kernels.echelon([dict(enumerate(r)) for r in rows]))
+
+
+@SETTINGS
+@given(matrices())
+def test_kernel_basis_matches_sympy_nullspace(rows):
+    columns = [{i: row[j] for i, row in enumerate(rows) if row[j]}
+               for j in range(len(rows[0]))]
+    dm = DomainMatrix([[QQ_I(QQ(c.a, c.c), QQ(c.b, c.c)) for c in row]
+                       for row in rows], (len(rows), len(rows[0])), QQ_I)
+    want = [[from_qq_i(x) for x in v]
+            for v in dm.nullspace(divide_last=True).to_list()]
+    assert kernel_basis(columns) == want
 
 
 @SETTINGS

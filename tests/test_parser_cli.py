@@ -359,6 +359,23 @@ def test_cli_unknown_analysis_exits_2_before_any_runs(tmp_path, capsys,
     assert captured.out == "" and not ran and not out.exists()
 
 
+@pytest.mark.parametrize("out", ["missing/r.json", "."])
+def test_cli_unwritable_out_exits_2_before_any_runs(tmp_path, capsys,
+                                                    monkeypatch, out):
+    ran = []
+    monkeypatch.setattr("crreflect.manifest.minimality",
+                        lambda *args, **kw: ran.append(args))
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(dict(
+        HEIS_MANIFEST, order=4, analyses=[{"name": "minimality", "kmax": 3}])))
+    target = tmp_path / out
+    assert main(["analyze", str(mpath), "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert "--out" in captured.err and "Traceback" not in captured.err
+    assert captured.out == "" and not ran
+    assert not (tmp_path / "missing").exists()
+
+
 @pytest.mark.parametrize("analysis, key", [
     ("chains", "ell0"),
     ("chains", "kmax"),

@@ -6,11 +6,12 @@ import random
 
 import pytest
 
-from conftest import (make_ex121, make_flat, make_heisenberg, make_sphere3,
-                      random_minimal_manifold, random_series, seeded_maps)
+from conftest import (kernel_basis_reference, make_ex121, make_flat,
+                      make_heisenberg, make_sphere3, random_minimal_manifold,
+                      random_series, seeded_maps)
 from crreflect import reflection
 from crreflect.context import VariableContext, multidegrees, zero_exponent
-from crreflect.gaussian import GaussianRational, I, ONE, gr
+from crreflect.gaussian import GaussianRational, I, ONE, ZERO, gr
 from crreflect.manifold import (GraphedManifold, JetSymbols, cr_fields,
                                 extend_derivation_to_jets)
 from crreflect.nondegen import (degenerate_selfmap_generator,
@@ -357,6 +358,83 @@ def test_transversality_uniqueness_principle():
     h = identity_on(M, Mp)
     assert transversality_uniqueness_defect(h, degree=2, beta_max=4,
                                             gamma_max=2) == 0
+
+
+def _transversality_kernel_reference(h, degree):
+    """The relation kernel from a matrix re-indexed by first appearance
+    of each monomial, eliminated densely."""
+    horiz = h.horizontal_part_bar().components
+    gammas = list(multidegrees(h.mp, degree))
+    power = _power_cache(horiz, h.order)
+    mono_index = {}
+    columns = []
+    for gamma in gammas:
+        vec = {}
+        for e, c in power(gamma).terms.items():
+            vec[e] = c
+            mono_index.setdefault(e, len(mono_index))
+        columns.append(vec)
+    matrix = [[col.get(e, ZERO) for col in columns]
+              for e, _ in sorted(mono_index.items(), key=lambda kv: kv[1])]
+    if not matrix:
+        matrix = [[ZERO] * len(columns)]
+    ctx_rel = VariableContext(h.Mp.names.zeta)
+    return [TruncatedSeries(ctx_rel, degree,
+                            {g: c for g, c in zip(gammas, vec) if c})
+            for vec in kernel_basis_reference(matrix)]
+
+
+def _transversality_uniqueness_defect_reference(h, degree, beta_max,
+                                                gamma_max):
+    """The kernel dimension from one padded row per (beta, exponent)."""
+    M = h.M
+    _, Lbar = cr_fields(M)
+    fbar_emb = [c.remapped(M.ctx_joint) for c in h.fbar.components]
+    power = _power_cache(fbar_emb, h.order)
+    gammas = list(multidegrees(h.mp, gamma_max))
+    caches = {g: _WordCache(Lbar, power(g)) for g in gammas}
+    ctx_z = VariableContext(M.names.z)
+    rel_monos = list(multidegrees(M.m, degree))
+    column = {u: k for k, u in enumerate(
+        (g, mono) for g in gammas for mono in rel_monos)}
+    rows = {}
+    for beta in multidegrees(M.m, beta_max):
+        room = h.order - sum(beta)
+        if room < 0:
+            continue
+        for g in gammas:
+            w = M.restrict(caches[g].get(beta), "leaf").truncated(room)
+            for mono in rel_monos:
+                shifted = w * TruncatedSeries.monomial(ctx_z, room, mono)
+                col = column[(g, mono)]
+                for e, c in shifted.terms.items():
+                    rows.setdefault((beta, e), [ZERO] * len(column))[col] = c
+    matrix = [rows[k] for k in sorted(rows)]
+    if not matrix:
+        return 0
+    return len(kernel_basis_reference(matrix))
+
+
+def _transversality_maps():
+    Ms, Mp = make_ex121(primed=False), make_ex121(primed=True)
+    z1, w = (tvar(VariableContext(Ms.names.t), n) for n in ("z1", "w1"))
+    return seeded_maps() + [("ex121-repeated", hmap(Ms, Mp, [z1, z1, w]))]
+
+
+TRANSVERSALITY_MAPS = _transversality_maps()
+
+
+@pytest.mark.parametrize("label, h", TRANSVERSALITY_MAPS,
+                         ids=[c[0] for c in TRANSVERSALITY_MAPS])
+def test_transversality_systems_match_reference(label, h):
+    for degree in (1, 2, 3):
+        assert (transversality_kernel(h, degree=degree)
+                == _transversality_kernel_reference(h, degree))
+    for degree, beta_max, gamma_max in ((0, 1, 1), (1, 2, 1), (2, 1, 2)):
+        assert (transversality_uniqueness_defect(
+                    h, degree=degree, beta_max=beta_max, gamma_max=gamma_max)
+                == _transversality_uniqueness_defect_reference(
+                    h, degree, beta_max, gamma_max))
 
 
 # -- resolution ----------------------------------------------------------------------
