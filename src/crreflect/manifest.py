@@ -82,7 +82,8 @@ def build_manifold(spec: dict, order: int, primed: bool) -> GraphedManifold:
 
 def _check_manifold_spec(spec, role: str) -> None:
     """Check the shape of a source or target spec: positive ints `m` and
-    `d`, and `split`, when given, as d distinct indices into t."""
+    `d`, `split`, when given, as d distinct indices into t, and at most
+    one of `rho` and `theta_bar`, as a list of d expression strings."""
     if not isinstance(spec, dict):
         raise ManifestError("%s manifold must be a JSON object" % role)
     for key in ("m", "d"):
@@ -99,6 +100,17 @@ def _check_manifold_spec(spec, role: str) -> None:
         raise ManifestError("%s manifold: 'split' must list %d distinct "
                             "indices in 0..%d, got %r"
                             % (role, d, n - 1, split))
+    if "rho" in spec and "theta_bar" in spec:
+        raise ManifestError("%s manifold: give 'rho' or 'theta_bar', not "
+                            "both" % role)
+    for key in ("rho", "theta_bar"):
+        texts = spec.get(key)
+        if key in spec and not (
+                isinstance(texts, list) and len(texts) == d
+                and all(isinstance(t, str) for t in texts)):
+            raise ManifestError("%s manifold: '%s' must be a list of %d "
+                                "expression strings, got %r"
+                                % (role, key, d, texts))
 
 
 def _int_field(data: dict, key: str, default: int) -> int:

@@ -270,10 +270,10 @@ class TruncatedSeries:
         most one term (variables, renamed or scaled monomials, zero) act on
         the exponents of `self` directly.  The terms of `self` are grouped
         by their exponents beta in the remaining ("moving") arguments u, and
-        `kernels.compose_terms` sums group_beta * u^beta in numerator form:
-        each moving argument is converted once, the powers and the sum stay
-        Gaussian-integer numerators over common denominators, and each
-        output term is normalized once.
+        `kernels.compose_terms` sums group_beta * u^beta in numerator form,
+        by Horner's rule over the moving arguments: each one is converted
+        once, the partial sums stay Gaussian-integer numerators over common
+        denominators, and each output term is normalized once.
         """
         if isinstance(args, SeriesMap):
             args = args.components

@@ -20,7 +20,7 @@ from sympy.polys.polyerrors import ExactQuotientFailed
 from sympy.polys.rings import ring
 
 from crreflect import kernels
-from crreflect.context import VariableContext
+from crreflect.context import VariableContext, multidegrees
 from crreflect.gaussian import ONE, ZERO, GaussianRational, gr
 from crreflect.linalg import kernel_basis, random_rational_point, symbolic_rank
 from crreflect.reflection import _independent_rows
@@ -225,11 +225,49 @@ def compose_cases(draw):
             a = TruncatedSeries.monomial(tgt, a_order, e, draw(coefficients()))
         elif kind == "zero":
             a = TruncatedSeries.zero(tgt, a_order)
-        else:
-            a = TruncatedSeries(tgt, a_order, draw(
-                term_dicts(m, a_order, 2, 5, min_degree=1)))
+        else:  # valuation 1 or 2
+            a = TruncatedSeries(tgt, a_order, draw(term_dicts(
+                m, max(a_order, 2), 2, 5,
+                min_degree=draw(st.integers(1, 2)))))
         args.append(a)
     return f, args
+
+
+@st.composite
+def recursion_cases(draw):
+    """(f, args) that reach the recursion of `compose_terms`: at least one
+    multi-term argument, each keeping two or more terms within the order
+    (valuation 1 or 2, sometimes with terms past the order), and a source
+    with at least two distinct nonzero exponents in the variables those
+    arguments replace.  The other arguments act on exponents directly."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 2))
+    order = draw(st.integers(3, 5))
+    src = VariableContext(["x%d" % i for i in range(n)])
+    tgt = VariableContext(["y%d" % i for i in range(m)])
+    moving = draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any))
+    args = []
+    for i in range(n):
+        a_order = draw(st.integers(order, order + 2))
+        if not moving[i]:
+            a = TruncatedSeries.variable(tgt, a_order,
+                                         draw(st.sampled_from(tgt.names)))
+            args.append(a * draw(coefficients()))
+            continue
+        v = draw(st.integers(1, 2))
+        within = [e for e in multidegrees(m, order) if sum(e) >= v]
+        terms = draw(st.dictionaries(st.sampled_from(within), coefficients(),
+                                     min_size=2, max_size=4))
+        terms.update(draw(term_dicts(m, a_order, 0, 2,
+                                     min_degree=order + 1)))
+        args.append(TruncatedSeries(tgt, a_order, terms))
+    picked = [i for i in range(n) if moving[i]]
+    exps = [e for e in multidegrees(n, order) if any(e[i] for i in picked)]
+    terms = draw(term_dicts(n, order, max_size=4))
+    terms.update(draw(st.dictionaries(
+        st.sampled_from(exps), coefficients(), min_size=2, max_size=6).filter(
+            lambda T: len({tuple(e[i] for i in picked) for e in T}) >= 2)))
+    return TruncatedSeries(src, order, terms), args
 
 
 def oracle_compose(f, args):
@@ -255,10 +293,13 @@ def _series(names, order, terms):
 _XY = (["x0", "x1"], ["y0", "y1"])
 _X3 = ["x0", "x1", "x2"]
 _Y12 = ["y%d" % i for i in range(12)]
+# A moving argument of four terms with mixed denominators.
+_U4 = _series(_XY[1], 5, {(1, 0): (1, 1), (0, 1): ("1/2",), (1, 1): (0, 3),
+                          (0, 3): ("2/5", -1)})
 
 
 @SETTINGS
-@given(compose_cases())
+@given(st.one_of(compose_cases(), recursion_cases()))
 @example((_series(_XY[0], 3, {(1, 1): (1,), (0, 2): (-1,), (1, 0): (2,)}),
           [TruncatedSeries.variable(VariableContext(["y0"]), 3, "y0"),
            TruncatedSeries.variable(VariableContext(["y0"]), 3, "y0")]))
@@ -290,6 +331,25 @@ _Y12 = ["y%d" % i for i in range(12)]
            _series(_Y12, 5, {(0,) * 11 + (1,): ("1/3",),
                              (0,) * 7 + (2,) + (0,) * 4: (0, 1)}),
            TruncatedSeries.variable(VariableContext(_Y12), 4, "y4")]))
+@example((_series(_XY[0], 5, {(0, 0): (1, 2), (0, 2): ("1/3",),
+                              (3, 0): (2, -1), (3, 1): ("1/2", 1)}),
+          [_U4, TruncatedSeries.variable(VariableContext(_XY[1]), 5, "y1")]))
+@example((_series(_X3, 4, {(0, 2, 0): (1,), (0, 1, 1): ("2/3", -1),
+                           (0, 0, 1): (1, 1), (0, 0, 2): (0, "1/5")}),
+          [_U4, _U4 * gr(0, 1),
+           _series(_XY[1], 4, {(1, 0): (1,), (0, 1): (2,)})]))
+@example((_series(_X3, 5, {(1, 1, 0): ("1/2",), (1, 0, 1): ("-1/2",),
+                           (0, 0, 0): (1,), (0, 0, 1): (3,)}),
+          [_U4, _U4, _U4]))
+@example((_series(["x0"], 6, {(0,): (1,), (1,): (2,), (2,): ("1/3", 1),
+                              (3,): (-1, 2)}),
+          [_series(_XY[1], 6, {(2, 0): (1,), (1, 1): ("1/2",),
+                               (0, 2): (0, 1), (3, 0): ("1/7",),
+                               (0, 4): (2,)})]))
+@example((_series(["x0"], 3, {(1,): (1,), (2,): ("1/2",), (3,): (1, 1)}),
+          [_series(_XY[1], 5, {(1, 0): (1,), (0, 1): (1,), (1, 1): (2,),
+                               (0, 2): (-1,), (4, 0): (1, 1),
+                               (0, 5): ("1/3",), (2, 3): (3,)})]))
 def test_compose_matches_oracle(case):
     # Explicit examples: (1) both variables renamed to y0, x0*x1 - x1^2
     # cancels; (2) the powers x0^2 and x1 of two multi-term arguments with
@@ -297,7 +357,13 @@ def test_compose_matches_oracle(case):
     # products over 180 and 42 share one denominator; (3) and (4)
     # exponents equal to the order fill every packed field; (5) a zero
     # argument of order 0 makes the result order 0; (6) a target context
-    # of 12 variables.
+    # of 12 variables.  The rest reach the edges of `compose_terms`'s
+    # Horner recursion: (7) groups only at exponents 0 and 3 of the first
+    # argument, so there are no parts at 1 and 2; (8) a first moving
+    # argument that no group uses; (9) with x1 and x2 both sent to u, the
+    # part at exponent 1 in x0 sums u/2 - u/2 to zero; (10) an argument
+    # of valuation 2, so the part at exponent b is cut to degree 6 - 2b;
+    # (11) an argument of order 5 with terms past the result order 3.
     f, args = case
     got = f.compose(args)
     order, terms = oracle_compose(f, args)

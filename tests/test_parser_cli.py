@@ -225,6 +225,11 @@ def test_string_bounds_are_stored_as_ints(analysis, key, value):
 
 
 HEIS_RHO = ["w1 - xi1 - i*z1*zeta1"]
+# `rho`/`theta_bar` fields that are not a list of d = 1 strings: each once
+# crashed `analyze` with a traceback, or (a bare string) parsed it one
+# character at a time.
+BAD_EXPRESSIONS = [{"theta_bar": [5]}, {"rho": [None]}, {"theta_bar": None},
+                   {"theta_bar": []}, {"theta_bar": "xi1"}]
 
 
 @pytest.mark.parametrize("source, needle", [
@@ -238,7 +243,11 @@ HEIS_RHO = ["w1 - xi1 - i*z1*zeta1"]
     ({"m": 0, "d": 1, "rho": HEIS_RHO}, "source manifold: 'm'"),
     ({"m": 1, "rho": HEIS_RHO}, "source manifold: 'd'"),
     ("heisenberg", "source manifold must be a JSON object"),
-])
+    # both fields: once `rho` won and `theta_bar` was never read
+    ({"m": 1, "d": 1, "rho": HEIS_RHO, "theta_bar": [5]},
+     "source manifold: give 'rho' or 'theta_bar', not both"),
+] + [(dict(spec, m=1, d=1), "source manifold: '%s' must be a list of 1 "
+      "expression strings" % next(iter(spec))) for spec in BAD_EXPRESSIONS])
 def test_cli_bad_manifold_spec_exits_2(tmp_path, capsys, source, needle):
     mpath = tmp_path / "m.json"
     mpath.write_text(json.dumps(dict(HEIS_MANIFEST, source=source)))
@@ -251,12 +260,16 @@ def test_cli_bad_manifold_spec_exits_2(tmp_path, capsys, source, needle):
 
 def test_cli_bad_target_is_named(tmp_path, capsys):
     mpath = tmp_path / "m.json"
-    mpath.write_text(json.dumps(dict(
-        HEIS_MANIFEST, target={"m": 1, "d": 1, "rho": ["w1 - xi1"],
-                               "split": [0]})))
-    assert main(["analyze", str(mpath), "--out",
-                 str(tmp_path / "r.json")]) == 2
-    assert "target manifold: " in capsys.readouterr().err
+    targets = [{"rho": ["w1 - xi1"], "split": [0]}] + BAD_EXPRESSIONS
+    for target in targets:
+        mpath.write_text(json.dumps(dict(
+            HEIS_MANIFEST, target=dict(target, m=1, d=1))))
+        assert main(["analyze", str(mpath), "--out",
+                     str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: target manifold: ")
+        if target in BAD_EXPRESSIONS:
+            assert "'%s' must be a list" % next(iter(target)) in err
 
 
 @pytest.mark.parametrize("map_spec, needle", [

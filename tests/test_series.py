@@ -5,11 +5,14 @@ from math import comb
 
 import pytest
 
-from conftest import random_minimal_manifold, random_real_system, random_series
+from conftest import (random_minimal_manifold, random_real_system,
+                      random_series, seeded_maps)
+from crreflect import series
 from crreflect.context import VariableContext, multidegrees, zero_exponent
 from crreflect.gaussian import I, ONE, gr
 from crreflect.kernels import iadd_scaled, mul_terms
 from crreflect.manifold import JetSymbols, complexify_and_graph, verify_reality
+from crreflect.reflection import reflection_identities, resolve_finitely_nondeg
 from crreflect.segre import chain
 from crreflect.series import (SeriesMap, TruncatedSeries, SeriesError,
                               divide_with_valuation, formal_ift, jet,
@@ -241,6 +244,29 @@ def test_compose_matches_reference_in_restrict(checked_compose, seed, m, d):
         got = M.restrict(f, side, extra)
         assert got.context == target and got.order == M.order - 1
     assert len(checked_compose) >= 4
+
+
+def test_compose_matches_reference_in_reflection(checked_compose,
+                                                 monkeypatch):
+    # The reflection identities make many-group compositions whose moving
+    # arguments have only 2 or 3 terms within the order, the shape on which
+    # Horner's partial sums gain least over the powers.
+    sizes = []
+    plain = series.compose_terms
+
+    def compose_terms(groups, args, arity, order):
+        for k, a in enumerate(args):
+            if any(beta[k] for beta in groups):
+                sizes.append(sum(sum(e) <= order for e in a))
+        return plain(groups, args, arity, order)
+
+    monkeypatch.setattr(series, "compose_terms", compose_terms)
+    maps = dict(seeded_maps())
+    assert reflection_identities(maps["11-cr"], beta_max=1).ok
+    assert not reflection_identities(maps["11-non-cr"], beta_max=1).ok
+    resolve_finitely_nondeg(maps["11-cr"], ell0=1)
+    assert any(2 <= size < 4 for size in sizes)
+    assert checked_compose
 
 
 # -- conjugation ---------------------------------------------------------------
