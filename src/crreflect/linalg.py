@@ -9,7 +9,11 @@ rank of a matrix of (truncated) polynomial entries over the fraction field
 of the polynomial ring, via fraction-free Bareiss elimination with the
 exact division `kernels.divexact`, checked against the rank at a seeded
 rational point (`symbolic_rank` states why that is a certified lower
-bound)."""
+bound).  Bareiss's last step, with one row left below the pivot, only
+asks whether that row vanishes; each of its entries is a numerator
+divided by the previous pivot, a nonzero polynomial, and the polynomials
+over Q(i) have no zero divisors, so the step tests the numerators and
+divides nothing."""
 
 from __future__ import annotations
 
@@ -43,16 +47,35 @@ def random_rational_point(arity: int, rng: random.Random):
     return pts
 
 
+def _cross(a: dict, b: dict, c: dict, d: dict) -> dict:
+    """a*b - c*d of term dicts, untruncated."""
+    term = mul_terms(a, b, -1)
+    if c:
+        iadd_scaled(term, mul_terms(c, d, -1), -ONE)
+    return term
+
+
 def bareiss_rank(entries) -> int:
     """Fraction-free elimination on a matrix of term dicts; exact rank.
 
     Intermediate entries stay genuine minors of the input (the two-step
     division is always exact), so growth is bounded by the size of the
-    actual minors.  The sparsest available pivot is chosen at each step and
-    the matrix is oriented with the short side as rows.
+    actual minors (Bareiss, Math. Comp. 22, 1968).  The sparsest available
+    pivot is chosen at each step and the matrix is oriented with the short
+    side as rows.
+
+    A step replaces each entry right of the pivot column in the rows below
+    by (pivot*m[r][c] - head*m[rank][c]) / prev, prev being the previous
+    pivot; the pivot column itself becomes zero there and is never read
+    again, so it is not formed.  When one row is left below the pivot,
+    the rank is the number of rows or one less, and only whether that row
+    vanishes decides which.  Since prev is a nonzero polynomial and the
+    polynomial ring is an integral domain, an entry of that row is zero
+    exactly when its numerator is.  So the last step forms the numerators
+    column by column, stops at the first nonzero one and divides nothing.
     """
     m = [[dict(e) for e in row] for row in entries]
-    if not m:
+    if not m or not m[0]:
         return 0
     if len(m) > len(m[0]):
         m = [[m[r][c] for r in range(len(m))] for c in range(len(m[0]))]
@@ -80,14 +103,21 @@ def bareiss_rank(entries) -> int:
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        pivot = m[rank][col]
+        top = m[rank]
+        pivot = top[col]
+        if rank + 2 == nrows:
+            last = m[rank + 1]
+            head = last[col]
+            if any(_cross(pivot, last[c], head, top[c])
+                   for c in range(col + 1, ncols)):
+                return nrows
+            return rank + 1
         for r in range(rank + 1, nrows):
-            head = m[r][col]
-            for c in range(col, ncols):
-                term = mul_terms(pivot, m[r][c], -1)
-                if head:
-                    iadd_scaled(term, mul_terms(head, m[rank][c], -1), -ONE)
-                m[r][c] = divexact(term, prev) if term else {}
+            row = m[r]
+            head = row[col]
+            for c in range(col + 1, ncols):
+                term = _cross(pivot, row[c], head, top[c])
+                row[c] = divexact(term, prev) if term else {}
         prev = pivot
         rank += 1
         if rank == nrows:

@@ -12,11 +12,12 @@ in place, so values can be shared freely across threads and memo tables.
 
 from __future__ import annotations
 
-from math import factorial
+from math import factorial, lcm
 
 from .context import (VariableContext, multidegrees, unit_exponent,
                       zero_exponent)
-from .gaussian import GaussianRational, MINUS_ONE, ONE, ZERO, _coerce
+from .gaussian import (GaussianRational, MINUS_ONE, ONE, ZERO, _coerce,
+                       _norm)
 from .kernels import (compose_terms, divexact, echelon, iadd_scaled,
                       mul_terms)
 
@@ -363,27 +364,46 @@ class TruncatedSeries:
         return self.invert_unit() * other
 
     def evaluate(self, point):
-        """Exact value of the stored polynomial at a rational point."""
+        """Exact value of the stored polynomial at a point of Q(i)^n.
+
+        `point` is a sequence of coordinates, or a dict keyed by variable
+        name; entries are anything a coefficient can be.  One pass over the
+        terms in Gaussian integers: with p_i = (a_i + b_i*i)/c_i and t_i
+        the top exponent of variable i, the numerator of p_i^k scaled to
+        the denominator c_i^t_i is cached for every k <= t_i, each
+        coefficient is put over the lcm L of the coefficient denominators,
+        and each term adds the product of its numerators to one running sum
+        over L * prod_i c_i^t_i.  The sum is normalized once at the end.
+        """
         if isinstance(point, dict):
             point = [point[n] for n in self.context.names]
         point = [_coeff(p) for p in point]
-        cache = [{0: ONE} for _ in point]
-
-        def pw(i, k):
-            got = cache[i].get(k)
-            if got is None:
-                got = pw(i, k - 1) * point[i]
-                cache[i][k] = got
-            return got
-
-        total = ZERO
-        for e, c in self.terms.items():
-            v = c
-            for i, k in enumerate(e):
-                if k:
-                    v = v * pw(i, k)
-            total = total + v
-        return total
+        terms = self.terms
+        if not terms:
+            return ZERO
+        den = lcm(*[c.c for c in terms.values()])
+        total_den = den
+        powers = []
+        for i, top in enumerate(map(max, zip(*terms))):
+            if top:
+                a, b, c = point[i].a, point[i].b, point[i].c
+                x, y = c ** top, 0
+                row = [(x, y)]
+                for _ in range(top):
+                    x, y = (x * a - y * b) // c, (x * b + y * a) // c
+                    row.append((x, y))
+                powers.append((i, row))
+                total_den *= row[0][0]
+        re = im = 0
+        for e, c in terms.items():
+            scale = den // c.c
+            x, y = c.a * scale, c.b * scale
+            for i, row in powers:
+                u, v = row[e[i]]
+                x, y = x * u - y * v, x * v + y * u
+            re += x
+            im += y
+        return GaussianRational._raw(*_norm(re, im, total_den))
 
     def coefficient_table(self, var_names):
         """Group terms by the exponents of `var_names`.

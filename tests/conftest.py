@@ -7,9 +7,10 @@ import pytest
 
 from crreflect.context import VariableContext, multidegrees
 from crreflect.gaussian import ONE, ZERO, GaussianRational, I
+from crreflect.kernels import divexact, iadd_scaled, mul_terms
 from crreflect.manifold import RealDefiningSystem, complexify_and_graph
 from crreflect.reflection import FormalCRMap
-from crreflect.series import SeriesMap, TruncatedSeries
+from crreflect.series import SeriesMap, TruncatedSeries, _coeff
 
 
 def make_heisenberg(order=8, primed=False):
@@ -220,6 +221,75 @@ def kernel_basis_reference(matrix):
             v[pc] = -row[fc]
         basis.append(v)
     return basis
+
+
+def _bareiss_rank_reference(entries):
+    """`linalg.bareiss_rank` as it was before its last step stopped
+    dividing: every row below every pivot is eliminated and divided by the
+    previous pivot, the last one included, and the loop reads the rank off
+    the pivots it finds.  Only the guard for empty rows is new; the old
+    code raised IndexError on [[]]."""
+    m = [[dict(e) for e in row] for row in entries]
+    if not m or not m[0]:
+        return 0
+    if len(m) > len(m[0]):
+        m = [[m[r][c] for r in range(len(m))] for c in range(len(m[0]))]
+    nrows, ncols = len(m), len(m[0])
+    arity = next((len(next(iter(e))) for row in m for e in row if e), None)
+    if arity is None:
+        return 0
+    prev = {(0,) * arity: ONE}
+    rank = 0
+    for col in range(ncols):
+        piv = None
+        best = None
+        for r in range(rank, nrows):
+            if m[r][col]:
+                size = len(m[r][col])
+                if best is None or size < best:
+                    best, piv = size, r
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        pivot = m[rank][col]
+        for r in range(rank + 1, nrows):
+            head = m[r][col]
+            for c in range(col, ncols):
+                term = mul_terms(pivot, m[r][c], -1)
+                if head:
+                    iadd_scaled(term, mul_terms(head, m[rank][c], -1), -ONE)
+                m[r][c] = divexact(term, prev) if term else {}
+        prev = pivot
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+def _evaluate_reference(series, point):
+    """`TruncatedSeries.evaluate` as it was before it ran in Gaussian
+    integers: one normalized GaussianRational product per variable of
+    each term, and one normalized sum per term."""
+    if isinstance(point, dict):
+        point = [point[n] for n in series.context.names]
+    point = [_coeff(p) for p in point]
+    cache = [{0: ONE} for _ in point]
+
+    def pw(i, k):
+        got = cache[i].get(k)
+        if got is None:
+            got = pw(i, k - 1) * point[i]
+            cache[i][k] = got
+        return got
+
+    total = ZERO
+    for e, c in series.terms.items():
+        v = c
+        for i, k in enumerate(e):
+            if k:
+                v = v * pw(i, k)
+        total = total + v
+    return total
 
 
 ACCEPTANCE_LINES = {}

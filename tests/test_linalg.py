@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import make_heisenberg, random_series
+from conftest import _bareiss_rank_reference, make_heisenberg, random_series
 from crreflect import linalg
 from crreflect.context import VariableContext
 from crreflect.gaussian import ONE, ZERO, gr
@@ -155,6 +155,44 @@ def test_symbolic_rank_keeps_the_witness_check(monkeypatch):
     monkeypatch.setattr(linalg, "bareiss_rank", lambda entries: 0)
     with pytest.raises(AssertionError, match="exceeds symbolic rank"):
         symbolic_rank([[x, y], [x * x, x * y]])
+
+
+def test_rank_of_empty_rows_is_zero():
+    for m in ([], [[]], [[], []]):
+        assert bareiss_rank(m) == 0
+        assert numeric_rank(m) == 0
+
+
+def _last_step_cases():
+    """(name, matrix, rank): each exit of Bareiss's last step, where one
+    row is left below the pivot and only its numerators are formed."""
+    ctx = VariableContext(("x", "y"))
+    x = TruncatedSeries.variable(ctx, 6, "x")
+    y = TruncatedSeries.variable(ctx, 6, "y")
+    one = TruncatedSeries.constant(ctx, 6, 1)
+    zero = TruncatedSeries.zero(ctx, 6)
+    return [
+        ("first numerator nonzero", [[x, y], [y, x]], 2),
+        ("first numerator zero, a later one not", [[x, y, one], [x, y, x]],
+         2),
+        ("every numerator zero", [[x, y, one], [x * x, x * y, x]], 1),
+        ("no column after the pivot", [[zero, x], [zero, y]], 1),
+        ("zero head, a later entry not", [[x, y, one], [zero, zero, y]], 2),
+        ("after one step, first numerator nonzero",
+         [[x, y, one], [y, x, one], [one, x, y]], 3),
+        ("after one step, every numerator zero",
+         [[x, y, one], [y, x, one], [x + y, x + y, 2 * one]], 2),
+        ("tall, after one step, first numerator zero, a later one not",
+         [[one, zero, zero], [zero, x, x], [zero, y, y], [zero, one, x]], 3),
+    ]
+
+
+@pytest.mark.parametrize("case", _last_step_cases(), ids=lambda c: c[0])
+def test_bareiss_last_step_exits(case):
+    _, m, expected = case
+    entries = [[e.terms for e in row] for row in m]
+    assert bareiss_rank(entries) == _bareiss_rank_reference(entries) \
+        == expected
 
 
 def test_kernel_basis():

@@ -1,7 +1,8 @@
 """The exact kernels, `compose` and the linear algebra against an
 independent oracle: sympy's Gaussian-rational polynomial ring (`QQ_I`),
 expand first, truncate after, sympy's `Matrix`, and `DomainMatrix` over
-the rational function field `QQ_I(x0, x1)`."""
+the rational function field `QQ_I(x0, x1)`.  Bareiss on matrices too large
+for sympy's rank is checked against its full-elimination reference."""
 
 import itertools
 import random
@@ -19,10 +20,12 @@ from sympy.polys.matrices import DomainMatrix
 from sympy.polys.polyerrors import ExactQuotientFailed
 from sympy.polys.rings import ring
 
+from conftest import _bareiss_rank_reference, _evaluate_reference
 from crreflect import kernels
 from crreflect.context import VariableContext, multidegrees
 from crreflect.gaussian import ONE, ZERO, GaussianRational, gr
-from crreflect.linalg import kernel_basis, random_rational_point, symbolic_rank
+from crreflect.linalg import (bareiss_rank, kernel_basis, random_rational_point,
+                              symbolic_rank)
 from crreflect.reflection import _independent_rows
 from crreflect.series import (SeriesMap, TruncatedSeries,
                               divide_with_valuation, formal_ift,
@@ -588,6 +591,38 @@ def test_jet_matches_oracle(case):
     assert [c.terms for c in got] == want
 
 
+# -- evaluate ---------------------------------------------------------------
+
+
+@st.composite
+def points(draw, arity):
+    """Complex coordinates with non-unit denominators, and sometimes 0."""
+    def part():
+        return Fraction(draw(st.integers(-30, 30).filter(bool)),
+                        draw(st.sampled_from(_DENS[1:])))
+    return [ZERO if draw(st.integers(0, 4)) == 0
+            else GaussianRational(part(), part()) for _ in range(arity)]
+
+
+@st.composite
+def evaluate_cases(draw):
+    arity = draw(st.integers(1, 4))
+    terms = draw(term_dicts(arity, 5, max_size=10))
+    return arity, terms, draw(points(arity))
+
+
+@SETTINGS
+@given(evaluate_cases())
+def test_evaluate_matches_oracle(case):
+    arity, terms, point = case
+    s = TruncatedSeries(VariableContext(["x%d" % i for i in range(arity)]),
+                        5 * arity, terms)
+    want = to_sympy(_ring(arity), s.terms)(
+        *[QQ_I(QQ(p.a, p.c), QQ(p.b, p.c)) for p in point])
+    got = s.evaluate(point)
+    assert got == from_qq_i(QQ_I.convert(want)) == _evaluate_reference(s, point)
+
+
 # -- echelon and the code built on it ---------------------------------------
 
 
@@ -727,3 +762,41 @@ def test_symbolic_rank_matches_oracle(case):
     want = DomainMatrix([[K.field(p) for p in row] for row in rows],
                         (len(rows), len(rows[0])), K).rank()
     assert symbolic_rank(matrix, seed=seed) == want
+
+
+@st.composite
+def planted_matrices(draw):
+    """1-4 x 1-5 matrices of term dicts in x0, x1, with planted dependence.
+
+    Each row after the first is a sum of the rows before it times drawn
+    polynomials on its first `cut` entries and free past them: free for
+    cut = 0, dependent for cut = ncols, and in between the 2 x 2 minors
+    with those rows vanish on the first columns only, which is when
+    Bareiss's last step finds a zero numerator before a nonzero one.  The
+    rows are then shuffled."""
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    entry = term_dicts(2, 2, max_size=3)
+    rows = []
+    for _ in range(nrows):
+        row = [draw(entry) for _ in range(ncols)]
+        cut = draw(st.sampled_from([0, ncols, *range(2, ncols)])) \
+            if rows else 0
+        if cut:
+            row[:cut] = [{} for _ in range(cut)]
+            for earlier in rows:
+                f = draw(entry)
+                for c in range(cut):
+                    kernels.iadd_scaled(
+                        row[c], kernels.mul_terms(f, earlier[c], -1), ONE)
+        rows.append(row)
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=80, deadline=None)
+@given(planted_matrices())
+def test_bareiss_rank_matches_reference(m):
+    # sympy's rank over QQ_I(x0, x1) is far slower than Bareiss on the
+    # larger of these matrices, so the check here is the full elimination
+    # of `_bareiss_rank_reference`; `test_symbolic_rank_matches_oracle`
+    # checks smaller matrices against sympy.
+    assert bareiss_rank(m) == _bareiss_rank_reference(m)

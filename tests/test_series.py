@@ -1,15 +1,16 @@
 """Series-core operations against their independent oracles."""
 
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
 
-from conftest import (random_minimal_manifold, random_real_system,
-                      random_series, seeded_maps)
+from conftest import (_evaluate_reference, random_minimal_manifold,
+                      random_real_system, random_series, seeded_maps)
 from crreflect import series
 from crreflect.context import VariableContext, multidegrees, zero_exponent
-from crreflect.gaussian import I, ONE, gr
+from crreflect.gaussian import I, ONE, ZERO, gr
 from crreflect.kernels import iadd_scaled, mul_terms
 from crreflect.manifold import JetSymbols, complexify_and_graph, verify_reality
 from crreflect.reflection import reflection_identities, resolve_finitely_nondeg
@@ -500,3 +501,28 @@ def test_evaluate_exact():
     val = f.evaluate([gr("1/2"), gr(2, 1)])
     # 3*(1/4)*(2+i) - i*(2+i) + 1 = (3/2+3/4 i) + (1-2i) + 1
     assert val == gr("7/2") + gr(0, "-5/4")
+
+
+def test_evaluate_edge_cases():
+    z, w = var(CTX2, "z"), var(CTX2, "w")
+    f = 3 * z * z * w - I * w + 1
+    point = [gr("1/2", "-2/3"), gr("-3/5", "1/7")]
+    cases = [
+        # the zero series
+        (TruncatedSeries.zero(CTX2, 4), point, ZERO),
+        # a constant
+        (TruncatedSeries.constant(CTX2, 4, gr("3/4", -2)), point,
+         gr("3/4", -2)),
+        # z occurs in no term, so its coordinate is never read
+        (2 * w * w - I * w, [gr("5/7", 11), gr(1, 1)], gr(1, 3)),
+        # a zero coordinate, as the mirrored multitimes of segre have
+        (f, [ZERO, gr(2, 1)], gr(2, -2)),
+        (f, [gr(2, 1), ZERO], ONE),
+        # a dict point, with a Fraction and an int among its coordinates
+        (f, {"w": gr(2, 1), "z": Fraction(1, 2)}, gr("7/2", "-5/4")),
+        (f, {"z": 0, "w": 1}, gr(1, -1)),
+    ]
+    for g, at, want in cases:
+        got = g.evaluate(at)
+        assert got == want == _evaluate_reference(g, at)
+        assert (got.a, got.b, got.c) == (want.a, want.b, want.c)
