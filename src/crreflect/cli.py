@@ -87,7 +87,7 @@ def main(argv=None) -> int:
         manifest = Manifest.load(args.manifest, order=args.order,
                                  seed=args.seed)
         report = run(manifest)
-    except (ManifestError, ParseError) as exc:
+    except ManifestError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except AnalysisFailure as exc:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import __version__
 from .context import VariableContext
-from .exprparse import parse_expression
+from .exprparse import ParseError, parse_expression
 from .gaussian import GaussianRational
 from .linalg import generic_rank
 from .manifold import (GraphedManifold, ManifoldError, Names,
@@ -36,25 +36,14 @@ class ManifestError(ValueError):
 def _role_aliases(m, d, primed):
     names = Names(m, d, primed)
     suffix = "p" if primed else ""
-    out = {}
-    for i in range(1, m + d + 1):
-        out["t%s%d" % (suffix, i)] = (names.z + names.w)[i - 1]
-        out["tau%s%d" % (suffix, i)] = (names.zeta + names.xi)[i - 1]
-    if primed:
-        # A primed build may reuse expressions written with unprimed names
-        # (a target defaulting to the source manifold).
-        plain = Names(m, d, False)
-        for a, b in zip(plain.t + plain.tau, names.t + names.tau):
-            out[a] = b
-        for i in range(1, m + d + 1):
-            out["t%d" % i] = (names.z + names.w)[i - 1]
-            out["tau%d" % i] = (names.zeta + names.xi)[i - 1]
-    return out
+    return {"%s%s%d" % (role, suffix, i): name
+            for role, block in (("t", names.t), ("tau", names.tau))
+            for i, name in enumerate(block, 1)}
 
 
 def build_manifold(spec: dict, order: int, primed: bool) -> GraphedManifold:
-    """Graph a manifold spec checked by `Manifest`; a `ManifoldError` is
-    reported as a `ManifestError` naming the source or target manifold."""
+    """Graph a manifold spec checked by `Manifest`; a `ManifoldError` or
+    `ParseError` is reported as a `ManifestError` naming the manifold."""
     m, d = spec["m"], spec["d"]
     names = Names(m, d, primed)
     aliases = _role_aliases(m, d, primed)
@@ -74,7 +63,7 @@ def build_manifold(spec: dict, order: int, primed: bool) -> GraphedManifold:
                      for text in spec["theta_bar"]]
             return GraphedManifold.from_theta_bar(m, d, SeriesMap(comps),
                                                   primed=primed)
-    except ManifoldError as exc:
+    except (ManifoldError, ParseError) as exc:
         raise ManifestError("%s manifold: %s"
                             % ("target" if primed else "source", exc)) from None
     raise ManifestError("manifold spec needs 'rho' or 'theta_bar'")
@@ -288,7 +277,7 @@ def run(manifest: Manifest) -> dict:
     if manifest.target_spec is not None:
         Mp = build_manifold(manifest.target_spec, order, primed=True)
     elif manifest.map_spec is not None:
-        Mp = build_manifold(manifest.source_spec, order, primed=True)
+        Mp = M.primed()
     if Mp is not None:
         report["provenance"]["target"] = {"m": Mp.m, "d": Mp.d}
 
@@ -296,11 +285,11 @@ def run(manifest: Manifest) -> dict:
     if manifest.map_spec is not None:
         ctx_t = VariableContext(M.names.t)
         aliases = _role_aliases(M.m, M.d, primed=False)
-        comps = [parse_expression(text, ctx_t, order, aliases)
-                 for text in manifest.map_spec]
         try:
+            comps = [parse_expression(text, ctx_t, order, aliases)
+                     for text in manifest.map_spec]
             hmap = FormalCRMap(SeriesMap(comps), M, Mp)
-        except (ReflectionError, SeriesError) as exc:
+        except (ParseError, ReflectionError, SeriesError) as exc:
             raise ManifestError("'map': %s" % exc) from None
 
     # build_manifold raises unless the reality involution holds.

@@ -8,7 +8,9 @@ package consumes.  The two graphs are coefficient-conjugates of one another;
 that reality invariant is checked, never assumed.
 
 Variable conventions (unprimed source, primed target via the `primed` flag):
-z1..zm, w1..wd are the t-coordinates, zeta1..zetam, xi1..xid the tau-ones.
+z1..zm, w1..wd are the t-coordinates, zeta1..zetam, xi1..xid the tau-ones;
+the primed alphabet is zp, wp, zetap, xip.  `GraphedManifold.primed()`
+renames a graphed manifold into it without graphing it again.
 The joint context used by derivations is ordered (z, w, zeta, xi).
 
 One pair of tables says how the four blocks hang together.  `GRAPHS` sends
@@ -115,30 +117,28 @@ class RealDefiningSystem:
     zero set after multiplication by i; they are normalized on input.
     """
 
-    def __init__(self, n, d, rho: SeriesMap, *, check=True):
+    def __init__(self, n, d, rho: SeriesMap):
         if len(rho.components) != d:
             raise ManifoldError("expected %d defining series" % d)
         if rho.arity != 2 * n:
             raise ManifoldError("context must hold t and tau (%d variables)"
                                 % (2 * n))
+        if any(rho.constant_terms()):
+            raise ManifoldError("defining series must vanish at 0")
         self.n = n
         self.d = d
-        if check:
-            if any(rho.constant_terms()):
-                raise ManifoldError("defining series must vanish at 0")
-            swap = _swap_map_for(rho.context, n)
-            comps = []
-            for j, r in enumerate(rho.components):
-                flipped = r.conjugate_swapped(swap)
-                if flipped == r:
-                    comps.append(r)
-                elif flipped == -r:
-                    comps.append(r * I)
-                else:
-                    raise ManifoldError(
-                        "defining system is not real (component %d)" % j)
-            rho = SeriesMap(comps)
-        self.rho = rho
+        swap = _swap_map_for(rho.context, n)
+        comps = []
+        for j, r in enumerate(rho.components):
+            flipped = r.conjugate_swapped(swap)
+            if flipped == r:
+                comps.append(r)
+            elif flipped == -r:
+                comps.append(r * I)
+            else:
+                raise ManifoldError(
+                    "defining system is not real (component %d)" % j)
+        self.rho = SeriesMap(comps)
 
     def _swap_map(self):
         return _swap_map_for(self.rho.context, self.n)
@@ -229,6 +229,20 @@ class GraphedManifold:
         graphs = {block: graph, other: SeriesMap([
             g.conjugate_swapped(names.swap_map(), ctx_other) for g in graph])}
         return cls(m, d, graphs["xi"], graphs["w"], names, check=check)
+
+    def primed(self) -> "GraphedManifold":
+        """The same manifold in the primed alphabet: theta and theta_bar
+        renamed block-wise, z -> zp, w -> wp, zeta -> zetap, xi -> xip.
+        Renaming keeps the reality pairing, checked when this manifold was
+        built, so the copy is built with `check=False`."""
+        names = Names(self.m, self.d, True)
+        rename = dict(zip(self.ctx_joint.names,
+                          names.blocks("z", "w", "zeta", "xi")))
+        return GraphedManifold(
+            self.m, self.d,
+            self.theta.remapped(names.graph_context("xi"), rename),
+            self.theta_bar.remapped(names.graph_context("w"), rename),
+            names, check=False)
 
     def embedded_theta(self) -> SeriesMap:
         """theta over the joint (z, w, zeta, xi) context."""

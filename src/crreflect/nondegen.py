@@ -158,12 +158,6 @@ def holomorphic_degeneracy_field(Mp: GraphedManifold, dmax: int = 4):
     return SeriesMap(comps)
 
 
-def _nd4_restricted_map(Mp: GraphedManifold, k: int) -> SeriesMap:
-    """The jet map restricted to the Segre leaf through 0: substitute
-    zeta' := 0 and w' := theta_bar'(z', 0), leaving a map of z' alone."""
-    return Mp.restrict(segre_jet_map(Mp, k).components, "leaf")
-
-
 def classify_manifold(Mp: GraphedManifold, kmax: int = None,
                       dmax: int = 4, seed: int = 0) -> ManifoldClassification:
     """The five-step nondegeneracy ladder of the (target) manifold."""
@@ -193,9 +187,11 @@ def classify_manifold(Mp: GraphedManifold, kmax: int = None,
             nd3 = Verdict(HOLDS, k0=k, bound=(kmax, D))
             break
 
+    # nd4: each jet map on the Segre leaf through 0, a map of z' alone.
     nd4 = Verdict(FAILS, bound=kmax)
     for k in range(1, kmax + 1):
-        if generic_rank(_nd4_restricted_map(Mp, k), seed=seed) == Mp.m:
+        leaf_map = Mp.restrict(jet_maps[k].components, "leaf")
+        if generic_rank(leaf_map, seed=seed) == Mp.m:
             nd4 = Verdict(HOLDS, k0=k, bound=kmax)
             break
 

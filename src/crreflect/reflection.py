@@ -540,12 +540,10 @@ def invert_expansion(q_table: dict, zeta, mp: int, bmax: int) -> dict:
     return _expansion(q_table, zeta, mp, bmax, invert=True)
 
 
-def _expansion(table: dict, zeta, mp: int, bmax: int, invert: bool,
-               out_depth=None) -> dict:
+def _expansion(table: dict, zeta, mp: int, bmax: int, invert: bool) -> dict:
     zeta = list(zeta)
     if len(zeta) != mp:
         raise ReflectionError("zeta must have %d components" % mp)
-    out_depth = bmax if out_depth is None else out_depth
     js = sorted({j for j, _ in table})
     pow_cache = {}
 
@@ -561,7 +559,7 @@ def _expansion(table: dict, zeta, mp: int, bmax: int, invert: bool,
 
     out = {}
     for j in js:
-        for beta in multidegrees(mp, out_depth):
+        for beta in multidegrees(mp, bmax):
             total = None
             for gamma in multidegrees(mp, bmax - sum(beta)):
                 src = table.get((j, tuple(a + b for a, b in zip(beta, gamma))))

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (make_flat, make_heisenberg, make_z2zb2,
-                      random_real_system, random_series)
+from conftest import (make_ex121, make_flat, make_heisenberg, make_sphere3,
+                      make_z2zb2, quadric_pair, random_real_system,
+                      random_series)
 from crreflect.context import VariableContext, multidegrees
+from crreflect.exprparse import parse_expression
 from crreflect.gaussian import I, ONE, gr
 from crreflect.manifold import (Derivation, DerivationWord, GraphedManifold,
                                 JetSymbols, ManifoldError, Names,
@@ -144,6 +146,45 @@ def test_random_systems_reality_and_involution():
         M = complexify_and_graph(system)
         assert verify_reality(M).ok
         assert _two_way_reality_degree(M) is None
+
+
+def _theta_bar_pair(primed):
+    """A manifold given by its theta_bar, built in either alphabet."""
+    p = "p" if primed else ""
+    names = Names(1, 1, primed)
+    text = "xi1 + i*z1*zeta1 + i*z1^2*zeta1^2"
+    text = text.replace("1", p + "1")
+    graph = parse_expression(text, names.graph_context("w"), 6)
+    return GraphedManifold.from_theta_bar(1, 1, SeriesMap([graph]),
+                                          primed=primed)
+
+
+def _primed_pairs():
+    """(source, the same manifold graphed in the primed alphabet)."""
+    yield make_heisenberg(), make_heisenberg(primed=True)
+    yield make_sphere3(), make_sphere3(primed=True)
+    yield make_ex121(primed=False), make_ex121(primed=True)
+    yield quadric_pair()
+    yield _theta_bar_pair(False), _theta_bar_pair(True)
+    for seed, (m, d) in enumerate([(1, 1), (2, 1), (1, 2)]):
+        system = random_real_system(seed, m, d, order=6)
+        yield (complexify_and_graph(system),
+               complexify_and_graph(system, primed=True))
+
+
+def test_primed_equals_primed_graphing():
+    for M, ref in _primed_pairs():
+        Mp = M.primed()
+        assert (Mp.m, Mp.d, Mp.n, Mp.order) == \
+            (ref.m, ref.d, ref.n, ref.order)
+        assert Mp.theta == ref.theta and Mp.theta_bar == ref.theta_bar
+        blocks = ("z", "w", "zeta", "xi")
+        assert Mp.names.blocks(*blocks) == ref.names.blocks(*blocks)
+        assert (Mp.ctx_theta, Mp.ctx_theta_bar, Mp.ctx_joint) == \
+            (ref.ctx_theta, ref.ctx_theta_bar, ref.ctx_joint)
+        assert (Mp.ctx_restrict_xi, Mp.ctx_restrict_w) == \
+            (ref.ctx_restrict_xi, ref.ctx_restrict_w)
+        assert verify_reality(Mp).ok
 
 
 def test_cr_fields_heisenberg():

@@ -272,6 +272,47 @@ def test_cli_bad_target_is_named(tmp_path, capsys):
             assert "'%s' must be a list" % next(iter(target)) in err
 
 
+def test_cli_singular_primed_target_is_named(tmp_path, capsys):
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(dict(HEIS_MANIFEST, target={
+        "m": 1, "d": 1, "rho": ["wp1 - xip1"], "split": [0]})))
+    assert main(["analyze", str(mpath), "--out",
+                 str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == ("error: target manifold: supplied "
+                                       "split has singular transversal "
+                                       "block\n")
+
+
+HEIS_TARGET = {"m": 1, "d": 1, "rho": ["wp1 - xip1 - i*zp1*zetap1"]}
+
+
+@pytest.mark.parametrize("field, needle", [
+    ({"source": dict(HEIS_MANIFEST["source"], rho=["w1 - xi1 - q*z1"])},
+     "source manifold: unknown variable 'q' (at position 11)"),
+    ({"source": {"m": 1, "d": 1, "theta_bar": ["xi1 + i*z1*zeta1)"]}},
+     "source manifold: expected '+' or '-', found ')' (at position 16)"),
+    ({"target": dict(HEIS_TARGET, rho=["wp1 - xip1 - i*z1*zetap1"])},
+     "target manifold: unknown variable 'z1' (at position 15)"),
+    ({"map": ["z1", "w1 + q*z1"]},
+     "'map': unknown variable 'q' (at position 5)"),
+])
+def test_cli_parse_error_names_its_field(tmp_path, capsys, field, needle):
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(dict(HEIS_MANIFEST, **field)))
+    out = tmp_path / "r.json"
+    assert main(["analyze", str(mpath), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: %s\n" % needle
+    assert not out.exists()
+
+
+def test_default_target_matches_written_target():
+    # The default target is the source renamed into the primed alphabet.
+    written = dict(HEIS_MANIFEST, target=HEIS_TARGET)
+    assert render_report(run(Manifest(HEIS_MANIFEST))) == \
+        render_report(run(Manifest(written)))
+
+
 @pytest.mark.parametrize("map_spec, needle", [
     (["z1"], "'map': map must have 2 components"),
     (["z1", "w1", "z1"], "'map': map must have 2 components"),
