@@ -44,9 +44,6 @@ class VariableContext:
     def __repr__(self):
         return "VariableContext(%s)" % ", ".join(self.names)
 
-    def extended(self, extra_names) -> "VariableContext":
-        return VariableContext(self.names + tuple(extra_names))
-
 
 def ctx(*names) -> VariableContext:
     return VariableContext(names)

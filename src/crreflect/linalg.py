@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .gaussian import GaussianRational, ONE, ZERO
 from .kernels import divexact, echelon, iadd_scaled, mul_terms
-from .series import SeriesMap
+from .series import SeriesMap, jacobian_at_zero
 
 
 def numeric_rank(matrix) -> int:
@@ -30,11 +30,11 @@ def numeric_rank(matrix) -> int:
     return len(echelon([dict(enumerate(row)) for row in matrix])[0])
 
 
-def rank_at_origin(F: SeriesMap) -> int:
-    """Rank of the Jacobian of F evaluated at 0."""
-    jac = [[c.derive(i).constant_term() for i in range(F.arity)]
-           for c in F.components]
-    return numeric_rank(jac)
+def rank_at_origin(F) -> int:
+    """Rank of the Jacobian at 0 of F, a `SeriesMap` or a list of series
+    over one context (their orders may differ)."""
+    F = list(F)
+    return numeric_rank(jacobian_at_zero(F, range(F[0].context.arity)))
 
 
 def random_rational_point(arity: int, rng: random.Random):

@@ -23,8 +23,7 @@ from .manifold import (GraphedManifold, ManifoldError, Names,
 from .nondegen import (classify_manifold, classify_map_cr,
                        holomorphic_degeneracy_field, psi_and_h_conditions)
 from .reflection import (FormalCRMap, ReflectionError,
-                         reflection_components, reflection_identities,
-                         verify_formal_cr_map)
+                         reflection_components, reflection_identities)
 from .segre import chain, minimality
 from .series import SeriesError, SeriesMap, TruncatedSeries
 
@@ -233,6 +232,16 @@ def encode_verdict(v):
         out["k0"] = v.k0
     if v.bound is not None:
         out["bound"] = list(v.bound) if isinstance(v.bound, tuple) else v.bound
+    if v.witness is not None:
+        out["witness"] = [encode_series(s) for s in v.witness]
+    return out
+
+
+def encode_ladder(prefix: str, verdicts, **extra) -> dict:
+    """{prefix1: verdict 1, prefix2: verdict 2, ...} and the extra keys."""
+    out = {"%s%d" % (prefix, i): encode_verdict(v)
+           for i, v in enumerate(verdicts, 1)}
+    out.update(extra)
     return out
 
 
@@ -317,35 +326,23 @@ def _run_one(name, spec, manifest, M, Mp, hmap):
     order = manifest.order
     seed = manifest.seed
     if name == "verify-cr":
-        rep = verify_formal_cr_map(_need_map(hmap, name))
-        return encode_residuals(rep)
+        return encode_residuals(_need_map(hmap, name).cr_report)
     if name == "classify-manifold":
         target = Mp if Mp is not None else M
         cls = classify_manifold(target, kmax=spec.get("kmax"),
                                 dmax=spec.get("Dmax", 4), seed=seed)
-        out = {"nd%d" % (i + 1): encode_verdict(v)
-               for i, v in enumerate(cls.chain)}
-        if cls.nd5.witness is not None:
-            out["nd5"]["witness"] = [encode_series(c)
-                                     for c in cls.nd5.witness.components]
-        out["chain_consistent"] = cls.chain_consistent()
-        return out
+        return encode_ladder("nd", cls.chain,
+                             chain_consistent=cls.chain_consistent())
     if name == "classify-map":
         cls = classify_map_cr(_need_map(hmap, name),
                               dmax=spec.get("Dmax", 4), seed=seed)
-        out = {"cr%d" % (i + 1): encode_verdict(v)
-               for i, v in enumerate(cls.cr_chain)}
-        if cls.cr5.witness:
-            out["cr5"]["witness"] = [encode_series(r) for r in cls.cr5.witness]
-        out["chain_consistent"] = cls.cr_chain_consistent()
-        return out
+        return encode_ladder("cr", cls.cr_chain,
+                             chain_consistent=cls.cr_chain_consistent())
     if name == "psi-conditions":
         cls = psi_and_h_conditions(_need_map(hmap, name),
                                    kmax=spec.get("kmax", 2), seed=seed)
-        out = {"h%d" % (i + 1): encode_verdict(v)
-               for i, v in enumerate([cls.h1, cls.h2, cls.h3, cls.h4])}
-        out["ell0"] = cls.ell0
-        return out
+        return encode_ladder("h", [cls.h1, cls.h2, cls.h3, cls.h4],
+                             ell0=cls.ell0)
     if name == "minimality":
         rep = minimality(M, kmax=spec.get("kmax"), seed=seed)
         return {

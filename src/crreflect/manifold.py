@@ -33,7 +33,8 @@ from .context import VariableContext, multidegrees, numbered
 from .gaussian import GaussianRational, I, ONE, ZERO
 from .kernels import derivation_apply, derivation_table, echelon
 from .linalg import numeric_rank
-from .series import SeriesMap, TruncatedSeries, SeriesError, formal_ift
+from .series import (SeriesMap, TruncatedSeries, SeriesError, formal_ift,
+                     jacobian_at_zero)
 
 
 class ManifoldError(ValueError):
@@ -161,10 +162,6 @@ class RealDefiningSystem:
         comps = [(r + r.conjugate_swapped(swap)) * half
                  for r in rho.components]
         return RealDefiningSystem(n, d, SeriesMap(comps))
-
-    def t_jacobian_at_zero(self):
-        return [[r.derive(i).constant_term() for i in range(self.n)]
-                for r in self.rho.components]
 
 
 class GraphedManifold:
@@ -368,7 +365,7 @@ def complexify_and_graph(system: RealDefiningSystem, split=None,
     as w; otherwise greedy column pivoting on d rho/d t(0) picks them.
     """
     n, d = system.n, system.d
-    jac = system.t_jacobian_at_zero()
+    jac = jacobian_at_zero(system.rho.components, range(n))
     if split is None:
         split = echelon([dict(enumerate(row)) for row in jac])[0]
         if len(split) < d:

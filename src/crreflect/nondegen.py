@@ -18,9 +18,9 @@ from .gaussian import GaussianRational
 from .kernels import echelon
 from .linalg import (generic_rank, kernel_basis, rank_at_origin,
                      symbolic_rank)
-from .manifold import GraphedManifold, cr_fields
+from .manifold import GraphedManifold
 from .reflection import (FormalCRMap, ReflectionError, _identity_table,
-                         transversality_kernel, verify_formal_cr_map)
+                         transversality_kernel)
 from .segre import segre_jet_map
 from .series import SeriesMap, TruncatedSeries, SeriesError
 
@@ -59,13 +59,25 @@ class Verdict:
         return "Verdict(%s%s)" % (self.status, extra)
 
 
-def _chain_consistent(verdicts):
-    """Check an implication chain v1 => v2 => ... on decided entries."""
-    for i in range(len(verdicts) - 1):
-        a, b = verdicts[i], verdicts[i + 1]
-        if a.status == HOLDS and b.status == FAILS:
-            return False
-    return True
+def _chain_consistent(verdicts, unbound=()):
+    """Check an implication chain v1 => v2 => ... on decided entries; link i
+    (from verdicts[i] to verdicts[i + 1]) is skipped when listed in
+    `unbound`."""
+    return not any(a.status == HOLDS and b.status == FAILS
+                   for i, (a, b) in enumerate(zip(verdicts, verdicts[1:]))
+                   if i not in unbound)
+
+
+def _least_k(kmax: int, test):
+    """The least k in 1..kmax at which a ladder rung holds, with test(k):
+    the rung holds where its test gives neither False nor None (a rank test
+    gives True, a certificate test its certificate).  (None, None) when no
+    k <= kmax does; the tests run in order of k and stop at the first."""
+    for k in range(1, kmax + 1):
+        value = test(k)
+        if value is not False and value is not None:
+            return k, value
+    return None, None
 
 
 class ManifoldClassification:
@@ -166,41 +178,30 @@ def classify_manifold(Mp: GraphedManifold, kmax: int = None,
     if kmax > Mp.order:
         raise SeriesError("kmax exceeds the truncation order")
     full = Mp.m + Mp.n
+    jet_maps = {}
 
-    jet_maps = {k: segre_jet_map(Mp, k) for k in range(1, kmax + 1)}
+    def jet_map(k):
+        """The Segre jet map phi'_k, built when a rung first asks for k."""
+        if k not in jet_maps:
+            jet_maps[k] = segre_jet_map(Mp, k).components
+        return jet_maps[k]
 
-    r1 = rank_at_origin(jet_maps[1].components)
-    nd1 = Verdict(HOLDS if r1 == full else FAILS, k0=1 if r1 == full else None,
-                  bound=1)
-
-    nd2 = Verdict(FAILS, bound=kmax)
-    for k in range(1, kmax + 1):
-        if rank_at_origin(jet_maps[k].components) == full:
-            nd2 = Verdict(HOLDS, k0=k, bound=kmax)
-            break
-
-    nd3 = Verdict(INCONCLUSIVE, bound=(kmax, dmax))
-    for k in range(1, kmax + 1):
-        D = ideal_contains_power_of_maximal(
-            jet_maps[k].components.components, dmax)
-        if D is not None:
-            nd3 = Verdict(HOLDS, k0=k, bound=(kmax, D))
-            break
-
+    # nd1, Levi nondegeneracy, is nd2 at k = 1.
+    k2, _ = _least_k(kmax, lambda k: rank_at_origin(jet_map(k)) == full)
+    nd1 = Verdict(HOLDS, k0=1, bound=1) if k2 == 1 else Verdict(FAILS, bound=1)
+    nd2 = Verdict(HOLDS if k2 else FAILS, k0=k2, bound=kmax)
+    k3, D = _least_k(kmax, lambda k: ideal_contains_power_of_maximal(
+        jet_map(k).components, dmax))
+    nd3 = Verdict(HOLDS if k3 else INCONCLUSIVE, k0=k3,
+                  bound=(kmax, D if k3 else dmax))
     # nd4: each jet map on the Segre leaf through 0, a map of z' alone.
-    nd4 = Verdict(FAILS, bound=kmax)
-    for k in range(1, kmax + 1):
-        leaf_map = Mp.restrict(jet_maps[k].components, "leaf")
-        if generic_rank(leaf_map, seed=seed) == Mp.m:
-            nd4 = Verdict(HOLDS, k0=k, bound=kmax)
-            break
-
-    nd5 = Verdict(INCONCLUSIVE, bound=kmax)
-    for k in range(1, kmax + 1):
-        if generic_rank(jet_maps[k].components, seed=seed) == full:
-            nd5 = Verdict(HOLDS, k0=k, bound=kmax)
-            break
-    if nd5.status != HOLDS:
+    k4, _ = _least_k(kmax, lambda k: generic_rank(
+        Mp.restrict(jet_map(k), "leaf"), seed=seed) == Mp.m)
+    nd4 = Verdict(HOLDS if k4 else FAILS, k0=k4, bound=kmax)
+    k5, _ = _least_k(kmax, lambda k: generic_rank(jet_map(k), seed=seed)
+                     == full)
+    nd5 = Verdict(HOLDS if k5 else INCONCLUSIVE, k0=k5, bound=kmax)
+    if not k5:
         field = holomorphic_degeneracy_field(Mp, dmax)
         if field is not None:
             nd5 = Verdict(FAILS, bound=(kmax, dmax), witness=field)
@@ -212,11 +213,10 @@ def classify_manifold(Mp: GraphedManifold, kmax: int = None,
 
 class MapClassification:
     def __init__(self, cr1, cr2, cr3, cr4, cr5, h1=None, h2=None, h3=None,
-                 h4=None, ell0=None, psi_table=None, mp=None, m=None):
+                 h4=None, ell0=None, mp=None, m=None):
         self.cr1, self.cr2, self.cr3, self.cr4, self.cr5 = cr1, cr2, cr3, cr4, cr5
         self.h1, self.h2, self.h3, self.h4 = h1, h2, h3, h4
         self.ell0 = ell0
-        self.psi_table = psi_table
         self.mp = mp
         self.m = m
 
@@ -227,14 +227,8 @@ class MapClassification:
     def cr_chain_consistent(self):
         """Eq-style chain on the decided cr flags; the 2nd and 3rd steps
         only bind when the CR dimensions agree."""
-        chain = self.cr_chain
-        for i in range(4):
-            a, b = chain[i], chain[i + 1]
-            if i in (0, 1) and self.mp != self.m:
-                continue
-            if a.status == HOLDS and b.status == FAILS:
-                return False
-        return True
+        return _chain_consistent(self.cr_chain,
+                                 () if self.mp == self.m else (0, 1))
 
     def __repr__(self):
         parts = ["cr%d=%s" % (i + 1, v.status)
@@ -248,7 +242,7 @@ class MapClassification:
 def classify_map_cr(h: FormalCRMap, dmax: int = 4,
                     seed: int = 0) -> MapClassification:
     """The CR-horizontal ladder cr1..cr5 of a verified formal CR map."""
-    if not verify_formal_cr_map(h).ok:
+    if not h.cr_report.ok:
         raise ReflectionError("map is not CR to the working order")
     horiz = h.horizontal_part()
     m, mp = h.M.m, h.mp
@@ -301,30 +295,17 @@ def psi_and_h_conditions(h: FormalCRMap, kmax: int = 2,
 
     psi0 = {key: s.substitute(base_zero, ctx_tp) for key, s in table.items()}
 
-    def psi_k_rank(k):
-        comps = [s for (jp, beta), s in sorted(psi0.items())
-                 if sum(beta) <= k]
-        order = min(c.order for c in comps)
-        return rank_at_origin(SeriesMap([c.truncated(order) for c in comps]))
+    def psi_k(k):
+        return [s for (jp, beta), s in sorted(psi0.items()) if sum(beta) <= k]
 
-    np_ = h.np
-    r1 = psi_k_rank(1) if kmax >= 1 else None
-    h1 = Verdict(HOLDS if r1 == np_ else FAILS, bound=1)
-    h2 = Verdict(FAILS, bound=kmax)
-    ell0 = None
-    for k in range(1, kmax + 1):
-        if psi_k_rank(k) == np_:
-            ell0 = k
-            h2 = Verdict(HOLDS, k0=k, bound=kmax)
-            break
-
-    h3 = Verdict(INCONCLUSIVE, bound=kmax)
-    for k in range(1, kmax + 1):
-        gens = [s for (jp, beta), s in sorted(psi0.items()) if sum(beta) <= k]
-        D = ideal_contains_power_of_maximal(gens, dmax=min(h.order, 4))
-        if D is not None:
-            h3 = Verdict(HOLDS, k0=k, bound=(kmax, D))
-            break
+    # h1 is h2 at k = 1.
+    ell0, _ = _least_k(kmax, lambda k: rank_at_origin(psi_k(k)) == h.np)
+    h1 = Verdict(HOLDS if ell0 == 1 else FAILS, bound=1)
+    h2 = Verdict(HOLDS if ell0 else FAILS, k0=ell0, bound=kmax)
+    k3, D = _least_k(kmax, lambda k: ideal_contains_power_of_maximal(
+        psi_k(k), dmax=min(h.order, 4)))
+    h3 = Verdict(HOLDS if k3 else INCONCLUSIVE, k0=k3,
+                 bound=(kmax, D) if k3 else kmax)
 
     # h4: rank of the t'-gradients of Psi along the Segre leaf through 0,
     # evaluated at t' = h(z, theta_bar(z, 0)).
@@ -333,11 +314,10 @@ def psi_and_h_conditions(h: FormalCRMap, kmax: int = 2,
     rows = [[M.restrict(table[key].derive(i), "leaf", h_on) for i in tp_idx]
             for key in sorted(table)]
     r4 = symbolic_rank(rows, seed=seed)
-    h4 = Verdict(HOLDS if r4 == np_ else FAILS, bound=kmax)
+    h4 = Verdict(HOLDS if r4 == h.np else FAILS, bound=kmax)
 
     return MapClassification(None, None, None, None, None,
-                             h1, h2, h3, h4, ell0=ell0, psi_table=table,
-                             mp=h.mp, m=M.m)
+                             h1, h2, h3, h4, ell0=ell0, mp=h.mp, m=M.m)
 
 
 def degenerate_selfmap_generator(Mp: GraphedManifold, field: SeriesMap,
@@ -389,10 +369,9 @@ def degenerate_selfmap_generator(Mp: GraphedManifold, field: SeriesMap,
     subs = {"s_flow": varpi}
     hmap = SeriesMap([c.substitute(subs, ctx_tp) for c in phi])
     out = FormalCRMap(hmap, Mp, Mp)
-    rep = verify_formal_cr_map(out)
-    if not rep.ok:
+    if not out.cr_report.ok:
         raise AssertionError(
-            "flow of a tangent field failed the CR check: %r" % rep)
+            "flow of a tangent field failed the CR check: %r" % out.cr_report)
     return out
 
 

@@ -25,7 +25,7 @@ from .manifold import (GraphedManifold, JetSymbols, cr_fields,
 from .segre import SegreChain
 from .series import (SeriesMap, TruncatedSeries, SeriesError,
                      divide_with_valuation, factorial_multi, formal_ift,
-                     mul_precise)
+                     jacobian_at_zero, mul_precise)
 
 
 class ReflectionError(ValueError):
@@ -60,6 +60,7 @@ class FormalCRMap:
         ctx_tau = VariableContext(M.names.tau)
         self.hbar = SeriesMap([c.conjugate_swapped(tau_map, ctx_tau)
                                for c in h.components])
+        self._cr_report = None
 
     @property
     def f(self):
@@ -81,12 +82,9 @@ class FormalCRMap:
     def order(self):
         return self.h.order
 
-    def linear_part(self):
-        return [[c.derive(i).constant_term() for i in range(self.n)]
-                for c in self.h.components]
-
     def is_invertible(self) -> bool:
-        return self.np == self.n and numeric_rank(self.linear_part()) == self.n
+        return self.np == self.n and numeric_rank(
+            jacobian_at_zero(self.h.components, range(self.n))) == self.n
 
     def horizontal_part(self) -> SeriesMap:
         """The CR-horizontal restriction z -> f(z, theta_bar(z, 0))."""
@@ -95,6 +93,14 @@ class FormalCRMap:
     def horizontal_part_bar(self) -> SeriesMap:
         """zeta -> fbar(zeta, theta(zeta, 0)), the conjugate horizontal part."""
         return self.M.restrict(self.fbar, "leaf_bar")
+
+    @property
+    def cr_report(self) -> "ResidualReport":
+        """`verify_formal_cr_map(self)`, computed on first use and kept:
+        the map's CR property is checked once, wherever it is first read."""
+        if self._cr_report is None:
+            self._cr_report = verify_formal_cr_map(self)
+        return self._cr_report
 
     def __repr__(self):
         return "FormalCRMap(%d -> %d, order %d)" % (self.n, self.np, self.order)
@@ -240,6 +246,8 @@ def reflection_components(h: FormalCRMap, gmax=None) -> ReflectionComponents:
     gmax = h.order if gmax is None else gmax
     if gmax > h.order:
         raise ReflectionError("gmax exceeds the truncation order")
+    if gmax < 0:
+        raise ReflectionError("gmax must be non-negative")
     table, _ = target_component_tables(h.Mp)
     return ReflectionComponents(h, gmax, _compose_components(
         h, gmax, (((jp, gamma), s) for jp in range(h.dp)
@@ -833,7 +841,7 @@ def resolve_finitely_nondeg(h: FormalCRMap, ell0: int = 1) -> Resolution:
     rows and verified against h before being returned.
     """
     M, Mp = h.M, h.Mp
-    if not verify_formal_cr_map(h).ok:
+    if not h.cr_report.ok:
         raise ReflectionError("the map is not CR to the working order")
     jets = JetSymbols("ujb", h.np, M.names.tau, ell0,
                       _jet_constants(h.hbar, ell0))
@@ -847,7 +855,7 @@ def resolve_finitely_nondeg(h: FormalCRMap, ell0: int = 1) -> Resolution:
             raise ReflectionError("resolution system does not vanish at 0")
 
     tp_idx = [ctx_ext.index(n) for n in Mp.names.t]
-    grads = [[R.derive(i).constant_term() for i in tp_idx] for R in rows]
+    grads = jacobian_at_zero(rows, tp_idx)
     chosen = _independent_rows(grads, h.np)
     if chosen is None:
         raise ReflectionError(
@@ -884,9 +892,7 @@ def transform_target(Mp: GraphedManifold, phi_p: SeriesMap) -> GraphedManifold:
     ctx_tp = VariableContext(Mp.names.t)
     if phi_p.context != ctx_tp:
         phi_p = phi_p.remapped(ctx_tp)
-    lin = [[c.derive(i).constant_term() for i in range(Mp.n)]
-           for c in phi_p.components]
-    if numeric_rank(lin) < Mp.n:
+    if numeric_rank(jacobian_at_zero(phi_p.components, range(Mp.n))) < Mp.n:
         raise ReflectionError("target change is not invertible")
     N = Mp.order
     tau_map = dict(zip(Mp.names.t, Mp.names.tau))
@@ -955,12 +961,11 @@ def target_change_transport(components: ReflectionComponents,
     change = FormalCRMap(phi_p, Mp, Mpp)
 
     gmax = components.gmax
-    depth = min(gmax + N, N)
-    q = composed_jet_table(change, depth)
+    q = composed_jet_table(change, N)
 
     fb0 = list(Mp.restrict(change.fbar, "zeta0").truncated(N))
 
-    raw = invert_expansion(q, fb0, Mp.m, depth)
+    raw = invert_expansion(q, fb0, Mp.m, N)
     return ReflectionComponents(hpp, gmax,
                                 _compose_components(h, gmax, raw.items()))
 

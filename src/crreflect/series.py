@@ -561,6 +561,20 @@ class SeriesMap:
             len(self.components), self.order, self.context)
 
 
+def jacobian_at_zero(components, variables):
+    """[[d c / d x_i at 0 for i in variables] for c in components], read off
+    the degree-1 coefficients without differentiating.  Like `derive`, it
+    raises on a series of order 0."""
+    rows = []
+    for c in components:
+        if variables and c.order < 1:
+            raise SeriesError("no precision left to differentiate")
+        arity = c.context.arity
+        rows.append([c.terms.get(unit_exponent(arity, i), ZERO)
+                     for i in variables])
+    return rows
+
+
 def mul_precise(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Product with valuation-aware precision.
 
@@ -650,8 +664,7 @@ def formal_ift(F: SeriesMap, unknowns) -> SeriesMap:
     free_ctx = VariableContext(tuple(ctx_all.names[i] for i in free))
     order = F.order
 
-    block = [[F.components[r].derive(u).constant_term() for u in unk]
-             for r in range(len(unk))]
+    block = jacobian_at_zero(F.components, unk)
     try:
         inv_block = invert_matrix(block)
     except ZeroDivisionError:

@@ -6,19 +6,24 @@ from conftest import (echelon_reference, kernel_basis_reference, make_ex121,
                       make_flat, make_heisenberg, make_sphere3, make_z2zb2,
                       quadric_pair, seeded_maps)
 from crreflect.context import VariableContext, multidegrees
+from crreflect import reflection
 from crreflect.gaussian import ZERO
+from crreflect.linalg import generic_rank, rank_at_origin, symbolic_rank
 from crreflect.manifold import cr_fields
 from crreflect.nondegen import (FAILS, HOLDS, INCONCLUSIVE,
-                                classify_manifold, classify_map_cr,
+                                ManifoldClassification, MapClassification,
+                                Verdict, classify_manifold, classify_map_cr,
                                 degenerate_selfmap_generator,
                                 holomorphic_degeneracy_field,
                                 ideal_contains_power_of_maximal,
                                 psi_and_h_conditions, psi_table)
 from crreflect.reflection import (FormalCRMap, ReflectionError, _WordCache,
-                                  _power_cache, target_component_tables,
+                                  _power_cache, resolve_finitely_nondeg,
+                                  target_component_tables,
                                   verify_formal_cr_map)
 from crreflect.segre import segre_jet_map
-from crreflect.series import SeriesMap, TruncatedSeries, mul_precise
+from crreflect.series import (SeriesError, SeriesMap, TruncatedSeries,
+                              mul_precise)
 
 
 def tvar(ctx, name, order=8):
@@ -188,6 +193,26 @@ def test_non_cr_map_rejected():
     z, w = tvar(ctx_t, "z1"), tvar(ctx_t, "w1")
     with pytest.raises(ReflectionError):
         classify_map_cr(FormalCRMap(SeriesMap([z, w + z * z]), M, Mp))
+    h = FormalCRMap(SeriesMap([z, w + z * z]), M, Mp)
+    with pytest.raises(ReflectionError, match="not CR"):
+        resolve_finitely_nondeg(h)
+    with pytest.raises(ReflectionError, match="not CR"):
+        classify_map_cr(h)
+
+
+def test_cr_report_is_computed_once(monkeypatch):
+    calls = []
+    verify = reflection.verify_formal_cr_map
+    monkeypatch.setattr(reflection, "verify_formal_cr_map",
+                        lambda h: calls.append(h) or verify(h))
+    M = make_heisenberg(order=5)
+    h = identity_on(M, make_heisenberg(order=5, primed=True))
+    classify_map_cr(h)
+    resolve_finitely_nondeg(h)
+    assert h.cr_report is h.cr_report and h.cr_report.ok
+    assert calls == [h]
+    # the kept report is the one `verify_formal_cr_map` computes
+    assert h.cr_report.entries == verify(h).entries
 
 
 # -- psi table and h-conditions --------------------------------------------------------
@@ -453,3 +478,170 @@ def test_degeneracy_field_matches_reference():
             assert (got is None) == (want is None)
             if got is not None:
                 assert got.components == want.components
+
+
+# -- the ladders against the per-rung loops they replaced ---------------------
+
+
+def _classify_manifold_reference(Mp, kmax=None, dmax=4, seed=0):
+    """`classify_manifold` with every jet map built up front, one loop per
+    rung and nd1 ranked on its own."""
+    if kmax is None:
+        kmax = min(Mp.order, 4)
+    if kmax > Mp.order:
+        raise SeriesError("kmax exceeds the truncation order")
+    full = Mp.m + Mp.n
+    jet_maps = {k: segre_jet_map(Mp, k) for k in range(1, kmax + 1)}
+    r1 = rank_at_origin(jet_maps[1].components)
+    nd1 = Verdict(HOLDS if r1 == full else FAILS, k0=1 if r1 == full else None,
+                  bound=1)
+    nd2 = Verdict(FAILS, bound=kmax)
+    for k in range(1, kmax + 1):
+        if rank_at_origin(jet_maps[k].components) == full:
+            nd2 = Verdict(HOLDS, k0=k, bound=kmax)
+            break
+    nd3 = Verdict(INCONCLUSIVE, bound=(kmax, dmax))
+    for k in range(1, kmax + 1):
+        D = ideal_contains_power_of_maximal(
+            jet_maps[k].components.components, dmax)
+        if D is not None:
+            nd3 = Verdict(HOLDS, k0=k, bound=(kmax, D))
+            break
+    nd4 = Verdict(FAILS, bound=kmax)
+    for k in range(1, kmax + 1):
+        leaf_map = Mp.restrict(jet_maps[k].components, "leaf")
+        if generic_rank(leaf_map, seed=seed) == Mp.m:
+            nd4 = Verdict(HOLDS, k0=k, bound=kmax)
+            break
+    nd5 = Verdict(INCONCLUSIVE, bound=kmax)
+    for k in range(1, kmax + 1):
+        if generic_rank(jet_maps[k].components, seed=seed) == full:
+            nd5 = Verdict(HOLDS, k0=k, bound=kmax)
+            break
+    if nd5.status != HOLDS:
+        field = holomorphic_degeneracy_field(Mp, dmax)
+        if field is not None:
+            nd5 = Verdict(FAILS, bound=(kmax, dmax), witness=field)
+    cls = ManifoldClassification(nd1, nd2, nd3, nd4, nd5, kmax, dmax, Mp.order)
+    if not cls.chain_consistent():
+        raise AssertionError("nondegeneracy chain violated: %r" % cls)
+    return cls
+
+
+def _psi_and_h_reference(h, kmax=2, seed=0):
+    """`psi_and_h_conditions` with one loop per rung and h1 ranked on its
+    own."""
+    M, Mp = h.M, h.Mp
+    if kmax > h.order:
+        raise SeriesError("kmax exceeds the truncation order")
+    table = psi_table(h, beta_max=kmax)
+    ctxj = M.ctx_joint
+    ctx_psi = VariableContext(ctxj.names + Mp.names.t)
+    ctx_tp = VariableContext(Mp.names.t)
+    zero = TruncatedSeries.zero(ctx_tp, h.order)
+    base_zero = {n: zero for n in ctxj.names}
+    psi0 = {key: s.substitute(base_zero, ctx_tp) for key, s in table.items()}
+
+    def psi_k_rank(k):
+        comps = [s for (jp, beta), s in sorted(psi0.items())
+                 if sum(beta) <= k]
+        order = min(c.order for c in comps)
+        return rank_at_origin(SeriesMap([c.truncated(order) for c in comps]))
+
+    np_ = h.np
+    r1 = psi_k_rank(1) if kmax >= 1 else None
+    h1 = Verdict(HOLDS if r1 == np_ else FAILS, bound=1)
+    h2 = Verdict(FAILS, bound=kmax)
+    ell0 = None
+    for k in range(1, kmax + 1):
+        if psi_k_rank(k) == np_:
+            ell0 = k
+            h2 = Verdict(HOLDS, k0=k, bound=kmax)
+            break
+    h3 = Verdict(INCONCLUSIVE, bound=kmax)
+    for k in range(1, kmax + 1):
+        gens = [s for (jp, beta), s in sorted(psi0.items()) if sum(beta) <= k]
+        D = ideal_contains_power_of_maximal(gens, dmax=min(h.order, 4))
+        if D is not None:
+            h3 = Verdict(HOLDS, k0=k, bound=(kmax, D))
+            break
+    h_on = dict(zip(Mp.names.t, M.restrict(h.h, "leaf").components))
+    tp_idx = [ctx_psi.index(n) for n in Mp.names.t]
+    rows = [[M.restrict(table[key].derive(i), "leaf", h_on) for i in tp_idx]
+            for key in sorted(table)]
+    r4 = symbolic_rank(rows, seed=seed)
+    h4 = Verdict(HOLDS if r4 == np_ else FAILS, bound=kmax)
+    return MapClassification(None, None, None, None, None,
+                             h1, h2, h3, h4, ell0=ell0, mp=h.mp, m=M.m)
+
+
+def _outcome(classify, ladder, *args, **kwargs):
+    """(status, k0, bound, witness) of every rung, or the exception raised."""
+    try:
+        cls = classify(*args, **kwargs)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    return [(v.status, v.k0, v.bound, v.witness) for v in ladder(cls)]
+
+
+LADDER_ORDER = 4
+LADDER_MANIFOLDS = [
+    ("heisenberg", make_heisenberg(LADDER_ORDER, primed=True)),
+    ("sphere3", make_sphere3(LADDER_ORDER, primed=True)),
+    ("ex121", make_ex121(LADDER_ORDER)),
+    ("z2zb2", make_z2zb2(LADDER_ORDER, primed=True)),
+    ("flat", make_flat(LADDER_ORDER, primed=True)),
+    ("flat12", make_flat(LADDER_ORDER, m=1, d=2, primed=True)),
+    ("quadric-pair", quadric_pair(LADDER_ORDER)[1]),
+]
+
+
+@pytest.mark.parametrize("label, Mp", LADDER_MANIFOLDS,
+                         ids=[c[0] for c in LADDER_MANIFOLDS])
+def test_manifold_ladder_matches_reference(label, Mp):
+    raised = set()
+    for kmax in range(1, LADDER_ORDER + 1):
+        for dmax in range(5):
+            got = _outcome(classify_manifold, lambda c: c.chain, Mp,
+                           kmax=kmax, dmax=dmax)
+            want = _outcome(_classify_manifold_reference, lambda c: c.chain,
+                            Mp, kmax=kmax, dmax=dmax)
+            assert got == want
+            if isinstance(got, tuple):
+                raised.add(kmax)
+    # nd2 of a Levi-degenerate manifold climbs to k = order, where no
+    # precision is left; the other ladders settle at k = 1
+    degenerate = label in ("ex121", "z2zb2", "flat", "flat12")
+    assert raised == ({LADDER_ORDER} if degenerate else set())
+
+
+def test_flat_ladder_raises_at_the_parent():
+    with pytest.raises(SeriesError, match="no precision left"):
+        classify_manifold(make_flat(order=4), kmax=4)
+
+
+def _ladder_maps():
+    M, Mp = make_heisenberg(order=5), make_heisenberg(order=5, primed=True)
+    Ms, Mq = make_ex121(order=5, primed=False), make_ex121(order=5)
+    ctx_t = VariableContext(Ms.names.t)
+    z1, z2, w = (tvar(ctx_t, n, 5) for n in ("z1", "z2", "w1"))
+    return SEEDED_MAPS + [
+        ("heisenberg-identity", identity_on(M, Mp)),
+        ("heisenberg-dilation", _dilation(M, Mp, order=5)),
+        ("ex121-shear", FormalCRMap(SeriesMap([z1, z2 + 4 * z2 * z2, w]),
+                                    Ms, Mq)),
+        ("ex121-collapse", FormalCRMap(SeriesMap([z1, z1, w]), Ms, Mq))]
+
+
+LADDER_MAPS = _ladder_maps()
+
+
+@pytest.mark.parametrize("label, h", LADDER_MAPS,
+                         ids=[c[0] for c in LADDER_MAPS])
+def test_h_ladder_matches_reference(label, h):
+    def ladder(cls):
+        return [cls.h1, cls.h2, cls.h3, cls.h4, Verdict(cls.ell0)]
+    for kmax in range(3):
+        got = _outcome(psi_and_h_conditions, ladder, h, kmax=kmax)
+        want = _outcome(_psi_and_h_reference, ladder, h, kmax=kmax)
+        assert got == want

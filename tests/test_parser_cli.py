@@ -155,6 +155,26 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert report["provenance"]["order"] == 6
 
 
+NON_CR_MANIFEST = dict(HEIS_MANIFEST, map=["z1", "w1 + z1^2"])
+
+
+def test_cli_failed_analysis_exits_3(tmp_path, capsys):
+    mpath = tmp_path / "m.json"
+    out = tmp_path / "r.json"
+    mpath.write_text(json.dumps(dict(NON_CR_MANIFEST, analyses=[
+        {"name": "verify-cr"}, {"name": "classify-map"}])))
+    assert main(["analyze", str(mpath), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "error: analysis 'classify-map' failed: map is not CR to the "
+        "working order\n")
+    assert not out.exists()
+    mpath.write_text(json.dumps(dict(NON_CR_MANIFEST,
+                                     analyses=[{"name": "verify-cr"}])))
+    assert main(["analyze", str(mpath), "--out", str(out)]) == 0
+    assert "verify-cr: FAIL" in capsys.readouterr().out
+    assert not json.loads(out.read_text())["analyses"][0]["result"]["ok"]
+
+
 def test_cli_order_override(tmp_path):
     mpath = tmp_path / "m.json"
     data = dict(HEIS_MANIFEST, analyses=[])

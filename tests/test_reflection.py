@@ -87,6 +87,14 @@ def test_components_identity():
     assert comps.reassembly_defect() is None
 
 
+def test_components_reject_gmax_outside_the_order():
+    M, Mp = heis_pair()
+    h = identity_on(M, Mp)
+    for gmax in (-1, M.order + 1):
+        with pytest.raises(ReflectionError, match="gmax"):
+            reflection_components(h, gmax=gmax)
+
+
 def test_components_flat_target():
     M = make_flat()
     Mp = make_flat(primed=True)

@@ -17,7 +17,7 @@ from crreflect.reflection import reflection_identities, resolve_finitely_nondeg
 from crreflect.segre import chain
 from crreflect.series import (SeriesMap, TruncatedSeries, SeriesError,
                               divide_with_valuation, formal_ift, jet,
-                              factorial_multi, mul_precise)
+                              factorial_multi, jacobian_at_zero, mul_precise)
 
 CTX2 = VariableContext(("z", "w"))
 CTX1 = VariableContext(("x",))
@@ -294,6 +294,27 @@ def test_derive_basics():
     const = TruncatedSeries.constant(CTX2, 8, gr(5))
     assert const.derive("z").is_zero()
     assert const.derive("z").order == 7
+
+
+def test_jacobian_at_zero_matches_derivatives():
+    rng = random.Random(23)
+    ctx = VariableContext(("x", "y", "z"))
+    for order in (1, 2, 5):
+        comps = [random_series(ctx, order, rng, density=0.5)
+                 for _ in range(3)]
+        for variables in ([0, 1, 2], [2, 0], [1], []):
+            assert jacobian_at_zero(comps, variables) == [
+                [c.derive(v).constant_term() for v in variables]
+                for c in comps]
+
+
+def test_jacobian_at_zero_needs_precision():
+    flat = [var(CTX2, "z", 1), TruncatedSeries.constant(CTX2, 0, gr(2))]
+    with pytest.raises(SeriesError, match="no precision left to differentiate"):
+        jacobian_at_zero(flat, [0, 1])
+    with pytest.raises(SeriesError, match="no precision left to differentiate"):
+        flat[1].derive(0)
+    assert jacobian_at_zero(flat[:1], [1, 0]) == [[ZERO, ONE]]
 
 
 def test_coefficient_extraction_oracle():
