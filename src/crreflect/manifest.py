@@ -118,13 +118,14 @@ def _int_field(data: dict, key: str, default: int) -> int:
 
 
 # Each analysis, the bounds it reads and the smallest value of each: the
-# checks in `minimality` and `chain`, and `classify_manifold` starts at jet
-# order 1.  Every bound is also at most the order.
+# checks in `minimality` and `chain`, and the ladders of `classify_manifold`
+# and `psi_and_h_conditions` start at jet order 1.  Every bound is also at
+# most the order.
 ANALYSES = {
     "verify-cr": {},
     "classify-manifold": {"kmax": 1, "Dmax": 0},
     "classify-map": {"Dmax": 0},
-    "psi-conditions": {"kmax": 0},
+    "psi-conditions": {"kmax": 1},
     "minimality": {"kmax": 2},
     "reflection": {"Gmax": 0, "betamax": 0},
     "degeneracy-field": {"Dmax": 0},

@@ -4,8 +4,17 @@ A manifold enters as a real defining system rho(t, conj t) = 0.  Replacing
 the conjugated variables by independent ones and solving for the transversal
 coordinates produces the graphed equations xi = Theta(zeta, t), equivalently
 w = ThetaBar(z, tau), which are the fundamental data everything else in the
-package consumes.  The two graphs are coefficient-conjugates of one another;
-that reality invariant is checked, never assumed.
+package consumes.  The two graphs are coefficient-conjugates of one another,
+and theta_bar(z, zeta, theta(zeta, z, w)) == w.
+
+That reality invariant is checked where it enters and carried from there.
+`RealDefiningSystem` checks a defining system coefficient by coefficient, and
+`verify_reality` checks a graph supplied from outside: the `GraphedManifold`
+constructor and `from_theta_bar`/`from_theta` run it by default.  A graph the
+package derives from a real one is real by theorem, and is built with
+`check=False`: `complexify_and_graph` (rho is real and the formal implicit
+solve is unique), `GraphedManifold.primed` (a renaming) and
+`reflection.transform_target` (the image under a biholomorphism).
 
 Variable conventions (unprimed source, primed target via the `primed` flag):
 z1..zm, w1..wd are the t-coordinates, zeta1..zetam, xi1..xid the tau-ones;
@@ -363,6 +372,13 @@ def complexify_and_graph(system: RealDefiningSystem, split=None,
 
     `split`, when given, lists the d indices (into the t-coordinates) used
     as w; otherwise greedy column pivoting on d rho/d t(0) picks them.
+
+    The graph is real by construction and is not checked again.  rho is
+    real (`RealDefiningSystem` checked it), so the conjugate-swap of
+    rho(z, theta_bar, zeta, xi) = 0 is rho(z, w, zeta, theta) = 0, with
+    theta the conjugate-swap of theta_bar.  Then w and theta_bar(z, zeta,
+    theta) both solve rho(z, ., zeta, theta) = 0 for the w-block, and a
+    formal implicit solution is unique.
     """
     n, d = system.n, system.d
     jac = jacobian_at_zero(system.rho.components, range(n))
@@ -396,7 +412,8 @@ def complexify_and_graph(system: RealDefiningSystem, split=None,
         theta_bar = formal_ift(rho, list(names.w))
     except SeriesError as exc:
         raise ManifoldError("implicit solve for the graph failed: %s" % exc)
-    return GraphedManifold.from_theta_bar(m, d, theta_bar, primed=primed)
+    return GraphedManifold.from_theta_bar(m, d, theta_bar, primed=primed,
+                                          check=False)
 
 
 class Derivation:

@@ -886,6 +886,8 @@ def transform_target(Mp: GraphedManifold, phi_p: SeriesMap) -> GraphedManifold:
 
     Solves the transformed graph with the implicit function theorem; raises
     when the transformed manifold is not graphable in the inherited split.
+    The image of a real manifold under a biholomorphism is real, so the new
+    graph is built with `check=False`.
     """
     if any(phi_p.constant_terms()):
         raise ReflectionError("target change must fix the origin")
@@ -920,7 +922,7 @@ def transform_target(Mp: GraphedManifold, phi_p: SeriesMap) -> GraphedManifold:
     theta_new = [phibar_on[Mp.m + j].compose(list(inv.components))
                  .remapped(Mp.ctx_theta, rename) for j in range(Mp.d)]
     return GraphedManifold.from_theta(Mp.m, Mp.d, SeriesMap(theta_new),
-                                      primed=True)
+                                      primed=True, check=False)
 
 
 def composed_jet_table(hmap: FormalCRMap, depth: int) -> dict:

@@ -649,9 +649,13 @@ def formal_ift(F: SeriesMap, unknowns) -> SeriesMap:
     """Solve F(x, u) = 0 for the `unknowns` u as series in the free variables.
 
     Requirements: F(0) = 0, as many equations as unknowns, and the constant
-    Jacobian block dF/du(0) invertible.  The solution is produced degree by
-    degree and is the unique one with u(0) = 0; it is verified by
-    substitution before being returned.
+    Jacobian block J = dF/du(0) invertible.  The solution is produced degree
+    by degree and is the unique one with u(0) = 0.  Step k composes
+    F(x, u_{<k}) to degree k and sets u_k = -J^{-1} g_k from its degree-k
+    part g_k; the composition must have no term below degree k.  After the
+    last step N, g_N + J u_N must vanish.  Since u_N has degree N,
+    F(x, u_{<N} + u_N) = F(x, u_{<N}) + J u_N mod degree N+1, so the two
+    checks prove F(x, u) = 0 to the working order without composing again.
     """
     ctx_all = F.context
     unk = [u if isinstance(u, int) else ctx_all.index(u) for u in unknowns]
@@ -659,8 +663,8 @@ def formal_ift(F: SeriesMap, unknowns) -> SeriesMap:
         raise SeriesError("need exactly one equation per unknown")
     if any(F.constant_terms()):
         raise SeriesError("system does not vanish at the origin")
-    unk_set = set(unk)
-    free = [i for i in range(ctx_all.arity) if i not in unk_set]
+    pos = {i: j for j, i in enumerate(unk)}
+    free = [i for i in range(ctx_all.arity) if i not in pos]
     free_ctx = VariableContext(tuple(ctx_all.names[i] for i in free))
     order = F.order
 
@@ -671,33 +675,30 @@ def formal_ift(F: SeriesMap, unknowns) -> SeriesMap:
         raise SeriesError("implicit function hypothesis fails: "
                           "constant linear block is singular")
 
+    unverified = "internal: implicit solve failed to verify"
     sol = [TruncatedSeries.zero(free_ctx, order) for _ in unk]
     for k in range(1, order + 1):
-        args = []
-        pos = {i: j for j, i in enumerate(unk)}
-        for i, name in enumerate(ctx_all.names):
-            if i in unk_set:
-                args.append(sol[pos[i]].truncated(k))
-            else:
-                args.append(TruncatedSeries.variable(free_ctx, k, name))
-        g = [c.truncated(k).compose(args).degree_part(k) for c in F.components]
-        for j in range(len(unk)):
+        args = [sol[pos[i]].truncated(k) if i in pos
+                else TruncatedSeries.variable(free_ctx, k, name)
+                for i, name in enumerate(ctx_all.names)]
+        g = [c.truncated(k).compose(args).terms for c in F.components]
+        if any(sum(e) < k for terms in g for e in terms):
+            raise SeriesError(unverified)
+        parts = []
+        for j, sol_j in enumerate(sol):
             part: dict = {}
             for r in range(len(unk)):
                 iadd_scaled(part, g[r], -inv_block[j][r])
-            if part:
-                upd = dict(sol[j].terms)
-                upd.update(part)
-                sol[j] = TruncatedSeries._make(free_ctx, order, upd)
+            parts.append(part)
+            sol[j] = TruncatedSeries._make(free_ctx, order,
+                                           {**sol_j.terms, **part})
 
-    args = []
-    pos = {i: j for j, i in enumerate(unk)}
-    for i, name in enumerate(ctx_all.names):
-        args.append(sol[pos[i]] if i in unk_set
-                    else TruncatedSeries.variable(free_ctx, order, name))
-    for c in F.components:
-        if c.compose(args):
-            raise SeriesError("internal: implicit solve failed to verify")
+    for terms, row in zip(g, block):
+        residual = dict(terms)
+        for part, c in zip(parts, row):
+            iadd_scaled(residual, part, c)
+        if residual:
+            raise SeriesError(unverified)
     return SeriesMap(sol)
 
 

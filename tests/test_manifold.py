@@ -1,23 +1,29 @@
 """Graphing, the reality involution, tangent fields and derivations."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (make_ex121, make_flat, make_heisenberg, make_sphere3,
-                      make_z2zb2, quadric_pair, random_real_system,
-                      random_series)
+                      make_z2zb2, quadric_pair, random_coeff,
+                      random_real_system, random_series)
+from crreflect import manifold
 from crreflect.context import VariableContext, multidegrees
 from crreflect.exprparse import parse_expression
 from crreflect.gaussian import I, ONE, gr
+from crreflect.linalg import numeric_rank
 from crreflect.manifold import (Derivation, DerivationWord, GraphedManifold,
                                 JetSymbols, ManifoldError, Names,
                                 RealDefiningSystem, apply_derivation,
                                 complexify_and_graph, cr_fields,
                                 extend_derivation_to_jets, transversal_fields,
                                 verify_reality)
-from crreflect.series import SeriesError, SeriesMap, TruncatedSeries
+from crreflect.reflection import transform_target
+from crreflect.series import (SeriesError, SeriesMap, TruncatedSeries,
+                              jacobian_at_zero)
 
 
 def tvar(ctx, name, order=8):
@@ -146,6 +152,64 @@ def test_random_systems_reality_and_involution():
         M = complexify_and_graph(system)
         assert verify_reality(M).ok
         assert _two_way_reality_degree(M) is None
+
+
+def _mixed_real_system(seed, m, d, order=5):
+    """A seeded random real system whose linear part mixes every
+    t-coordinate, with its valid splits: the d-subsets of the t-indices
+    whose Jacobian block at 0 is nonsingular."""
+    rng = random.Random(seed)
+    n = m + d
+    ctx = VariableContext(tuple("t%d" % i for i in range(1, n + 1))
+                          + tuple("tau%d" % i for i in range(1, n + 1)))
+    comps = []
+    for _ in range(d):
+        comp = random_series(ctx, order, rng, degree=3, min_degree=2,
+                             density=0.35)
+        for i in range(1, n + 1):
+            comp = comp + tvar(ctx, "t%d" % i, order) * random_coeff(rng)
+        comps.append(comp)
+    system = RealDefiningSystem.symmetrize(n, d, SeriesMap(comps))
+    jac = jacobian_at_zero(system.rho.components, range(n))
+    splits = [s for s in itertools.combinations(range(n), d)
+              if numeric_rank([[row[c] for c in s] for row in jac]) == d]
+    return system, splits
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10 ** 6),
+       dims=st.sampled_from([(1, 1), (2, 1), (1, 2)]),
+       pick=st.integers(0, 2 ** 16))
+def test_graphs_of_real_systems_are_real(seed, dims, pick):
+    # The theorem `complexify_and_graph` rests on, in place of a check:
+    # rho is real and the implicit solve is unique, so the graph is real
+    # for every valid split.
+    system, splits = _mixed_real_system(seed, *dims)
+    assume(splits)
+    M = complexify_and_graph(system, split=splits[pick % len(splits)])
+    assert verify_reality(M).ok
+
+
+def test_reality_is_checked_where_a_graph_enters(monkeypatch):
+    calls = []
+    check = manifold.verify_reality
+    monkeypatch.setattr(manifold, "verify_reality",
+                        lambda M: calls.append(M) or check(M))
+    # derived graphs are real by theorem: no check
+    M = complexify_and_graph(random_real_system(0, 2, 1, order=6))
+    Mp = M.primed()
+    zp1, zp2, wp1 = (tvar(VariableContext(Mp.names.t), n, 6)
+                     for n in Mp.names.t)
+    transform_target(Mp, SeriesMap([zp1 + zp2 * wp1, zp2 * 2 + I * zp1 * zp1,
+                                    wp1 + wp1 * wp1]))
+    assert calls == []
+    # graphs supplied from outside: one check each
+    GraphedManifold.from_theta_bar(M.m, M.d, M.theta_bar)
+    assert len(calls) == 1
+    GraphedManifold.from_theta(M.m, M.d, M.theta)
+    assert len(calls) == 2
+    GraphedManifold(M.m, M.d, M.theta, M.theta_bar, M.names)
+    assert len(calls) == 3
 
 
 def _theta_bar_pair(primed):

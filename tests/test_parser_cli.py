@@ -267,7 +267,10 @@ BAD_EXPRESSIONS = [{"theta_bar": [5]}, {"rho": [None]}, {"theta_bar": None},
     ({"m": 1, "d": 1, "rho": HEIS_RHO, "theta_bar": [5]},
      "source manifold: give 'rho' or 'theta_bar', not both"),
 ] + [(dict(spec, m=1, d=1), "source manifold: '%s' must be a list of 1 "
-      "expression strings" % next(iter(spec))) for spec in BAD_EXPRESSIONS])
+      "expression strings" % next(iter(spec))) for spec in BAD_EXPRESSIONS] + [
+    # a supplied graph is where reality enters, so it is checked there
+    ({"m": 1, "d": 1, "theta_bar": ["xi1 + z1"]},
+     "source manifold: reality involution fails at degree 1")])
 def test_cli_bad_manifold_spec_exits_2(tmp_path, capsys, source, needle):
     mpath = tmp_path / "m.json"
     mpath.write_text(json.dumps(dict(HEIS_MANIFEST, source=source)))
@@ -379,7 +382,8 @@ def test_integral_floats_are_accepted():
     ("chains", "k", 0, 1),
     ("classify-manifold", "kmax", 0, 1),
     ("classify-manifold", "Dmax", -1, 0),
-    ("psi-conditions", "kmax", -2, 0),
+    ("psi-conditions", "kmax", -2, 1),
+    ("psi-conditions", "kmax", 0, 1),
     ("reflection", "Gmax", -1, 0),
     ("reflection", "betamax", -1, 0),
     ("degeneracy-field", "Dmax", -3, 0),

@@ -13,7 +13,7 @@ from crreflect import reflection
 from crreflect.context import VariableContext, multidegrees, zero_exponent
 from crreflect.gaussian import GaussianRational, I, ONE, ZERO, gr
 from crreflect.manifold import (GraphedManifold, JetSymbols, cr_fields,
-                                extend_derivation_to_jets)
+                                extend_derivation_to_jets, verify_reality)
 from crreflect.nondegen import (degenerate_selfmap_generator,
                                 holomorphic_degeneracy_field)
 from crreflect.reflection import (FormalCRMap, ReflectionComponents,
@@ -933,6 +933,7 @@ def test_substitutions_match_reference(M, Mp, phi):
     got = transform_target(Mp, phi)
     want = _transform_target_reference(Mp, phi)
     assert got.theta == want.theta and got.theta_bar == want.theta_bar
+    assert verify_reality(got).ok
     ctx_t = VariableContext(M.names.t)
     # h.order below the target's order as well as equal to it
     for order in (M.order, M.order - 2):

@@ -466,6 +466,25 @@ def test_formal_ift_substitute_back():
         assert F[0].compose(args).is_zero()
 
 
+@pytest.mark.parametrize("order, quadratic", [
+    (1, True), (2, True), (4, True), (2, False), (4, False)])
+def test_formal_ift_rejects_a_wrong_inverse(monkeypatch, order, quadratic):
+    # Twice the true inverse over-corrects every step.  At order 1 only the
+    # last step's residual g_1 + J u_1 can show it; from order 2 on, the
+    # next step's composition has a term below its degree.  For the linear
+    # u - x every later degree-k part is 0, so that is the only check that
+    # sees the wrong solution there.
+    true_inverse = series.invert_matrix
+    monkeypatch.setattr(series, "invert_matrix", lambda m: [
+        [c * 2 for c in row] for row in true_inverse(m)])
+    ctx = VariableContext(("x", "u"))
+    x, u = var(ctx, "x", order), var(ctx, "u", order)
+    F = u - x - u * u if quadratic else u - x
+    with pytest.raises(SeriesError,
+                       match="internal: implicit solve failed to verify"):
+        formal_ift(SeriesMap([F]), ["u"])
+
+
 def test_formal_ift_singular_block_raises():
     ctx = VariableContext(("x", "u"))
     x, u = var(ctx, "x", 4), var(ctx, "u", 4)
