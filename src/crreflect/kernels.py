@@ -12,8 +12,9 @@ both use it without an import cycle.
 * `derivation_table` and `derivation_apply`: a first-order operator
   sum_i c_i d/dx_i with series coefficients, converted once and then
   applied to a term dict in one pass.
-* `divexact`: exact division of term dicts by graded-lex reduction, the
-  remainder's keys kept in a heap.
+* `divexact`: exact division of term dicts by graded-lex reduction on
+  packed exponents with a guard bit per field, the remainder's packed keys
+  kept in a heap and the divisor held as Gaussian-integer numerators.
 * `echelon`: Gauss-Jordan elimination of a constant matrix given as sparse
   {column: coefficient} rows, the one elimination behind every rank,
   kernel, inverse and span test.
@@ -91,6 +92,14 @@ def _make(a: int, b: int, c: int) -> GaussianRational:
     z.b = b
     z.c = c
     return z
+
+
+def _triple(a: int, b: int, c: int) -> tuple:
+    """Normalize (a + b*i)/c, c > 0, as an (a, b, c) triple."""
+    g = gcd(a, b, c)
+    if g != 1:
+        return a // g, b // g, c // g
+    return a, b, c
 
 
 def _scale_shift(e: tuple, c: GaussianRational, T: dict, order: int) -> dict:
@@ -403,9 +412,20 @@ def derivation_apply(A: dict, table, order: int):
     return {k: _make(x, y, den) for k, (x, y) in acc.items() if x or y}
 
 
-def _grlex_desc(e):
-    """Sort key under which the graded-lex largest exponent comes first."""
-    return (-sum(e), tuple([-x for x in e]))
+@lru_cache(maxsize=None)
+def _division_packing(arity: int, top: int):
+    """(width, weights, guards) for exponent fields of at most `top`, the
+    layout of `divexact`: the total degree in the top field, then x0 down to
+    the last variable, so that keys sort in graded-lex order.  Each field
+    has one guard bit above the bits `top` needs, and `guards` marks them
+    all: for packed monomials a and b, b divides a iff a - b borrows into
+    no field, that is iff (a - b) & guards is 0."""
+    width = top.bit_length() + 1
+    shift = width * arity
+    weights = tuple([(1 << (width * (arity - 1 - i))) + (1 << shift)
+                     for i in range(arity)])
+    guards = sum([1 << (width * j + width - 1) for j in range(arity + 1)])
+    return width, weights, guards
 
 
 def divexact(f: dict, g: dict) -> dict:
@@ -417,31 +437,71 @@ def divexact(f: dict, g: dict) -> dict:
     popped key no longer in the remainder is skipped.  Raises
     ZeroDivisionError for g = 0 and ArithmeticError, naming the leading term
     left over, when g does not divide f.
+
+    Exponents are packed by `_division_packing`, x0 in the highest field
+    below the degree (the reverse of `_packing`), so the heap holds ints in
+    graded-lex order and the test that g's lead divides the remainder's
+    lead is one masked subtraction.  g is converted once to
+    Gaussian-integer numerators X + iY over the lcm D of its denominators.
+    With the lead X0 + iY0 and its norm N = X0^2 + Y0^2, a remainder lead
+    (a + ib)/c gives the quotient coefficient
+    (a + ib) * D * (X0 - iY0) / (c * N), normalized once.  The step then
+    subtracts it times x^t * g from the remainder's normalized (a, b, c)
+    triples directly, one gcd per updated term, with no product dict,
+    `mul_terms` or `iadd_scaled` call.  Only the quotient keys, and the
+    leftover lead in the error, are unpacked.
     """
     if not f:
         return {}
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    glead = min(g, key=_grlex_desc)
-    gc = g[glead]
-    q: dict = {}
-    rem = dict(f)
-    heap = [(_grlex_desc(e), e) for e in rem]
+    arity = len(next(iter(g)))
+    top = max(max(map(sum, f)), max(map(sum, g)))
+    width, weights, guards = _division_packing(arity, top)
+    den = lcm(*[c.c for c in g.values()])
+    rows = sorted([(sum(map(mul, e, weights)), c.a * m, c.b * m)
+                   for e, c in g.items() for m in (den // c.c,)])
+    glead, x0, y0 = rows.pop()
+    norm = x0 * x0 + y0 * y0
+    lead_re, lead_im = x0 * den, y0 * den
+    rem = {sum(map(mul, e, weights)): (c.a, c.b, c.c) for e, c in f.items()}
+    get, pop = rem.get, rem.pop
+    heap = [-p for p in rem]
     heapify(heap)
+    mask = (1 << width) - 1
+    shifts = range(width * (arity - 1), -1, -width)
+    q: dict = {}
     while rem:
-        flead = heappop(heap)[1]
-        if flead not in rem:
+        p = -heappop(heap)
+        s = pop(p, None)
+        if s is None:
             continue
-        t = tuple(a - b for a, b in zip(flead, glead))
-        if any(x < 0 for x in t):
-            raise ArithmeticError("remainder at %r" % (flead,))
-        coeff = rem[flead] / gc
-        q[t] = coeff
-        step = mul_terms({t: coeff}, g, -1)
-        added = [e for e in step if e not in rem]
-        iadd_scaled(rem, step, -ONE)
-        for e in added:
-            heappush(heap, (_grlex_desc(e), e))
+        t = p - glead
+        if t & guards:
+            lead = tuple([(p >> i) & mask for i in shifts])
+            raise ArithmeticError("remainder at %r" % (lead,))
+        a, b, c = s
+        z = _make(a * lead_re + b * lead_im, b * lead_re - a * lead_im,
+                  c * norm)
+        q[tuple([(t >> i) & mask for i in shifts])] = z
+        qa, qb = z.a, z.b
+        m = z.c * den
+        for pe, x, y in rows:
+            k = t + pe
+            re = qa * x - qb * y
+            im = qa * y + qb * x
+            s = get(k)
+            if s is None:
+                rem[k] = _triple(-re, -im, m)
+                heappush(heap, -k)
+                continue
+            a, b, c = s
+            a = a * m - c * re
+            b = b * m - c * im
+            if a or b:
+                rem[k] = _triple(a, b, c * m)
+            else:
+                del rem[k]
     return q
 
 

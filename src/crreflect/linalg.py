@@ -6,14 +6,18 @@ the package's one Gauss-Jordan elimination, which takes sparse rows:
 `numeric_rank` converts a dense matrix once, and `kernel_basis` takes the
 coefficient column of each unknown.  `symbolic_rank` computes the
 rank of a matrix of (truncated) polynomial entries over the fraction field
-of the polynomial ring, via fraction-free Bareiss elimination with the
-exact division `kernels.divexact`, checked against the rank at a seeded
-rational point (`symbolic_rank` states why that is a certified lower
-bound).  Bareiss's last step, with one row left below the pivot, only
-asks whether that row vanishes; each of its entries is a numerator
-divided by the previous pivot, a nonzero polynomial, and the polynomials
-over Q(i) have no zero divisors, so the step tests the numerators and
-divides nothing."""
+of the polynomial ring, via fraction-free Bareiss elimination, checked
+against the rank at a seeded rational point (`symbolic_rank` states why
+that is a certified lower bound).  Bareiss's last step, with one row left
+below the pivot, only asks whether that row vanishes; each of its entries
+is a numerator divided by the previous pivot, a nonzero polynomial, and
+the polynomials over Q(i) have no zero divisors, so the step tests the
+numerators and divides nothing.  Every earlier step divides its entries
+by the previous pivot through `kernels.divexact`, the package's one exact
+division (also behind `series.divide_with_valuation`): it converts the
+pivot once to Gaussian-integer numerators and reduces on packed exponent
+keys, one normalization per remainder term and no product per quotient
+term."""
 
 from __future__ import annotations
 

@@ -120,7 +120,10 @@ def _int_field(data: dict, key: str, default: int) -> int:
 # Each analysis, the bounds it reads and the smallest value of each: the
 # checks in `minimality` and `chain`, and the ladders of `classify_manifold`
 # and `psi_and_h_conditions` start at jet order 1.  Every bound is also at
-# most the order.
+# most the order, and those in BELOW_ORDER are below it: on a
+# Levi-degenerate source the nd2 rung of `classify_manifold` climbs to
+# k = kmax, and a Segre jet of order k = order has no precision left.
+BELOW_ORDER = {("classify-manifold", "kmax")}
 ANALYSES = {
     "verify-cr": {},
     "classify-manifold": {"kmax": 1, "Dmax": 0},
@@ -176,6 +179,10 @@ class Manifest:
                         "analysis %r does not read '%s'; it reads %s"
                         % (name, key, ", ".join(bounds) or "no bounds"))
                 a[key] = _int_field(a, key, 0)
+                if (name, key) in BELOW_ORDER and a[key] >= self.order:
+                    raise ManifestError(
+                        "analysis bound %s=%s of %r must be below order %d"
+                        % (key, a[key], name, self.order))
                 if a[key] > self.order:
                     raise ManifestError(
                         "analysis bound %s=%s exceeds order %d"

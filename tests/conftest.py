@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 import pytest
 
@@ -264,6 +265,41 @@ def _bareiss_rank_reference(entries):
         if rank == nrows:
             break
     return rank
+
+
+def _divexact_reference(f, g):
+    """`kernels.divexact` as it was before it ran on packed keys and integer
+    numerators: tuple keys in a heap under a graded-lex sort key, one
+    normalized `GaussianRational` division per quotient term, and each step
+    a one-term `mul_terms` product subtracted with `iadd_scaled`."""
+    def grlex_desc(e):
+        return (-sum(e), tuple([-x for x in e]))
+
+    if not f:
+        return {}
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    glead = min(g, key=grlex_desc)
+    gc = g[glead]
+    q = {}
+    rem = dict(f)
+    heap = [(grlex_desc(e), e) for e in rem]
+    heapify(heap)
+    while rem:
+        flead = heappop(heap)[1]
+        if flead not in rem:
+            continue
+        t = tuple(a - b for a, b in zip(flead, glead))
+        if any(x < 0 for x in t):
+            raise ArithmeticError("remainder at %r" % (flead,))
+        coeff = rem[flead] / gc
+        q[t] = coeff
+        step = mul_terms({t: coeff}, g, -1)
+        added = [e for e in step if e not in rem]
+        iadd_scaled(rem, step, -ONE)
+        for e in added:
+            heappush(heap, (grlex_desc(e), e))
+    return q
 
 
 def _evaluate_reference(series, point):

@@ -6,7 +6,9 @@ for sympy's rank is checked against its full-elimination reference."""
 
 import itertools
 import random
+import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -20,7 +22,8 @@ from sympy.polys.matrices import DomainMatrix
 from sympy.polys.polyerrors import ExactQuotientFailed
 from sympy.polys.rings import ring
 
-from conftest import _bareiss_rank_reference, _evaluate_reference
+from conftest import (_bareiss_rank_reference, _divexact_reference,
+                      _evaluate_reference)
 from crreflect import kernels
 from crreflect.context import VariableContext, multidegrees
 from crreflect.gaussian import ONE, ZERO, GaussianRational, gr
@@ -457,6 +460,76 @@ def test_divexact_names_the_leftover_lead():
     # x0^2 + x1 over x0: x0 goes in, x1 is left and x0 does not divide it
     with pytest.raises(ArithmeticError, match=r"remainder at \(0, 1\)"):
         kernels.divexact({(2, 0): gr(1), (0, 1): gr(1)}, {(1, 0): gr(1)})
+
+
+@st.composite
+def division_pairs(draw):
+    """(f, g), g nonzero, in 1-4 variables: f is a multiple of g, such a
+    multiple plus a few stray terms, or a nonzero f of lower degree than g.
+    Coefficients have mixed denominators; the lead of g is sometimes made
+    non-real, and g is often one term."""
+    n = draw(st.integers(1, 4))
+    g = draw(term_dicts(n, 3, min_size=1,
+                        max_size=draw(st.sampled_from((1, 2, 4)))))
+    kind = draw(st.sampled_from(("exact", "inexact", "low")))
+    if kind == "low":
+        f = draw(term_dicts(n, 1, min_size=1))
+        g[(n + 1,) + (0,) * (n - 1)] = draw(coefficients())
+    if draw(st.booleans()):
+        lead = max(g, key=lambda e: (sum(e), e))
+        g[lead] = GaussianRational(g[lead].re, draw(st.sampled_from((1, -3))))
+    if kind != "low":
+        f = kernels.mul_terms(draw(term_dicts(n, 3, max_size=6)), g, -1)
+        if kind == "inexact":
+            kernels.iadd_scaled(f, draw(term_dicts(n, 4, min_size=1,
+                                                   max_size=3)), ONE)
+    return f, g
+
+
+# three terms with mixed denominators and a non-real lead
+_MIXED_G = {(1, 0): gr(Fraction(1, 3), 2), (0, 1): gr(Fraction(5, 7)),
+            (0, 0): gr(0, Fraction(1, 2))}
+
+
+@settings(max_examples=150, deadline=None)
+@given(division_pairs())
+@example((kernels.mul_terms({(1, 0): gr(Fraction(1, 2), 1),
+                             (0, 1): gr(Fraction(-2, 3))}, _MIXED_G, -1),
+          _MIXED_G))
+@example(({(2, 0): gr(Fraction(1, 6), 1), (1, 1): gr(Fraction(-5, 21), 2),
+           (0, 2): gr(Fraction(2, 7)), (1, 0): gr(0, Fraction(1, 3)),
+           (0, 1): gr(Fraction(1, 2), Fraction(1, 3))}, _MIXED_G))
+# a one-term divisor in four variables
+@example(({(1, 2, 0, 1): gr(3, -1), (1, 0, 1, 1): gr(Fraction(2, 5))},
+          {(1, 0, 0, 1): gr(Fraction(2, 3), 1)}))
+# a divisor of higher degree than the dividend
+@example(({(1, 1): gr(1), (0, 0): gr(2)}, {(3, 0): gr(1), (0, 0): gr(1)}))
+def test_divexact_matches_reference(case):
+    f, g = case
+    try:
+        want = _divexact_reference(f, g)
+    except ArithmeticError as exc:
+        with pytest.raises(ArithmeticError, match=re.escape(str(exc))):
+            kernels.divexact(f, g)
+        return
+    got = kernels.divexact(f, g)
+    assert got == want
+    assert all(gcd(c.a, c.b, c.c) == 1 and c.c > 0 for c in got.values())
+
+
+@pytest.mark.parametrize("f, g", [
+    ((0, 2), (1, 1)),
+    ((2, 0), (1, 1)),
+    ((1, 1, 0), (0, 0, 2)),
+    ((0, 2, 1), (1, 0, 1)),
+])
+def test_divexact_packed_fields_do_not_borrow(f, g):
+    # a field of g's lead above the remainder's borrows from the field above
+    # it in the packed subtraction; the guard bit under that borrow is what
+    # tells the lead is not divisible
+    with pytest.raises(ArithmeticError,
+                       match=re.escape("remainder at %r" % (f,))):
+        kernels.divexact({f: gr(1)}, {g: gr(1)})
 
 
 # -- divide_with_valuation and formal_ift ------------------------------------

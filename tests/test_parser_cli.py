@@ -399,6 +399,24 @@ def test_cli_bound_below_minimum_exits_2(tmp_path, capsys, analysis, key,
     assert "%s=%d of %r is below %d" % (key, value, analysis, low) in err
 
 
+def test_cli_classify_manifold_kmax_stays_below_the_order(tmp_path, capsys):
+    # nd2 of this Levi-degenerate source climbs to k = kmax; at k = order
+    # no precision is left, so kmax = order is refused when the manifest is
+    # read instead of failing the analysis
+    data = {"order": 4,
+            "source": {"m": 2, "d": 1, "rho": ["w1 - xi1 - i*z1*zeta1"]}}
+    mpath = tmp_path / "m.json"
+    out = str(tmp_path / "r.json")
+    mpath.write_text(json.dumps(dict(
+        data, analyses=[{"name": "classify-manifold", "kmax": 4}])))
+    assert main(["analyze", str(mpath), "--out", out]) == 2
+    assert "kmax=4 of 'classify-manifold' must be below order 4" in \
+        capsys.readouterr().err
+    mpath.write_text(json.dumps(dict(
+        data, analyses=[{"name": "classify-manifold", "kmax": 3}])))
+    assert main(["analyze", str(mpath), "--out", out]) == 0
+
+
 QUADRIC_MANIFEST = {
     "order": 7,
     "seed": 0,
