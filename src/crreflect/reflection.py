@@ -144,6 +144,14 @@ class ResidualReport:
             len(self.entries), bad)
 
 
+def _require_non_negative(**bounds):
+    """Reject a negative bound, which would pass a check vacuously or fail
+    deep inside it."""
+    for name, value in bounds.items():
+        if value < 0:
+            raise ReflectionError("%s must be non-negative" % name)
+
+
 def verify_formal_cr_map(h: FormalCRMap) -> ResidualReport:
     """The beta = 0 reflection identities, in substituted form.
 
@@ -246,8 +254,7 @@ def reflection_components(h: FormalCRMap, gmax=None) -> ReflectionComponents:
     gmax = h.order if gmax is None else gmax
     if gmax > h.order:
         raise ReflectionError("gmax exceeds the truncation order")
-    if gmax < 0:
-        raise ReflectionError("gmax must be non-negative")
+    _require_non_negative(gmax=gmax)
     table, _ = target_component_tables(h.Mp)
     return ReflectionComponents(h, gmax, _compose_components(
         h, gmax, (((jp, gamma), s) for jp in range(h.dp)
@@ -333,6 +340,7 @@ def reflection_identities(h: FormalCRMap, beta_max=1,
     families 3/4 in the conjugate (z, tau) chart.  For a formal CR map all
     residuals vanish within precision.
     """
+    _require_non_negative(beta_max=beta_max)
     M, Mp = h.M, h.Mp
     N = h.order
     ctxj = M.ctx_joint
@@ -630,6 +638,7 @@ def transversality_kernel(h: FormalCRMap, degree: int = 4, nwork=None):
     these bounds can see.
     """
     nwork = h.order if nwork is None else nwork
+    _require_non_negative(degree=degree, nwork=nwork)
     if nwork > h.order:
         raise ReflectionError("nwork exceeds the truncation order")
     horiz = [c.truncated(nwork) for c in h.horizontal_part_bar().components]
@@ -660,6 +669,8 @@ def transversality_uniqueness_defect(h: FormalCRMap, degree: int = 2,
     nwork = h.order if nwork is None else nwork
     beta_max = nwork if beta_max is None else beta_max
     gamma_max = degree if gamma_max is None else gamma_max
+    _require_non_negative(degree=degree, nwork=nwork, beta_max=beta_max,
+                          gamma_max=gamma_max)
     ctxj = M.ctx_joint
     _, Lbar = cr_fields(M)
     fbar_emb = [c.remapped(ctxj) for c in h.fbar.components]
@@ -752,10 +763,16 @@ class Resolution:
     def jet_identity_report(self, ell: int) -> ResidualReport:
         """The order-ell jet extension of the solved identity.
 
-        Tangential words L^beta Ups^delta applied to both sides, then the
-        unit-triangular inversion that isolates each plain partial of h;
-        every entry must vanish within its precision.
+        Entry ("jet", i, beta + delta) is L^beta Ups^delta (h_i - phi_i)
+        restricted to the manifold, for |beta| + |delta| <= ell: the words
+        act on phi through its jet symbols, whose values are then the real
+        jets of hbar.  Each word expands into plain partials d^alpha with
+        |alpha| <= |beta| + |delta|, with coefficient 1 on
+        d^(beta + delta), so the expansion is unit-triangular: every word
+        residual vanishes on the manifold exactly when every partial
+        residual of h does.
         """
+        _require_non_negative(ell=ell)
         h, M = self.h, self.h.M
         N = h.order
         level = self.ell0 + ell
@@ -768,7 +785,7 @@ class Resolution:
         liftL = [extend_derivation_to_jets(D, [jets2], ctx2, N) for D in L]
         liftU = [extend_derivation_to_jets(D, [jets2], ctx2, N) for D in U]
 
-        def nested_values(seed, liftL, liftU):
+        def nested_values(seed):
             by_delta = _WordCache(liftU, seed)
             caches = {}
 
@@ -781,54 +798,14 @@ class Resolution:
 
             return get
 
-        G = [nested_values(phi2[i], liftL, liftU) for i in range(h.np)]
-
-        vjets = JetSymbols("vres", 1, M.names.t, ell, {})
-        ctx_c = VariableContext(M.ctx_joint.names + vjets.names)
-        liftLc = [extend_derivation_to_jets(D, [vjets], ctx_c, N) for D in L]
-        liftUc = [extend_derivation_to_jets(D, [vjets], ctx_c, N) for D in U]
-        seed = vjets.jet_series(0, zero_exponent(M.n), ctx_c, N)
-        W = nested_values(seed, liftLc, liftUc)
-
-        words = [(beta, delta)
-                 for beta in multidegrees(M.m, ell)
-                 for delta in multidegrees(M.d, ell - sum(beta))]
-        words.sort(key=lambda bd: (sum(bd[0]) + sum(bd[1]), -sum(bd[1])))
-
-        exprs = {}
-        coeff_cache = {}
-        for beta, delta in words:
-            w_expr = W(beta, delta)
-            coeffs = {}
-            for alpha in multidegrees(M.n, ell):
-                c = w_expr.derive(ctx_c.index(vjets.name(0, alpha)))
-                if c:
-                    if c.support_variables() & {
-                            ctx_c.index(n) for n in vjets.names}:
-                        raise AssertionError("jet expansion is not linear")
-                    coeffs[alpha] = c.remapped(ctx2)
-            coeff_cache[(beta, delta)] = coeffs
-            diag = tuple(beta) + tuple(delta)
-            dcoeff = coeffs.get(diag)
-            if dcoeff is None or dcoeff.constant_term() != ONE \
-                    or len(dcoeff.terms) != 1:
-                raise AssertionError("jet inversion lost its unit diagonal")
-            for i in range(h.np):
-                expr = G[i](beta, delta)
-                for alpha, c in coeffs.items():
-                    if alpha == diag:
-                        continue
-                    prev = exprs[(i, alpha)]
-                    expr = expr - c.truncated(prev.order) * prev
-                exprs[(i, diag)] = expr
-
         report = ResidualReport()
         uargs = self._jet_args(level, jets2, "xi")
-        for (i, alpha), expr in sorted(exprs.items()):
-            value = M.restrict(expr, "xi", uargs)
-            lhs = h.h[i].derive_multi(alpha).remapped(M.ctx_restrict_xi)
-            res = lhs.truncated(value.order) - value.truncated(lhs.order)
-            report.add("jet", i, alpha, res)
+        alphas = sorted(multidegrees(M.n, ell))
+        for i in range(h.np):
+            words = nested_values(h.h[i].remapped(ctx2) - phi2[i])
+            for alpha in alphas:
+                word = words(alpha[:M.m], alpha[M.m:])
+                report.add("jet", i, alpha, M.restrict(word, "xi", uargs))
         return report
 
 
@@ -840,6 +817,7 @@ def resolve_finitely_nondeg(h: FormalCRMap, ell0: int = 1) -> Resolution:
     phi is produced by the formal implicit function theorem on n' selected
     rows and verified against h before being returned.
     """
+    _require_non_negative(ell0=ell0)
     M, Mp = h.M, h.Mp
     if not h.cr_report.ok:
         raise ReflectionError("the map is not CR to the working order")

@@ -658,7 +658,7 @@ def test_apply_matches_reference_loop(M):
 def test_apply_matches_reference_on_jet_lifts(M):
     """Both lifts: hbar jets over tau at level 2 with constants (as in
     `jet_identity_report`), and one component's jets over t at level 1
-    (its `vres` block)."""
+    (a generic t-jet)."""
     rng = random.Random(7 + M.m + 2 * M.d)
     N = M.order
     L, Lbar = cr_fields(M)

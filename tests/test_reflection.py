@@ -7,13 +7,14 @@ import random
 import pytest
 
 from conftest import (kernel_basis_reference, make_ex121, make_flat,
-                      make_heisenberg, make_sphere3, random_minimal_manifold,
-                      random_series, seeded_maps)
+                      make_heisenberg, make_sphere3, quadric_pair,
+                      random_minimal_manifold, random_series, seeded_maps)
 from crreflect import reflection
 from crreflect.context import VariableContext, multidegrees, zero_exponent
 from crreflect.gaussian import GaussianRational, I, ONE, ZERO, gr
 from crreflect.manifold import (GraphedManifold, JetSymbols, cr_fields,
-                                extend_derivation_to_jets, verify_reality)
+                                extend_derivation_to_jets,
+                                transversal_fields, verify_reality)
 from crreflect.nondegen import (degenerate_selfmap_generator,
                                 holomorphic_degeneracy_field)
 from crreflect.reflection import (FormalCRMap, ReflectionComponents,
@@ -842,6 +843,168 @@ def test_verification_report_matches_reference(record_residuals):
             _verification_report_reference, res))
         assert got[0].ok
         assert [k[0] for k in got[1]] == [1] * h.np + [2] * h.np
+
+
+def _jet_identity_report_reference(res, ell):
+    """`Resolution.jet_identity_report` as it was written before each entry
+    became one word's residual: each word L^beta Ups^delta of one generic
+    t-jet is expanded into plain partials, the unit-triangular system is
+    solved for d^alpha of phi over the jets context, and each formula is
+    restricted to the manifold and compared with d^alpha h."""
+    h, M = res.h, res.h.M
+    N = h.order
+    level = res.ell0 + ell
+    jets2 = JetSymbols(res.jets.prefix, h.np, M.names.tau, level,
+                       _jet_constants(h.hbar, level))
+    ctx2 = VariableContext(M.ctx_joint.names + jets2.names)
+    phi2 = [c.remapped(ctx2) for c in res.phi.components]
+    L, _ = cr_fields(M)
+    U, _ = transversal_fields(M)
+    liftL = [extend_derivation_to_jets(D, [jets2], ctx2, N) for D in L]
+    liftU = [extend_derivation_to_jets(D, [jets2], ctx2, N) for D in U]
+
+    def nested_values(seed, liftL, liftU):
+        by_delta = _WordCache(liftU, seed)
+        caches = {}
+
+        def get(beta, delta):
+            cache = caches.get(delta)
+            if cache is None:
+                cache = _WordCache(liftL, by_delta.get(delta))
+                caches[delta] = cache
+            return cache.get(beta)
+
+        return get
+
+    G = [nested_values(phi2[i], liftL, liftU) for i in range(h.np)]
+
+    vjets = JetSymbols("vres", 1, M.names.t, ell, {})
+    ctx_c = VariableContext(M.ctx_joint.names + vjets.names)
+    liftLc = [extend_derivation_to_jets(D, [vjets], ctx_c, N) for D in L]
+    liftUc = [extend_derivation_to_jets(D, [vjets], ctx_c, N) for D in U]
+    seed = vjets.jet_series(0, zero_exponent(M.n), ctx_c, N)
+    W = nested_values(seed, liftLc, liftUc)
+
+    words = [(beta, delta)
+             for beta in multidegrees(M.m, ell)
+             for delta in multidegrees(M.d, ell - sum(beta))]
+    words.sort(key=lambda bd: (sum(bd[0]) + sum(bd[1]), -sum(bd[1])))
+
+    exprs = {}
+    for beta, delta in words:
+        w_expr = W(beta, delta)
+        coeffs = {}
+        for alpha in multidegrees(M.n, ell):
+            c = w_expr.derive(ctx_c.index(vjets.name(0, alpha)))
+            if c:
+                if c.support_variables() & {
+                        ctx_c.index(n) for n in vjets.names}:
+                    raise AssertionError("jet expansion is not linear")
+                coeffs[alpha] = c.remapped(ctx2)
+        diag = tuple(beta) + tuple(delta)
+        dcoeff = coeffs.get(diag)
+        if dcoeff is None or dcoeff.constant_term() != ONE \
+                or len(dcoeff.terms) != 1:
+            raise AssertionError("jet inversion lost its unit diagonal")
+        for i in range(h.np):
+            expr = G[i](beta, delta)
+            for alpha, c in coeffs.items():
+                if alpha == diag:
+                    continue
+                prev = exprs[(i, alpha)]
+                expr = expr - c.truncated(prev.order) * prev
+            exprs[(i, diag)] = expr
+
+    report = ResidualReport()
+    uargs = res._jet_args(level, jets2, "xi")
+    for (i, alpha), expr in sorted(exprs.items()):
+        value = M.restrict(expr, "xi", uargs)
+        lhs = h.h[i].derive_multi(alpha).remapped(M.ctx_restrict_xi)
+        report.add("jet", i, alpha,
+                   lhs.truncated(value.order) - value.truncated(lhs.order))
+    return report
+
+
+NEGATIVE_BOUNDS = [
+    ("beta_max", lambda h: reflection_identities(h, beta_max=-1)),
+    ("ell0", lambda h: resolve_finitely_nondeg(h, ell0=-1)),
+    ("ell", lambda h: resolve_finitely_nondeg(h).jet_identity_report(-1)),
+    ("degree", lambda h: transversality_kernel(h, degree=-1)),
+    ("nwork", lambda h: transversality_kernel(h, nwork=-1)),
+    ("degree", lambda h: transversality_uniqueness_defect(h, degree=-1)),
+    ("nwork", lambda h: transversality_uniqueness_defect(h, nwork=-1)),
+    ("beta_max",
+     lambda h: transversality_uniqueness_defect(h, beta_max=-1)),
+    ("gamma_max",
+     lambda h: transversality_uniqueness_defect(h, gamma_max=-1)),
+]
+
+
+@pytest.mark.parametrize("bound, call", NEGATIVE_BOUNDS,
+                         ids=["%s-%d" % (b, k)
+                              for k, (b, _) in enumerate(NEGATIVE_BOUNDS)])
+def test_negative_bounds_are_rejected(bound, call):
+    # a negative bound must be refused up front, not pass a check with no
+    # entries or fail deep inside it
+    h = identity_on(*heis_pair(order=7))
+    with pytest.raises(ReflectionError, match="%s must be non-negative"
+                       % bound):
+        call(h)
+
+
+def _jet_resolutions():
+    """(label, resolution, ells) for the passing jet-report cases."""
+    out = []
+    M, Mp = heis_pair(order=7)
+    z, w = (tvar(VariableContext(M.names.t), n, 7) for n in M.names.t)
+    for label, h in (("heisenberg-identity", identity_on(M, Mp)),
+                     ("heisenberg-dilation", hmap(M, Mp, [2 * z, 4 * w]))):
+        out.append((label, resolve_finitely_nondeg(h, ell0=1), (0, 1, 2)))
+    for order in (6, 7):
+        S, Sp = make_sphere3(order=order), make_sphere3(order=order,
+                                                        primed=True)
+        out.append(("sphere3-%d" % order,
+                    resolve_finitely_nondeg(identity_on(S, Sp), ell0=1),
+                    (0, 1)))
+    Q, Qp = quadric_pair()
+    out.append(("quadric", resolve_finitely_nondeg(identity_on(Q, Qp),
+                                                   ell0=1), (1,)))
+    return out
+
+
+def _lowest_failing_tier(rep):
+    """(|alpha|, failing keys) of the lowest order with a failing entry."""
+    bad = [k for k, (v, _) in rep.entries.items() if v is not None]
+    tier = min(sum(k[2]) for k in bad)
+    return tier, [k for k in bad if sum(k[2]) == tier]
+
+
+def test_jet_identity_report_matches_reference(record_residuals):
+    cases = _jet_resolutions()
+    for label, res, ells in cases:
+        for ell in ells:
+            got = record_residuals(res.jet_identity_report, ell)
+            want = record_residuals(_jet_identity_report_reference, res, ell)
+            _assert_same_residuals(got, want)
+            assert got[0].ok, (label, ell)
+    # a perturbed phi: each entry is one word's residual, so only the
+    # lowest failing order is bound to agree with the old inversion, which
+    # could cancel a failure above it
+    res = cases[0][1]
+    phi = res.phi
+    z, w = (TruncatedSeries.variable(phi.context, phi.order, n)
+            for n in res.h.M.names.t)
+    for degree, bump in ((2, z * w), (3, w ** 3), (4, w ** 4)):
+        res.phi = SeriesMap([phi[0], phi[1] + bump])
+        for ell in (1, 2):
+            got = res.jet_identity_report(ell)
+            want = _jet_identity_report_reference(res, ell)
+            assert not got.ok and not want.ok
+            assert list(got.entries) == list(want.entries)
+            assert _lowest_failing_tier(got) == _lowest_failing_tier(want)
+        if degree == 2:
+            assert got.entries[("jet", 1, (2, 0))][0] == 1
+            assert want.entries[("jet", 1, (2, 0))][0] is None
 
 
 # References for the three substitutions that built their own arguments
