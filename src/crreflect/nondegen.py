@@ -68,6 +68,15 @@ def _chain_consistent(verdicts, unbound=()):
                    if i not in unbound)
 
 
+def _check_kmax(kmax: int, order: int):
+    """A ladder searches k in 1..kmax: with kmax < 1 it would decide on no
+    data, and past the order its jets have no precision left."""
+    if kmax < 1:
+        raise SeriesError("kmax must be at least 1")
+    if kmax > order:
+        raise SeriesError("kmax exceeds the truncation order")
+
+
 def _least_k(kmax: int, test):
     """The least k in 1..kmax at which a ladder rung holds, with test(k):
     the rung holds where its test gives neither False nor None (a rank test
@@ -175,8 +184,7 @@ def classify_manifold(Mp: GraphedManifold, kmax: int = None,
     """The five-step nondegeneracy ladder of the (target) manifold."""
     if kmax is None:
         kmax = min(Mp.order, 4)
-    if kmax > Mp.order:
-        raise SeriesError("kmax exceeds the truncation order")
+    _check_kmax(kmax, Mp.order)
     full = Mp.m + Mp.n
     jet_maps = {}
 
@@ -284,8 +292,7 @@ def psi_and_h_conditions(h: FormalCRMap, kmax: int = 2,
                          seed: int = 0) -> MapClassification:
     """Classification of the map through its reflection-identity data."""
     M, Mp = h.M, h.Mp
-    if kmax > h.order:
-        raise SeriesError("kmax exceeds the truncation order")
+    _check_kmax(kmax, h.order)
     table = psi_table(h, beta_max=kmax)
     ctxj = M.ctx_joint
     ctx_psi = VariableContext(ctxj.names + Mp.names.t)

@@ -20,8 +20,8 @@ from .context import VariableContext, multidegrees, zero_exponent
 from .gaussian import ONE, MINUS_ONE
 from .kernels import echelon
 from .linalg import kernel_basis, numeric_rank
-from .manifold import (GraphedManifold, JetSymbols, cr_fields,
-                       extend_derivation_to_jets, transversal_fields)
+from .manifold import (Derivation, GraphedManifold, JetSymbols, cr_fields,
+                       extend_derivation_to_jets)
 from .segre import SegreChain
 from .series import (SeriesMap, TruncatedSeries, SeriesError,
                      divide_with_valuation, factorial_multi, formal_ift,
@@ -671,13 +671,11 @@ def transversality_uniqueness_defect(h: FormalCRMap, degree: int = 2,
     gamma_max = degree if gamma_max is None else gamma_max
     _require_non_negative(degree=degree, nwork=nwork, beta_max=beta_max,
                           gamma_max=gamma_max)
-    ctxj = M.ctx_joint
-    _, Lbar = cr_fields(M)
-    fbar_emb = [c.remapped(ctxj) for c in h.fbar.components]
-    power = _power_cache(fbar_emb, h.order)
+    # Lbar is tangent to the manifold and restricts to d/dzeta on side
+    # 'xi', since theta depends on (zeta, z, w) only: Lbar^beta fbar^gamma'
+    # on the leaf is d_zeta^beta of fbar^gamma' restricted there.
+    power = _power_cache(list(M.restrict(h.fbar, "xi")), h.order)
     gammas = list(multidegrees(h.mp, gamma_max))
-    caches = {g: _WordCache(Lbar, power(g)) for g in gammas}
-
     ctx_z = VariableContext(M.names.z)
     rel_monos = list(multidegrees(M.m, degree))
     columns = {(g, mono): {} for g in gammas for mono in rel_monos}
@@ -685,8 +683,10 @@ def transversality_uniqueness_defect(h: FormalCRMap, degree: int = 2,
         room = nwork - sum(beta)
         if room < 0:
             continue
+        dzeta = zero_exponent(M.n) + tuple(beta)
         for g in gammas:
-            w = M.restrict(caches[g].get(beta), "leaf").truncated(room)
+            w = M.restrict(power(g).derive_multi(dzeta),
+                           "leaf").truncated(room)
             for mono in rel_monos:
                 shifted = w * TruncatedSeries.monomial(ctx_z, room, mono)
                 columns[(g, mono)].update(
@@ -742,70 +742,65 @@ class Resolution:
                     M.restrict(comp.derive_multi(alpha), side) - c
         return out
 
+    def _residuals(self, side):
+        """lhs_i - phi_i with the level-ell0 jet values: h against phi on
+        side 'xi', hbar against the conjugate of phi on side 'w'."""
+        M = self.h.M
+        lhs, phi = self.h.h, self.phi.components
+        if side == "w":
+            lhs, swap = self.h.hbar, M.names.swap_map()
+            phi = [c.conjugate_swapped(swap, c.context) for c in phi]
+        uargs = self._jet_args(self.ell0, self.jets, side)
+        values = [M.restrict(c, side, uargs) for c in phi]
+        return [f.remapped(v.context).truncated(v.order) - v
+                for f, v in zip(lhs, values)]
+
     def verification_report(self) -> ResidualReport:
         """Both lines of the solved identity; families 1 and 2 label the
         unbarred and the conjugate line."""
-        h, M = self.h, self.h.M
         report = ResidualReport()
-        swap = M.names.swap_map()
-        phibar = [c.conjugate_swapped(swap, c.context)
-                  for c in self.phi.components]
-        for family, side, lhs, phi in ((1, "xi", h.h, self.phi.components),
-                                       (2, "w", h.hbar, phibar)):
-            uargs = self._jet_args(self.ell0, self.jets, side)
-            for i, comp in enumerate(phi):
-                value = M.restrict(comp, side, uargs)
-                res = lhs[i].remapped(value.context).truncated(value.order) \
-                    - value
+        for family, side in ((1, "xi"), (2, "w")):
+            for i, res in enumerate(self._residuals(side)):
                 report.add(family, i, (), res)
         return report
 
     def jet_identity_report(self, ell: int) -> ResidualReport:
         """The order-ell jet extension of the solved identity.
 
-        Entry ("jet", i, beta + delta) is L^beta Ups^delta (h_i - phi_i)
-        restricted to the manifold, for |beta| + |delta| <= ell: the words
-        act on phi through its jet symbols, whose values are then the real
-        jets of hbar.  Each word expands into plain partials d^alpha with
-        |alpha| <= |beta| + |delta|, with coefficient 1 on
-        d^(beta + delta), so the expansion is unit-triangular: every word
-        residual vanishes on the manifold exactly when every partial
-        residual of h does.
+        Entry ("jet", i, beta + delta) is L^beta Ups^delta (h_i - phi_i) on
+        the manifold, for |beta| + |delta| <= ell.  L and Ups are tangent
+        to the complexified manifold, so each word is taken after the
+        restriction xi := theta, on the family-1 residual over (z, w, zeta).
+        There Ups_j is d/dw_j, as theta involves no xi, and L_k is d/dz_k +
+        sum_j (d theta_bar_j/dz_k on the manifold) d/dw_j.  A word expands
+        into plain partials d^alpha, |alpha| <= |beta| + |delta|, with
+        coefficient 1 on d^(beta + delta): every word residual vanishes
+        exactly when every partial residual of h does.  Every entry is
+        exact to order - ell0 - ell, the precision of the jets of hbar of
+        order ell0 + ell; past the order this raises SeriesError.
         """
         _require_non_negative(ell=ell)
-        h, M = self.h, self.h.M
-        N = h.order
-        level = self.ell0 + ell
-        jets2 = JetSymbols(self.jets.prefix, h.np, M.names.tau, level,
-                           _jet_constants(h.hbar, level))
-        ctx2 = VariableContext(M.ctx_joint.names + jets2.names)
-        phi2 = [c.remapped(ctx2) for c in self.phi.components]
-        L, _ = cr_fields(M)
-        U, _ = transversal_fields(M)
-        liftL = [extend_derivation_to_jets(D, [jets2], ctx2, N) for D in L]
-        liftU = [extend_derivation_to_jets(D, [jets2], ctx2, N) for D in U]
-
-        def nested_values(seed):
-            by_delta = _WordCache(liftU, seed)
-            caches = {}
-
-            def get(beta, delta):
-                cache = caches.get(delta)
-                if cache is None:
-                    cache = _WordCache(liftL, by_delta.get(delta))
-                    caches[delta] = cache
-                return cache.get(beta)
-
-            return get
-
+        M = self.h.M
+        room = self.h.order - self.ell0 - ell
+        if room < 0:
+            raise SeriesError("no precision left to differentiate")
+        L = []
+        for z in M.names.z:
+            coeffs = {w: M.restrict(tb.derive(z), "xi")
+                      for w, tb in zip(M.names.w, M.theta_bar)}
+            coeffs[z] = ONE
+            L.append(Derivation(M.ctx_restrict_xi, coeffs))
         report = ResidualReport()
-        uargs = self._jet_args(level, jets2, "xi")
         alphas = sorted(multidegrees(M.n, ell))
-        for i in range(h.np):
-            words = nested_values(h.h[i].remapped(ctx2) - phi2[i])
+        for i, seed in enumerate(self._residuals("xi")):
+            words = {}
             for alpha in alphas:
-                word = words(alpha[:M.m], alpha[M.m:])
-                report.add("jet", i, alpha, M.restrict(word, "xi", uargs))
+                beta, delta = alpha[:M.m], alpha[M.m:]
+                if delta not in words:
+                    words[delta] = _WordCache(L, seed.derive_multi(
+                        zero_exponent(M.m) + delta))
+                report.add("jet", i, alpha,
+                           words[delta].get(beta).truncated(room))
         return report
 
 

@@ -656,9 +656,9 @@ def test_apply_matches_reference_loop(M):
 
 @pytest.mark.parametrize("M", SEEDED[::2], ids=SEEDED_IDS[::2])
 def test_apply_matches_reference_on_jet_lifts(M):
-    """Both lifts: hbar jets over tau at level 2 with constants (as in
-    `jet_identity_report`), and one component's jets over t at level 1
-    (a generic t-jet)."""
+    """Both lifts: hbar jets over tau at level 2 with constants (as
+    `resolve_finitely_nondeg` lifts Lbar at level ell0), and one
+    component's jets over t at level 1 (a generic t-jet)."""
     rng = random.Random(7 + M.m + 2 * M.d)
     N = M.order
     L, Lbar = cr_fields(M)
@@ -685,6 +685,34 @@ def test_apply_matches_reference_on_jet_lifts(M):
                     _raises_same(E, g, "beyond the lifted level")
                 else:
                     _check_apply(E, g)
+
+
+@pytest.mark.parametrize("M", SEEDED, ids=SEEDED_IDS)
+def test_tangent_fields_commute_with_restriction(M):
+    """restrict_xi(D f) == D_xi restrict_xi(f), for single fields and for
+    words of two: the tangent fields restrict to side 'xi' as L_k ->
+    d/dz_k + sum_j (d theta_bar_j/dz_k on the manifold) d/dw_j, Ups_j ->
+    d/dw_j and Lbar_k -> d/dzeta_k, because theta involves no xi."""
+    rng = random.Random(5 * M.m + M.d)
+    L, Lbar = cr_fields(M)
+    U, _ = transversal_fields(M)
+    pairs = []
+    for z, D in zip(M.names.z, L):
+        coeffs = {w: M.restrict(tb.derive(z), "xi")
+                  for w, tb in zip(M.names.w, M.theta_bar)}
+        coeffs[z] = ONE
+        pairs.append((D, Derivation(M.ctx_restrict_xi, coeffs).apply))
+    for fields, names in ((U, M.names.w), (Lbar, M.names.zeta)):
+        pairs += [(D, lambda f, v=v: f.derive(v))
+                  for D, v in zip(fields, names)]
+    for order in (M.order, M.order - 2):
+        f = random_series(M.ctx_joint, order, rng, degree=4, density=0.3)
+        on = M.restrict(f, "xi")
+        for D, D_xi in pairs:
+            once = D.apply(f)
+            assert M.restrict(once, "xi") == D_xi(on)
+            for E, E_xi in pairs:
+                assert M.restrict(E.apply(once), "xi") == E_xi(D_xi(on))
 
 
 def test_apply_constant_zero_and_series_coefficients():

@@ -488,6 +488,8 @@ def _classify_manifold_reference(Mp, kmax=None, dmax=4, seed=0):
     rung and nd1 ranked on its own."""
     if kmax is None:
         kmax = min(Mp.order, 4)
+    if kmax < 1:
+        raise SeriesError("kmax must be at least 1")
     if kmax > Mp.order:
         raise SeriesError("kmax exceeds the truncation order")
     full = Mp.m + Mp.n
@@ -532,6 +534,8 @@ def _psi_and_h_reference(h, kmax=2, seed=0):
     """`psi_and_h_conditions` with one loop per rung and h1 ranked on its
     own."""
     M, Mp = h.M, h.Mp
+    if kmax < 1:
+        raise SeriesError("kmax must be at least 1")
     if kmax > h.order:
         raise SeriesError("kmax exceeds the truncation order")
     table = psi_table(h, beta_max=kmax)
@@ -613,6 +617,19 @@ def test_manifold_ladder_matches_reference(label, Mp):
     # precision is left; the other ladders settle at k = 1
     degenerate = label in ("ex121", "z2zb2", "flat", "flat12")
     assert raised == ({LADDER_ORDER} if degenerate else set())
+
+
+def test_ladders_reject_kmax_below_one():
+    # a ladder searches k in 1..kmax; at kmax = 0 it used to read `fails`
+    # on every searched rung without looking at any jet
+    M, Mp = make_heisenberg(order=5), make_heisenberg(order=5, primed=True)
+    for kmax in (0, -1):
+        with pytest.raises(SeriesError, match="kmax must be at least 1"):
+            classify_manifold(Mp, kmax=kmax)
+        with pytest.raises(SeriesError, match="kmax must be at least 1"):
+            psi_and_h_conditions(identity_on(M, Mp), kmax=kmax)
+    assert classify_manifold(Mp, kmax=1).nd1.status == HOLDS
+    assert psi_and_h_conditions(identity_on(M, Mp), kmax=1).h1.status == HOLDS
 
 
 def test_flat_ladder_raises_at_the_parent():

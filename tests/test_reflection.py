@@ -34,8 +34,8 @@ from crreflect.reflection import (FormalCRMap, ReflectionComponents,
                                   transversality_uniqueness_defect,
                                   verify_formal_cr_map)
 from crreflect.segre import chain
-from crreflect.series import (SeriesMap, TruncatedSeries, factorial_multi,
-                              formal_ift, mul_precise)
+from crreflect.series import (SeriesError, SeriesMap, TruncatedSeries,
+                              factorial_multi, formal_ift, mul_precise)
 
 
 def tvar(ctx, name, order=8):
@@ -395,7 +395,9 @@ def _transversality_kernel_reference(h, degree):
 
 def _transversality_uniqueness_defect_reference(h, degree, beta_max,
                                                 gamma_max):
-    """The kernel dimension from one padded row per (beta, exponent)."""
+    """The kernel dimension from one padded row per (beta, exponent), with
+    each Lbar word taken over the joint context and restricted to the leaf
+    afterwards."""
     M = h.M
     _, Lbar = cr_fields(M)
     fbar_emb = [c.remapped(M.ctx_joint) for c in h.fbar.components]
@@ -829,6 +831,20 @@ def test_reflection_identities_match_reference(record_residuals, label, h):
         assert all(got[0].first_failure(f) is not None for f in (1, 2, 3, 4))
 
 
+@pytest.mark.parametrize("label, h", SIDE_CASES,
+                         ids=[c[0] for c in SIDE_CASES])
+def test_transversality_defect_restricts_first(label, h):
+    # Lbar^beta fbar^gamma' on the leaf, as d_zeta^beta after restricting
+    # fbar^gamma' to side 'xi', against the joint-context words
+    for degree, beta_max, gamma_max in itertools.product(
+            (0, 1, 2), (0, 1, 2, 4), (0, 1, 2)):
+        assert (transversality_uniqueness_defect(
+                    h, degree=degree, beta_max=beta_max, gamma_max=gamma_max)
+                == _transversality_uniqueness_defect_reference(
+                    h, degree, beta_max, gamma_max)), (degree, beta_max,
+                                                       gamma_max)
+
+
 def test_verification_report_matches_reference(record_residuals):
     M, Mp = heis_pair(order=7)
     ctx_t = VariableContext(M.names.t)
@@ -1005,6 +1021,24 @@ def test_jet_identity_report_matches_reference(record_residuals):
         if degree == 2:
             assert got.entries[("jet", 1, (2, 0))][0] == 1
             assert want.entries[("jet", 1, (2, 0))][0] is None
+
+
+def test_jet_identity_report_precision_edge(record_residuals):
+    # at ell = order - ell0 every entry is exact to degree 0; one order
+    # further, the report and its reference both raise
+    for label, res, _ in _jet_resolutions():
+        edge = res.h.order - res.ell0
+        if label in ("heisenberg-identity", "sphere3-6"):
+            got = record_residuals(res.jet_identity_report, edge)
+            _assert_same_residuals(got, record_residuals(
+                _jet_identity_report_reference, res, edge))
+            assert got[0].ok
+            assert {p for _, p in got[0].entries.values()} == {0}
+        for report in (res.jet_identity_report,
+                       lambda ell: _jet_identity_report_reference(res, ell)):
+            with pytest.raises(SeriesError,
+                               match="no precision left to differentiate"):
+                report(edge + 1)
 
 
 # References for the three substitutions that built their own arguments
