@@ -51,7 +51,9 @@ parts, accumulated into the dict of its part G_b; one normalized
 coefficient is built per nonzero output term.  On `graph_reality`, where
 composition is most of the work, `cpu_s` fell from 0.617 s to 0.467 s
 (medians of ten paired benchmark runs on a 2-vCPU Xeon VM).  `mul_terms`
-and `compose_terms` share the packed product loop `_product`.
+and `compose_terms` share the packed product loop `_product`, and
+`compose_terms` and the degree loop of `series.divide_with_valuation` add
+products into a running-denominator accumulator with `_add_product`.
 
 `iadd_scaled` likewise forms `acc + coeff * c` on the integer triples and
 normalizes once per updated term.
@@ -173,6 +175,25 @@ def _product(acc: dict, ra: list, rb: list, limit) -> None:
                 s[1] += xa * yb + ya * xb
 
 
+def _add_product(den: int, acc: dict, d: int, ra: list, rb: list,
+                 limit) -> int:
+    """Add the product of rows ra and rb, whose numerators multiply to a
+    value over d, to the accumulator acc over den, for the pairs that
+    `_product` keeps below `limit`.  Both are first put over the lcm of den
+    and d, which is returned: the denominator acc is over afterwards."""
+    total = lcm(den, d)
+    m = total // den
+    if m != 1:
+        for s in acc.values():
+            s[0] *= m
+            s[1] *= m
+    m = total // d
+    if m != 1:
+        ra = [(p, x * m, y * m) for p, x, y in ra]
+    _product(acc, ra, rb, limit)
+    return total
+
+
 def _rows(acc: dict) -> list:
     """The nonzero entries of an accumulator as rows sorted by packed key."""
     return sorted([(p, x, y) for p, (x, y) in acc.items() if x or y])
@@ -256,21 +277,6 @@ def compose_terms(groups: dict, args: list, arity: int, order: int) -> dict:
                                   rows[0][0] >> shift if rows else order + 1)
         return got
 
-    def into(den, acc, d, ra, rb, cut):
-        """Add the product of rows ra (over d) and rb to acc (over den), to
-        degree <= cut, over the lcm of den and d; return that lcm."""
-        total = lcm(den, d)
-        m = total // den
-        if m != 1:
-            for s in acc.values():
-                s[0] *= m
-                s[1] *= m
-        m = total // d
-        if m != 1:
-            ra = [(p, x * m, y * m) for p, x, y in ra]
-        _product(acc, ra, rb, (cut + 1) << shift)
-        return total
-
     def level(items, i, cut):
         """(den, acc): the sum over `items` of group * prod_(j >= i)
         args[j]**beta[j] to degree <= cut, as [re, im] numerators over den
@@ -303,7 +309,8 @@ def compose_terms(groups: dict, args: list, arity: int, order: int) -> dict:
             dh = den * du
             den, acc = parts.get(b) or (1, {})
             if rows:
-                den = into(den, acc, dh, rows, ru, cut - b * v)
+                den = _add_product(den, acc, dh, rows, ru,
+                                   (cut - b * v + 1) << shift)
         return den, acc
 
     den, acc = level(nonzero, 0, order)

@@ -122,7 +122,9 @@ def _int_field(data: dict, key: str, default: int) -> int:
 # and `psi_and_h_conditions` start at jet order 1.  Every bound is also at
 # most the order, and those in BELOW_ORDER are below it: on a
 # Levi-degenerate source the nd2 rung of `classify_manifold` climbs to
-# k = kmax, and a Segre jet of order k = order has no precision left.
+# k = kmax, and a Segre jet of order k = order has no precision left.  An
+# omitted BELOW_ORDER bound defaults below the order too, so it needs an
+# order above its smallest value.
 BELOW_ORDER = {("classify-manifold", "kmax")}
 ANALYSES = {
     "verify-cr": {},
@@ -191,6 +193,12 @@ class Manifest:
                     raise ManifestError(
                         "analysis bound %s=%s of %r is below %d"
                         % (key, a[key], name, bounds[key]))
+            for key, low in bounds.items():
+                if (name, key) in BELOW_ORDER and key not in a \
+                        and self.order <= low:
+                    raise ManifestError(
+                        "analysis %r without '%s' needs an order above %d, "
+                        "got order %d" % (name, key, low, self.order))
             self.analyses.append(a)
 
     @classmethod

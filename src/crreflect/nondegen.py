@@ -181,9 +181,13 @@ def holomorphic_degeneracy_field(Mp: GraphedManifold, dmax: int = 4):
 
 def classify_manifold(Mp: GraphedManifold, kmax: int = None,
                       dmax: int = 4, seed: int = 0) -> ManifoldClassification:
-    """The five-step nondegeneracy ladder of the (target) manifold."""
+    """The five-step nondegeneracy ladder of the (target) manifold.
+
+    The default kmax is min(order - 1, 4): on a Levi-degenerate manifold
+    the nd2 rung climbs to k = kmax, and a Segre jet of order k = order has
+    no precision left to differentiate."""
     if kmax is None:
-        kmax = min(Mp.order, 4)
+        kmax = min(Mp.order - 1, 4)
     _check_kmax(kmax, Mp.order)
     full = Mp.m + Mp.n
     jet_maps = {}

@@ -155,22 +155,31 @@ def _require_non_negative(**bounds):
 def verify_formal_cr_map(h: FormalCRMap) -> ResidualReport:
     """The beta = 0 reflection identities, in substituted form.
 
-    Residuals g(z, theta_bar(z,tau)) - theta_bar'(f(...), hbar(tau)) and the
-    coefficient-conjugate family; both must vanish mod degree order+1 for h
-    to be a formal CR map.
+    Family 3 puts h on the manifold by w := theta_bar and checks its
+    w'-part against the target's graph of w' at (f, hbar):
+    g(z, theta_bar(z, zeta, xi)) - theta_bar'(f(...), hbar(zeta, xi)), over
+    (z, zeta, xi).  Family 1 is the conjugate identity, hbar by xi := theta
+    against the graph of xi' at (fbar, h), and each of its residuals is the
+    conjugate-swap (z <-> zeta, w <-> xi) of the family-3 residual with the
+    same j', so it is read off rather than composed.  That is exact for any
+    h, CR or not: hbar is the conjugate-swap of h, the graphs of M and of
+    M' come in conjugate-swapped pairs (built so by `from_theta_bar`,
+    `from_theta` and `primed`, checked by the constructor otherwise), and
+    conjugate-swapping commutes with restriction, composition and
+    truncation.  Both families must vanish mod degree order+1 for h to be
+    a formal CR map.
     """
     M, Mp = h.M, h.Mp
     report = ResidualReport()
-    # Family 3 puts h on the manifold by w := theta_bar and checks its
-    # w'-part against the target's graph of w' at (f, hbar); family 1 is
-    # the conjugate: hbar by xi := theta against the graph of xi' at
-    # (fbar, h).
-    for family, side, moving, fixed in ((3, "w", h.h, h.hbar),
-                                        (1, "xi", h.hbar, h.h)):
-        on = list(M.restrict(moving, side))
-        args = on[:h.mp] + [c.remapped(on[0].context) for c in fixed]
-        for jp, graph in enumerate(Mp.graph(side)):
-            report.add(family, jp, (), on[h.mp + jp] - graph.compose(args))
+    on = list(M.restrict(h.h, "w"))
+    args = on[:h.mp] + [c.remapped(M.ctx_restrict_w) for c in h.hbar]
+    residuals = [on[h.mp + jp] - graph.compose(args)
+                 for jp, graph in enumerate(Mp.theta_bar)]
+    for jp, res in enumerate(residuals):
+        report.add(3, jp, (), res)
+    swap = M.names.swap_map()
+    for jp, res in enumerate(residuals):
+        report.add(1, jp, (), res.conjugate_swapped(swap, M.ctx_restrict_xi))
     return report
 
 
@@ -742,26 +751,36 @@ class Resolution:
                     M.restrict(comp.derive_multi(alpha), side) - c
         return out
 
-    def _residuals(self, side):
-        """lhs_i - phi_i with the level-ell0 jet values: h against phi on
-        side 'xi', hbar against the conjugate of phi on side 'w'."""
+    def _residuals(self):
+        """h_i - phi_i on side 'xi', with the level-ell0 jet values of hbar,
+        over (z, w, zeta)."""
         M = self.h.M
-        lhs, phi = self.h.h, self.phi.components
-        if side == "w":
-            lhs, swap = self.h.hbar, M.names.swap_map()
-            phi = [c.conjugate_swapped(swap, c.context) for c in phi]
-        uargs = self._jet_args(self.ell0, self.jets, side)
-        values = [M.restrict(c, side, uargs) for c in phi]
+        uargs = self._jet_args(self.ell0, self.jets, "xi")
+        values = [M.restrict(c, "xi", uargs) for c in self.phi.components]
         return [f.remapped(v.context).truncated(v.order) - v
-                for f, v in zip(lhs, values)]
+                for f, v in zip(self.h.h, values)]
 
     def verification_report(self) -> ResidualReport:
         """Both lines of the solved identity; families 1 and 2 label the
-        unbarred and the conjugate line."""
+        unbarred and the conjugate line.
+
+        Family 2, hbar against the conjugate of phi with the jets of h on
+        side 'w', is the conjugate-swap (z <-> zeta, w <-> xi) of family 1
+        into (z, zeta, xi), term for term: hbar is the conjugate-swap of h,
+        the jet values of h on side 'w' are those of hbar on side 'xi'
+        conjugate-swapped, since the manifold's two graphs are a
+        conjugate-swapped pair, and conjugate-swapping commutes with
+        differentiation, restriction and truncation.  So it is read off
+        family 1 rather than composed.
+        """
+        M = self.h.M
+        swap = M.names.swap_map()
+        residuals = self._residuals()
         report = ResidualReport()
-        for family, side in ((1, "xi"), (2, "w")):
-            for i, res in enumerate(self._residuals(side)):
-                report.add(family, i, (), res)
+        for i, res in enumerate(residuals):
+            report.add(1, i, (), res)
+        for i, res in enumerate(residuals):
+            report.add(2, i, (), res.conjugate_swapped(swap, M.ctx_restrict_w))
         return report
 
     def jet_identity_report(self, ell: int) -> ResidualReport:
@@ -792,7 +811,7 @@ class Resolution:
             L.append(Derivation(M.ctx_restrict_xi, coeffs))
         report = ResidualReport()
         alphas = sorted(multidegrees(M.n, ell))
-        for i, seed in enumerate(self._residuals("xi")):
+        for i, seed in enumerate(self._residuals()):
             words = {}
             for alpha in alphas:
                 beta, delta = alpha[:M.m], alpha[M.m:]

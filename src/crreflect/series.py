@@ -18,7 +18,8 @@ from .context import (VariableContext, multidegrees, unit_exponent,
                       zero_exponent)
 from .gaussian import (GaussianRational, MINUS_ONE, ONE, ZERO, _coerce,
                        _norm)
-from .kernels import (compose_terms, divexact, echelon, iadd_scaled,
+from .kernels import (_add_product, _numerators, _packing, _unpacked,
+                      compose_terms, divexact, echelon, iadd_scaled,
                       mul_terms)
 
 
@@ -617,6 +618,17 @@ def divide_with_valuation(num: TruncatedSeries, den: TruncatedSeries):
     denominator; the quotient is exact to degree num.order - lost_order.
     Raises if the denominator vanishes identically or the division leaves a
     remainder within provable degrees.
+
+    Degree by degree: with mu the valuation of den and d_k, n_k, q_k the
+    degree-k parts, q_s = (n_(mu+s) - sum_(1 <= l <= s) q_(s-l) d_(mu+l)) /
+    d_mu, and the quotient of that polynomial division by the lead d_mu is
+    `divexact`'s.  Every d_k and every q_s is converted once to packed
+    Gaussian-integer rows (the layout of `mul_terms`), and each right-hand
+    side is one accumulator of [re, im] numerators over a running lcm
+    denominator, filled by `_product` as `compose_terms` fills its levels;
+    each of its terms is normalized once, with no `mul_terms` product and
+    no `iadd_scaled` pass.  Every product stays within degree mu + s, so no
+    truncation is needed.
     """
     num._check_compatible(den)
     order = min(num.order, den.order)
@@ -626,22 +638,29 @@ def divide_with_valuation(num: TruncatedSeries, den: TruncatedSeries):
     for e in num.terms:
         if sum(e) < mu:
             raise SeriesError("numerator valuation below denominator valuation")
-    d_parts = [den.degree_part(k) for k in range(order + 1)]
-    lead = d_parts[mu]
-    q_parts = []
+    arity = num.context.arity
+    width, weights = _packing(arity, order)
+    lead = den.degree_part(mu)
+    # d_rows[l - 1] and minus_q[s] are d_(mu+l) and -q_s in packed rows
+    d_rows = [_numerators(den.degree_part(mu + l), weights, None)
+              for l in range(1, order - mu + 1)]
+    minus_q = []
+    out: dict = {}
     for s in range(order - mu + 1):
-        rhs = dict(num.degree_part(mu + s))
+        total, rows = _numerators(num.degree_part(mu + s), weights, None)
+        acc = {p: [x, y] for p, x, y in rows}
         for l in range(1, s + 1):
-            if d_parts[mu + l]:
-                prod = mul_terms(q_parts[s - l], d_parts[mu + l], order)
-                iadd_scaled(rhs, prod, -ONE)
+            dd, rd = d_rows[l - 1]
+            dq, rq = minus_q[s - l]
+            if rd and rq:
+                total = _add_product(total, acc, dq * dd, rq, rd, None)
         try:
-            q_parts.append(divexact(rhs, lead))
+            q = divexact(_unpacked(acc, total, width, arity), lead)
         except ArithmeticError as exc:
             raise SeriesError("series not divisible (%s)" % exc) from None
-    out: dict = {}
-    for qp in q_parts:
-        out.update(qp)
+        out.update(q)
+        dq, rq = _numerators(q, weights, None)
+        minus_q.append((dq, [(p, -x, -y) for p, x, y in rq]))
     return TruncatedSeries._make(num.context, order - mu, out), mu
 
 

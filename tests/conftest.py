@@ -11,7 +11,7 @@ from crreflect.gaussian import ONE, ZERO, GaussianRational, I
 from crreflect.kernels import divexact, iadd_scaled, mul_terms
 from crreflect.manifold import RealDefiningSystem, complexify_and_graph
 from crreflect.reflection import FormalCRMap
-from crreflect.series import SeriesMap, TruncatedSeries, _coeff
+from crreflect.series import SeriesError, SeriesMap, TruncatedSeries, _coeff
 
 
 def make_heisenberg(order=8, primed=False):
@@ -300,6 +300,38 @@ def _divexact_reference(f, g):
         for e in added:
             heappush(heap, (grlex_desc(e), e))
     return q
+
+
+def _divide_with_valuation_reference(num, den):
+    """`series.divide_with_valuation` as it was before its degree loop ran
+    on packed rows: the degree-(mu + s) right-hand side built from one
+    normalized `mul_terms` product and one `iadd_scaled` pass per (s, l),
+    then divided by the lead with `divexact`."""
+    num._check_compatible(den)
+    order = min(num.order, den.order)
+    mu = den.valuation()
+    if mu is None:
+        raise SeriesError("division by a series that is zero to its order")
+    for e in num.terms:
+        if sum(e) < mu:
+            raise SeriesError("numerator valuation below denominator valuation")
+    d_parts = [den.degree_part(k) for k in range(order + 1)]
+    lead = d_parts[mu]
+    q_parts = []
+    for s in range(order - mu + 1):
+        rhs = dict(num.degree_part(mu + s))
+        for l in range(1, s + 1):
+            if d_parts[mu + l]:
+                prod = mul_terms(q_parts[s - l], d_parts[mu + l], order)
+                iadd_scaled(rhs, prod, -ONE)
+        try:
+            q_parts.append(divexact(rhs, lead))
+        except ArithmeticError as exc:
+            raise SeriesError("series not divisible (%s)" % exc) from None
+    out = {}
+    for qp in q_parts:
+        out.update(qp)
+    return TruncatedSeries._make(num.context, order - mu, out), mu
 
 
 def _evaluate_reference(series, point):

@@ -23,14 +23,14 @@ from sympy.polys.polyerrors import ExactQuotientFailed
 from sympy.polys.rings import ring
 
 from conftest import (_bareiss_rank_reference, _divexact_reference,
-                      _evaluate_reference)
+                      _divide_with_valuation_reference, _evaluate_reference)
 from crreflect import kernels
 from crreflect.context import VariableContext, multidegrees
 from crreflect.gaussian import ONE, ZERO, GaussianRational, gr
 from crreflect.linalg import (bareiss_rank, kernel_basis, random_rational_point,
                               symbolic_rank)
 from crreflect.reflection import _independent_rows
-from crreflect.series import (SeriesMap, TruncatedSeries,
+from crreflect.series import (SeriesError, SeriesMap, TruncatedSeries,
                               divide_with_valuation, formal_ift,
                               invert_matrix, jet, mul_precise)
 
@@ -581,6 +581,65 @@ def test_divide_with_valuation_matches_oracle(case):
     assert from_sympy(back, order) == num
     # the planted quotient is the only one
     assert quo.terms == q
+
+
+def _of_degree(arity, k):
+    """Exponent tuples of total degree exactly k."""
+    return st.sampled_from([e for e in multidegrees(arity, k) if sum(e) == k])
+
+
+@st.composite
+def valuation_divisions(draw):
+    """(arity, numerator order, numerator, denominator order, denominator):
+    a denominator of valuation mu <= 3 whose lead is a constant, one
+    monomial or several, with terms above it, and a numerator that is a
+    multiple of it, a multiple plus a few terms, or any terms at all."""
+    n = draw(st.integers(1, 4))
+    mu = draw(st.integers(0, 3))
+    den_order = draw(st.integers(mu, mu + 4 - min(n, 3)))
+    den = draw(st.dictionaries(_of_degree(n, mu), coefficients(), min_size=1,
+                               max_size=draw(st.sampled_from((1, 3)))))
+    for k in range(mu + 1, den_order + 1):
+        den.update(draw(st.dictionaries(_of_degree(n, k), coefficients(),
+                                        max_size=2)))
+    num_order = den_order + draw(st.integers(0, 1))
+    kind = draw(st.sampled_from(("exact", "inexact", "any")))
+    terms = {}
+    for k in range(num_order + 1):
+        terms.update(draw(st.dictionaries(_of_degree(n, k), coefficients(),
+                                          max_size=2)))
+    if kind == "any":
+        num = terms
+    else:
+        q = {e: c for e, c in terms.items() if sum(e) <= num_order - mu}
+        num = kernels.mul_terms(q, den, num_order)
+        if kind == "inexact":
+            kernels.iadd_scaled(num, {e: c for e, c in terms.items()
+                                      if sum(e) >= mu}, ONE)
+    return n, num_order, num, den_order, den
+
+
+@settings(max_examples=150, deadline=None)
+@given(valuation_divisions())
+# the lead x0*x1 does not divide the degree-3 right-hand side x0^2*x1 + x1^3
+@example((2, 4, {(2, 1): gr(1), (0, 3): gr("1/2", 1)}, 4,
+          {(1, 1): gr(2, "-1/3"), (2, 1): gr("5/7")}))
+# a numerator term below the denominator's valuation
+@example((2, 5, {(1, 0): gr(0, "1/3"), (2, 2): gr(1)}, 5,
+          {(2, 0): gr(3), (0, 2): gr("1/2", 1), (1, 2): gr(-1)}))
+def test_divide_with_valuation_matches_reference(case):
+    n, num_order, num, den_order, den = case
+    ctx = _context(n)
+    num = TruncatedSeries(ctx, num_order, num)
+    den = TruncatedSeries(ctx, den_order, den)
+    try:
+        want = _divide_with_valuation_reference(num, den)
+    except SeriesError as exc:
+        with pytest.raises(SeriesError, match=re.escape(str(exc))):
+            divide_with_valuation(num, den)
+        return
+    quo, lost = divide_with_valuation(num, den)
+    assert quo == want[0] and lost == want[1]
 
 
 @st.composite

@@ -417,6 +417,31 @@ def test_cli_classify_manifold_kmax_stays_below_the_order(tmp_path, capsys):
     assert main(["analyze", str(mpath), "--out", out]) == 0
 
 
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_cli_classify_manifold_default_kmax_stays_below_the_order(
+        tmp_path, capsys, order):
+    # without a kmax the ladder searches k <= min(order - 1, 4), so the
+    # Levi-degenerate source runs at every order from 2 up; at order 1 no
+    # kmax is below the order, and the manifest is refused when read
+    data = {"order": order,
+            "source": {"m": 2, "d": 1, "rho": ["w1 - xi1 - i*z1*zeta1"]},
+            "analyses": [{"name": "classify-manifold"}]}
+    mpath = tmp_path / "m.json"
+    out = tmp_path / "r.json"
+    mpath.write_text(json.dumps(data))
+    code = main(["analyze", str(mpath), "--out", str(out)])
+    if order == 1:
+        assert code == 2
+        assert ("analysis 'classify-manifold' without 'kmax' needs an order "
+                "above 1, got order 1") in capsys.readouterr().err
+        return
+    assert code == 0
+    ladder = json.loads(out.read_text())["analyses"][0]["result"]
+    kmax = min(order - 1, 4)
+    assert ladder["nd2"] == {"bound": kmax, "status": "fails"}
+    assert ladder["nd3"]["bound"] == [kmax, 4]
+
+
 QUADRIC_MANIFEST = {
     "order": 7,
     "seed": 0,

@@ -861,6 +861,59 @@ def test_verification_report_matches_reference(record_residuals):
         assert [k[0] for k in got[1]] == [1] * h.np + [2] * h.np
 
 
+SEEDED_MAPS = seeded_maps()
+
+
+@pytest.mark.parametrize("label, h", SEEDED_MAPS,
+                         ids=[c[0] for c in SEEDED_MAPS])
+def test_conjugate_families_match_reference_on_seeded_maps(record_residuals,
+                                                           label, h):
+    # the conjugate family of each check is read off the other by
+    # conjugate-swapping; on random real graphs, CR or not, it must be the
+    # series the composed family gave
+    got = record_residuals(verify_formal_cr_map, h)
+    _assert_same_residuals(got, record_residuals(
+        _verify_formal_cr_map_reference, h))
+    cr = not label.endswith("non-cr")
+    assert got[0].ok == cr
+    resolved = 0
+    for ell0 in (1, 2):
+        try:
+            res = resolve_finitely_nondeg(h, ell0=ell0)
+        except ReflectionError:
+            continue
+        resolved += 1
+        got = record_residuals(res.verification_report)
+        _assert_same_residuals(got, record_residuals(
+            _verification_report_reference, res))
+        assert got[0].ok
+    assert resolved == (2 if label == "11-cr" else 1 if cr else 0)
+
+
+def test_conjugate_families_restrict_one_side(monkeypatch):
+    # the CR check composes on side 'w' only and the resolution check on
+    # side 'xi' only: each conjugate family is a conjugate-swap
+    M, Mp = heis_pair(order=6)
+    ctx_t = VariableContext(M.names.t)
+    z, w = tvar(ctx_t, "z1", 6), tvar(ctx_t, "w1", 6)
+    maps = [identity_on(M, Mp), hmap(M, Mp, [z + w * z, w + z * z * z])]
+    res = resolve_finitely_nondeg(maps[0], ell0=1)
+    restrict = GraphedManifold.restrict
+    sides = []
+
+    def counting(self, f, side, extra=None):
+        sides.append(side)
+        return restrict(self, f, side, extra)
+
+    monkeypatch.setattr(GraphedManifold, "restrict", counting)
+    for h in maps:
+        verify_formal_cr_map(h)
+    assert sides and set(sides) == {"w"}
+    sides.clear()
+    res.verification_report()
+    assert sides and "w" not in sides
+
+
 def _jet_identity_report_reference(res, ell):
     """`Resolution.jet_identity_report` as it was written before each entry
     became one word's residual: each word L^beta Ups^delta of one generic
