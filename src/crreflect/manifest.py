@@ -396,14 +396,16 @@ def _run_one(name, spec, manifest, M, Mp, hmap):
                 "coefficients": [encode_series(c) for c in field.components]}
     if name == "chains":
         k = spec.get("k", 2)
-        chains = {side: chain(M, k, side) for side in ("barred", "unbarred")}
-        # The parities share one generic rank (see `minimality`).
-        rank = generic_rank(chains["barred"].components, seed=seed)
+        # The unbarred chain is the barred one's conjugate, and the
+        # parities share one generic rank (see `minimality`).
+        barred = chain(M, k, "barred")
+        rank = generic_rank(barred.components, seed=seed)
+        sides = (("barred", barred), ("unbarred", barred.conjugate()))
         return {side: {
             "components": [encode_series(c) for c in g.components],
             "generic_rank": rank,
             "on_manifold_defect": g.on_manifold_defect(),
-        } for side, g in chains.items()}
+        } for side, g in sides}
 
 
 def render_report(report: dict) -> str:

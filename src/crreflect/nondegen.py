@@ -114,14 +114,15 @@ def ideal_contains_power_of_maximal(generators, dmax: int):
 
     Membership is graded linear algebra: x^alpha must be an exact
     combination sum c_q g_q modulo degree D+1; by Nakayama this certifies
-    m^D inside the ideal, hence finiteness.
+    m^D inside the ideal, hence finiteness.  D stops at the generators'
+    least order: past it, truncated-away terms would read as zero.
     """
     gens = [g - g.constant_term() for g in generators]
     gens = [g for g in gens if g]
     if not gens:
         return None
     arity = gens[0].context.arity
-    for D in range(1, dmax + 1):
+    for D in range(1, min(dmax, min(g.order for g in gens)) + 1):
         monos = list(multidegrees(arity, D))
         index = {e: i for i, e in enumerate(monos)}
         rows = []

@@ -340,71 +340,58 @@ def _identity_table(h, M, Mp, near, blocks, beta_max):
             for beta in multidegrees(M.m, beta_max) for jp in range(h.dp)}
 
 
-def reflection_identities(h: FormalCRMap, beta_max=1,
-                          families=(1, 2, 3, 4)) -> ResidualReport:
+def reflection_identities(h: FormalCRMap, beta_max=1) -> ResidualReport:
     """Residuals of the four reflection-identity families up to |beta| <=
     beta_max, including the undifferentiated beta = 0 lines.
 
-    Families 1/2 are written in the (zeta, t) chart (xi is substituted away);
-    families 3/4 in the conjugate (z, tau) chart.  For a formal CR map all
+    Families 3/4 apply L to g - Theta_bar'(f, hbar) and to
+    gbar - sum_gamma' fbar^gamma' Theta'_{gamma'}(h), then substitute
+    w := theta_bar, over (z, zeta, xi).  Families 1/2 are the conjugate
+    identities with xi := theta, over (z, w, zeta): each residual is the
+    conjugate-swap (z <-> zeta, w <-> xi) of the family-3/4 one with the
+    same (j', beta), so it is read off.  That is exact for any h, CR or
+    not: hbar is the conjugate-swap of h, the graphs of M and of M', hence
+    L and Lbar and the two component tables, come in conjugate-swapped
+    pairs, and conjugate-swapping commutes with composition, products,
+    derivations, restriction and truncation.  For a formal CR map all
     residuals vanish within precision.
     """
     _require_non_negative(beta_max=beta_max)
     M, Mp = h.M, h.Mp
     N = h.order
     ctxj = M.ctx_joint
-    L, Lbar = cr_fields(M)
-    table, table_bar = target_component_tables(Mp)
+    L = cr_fields(M)[0]
+    table, _ = target_component_tables(Mp)
+    h_emb = [c.remapped(ctxj) for c in h.h]
+    hbar_emb = [c.remapped(ctxj) for c in h.hbar]
+    fbar_pow = _power_cache(hbar_emb[:h.mp], N)
+    words = _identity_words(L, h_emb, hbar_emb, Mp.theta_bar, h.mp)
+    words_comp = [{g: _WordCache(L, s.compose(list(h.h)).remapped(ctxj))
+                   for g, s in table[jp].items()} for jp in range(h.dp)]
 
-    def data(args, tables):
-        """One conjugate side of h, over the joint context: its components,
-        Theta'_{j',gamma'} composed with it, and the powers of its CR
-        part."""
-        emb = [c.remapped(ctxj) for c in args]
-        comp = {jp: {g: s.compose(args).remapped(ctxj)
-                     for g, s in tables[jp].items()} for jp in range(h.dp)}
-        return emb, comp, _power_cache(emb[:h.mp], N)
-
-    unbarred = data(list(h.h.components), table)
-    barred = data(list(h.hbar.components), table_bar)
-
-    betas = list(multidegrees(M.m, beta_max))
-    report = ResidualReport()
-
-    # Families 1/2 apply Lbar and substitute xi := theta; families 3/4
-    # apply L and substitute w := theta_bar.  The first family of a side is
-    # a word of its fundamental identity, gbar - Theta'(fbar, h) or
-    # g - Theta_bar'(f, hbar) (`_identity_words`).  The second sums the far
-    # powers times the words of the near Theta'(...) over gamma', multiplied
+    # Family 3 is a word of the fundamental identity.  Family 4 multiplies
     # valuation-aware: a component of order N - |gamma'| times a factor of
-    # valuation >= |gamma'| - |beta| is still exact to N - |beta|, so the
-    # residual keeps the full surviving precision.
-    for first, side, fields, near, far in ((1, "xi", Lbar, barred, unbarred),
-                                           (3, "w", L, unbarred, barred)):
-        second = first + 1
-        near_emb, near_comp, _ = near
-        far_emb, _, far_pow = far
-        words = _identity_words(fields, near_emb, far_emb, Mp.graph(side),
-                                h.mp) if first in families else None
-        words_comp = {jp: {g: _WordCache(fields, s)
-                           for g, s in near_comp[jp].items()}
-                      for jp in range(h.dp)} if second in families else None
-        for beta in betas:
-            room = N - sum(beta)
-            for jp in range(h.dp):
-                if first in families:
-                    report.add(first, jp, beta,
-                               M.restrict(words[jp].get(beta), side))
-                if second in families:
-                    if sum(beta) == 0:
-                        res = far_emb[h.mp + jp].truncated(room)
-                    else:
-                        res = TruncatedSeries.zero(ctxj, room)
-                    for g, cache in words_comp[jp].items():
-                        res = res - mul_precise(
-                            far_pow(g), cache.get(beta)).truncated(room)
-                    report.add(second, jp, beta,
-                               M.restrict(res.truncated(room), side))
+    # valuation >= |gamma'| - |beta| is still exact to N - |beta|.
+    side_w = {}
+    for beta in multidegrees(M.m, beta_max):
+        room = N - sum(beta)
+        for jp in range(h.dp):
+            first = M.restrict(words[jp].get(beta), "w")
+            res = (TruncatedSeries.zero(ctxj, N) if any(beta)
+                   else hbar_emb[h.mp + jp]).truncated(room)
+            for g, cache in words_comp[jp].items():
+                res = res - mul_precise(
+                    fbar_pow(g), cache.get(beta)).truncated(room)
+            side_w[(jp, beta)] = (first, M.restrict(res, "w"))
+
+    swap = M.names.swap_map()
+    side_xi = {key: [r.conjugate_swapped(swap, M.ctx_restrict_xi)
+                     for r in pair] for key, pair in side_w.items()}
+    report = ResidualReport()
+    for first, side in ((1, side_xi), (3, side_w)):
+        for (jp, beta), pair in side.items():
+            for family, res in enumerate(pair, first):
+                report.add(family, jp, beta, res)
     return report
 
 

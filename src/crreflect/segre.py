@@ -103,6 +103,16 @@ class SegreChain:
         """Valuation of the worst xi - theta residual; None when exact."""
         return _xi_defect(self.M, self.components.components)
 
+    def conjugate(self) -> "SegreChain":
+        """The chain of the other parity: t and tau blocks swapped,
+        coefficients conjugated.  Exact, as the two graphs of M, hence the
+        L and Lbar flows, are a conjugate-swapped pair."""
+        n = self.M.n
+        comps = self.components.components
+        other = "unbarred" if self.start_side == "barred" else "barred"
+        return SegreChain(self.M, self.k, other,
+                          SeriesMap(comps[n:] + comps[:n]).conjugate())
+
     def restricted_to_shorter(self, k2: int) -> "SegreChain":
         """Set the trailing time blocks to zero: the length-k2 prefix chain."""
         if k2 > self.k:
@@ -177,14 +187,13 @@ def _chains(M: GraphedManifold, kmax: int, start_side: str, budget: int):
 
 
 def conjugate_chain_symmetry_defect(M, k):
-    """sigma-bar symmetry: conj(Gamma_k) with swapped blocks == conjugate
-    chain.  Returns None when the identity holds exactly."""
-    g = chain(M, k, "unbarred")
-    gb = chain(M, k, "barred")
-    n = M.n
-    swapped = list(g.components.components[n:]) + list(g.components.components[:n])
-    for a, b in zip(swapped, gb.components.components):
-        if a.conjugate() != b:
+    """sigma-bar symmetry: the conjugate (`SegreChain.conjugate`) of the
+    flow-built barred chain == the flow-built unbarred chain.  Returns None
+    when the identity holds exactly, else the first differing pair."""
+    read = chain(M, k, "barred").conjugate()
+    built = chain(M, k, "unbarred")
+    for a, b in zip(read.components, built.components):
+        if a != b:
             return (a, b)
     return None
 

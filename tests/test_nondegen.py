@@ -47,6 +47,20 @@ def test_ideal_membership_basics():
     assert ideal_contains_power_of_maximal([x + y * y, y * y * y], 4) == 3
 
 
+def test_ideal_membership_stays_within_precision():
+    # as polynomials, (-y + y^2 - x^2, -y^2) contains m^4 and
+    # (-y + y^2 - x^2, -y^2 + x^4) does not; the two pairs agree to order 2,
+    # so neither order-2 truncation may be certified past degree 2
+    ctx = VariableContext(("x", "y"))
+    found = {}
+    for order in (2, 6):
+        x, y = tvar(ctx, "x", order), tvar(ctx, "y", order)
+        first = -y + y * y - x * x
+        found[order] = [ideal_contains_power_of_maximal([first, second], 4)
+                        for second in (-y * y, -y * y + x ** 4)]
+    assert found == {2: [None, None], 6: [4, None]}
+
+
 # -- manifold ladder ----------------------------------------------------------------
 
 

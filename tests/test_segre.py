@@ -239,7 +239,9 @@ def test_minimality_reports_unchanged():
 
 
 def test_chain_symmetry():
-    for M in (make_heisenberg(order=6), make_z2zb2(order=6)):
+    # seeds 1 and 2 are the (2,1) and (1,2) shapes, with n = 3
+    for M in (make_heisenberg(order=6), make_z2zb2(order=6),
+              random_minimal_manifold(1), random_minimal_manifold(2)):
         for k in (1, 2, 3, 4):
             assert conjugate_chain_symmetry_defect(M, k) is None
 
