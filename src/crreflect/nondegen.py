@@ -41,10 +41,6 @@ class Verdict:
         self.bound = bound
         self.witness = witness
 
-    @property
-    def decided(self):
-        return self.status in (HOLDS, FAILS)
-
     def __eq__(self, other):
         if isinstance(other, str):
             return self.status == other

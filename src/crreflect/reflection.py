@@ -61,6 +61,7 @@ class FormalCRMap:
         self.hbar = SeriesMap([c.conjugate_swapped(tau_map, ctx_tau)
                                for c in h.components])
         self._cr_report = None
+        self._side_w = None
 
     @property
     def f(self):
@@ -101,6 +102,21 @@ class FormalCRMap:
         if self._cr_report is None:
             self._cr_report = verify_formal_cr_map(self)
         return self._cr_report
+
+    def _side_w_identity(self):
+        """(on, residuals): h put on side 'w' (w := theta_bar, over (z, zeta,
+        xi)), and for each j' the fundamental identity there,
+        on_{m'+j'} - theta_bar'_{j'}(on_{<m'}, hbar), exact to the order.
+        Computed on first use and kept: `verify_formal_cr_map` and
+        `reflection_identities` both start from it."""
+        if self._side_w is None:
+            M, mp = self.M, self.mp
+            on = list(M.restrict(self.h, "w"))
+            args = on[:mp] + [c.remapped(M.ctx_restrict_w) for c in self.hbar]
+            residuals = [on[mp + jp] - graph.compose(args)
+                         for jp, graph in enumerate(self.Mp.theta_bar)]
+            self._side_w = (on, residuals)
+        return self._side_w
 
     def __repr__(self):
         return "FormalCRMap(%d -> %d, order %d)" % (self.n, self.np, self.order)
@@ -169,12 +185,9 @@ def verify_formal_cr_map(h: FormalCRMap) -> ResidualReport:
     truncation.  Both families must vanish mod degree order+1 for h to be
     a formal CR map.
     """
-    M, Mp = h.M, h.Mp
+    M = h.M
     report = ResidualReport()
-    on = list(M.restrict(h.h, "w"))
-    args = on[:h.mp] + [c.remapped(M.ctx_restrict_w) for c in h.hbar]
-    residuals = [on[h.mp + jp] - graph.compose(args)
-                 for jp, graph in enumerate(Mp.theta_bar)]
+    _, residuals = h._side_w_identity()
     for jp, res in enumerate(residuals):
         report.add(3, jp, (), res)
     swap = M.names.swap_map()
@@ -198,14 +211,6 @@ class ReflectionComponents:
         self.h = h
         self.gmax = gmax
         self.table = table
-
-    def entry(self, gamma):
-        gamma = tuple(gamma)
-        got = self.table.get(gamma)
-        if got is not None:
-            return got
-        ctx_t = VariableContext(self.h.M.names.t)
-        return [TruncatedSeries.zero(ctx_t, self.h.order - sum(gamma))] * self.h.dp
 
     def nonzero_gammas(self):
         return sorted((g for g, entry in self.table.items()
@@ -317,25 +322,19 @@ class _WordCache:
         return got
 
 
-def _identity_words(fields, near, far, graph, mp):
-    """One `_WordCache` per j', seeded with the fundamental identity
-    near_{m'+j'} - graph_{j'}(near_{<m'}, far).  The fields kill every
-    function of `far`, so each word is the gamma'-sum of the words of
-    near_{<m'}^gamma' times graph_{j',gamma'}(far)."""
-    args = near[:mp] + far
-    return [_WordCache(fields, near[mp + jp] - s.compose(args))
-            for jp, s in enumerate(graph)]
-
-
 def _identity_table(h, M, Mp, near, blocks, beta_max):
     """(j', beta) -> Lbar^beta of near_{m'+j'} - Theta'_{j'}(near_{<m'}, t')
     for |beta| <= beta_max, beta outer and j' inner.  `near` lives over a
-    context that contains t'; Lbar is lifted to it over the jet `blocks`."""
+    context that contains t'; Lbar is lifted to it over the jet `blocks`.
+    The fields kill every function of t', so each word is the gamma'-sum
+    of the words of near_{<m'}^gamma' times Theta'_{j',gamma'}(t')."""
     ctx, N = near[0].context, h.order
     Lbar = [extend_derivation_to_jets(D, blocks, ctx, N)
             for D in cr_fields(M)[1]]
-    tp = [TruncatedSeries.variable(ctx, N, n) for n in Mp.names.t]
-    words = _identity_words(Lbar, near, tp, Mp.theta, h.mp)
+    args = near[:h.mp] + [TruncatedSeries.variable(ctx, N, n)
+                          for n in Mp.names.t]
+    words = [_WordCache(Lbar, near[h.mp + jp] - s.compose(args))
+             for jp, s in enumerate(Mp.theta)]
     return {(jp, tuple(beta)): words[jp].get(beta)
             for beta in multidegrees(M.m, beta_max) for jp in range(h.dp)}
 
@@ -344,45 +343,37 @@ def reflection_identities(h: FormalCRMap, beta_max=1) -> ResidualReport:
     """Residuals of the four reflection-identity families up to |beta| <=
     beta_max, including the undifferentiated beta = 0 lines.
 
-    Families 3/4 apply L to g - Theta_bar'(f, hbar) and to
-    gbar - sum_gamma' fbar^gamma' Theta'_{gamma'}(h), then substitute
-    w := theta_bar, over (z, zeta, xi).  Families 1/2 are the conjugate
-    identities with xi := theta, over (z, w, zeta): each residual is the
-    conjugate-swap (z <-> zeta, w <-> xi) of the family-3/4 one with the
-    same (j', beta), so it is read off.  That is exact for any h, CR or
-    not: hbar is the conjugate-swap of h, the graphs of M and of M', hence
-    L and Lbar and the two component tables, come in conjugate-swapped
-    pairs, and conjugate-swapping commutes with composition, products,
-    derivations, restriction and truncation.  For a formal CR map all
+    Families 3/4 are L^beta of g - Theta_bar'(f, hbar) and of
+    gbar - Theta'(fbar, h), with w := theta_bar substituted, over
+    (z, zeta, xi).  L is tangent to the complexified manifold and
+    restricts to d/dz on side 'w', since theta_bar depends on (z, zeta,
+    xi) only; so each entry is d_z^beta of one seed restricted first:
+    on_{m'+j'} - Theta_bar'_{j'}(on_{<m'}, hbar) for family 3, the
+    residual `verify_formal_cr_map` checks, and hbar_{m'+j'} -
+    Theta'_{j'}(fbar, on) for family 4, where on is h on side 'w'.  Each
+    seed is exact to the order, so each entry is exact to order - |beta|.
+    Families 1/2 are the conjugate identities with xi := theta, over
+    (z, w, zeta): each residual is the conjugate-swap (z <-> zeta, w <->
+    xi) of the family-3/4 one with the same (j', beta), so it is read off.
+    That is exact for any h, CR or not: hbar is the conjugate-swap of h,
+    the graphs of M and of M', hence L and Lbar, come in conjugate-swapped
+    pairs, and conjugate-swapping commutes with composition,
+    differentiation, restriction and truncation.  For a formal CR map all
     residuals vanish within precision.
     """
     _require_non_negative(beta_max=beta_max)
     M, Mp = h.M, h.Mp
-    N = h.order
-    ctxj = M.ctx_joint
-    L = cr_fields(M)[0]
-    table, _ = target_component_tables(Mp)
-    h_emb = [c.remapped(ctxj) for c in h.h]
-    hbar_emb = [c.remapped(ctxj) for c in h.hbar]
-    fbar_pow = _power_cache(hbar_emb[:h.mp], N)
-    words = _identity_words(L, h_emb, hbar_emb, Mp.theta_bar, h.mp)
-    words_comp = [{g: _WordCache(L, s.compose(list(h.h)).remapped(ctxj))
-                   for g, s in table[jp].items()} for jp in range(h.dp)]
-
-    # Family 3 is a word of the fundamental identity.  Family 4 multiplies
-    # valuation-aware: a component of order N - |gamma'| times a factor of
-    # valuation >= |gamma'| - |beta| is still exact to N - |beta|.
+    on, family3 = h._side_w_identity()
+    hbar = [c.remapped(M.ctx_restrict_w) for c in h.hbar]
+    args = hbar[:h.mp] + on
+    family4 = [hbar[h.mp + jp] - graph.compose(args)
+               for jp, graph in enumerate(Mp.theta)]
     side_w = {}
     for beta in multidegrees(M.m, beta_max):
-        room = N - sum(beta)
+        dz = tuple(beta) + zero_exponent(M.n)
         for jp in range(h.dp):
-            first = M.restrict(words[jp].get(beta), "w")
-            res = (TruncatedSeries.zero(ctxj, N) if any(beta)
-                   else hbar_emb[h.mp + jp]).truncated(room)
-            for g, cache in words_comp[jp].items():
-                res = res - mul_precise(
-                    fbar_pow(g), cache.get(beta)).truncated(room)
-            side_w[(jp, beta)] = (first, M.restrict(res, "w"))
+            side_w[(jp, beta)] = (family3[jp].derive_multi(dz),
+                                  family4[jp].derive_multi(dz))
 
     swap = M.names.swap_map()
     side_xi = {key: [r.conjugate_swapped(swap, M.ctx_restrict_xi)
@@ -477,6 +468,7 @@ def q_jbeta_cramer(h: FormalCRMap, beta_max=1) -> CramerTable:
     the composed fbar must be a unit (its vanishing at 0 would contradict
     invertibility and is reported as an inconsistency).
     """
+    _require_non_negative(beta_max=beta_max)
     M, Mp = h.M, h.Mp
     if not h.is_invertible():
         raise ReflectionError("Cramer identities need an invertible map")
@@ -553,6 +545,7 @@ def invert_expansion(q_table: dict, zeta, mp: int, bmax: int) -> dict:
 
 
 def _expansion(table: dict, zeta, mp: int, bmax: int, invert: bool) -> dict:
+    _require_non_negative(bmax=bmax)
     zeta = list(zeta)
     if len(zeta) != mp:
         raise ReflectionError("zeta must have %d components" % mp)
@@ -910,6 +903,7 @@ def composed_jet_table(hmap: FormalCRMap, depth: int) -> dict:
     These are the right-hand sides of the component expansion, as series in
     the source t variables; entry (j, beta) is exact to order - |beta|.
     """
+    _require_non_negative(depth=depth)
     M, Mp = hmap.M, hmap.Mp
     args = list(M.restrict(hmap.fbar, "zeta0")) + list(hmap.h.components)
     out = {}

@@ -161,12 +161,12 @@ def random_minimal_manifold(seed, order=6):
 
 
 
-def seeded_maps(order=5):
-    """(label, map) on seeded random manifolds of dims (1,1), (2,1), (1,2):
-    the identity onto the primed copy, a CR map, and the identity plus
-    seeded terms of degree 2..3, which is not CR."""
+def seeded_maps(order=5, seeds=(11, 12, 13)):
+    """(label, map) on seeded random manifolds of dims (1,1), (2,1), (1,2),
+    one seed each: the identity onto the primed copy, a CR map, and the
+    identity plus seeded terms of degree 2..3, which is not CR."""
     out = []
-    for seed, (m, d) in zip((11, 12, 13), ((1, 1), (2, 1), (1, 2))):
+    for seed, (m, d) in zip(seeds, ((1, 1), (2, 1), (1, 2))):
         system = random_real_system(seed, m, d, order)
         M = complexify_and_graph(system)
         Mp = complexify_and_graph(system, primed=True)

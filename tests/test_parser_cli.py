@@ -451,12 +451,25 @@ QUADRIC_MANIFEST = {
                  {"name": "minimality", "kmax": 7}],
 }
 
+# Its graph theta(zeta, 0, 0) = zeta^2 - zeta^3 + ... has a term of every
+# zeta-degree up to the order, down to reflection components of order 0.
+DENSE_MANIFEST = {
+    "order": 6,
+    "seed": 0,
+    "source": {"m": 1, "d": 1, "rho": [
+        "w1 - xi1 - i*z1*zeta1 + zeta1^2 - z1^2 + z1*w1 - zeta1*xi1"]},
+    "map": ["z1", "w1"],
+    "analyses": [{"name": "reflection", "Gmax": 3, "betamax": 2}],
+}
+
 
 @pytest.mark.parametrize("data, sha256", [
     (HEIS_MANIFEST,
      "6f7290bf9ff26538a0088d00f8a45a2482530eb23cf0877c7d6d4e414722b29e"),
     (QUADRIC_MANIFEST,
      "2480f5624ebe38747cfc3cc624585a7ed67e3d50fbe1122d6bc14262e8a57448"),
+    (DENSE_MANIFEST,
+     "3c675fd2a2ebec26a54025be4a125ebc59dcc5ef30195533f7ee4fa34e777882"),
 ])
 def test_report_bytes_are_pinned(data, sha256):
     # A new digest means the same manifest now gives different report bytes.

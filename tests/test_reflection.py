@@ -736,6 +736,57 @@ def _reflection_identities_reference(h, beta_max, families):
     return report
 
 
+def _gamma_sum_identities_reference(h, beta_max):
+    """The four families as gamma'-sums over the joint context, each family
+    composed on its own side.  With X = Lbar, u = hbar, v = h on side 'xi'
+    (families 1, 2) and X = L, u = h, v = hbar on side 'w' (families 3, 4),
+    X kills v, and the pair is X^beta u_{m'+j'} minus the sum of
+    X^beta[u_{<m'}^gamma'] times u's graph component gamma' at v, and
+    v_{m'+j'} (at beta = 0) minus the sum of v_{<m'}^gamma' times X^beta of
+    v's graph component gamma' at u.  That component has order
+    N - |gamma'|, and v_{<m'}^gamma' valuation |gamma'|, so the second sum
+    skips |gamma'| > N - |beta|: its products vanish within precision."""
+    M, Mp = h.M, h.Mp
+    N = h.order
+    ctxj = M.ctx_joint
+    L, Lbar = cr_fields(M)
+    table, table_bar = target_component_tables(Mp)
+    comp = [{g: s.compose(list(h.h)).remapped(ctxj) for g, s in tab.items()}
+            for tab in table]
+    comp_bar = [{g: s.compose(list(h.hbar)).remapped(ctxj)
+                 for g, s in tab.items()} for tab in table_bar]
+
+    def word(X, seed, beta):
+        for k, b in enumerate(beta):
+            for _ in range(b):
+                seed = X[k].apply(seed)
+        return seed
+
+    report = ResidualReport()
+    for first, side, X, u, v, at_v, at_u in (
+            (1, "xi", Lbar, h.hbar, h.h, comp, comp_bar),
+            (3, "w", L, h.h, h.hbar, comp_bar, comp)):
+        u = [c.remapped(ctxj) for c in u]
+        v = [c.remapped(ctxj) for c in v]
+        u_pow, v_pow = _power_cache(u[:h.mp], N), _power_cache(v[:h.mp], N)
+        for beta in multidegrees(M.m, beta_max):
+            room = N - sum(beta)
+            for jp in range(h.dp):
+                near = word(X, u[h.mp + jp], beta)
+                for g, s in at_v[jp].items():
+                    near = near - mul_precise(word(X, u_pow(g), beta),
+                                              s).truncated(room)
+                far = (TruncatedSeries.zero(ctxj, room) if any(beta)
+                       else v[h.mp + jp])
+                for g, s in at_u[jp].items():
+                    if sum(g) <= room:
+                        far = far - mul_precise(v_pow(g), word(X, s, beta))
+                for family, res in enumerate((near, far), first):
+                    report.add(family, jp, beta,
+                               M.restrict(res.truncated(room), side))
+    return report
+
+
 def _verification_report_reference(res):
     h, M = res.h, res.h.M
     report = ResidualReport()
@@ -839,6 +890,28 @@ def test_reflection_identities_match_reference(record_residuals, label, h):
     if label.endswith("non-cr"):
         assert not got[0].ok
         assert all(got[0].first_failure(f) is not None for f in (1, 2, 3, 4))
+
+
+DENSE_TARGET_MAPS = [("seed%d-%s" % (seed, label), h) for seed in (0, 1)
+                     for label, h in seeded_maps(seeds=(seed,) * 3)]
+
+
+@pytest.mark.parametrize("label, h", DENSE_TARGET_MAPS,
+                         ids=[c[0] for c in DENSE_TARGET_MAPS])
+def test_reflection_identities_on_dense_targets(record_residuals, label, h):
+    # these target graphs have terms of every zeta'-degree up to the
+    # order, so a word of a component Theta'_{j',gamma'}(h) runs out of
+    # precision; each entry is d_z^beta of one seed restricted first
+    for beta_max in (0, 1, 2):
+        got = record_residuals(reflection_identities, h, beta_max=beta_max)
+        _assert_same_residuals(got, record_residuals(
+            _gamma_sum_identities_reference, h, beta_max))
+        assert all(prec == h.order - sum(beta)
+                   for (_, _, beta), (_, prec) in got[0].entries.items())
+    if label.endswith("non-cr"):
+        assert all(got[0].first_failure(f) is not None for f in (1, 2, 3, 4))
+    else:
+        assert got[0].ok
 
 
 @pytest.mark.parametrize("label, h", SIDE_CASES,
@@ -1016,6 +1089,12 @@ NEGATIVE_BOUNDS = [
      lambda h: transversality_uniqueness_defect(h, beta_max=-1)),
     ("gamma_max",
      lambda h: transversality_uniqueness_defect(h, gamma_max=-1)),
+    ("beta_max", lambda h: q_jbeta_cramer(h, beta_max=-1)),
+    ("depth", lambda h: composed_jet_table(h, -1)),
+    ("bmax", lambda h: forward_expansion(composed_jet_table(h, 1),
+                                         [ZERO] * h.mp, h.mp, -1)),
+    ("bmax", lambda h: invert_expansion(composed_jet_table(h, 1),
+                                        [ZERO] * h.mp, h.mp, -1)),
 ]
 
 
