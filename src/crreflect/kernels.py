@@ -9,9 +9,6 @@ both use it without an import cycle.
   accumulation of term dicts.
 * `compose_terms`: the body of `TruncatedSeries.compose`, the sum of
   group_beta * u^beta over the exponents beta of the moving arguments u.
-* `derivation_table` and `derivation_apply`: a first-order operator
-  sum_i c_i d/dx_i with series coefficients, converted once and then
-  applied to a term dict in one pass.
 * `divexact`: exact division of term dicts by graded-lex reduction on
   packed exponents with a guard bit per field, the remainder's packed keys
   kept in a heap and the divisor held as Gaussian-integer numerators.
@@ -57,15 +54,6 @@ products into a running-denominator accumulator with `_add_product`.
 
 `iadd_scaled` likewise forms `acc + coeff * c` on the integer triples and
 normalizes once per updated term.
-
-`derivation_apply` accumulates sum_i c_i * df/dx_i the way `mul_terms`
-accumulates a product: one dict of Gaussian-integer numerators over one
-common denominator, keyed by exponent tuple, and one normalized
-coefficient per nonzero output term.  A term x^e of f with e_i = k > 0
-adds k * f_e * c_i shifted by e - (unit vector i), so no derivative of f
-is ever built.  Keys stay tuples: the jet contexts the derivations run in
-have dozens of variables, with few of them in any one term, and packing
-and unpacking that many fields cost more than it saved.
 """
 
 from __future__ import annotations
@@ -73,9 +61,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import compress
 from math import gcd, lcm
-from operator import add, itemgetter, mul
+from operator import add, mul
 
 from .gaussian import ONE, GaussianRational
 
@@ -338,85 +325,6 @@ def iadd_scaled(out: dict, A: dict, coeff) -> None:
         out[e] = _make(x, y, z)
 
 
-def _picker(indices):
-    """Exponent tuple -> the tuple of its entries at `indices`."""
-    if len(indices) == 1:
-        i, = indices
-        return lambda e: (e[i],)
-    if not indices:
-        return lambda e: ()
-    return itemgetter(*indices)
-
-
-def derivation_table(coeffs: dict, forbidden=()):
-    """Integer form of the operator sum_i c_i d/dx_i for `derivation_apply`.
-
-    `coeffs` maps a variable index i to the term dict of c_i (a constant is
-    a one-term dict at the zero exponent); `forbidden` lists the variables
-    an operand must not involve.  Every row of every c_i becomes (degree,
-    exponent - unit vector i, re, im) with the numerators over the lcm of
-    all the rows' denominators, and each c_i's rows are sorted by degree.
-    Build it once per operator: it serves every operand and every order.
-    """
-    den = lcm(*[c.c for T in coeffs.values() for c in T.values()])
-    indices, entries = [], []
-    for i, T in coeffs.items():
-        if not T:
-            continue
-        rows = []
-        for f, c in T.items():
-            shift = list(f)
-            shift[i] -= 1
-            m = den // c.c
-            rows.append((sum(f), tuple(shift), c.a * m, c.b * m))
-        rows.sort(key=itemgetter(0))
-        indices.append(i)
-        entries.append(rows)
-    forbidden = sorted(forbidden)
-    check = _picker(forbidden) if forbidden else None
-    return den, entries, _picker(indices), check, (0,) * len(forbidden)
-
-
-def derivation_apply(A: dict, table, order: int):
-    """sum_i c_i * dA/dx_i truncated to total degree <= order, for a
-    `derivation_table`, in one pass over the terms of A.
-
-    Rows of c_i whose degree is past the room left by a term are skipped.
-    Returns None when a term of A involves a forbidden variable.
-    """
-    den, entries, pick, check, clear = table
-    if not A:
-        return {}
-    aden = lcm(*[c.c for c in A.values()])
-    acc: dict = {}
-    get = acc.get
-    for e, c in A.items():
-        if check is not None and check(e) != clear:
-            return None
-        ks = pick(e)
-        if not any(ks):
-            continue
-        room = order + 1 - sum(e)
-        if room < 0:
-            continue
-        m = aden // c.c
-        xa = c.a * m
-        ya = c.b * m
-        for rows, k in zip(compress(entries, ks), filter(None, ks)):
-            kx = k * xa
-            ky = k * ya
-            for deg, shift, xb, yb in rows:
-                if deg > room:
-                    break
-                key = tuple(map(add, e, shift))
-                s = get(key)
-                if s is None:
-                    acc[key] = [kx * xb - ky * yb, kx * yb + ky * xb]
-                else:
-                    s[0] += kx * xb - ky * yb
-                    s[1] += kx * yb + ky * xb
-    den *= aden
-    return {k: _make(x, y, den) for k, (x, y) in acc.items() if x or y}
 
 
 @lru_cache(maxsize=None)

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from .context import VariableContext, multidegrees, numbered
 from .gaussian import GaussianRational, I, ONE, ZERO
-from .kernels import derivation_apply, derivation_table, echelon
+from .kernels import echelon
 from .linalg import numeric_rank
 from .series import (SeriesMap, TruncatedSeries, SeriesError, formal_ift,
                      jacobian_at_zero)
@@ -423,7 +423,7 @@ class Derivation:
     Constant-coefficient entries may be given as plain numbers.
     """
 
-    __slots__ = ("context", "coeffs", "label", "forbidden", "_table")
+    __slots__ = ("context", "coeffs", "label", "forbidden")
 
     def __init__(self, context: VariableContext, coeffs: dict, label="",
                  forbidden=frozenset()):
@@ -436,52 +436,31 @@ class Derivation:
         self.label = label
         self.forbidden = frozenset(context.index(n) if isinstance(n, str) else n
                                    for n in forbidden)
-        self._table = None
-
-    def _kernel_table(self):
-        """(least order of the series coefficients or None, the
-        `kernels.derivation_table` of the coefficients), built on the
-        first `apply` and kept: the coefficients never change."""
-        orders = []
-        coeffs = {}
-        for i, c in self.coeffs.items():
-            if isinstance(c, TruncatedSeries):
-                if c.context != self.context:
-                    raise SeriesError("context mismatch: %r vs %r"
-                                      % (self.context, c.context))
-                orders.append(c.order)
-            else:
-                c = TruncatedSeries.constant(self.context, 0, c)
-            coeffs[i] = c.terms
-        self._table = (min(orders, default=None),
-                       derivation_table(coeffs, self.forbidden))
-        return self._table
 
     def apply(self, f: TruncatedSeries) -> TruncatedSeries:
-        """sum_v coeff_v * df/dx_v, in one pass of `kernels.derivation_apply`
-        over the terms of f.
+        """sum_v coeff_v * df/dx_v, each series coefficient cut to the order
+        of df.
 
-        The coefficients are converted once, on the first call, to a table
-        of Gaussian-integer numerators over one denominator, and the table
-        is kept on the derivation.  The result has order min(f.order - 1,
-        the order of each series coefficient).  Raises SeriesError when f
-        involves a forbidden (top-level jet) variable, when the derivation
-        has no coefficient and when f has no precision left, checked in
-        that order.
+        The result has order min(f.order - 1, the order of each series
+        coefficient).  Raises SeriesError when f involves a forbidden
+        (top-level jet) variable, when the derivation has no coefficient
+        and when f has no precision left, checked in that order.
         """
         if f.context != self.context:
             f = f.remapped(self.context)
-        cap, table = self._table or self._kernel_table()
-        order = f.order - 1 if cap is None else min(f.order - 1, cap)
-        terms = derivation_apply(f.terms, table, order)
-        if terms is None:
+        if self.forbidden and (f.support_variables() & self.forbidden):
             raise SeriesError(
                 "operand involves jet symbols beyond the lifted level")
         if not self.coeffs:
             raise SeriesError("empty derivation")
-        if order < 0:
-            raise SeriesError("no precision left to differentiate")
-        return TruncatedSeries._make(self.context, order, terms)
+        out = None
+        for i, c in self.coeffs.items():
+            df = f.derive(i)
+            if isinstance(c, TruncatedSeries):
+                c = c.truncated(df.order)
+            piece = df * c
+            out = piece if out is None else out + piece
+        return out
 
     def __repr__(self):
         return "Derivation(%s)" % (self.label or "?")

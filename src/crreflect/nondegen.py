@@ -13,13 +13,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .context import VariableContext, multidegrees
+from .context import VariableContext, multidegrees, zero_exponent
 from .gaussian import GaussianRational
 from .kernels import echelon
 from .linalg import (generic_rank, kernel_basis, rank_at_origin,
                      symbolic_rank)
 from .manifold import GraphedManifold
-from .reflection import (FormalCRMap, ReflectionError, _identity_table,
+from .reflection import (FormalCRMap, ReflectionError, _require_non_negative,
                          transversality_kernel)
 from .segre import segre_jet_map
 from .series import SeriesMap, TruncatedSeries, SeriesError
@@ -73,6 +73,13 @@ def _check_kmax(kmax: int, order: int):
         raise SeriesError("kmax exceeds the truncation order")
 
 
+def _check_dmax(dmax: int):
+    """A negative degree bound searches no degree: it would read as a bound
+    reached without a certificate."""
+    if dmax < 0:
+        raise SeriesError("dmax must be non-negative")
+
+
 def _least_k(kmax: int, test):
     """The least k in 1..kmax at which a ladder rung holds, with test(k):
     the rung holds where its test gives neither False nor None (a rank test
@@ -113,6 +120,7 @@ def ideal_contains_power_of_maximal(generators, dmax: int):
     m^D inside the ideal, hence finiteness.  D stops at the generators'
     least order: past it, truncated-away terms would read as zero.
     """
+    _check_dmax(dmax)
     gens = [g - g.constant_term() for g in generators]
     gens = [g for g in gens if g]
     if not gens:
@@ -150,6 +158,7 @@ def holomorphic_degeneracy_field(Mp: GraphedManifold, dmax: int = 4):
     linear algebra on the coefficients.  None means the kernel is trivial
     at these bounds (holomorphic nondegeneracy is then plausible).
     """
+    _check_dmax(dmax)
     ctx = Mp.ctx_theta
     N = Mp.order
     t_idx = [ctx.index(n) for n in Mp.names.t]
@@ -186,6 +195,7 @@ def classify_manifold(Mp: GraphedManifold, kmax: int = None,
     if kmax is None:
         kmax = min(Mp.order - 1, 4)
     _check_kmax(kmax, Mp.order)
+    _check_dmax(dmax)
     full = Mp.m + Mp.n
     jet_maps = {}
 
@@ -251,6 +261,7 @@ class MapClassification:
 def classify_map_cr(h: FormalCRMap, dmax: int = 4,
                     seed: int = 0) -> MapClassification:
     """The CR-horizontal ladder cr1..cr5 of a verified formal CR map."""
+    _require_non_negative(dmax=dmax)
     if not h.cr_report.ok:
         raise ReflectionError("map is not CR to the working order")
     horiz = h.horizontal_part()
@@ -279,14 +290,27 @@ def classify_map_cr(h: FormalCRMap, dmax: int = 4,
 
 
 def psi_table(h: FormalCRMap, beta_max: int = 1) -> dict:
-    """(j', beta) -> Psi'_{j',beta}(t, tau, t'), the reflection-identity
-    kernel series: Lbar^beta of gbar_{j'} - Theta'_{j'}(fbar, t'), which is
-    Lbar^beta gbar_{j'} minus the gamma'-sum of Lbar^beta[fbar^gamma'] times
-    Theta'_{j',gamma'}(t')."""
+    """(j', beta) -> Psi'_{j',beta}(z, w, zeta, t'), the reflection-identity
+    kernel series on the manifold, for |beta| <= beta_max, beta outer and
+    j' inner.
+
+    Psi' is Lbar^beta of hbar_{m'+j'} - Theta'_{j'}(hbar_{<m'}, t') with t'
+    free.  Lbar is tangent to the complexified manifold and restricts to
+    d/dzeta on side 'xi', since theta involves no xi; so each entry is the
+    plain partial d_zeta^beta of that seed with hbar put on side 'xi' once,
+    over (z, w, zeta, t').  The seed is exact to the order, so each entry
+    is exact to order - |beta|.
+    """
     M, Mp = h.M, h.Mp
-    ctx_psi = VariableContext(M.ctx_joint.names + Mp.names.t)
-    hbar = [c.remapped(ctx_psi) for c in h.hbar.components]
-    return _identity_table(h, M, Mp, hbar, [], beta_max)
+    ctx = VariableContext(M.ctx_restrict_xi.names + Mp.names.t)
+    hbar_on = [c.remapped(ctx) for c in M.restrict(h.hbar, "xi")]
+    args = hbar_on[:h.mp] + [TruncatedSeries.variable(ctx, h.order, n)
+                             for n in Mp.names.t]
+    seeds = [hbar_on[h.mp + jp] - s.compose(args)
+             for jp, s in enumerate(Mp.theta)]
+    return {(jp, tuple(beta)):
+            seeds[jp].derive_multi(zero_exponent(M.n) + tuple(beta))
+            for beta in multidegrees(M.m, beta_max) for jp in range(h.dp)}
 
 
 def psi_and_h_conditions(h: FormalCRMap, kmax: int = 2,
@@ -295,11 +319,9 @@ def psi_and_h_conditions(h: FormalCRMap, kmax: int = 2,
     M, Mp = h.M, h.Mp
     _check_kmax(kmax, h.order)
     table = psi_table(h, beta_max=kmax)
-    ctxj = M.ctx_joint
-    ctx_psi = VariableContext(ctxj.names + Mp.names.t)
     ctx_tp = VariableContext(Mp.names.t)
     zero = TruncatedSeries.zero(ctx_tp, h.order)
-    base_zero = {n: zero for n in ctxj.names}
+    base_zero = {n: zero for n in M.ctx_restrict_xi.names}
 
     psi0 = {key: s.substitute(base_zero, ctx_tp) for key, s in table.items()}
 
@@ -318,9 +340,8 @@ def psi_and_h_conditions(h: FormalCRMap, kmax: int = 2,
     # h4: rank of the t'-gradients of Psi along the Segre leaf through 0,
     # evaluated at t' = h(z, theta_bar(z, 0)).
     h_on = dict(zip(Mp.names.t, M.restrict(h.h, "leaf").components))
-    tp_idx = [ctx_psi.index(n) for n in Mp.names.t]
-    rows = [[M.restrict(table[key].derive(i), "leaf", h_on) for i in tp_idx]
-            for key in sorted(table)]
+    rows = [[M.restrict(table[key].derive(n), "leaf", h_on)
+             for n in Mp.names.t] for key in sorted(table)]
     r4 = symbolic_rank(rows, seed=seed)
     h4 = Verdict(HOLDS if r4 == h.np else FAILS, bound=kmax)
 

@@ -322,21 +322,22 @@ class _WordCache:
         return got
 
 
-def _identity_table(h, M, Mp, near, blocks, beta_max):
+def _identity_table(h, near, jets, beta_max):
     """(j', beta) -> Lbar^beta of near_{m'+j'} - Theta'_{j'}(near_{<m'}, t')
-    for |beta| <= beta_max, beta outer and j' inner.  `near` lives over a
-    context that contains t'; Lbar is lifted to it over the jet `blocks`.
-    The fields kill every function of t', so each word is the gamma'-sum
-    of the words of near_{<m'}^gamma' times Theta'_{j',gamma'}(t')."""
+    for |beta| <= beta_max, beta outer and j' inner: the rows of
+    `resolve_finitely_nondeg`.  `near` lives over a context that contains
+    t'; Lbar is lifted to it over the `jets` block.  The fields kill every
+    function of t', so each word is the gamma'-sum of the words of
+    near_{<m'}^gamma' times Theta'_{j',gamma'}(t')."""
     ctx, N = near[0].context, h.order
-    Lbar = [extend_derivation_to_jets(D, blocks, ctx, N)
-            for D in cr_fields(M)[1]]
+    Lbar = [extend_derivation_to_jets(D, [jets], ctx, N)
+            for D in cr_fields(h.M)[1]]
     args = near[:h.mp] + [TruncatedSeries.variable(ctx, N, n)
-                          for n in Mp.names.t]
+                          for n in h.Mp.names.t]
     words = [_WordCache(Lbar, near[h.mp + jp] - s.compose(args))
-             for jp, s in enumerate(Mp.theta)]
+             for jp, s in enumerate(h.Mp.theta)]
     return {(jp, tuple(beta)): words[jp].get(beta)
-            for beta in multidegrees(M.m, beta_max) for jp in range(h.dp)}
+            for beta in multidegrees(h.M.m, beta_max) for jp in range(h.dp)}
 
 
 def reflection_identities(h: FormalCRMap, beta_max=1) -> ResidualReport:
@@ -820,7 +821,7 @@ def resolve_finitely_nondeg(h: FormalCRMap, ell0: int = 1) -> Resolution:
     ctx_ext = VariableContext(M.ctx_joint.names + jets.names + Mp.names.t)
     u = [jets.jet_series(i, zero_exponent(M.n), ctx_ext, h.order)
          for i in range(h.np)]
-    table = _identity_table(h, M, Mp, u, [jets], ell0)
+    table = _identity_table(h, u, jets, ell0)
     keys, rows = list(table), list(table.values())
     for R in rows:
         if R.constant_term():

@@ -601,6 +601,8 @@ def jet(F: SeriesMap, ell: int) -> SeriesMap:
     by total degree then lexicographically.  Every jet entry is truncated to
     the common surviving precision (order - ell).
     """
+    if ell < 0:
+        raise SeriesError("jet order must be non-negative")
     if ell > F.order:
         raise SeriesError("jet order %d exceeds series order %d" % (ell, F.order))
     out_order = F.order - ell

@@ -47,6 +47,42 @@ def test_ideal_membership_basics():
     assert ideal_contains_power_of_maximal([x + y * y, y * y * y], 4) == 3
 
 
+def _negative_dmax_cases():
+    Mq = make_ex121(order=5)
+    ctx = VariableContext(("x", "y"))
+    gens = [tvar(ctx, "x", 6), tvar(ctx, "y", 6)]
+    h = identity_on(make_heisenberg(order=5),
+                    make_heisenberg(order=5, primed=True))
+    return [
+        ("classify_manifold", SeriesError,
+         lambda d: classify_manifold(Mq, kmax=3, dmax=d),
+         lambda cls: cls.nd5.status == FAILS),
+        ("holomorphic_degeneracy_field", SeriesError,
+         lambda d: holomorphic_degeneracy_field(Mq, d),
+         lambda field: field is not None),
+        ("ideal_contains_power_of_maximal", SeriesError,
+         lambda d: ideal_contains_power_of_maximal(gens, d),
+         lambda D: D == 1),
+        ("classify_map_cr", ReflectionError,
+         lambda d: classify_map_cr(h, dmax=d),
+         lambda cls: cls.cr5.status == HOLDS),
+    ]
+
+
+NEGATIVE_DMAX = _negative_dmax_cases()
+
+
+@pytest.mark.parametrize("label, error, call, decided", NEGATIVE_DMAX,
+                         ids=[c[0] for c in NEGATIVE_DMAX])
+def test_negative_dmax_is_rejected(label, error, call, decided):
+    # a negative degree bound searches no degree: it used to read as
+    # `inconclusive` or None, where dmax = 4 decides, or (classify_map_cr)
+    # to raise only after cr1..cr4 had run
+    with pytest.raises(error, match="dmax must be non-negative"):
+        call(-1)
+    assert decided(call(4))
+
+
 def test_ideal_membership_stays_within_precision():
     # as polynomials, (-y + y^2 - x^2, -y^2) contains m^4 and
     # (-y + y^2 - x^2, -y^2 + x^4) does not; the two pairs agree to order 2,
@@ -274,14 +310,21 @@ def test_psi_vanishes_on_graph_of_cr_map():
 
 
 def _psi_on_graph(h, table):
-    """Each entry of a Psi' table at t' = h(t), restricted to side xi."""
+    """Each entry of a Psi' table over (z, w, zeta, t') at t' = h(t)."""
     M = h.M
-    ctxj = M.ctx_joint
-    args = [TruncatedSeries.variable(ctxj, M.order, n)
-            for n in ctxj.names] + [c.remapped(ctxj) for c in h.h.components]
-    return [M.restrict(series.compose([a.truncated(series.order)
-                                       for a in args]), "xi")
+    ctx = M.ctx_restrict_xi
+    args = [TruncatedSeries.variable(ctx, M.order, n)
+            for n in ctx.names] + [c.remapped(ctx) for c in h.h.components]
+    return [series.compose([a.truncated(series.order) for a in args])
             for series in table.values()]
+
+
+def _on_side_xi(M, f, ctx):
+    """A series over (z, w, zeta, xi, t') with xi := theta, over ctx =
+    (z, w, zeta, t'): t' stays free."""
+    values = {n: TruncatedSeries.variable(ctx, M.order, n) for n in ctx.names}
+    values.update(zip(M.names.xi, M.solve("xi", values)))
+    return f.compose([values[n] for n in f.context.names])
 
 
 def _psi_table_reference(h, beta_max):
@@ -320,7 +363,10 @@ SEEDED_MAPS = seeded_maps()
 def test_psi_table_matches_reference(label, h):
     for beta_max in (0, 1, 2):
         got = psi_table(h, beta_max=beta_max)
-        want = _psi_table_reference(h, beta_max)
+        # the Lbar words over the joint context, put on side xi after
+        ctx = VariableContext(h.M.ctx_restrict_xi.names + h.Mp.names.t)
+        want = {key: _on_side_xi(h.M, s, ctx)
+                for key, s in _psi_table_reference(h, beta_max).items()}
         # series equality compares the context and the order too
         assert list(got.items()) == list(want.items())
     cr = not label.endswith("non-cr")
@@ -553,11 +599,11 @@ def _psi_and_h_reference(h, kmax=2, seed=0):
     if kmax > h.order:
         raise SeriesError("kmax exceeds the truncation order")
     table = psi_table(h, beta_max=kmax)
-    ctxj = M.ctx_joint
-    ctx_psi = VariableContext(ctxj.names + Mp.names.t)
+    ctx_xi = M.ctx_restrict_xi
+    ctx_psi = VariableContext(ctx_xi.names + Mp.names.t)
     ctx_tp = VariableContext(Mp.names.t)
     zero = TruncatedSeries.zero(ctx_tp, h.order)
-    base_zero = {n: zero for n in ctxj.names}
+    base_zero = {n: zero for n in ctx_xi.names}
     psi0 = {key: s.substitute(base_zero, ctx_tp) for key, s in table.items()}
 
     def psi_k_rank(k):

@@ -29,6 +29,7 @@ from crreflect.context import VariableContext, multidegrees
 from crreflect.gaussian import ONE, ZERO, GaussianRational, gr
 from crreflect.linalg import (bareiss_rank, kernel_basis, random_rational_point,
                               symbolic_rank)
+from crreflect.manifold import Derivation
 from crreflect.reflection import _independent_rows
 from crreflect.series import (SeriesError, SeriesMap, TruncatedSeries,
                               divide_with_valuation, formal_ift,
@@ -188,19 +189,30 @@ def test_derivation_apply_matches_oracle(case):
     # the first example, (y d/dx - x d/dy)(x^2 + y^2), cancels to zero; in
     # the third, both complex coefficients add into the x*y term
     n, f, coeffs, order, forbidden = case
-    table = kernels.derivation_table(coeffs, forbidden)
-    got = kernels.derivation_apply(dict(f), table, order)
-    if any(e[i] for e in f for i in forbidden):
-        assert got is None
+    ctx = VariableContext(["x%d" % i for i in range(n)])
+    F = TruncatedSeries(ctx, order + 1, f)
+    zero = (0,) * n
+    # a constant goes in as a plain number, as `Derivation` allows
+    D = Derivation(ctx, {i: c[zero] if list(c) == [zero]
+                         else TruncatedSeries(ctx, order, c)
+                         for i, c in coeffs.items()}, forbidden=forbidden)
+    if any(e[i] for e in F.terms for i in forbidden):
+        with pytest.raises(SeriesError, match="beyond the lifted level"):
+            D.apply(F)
         return
+    if not coeffs:
+        with pytest.raises(SeriesError, match="empty derivation"):
+            D.apply(F)
+        return
+    got = D.apply(F)
     R = _ring(n)
-    p = to_sympy(R, f)
+    p = to_sympy(R, F.terms)
     total = R.zero
     for i, c in coeffs.items():
         total += to_sympy(R, c) * p.diff(R.gens[i])
-    assert got == from_sympy(total, order)
-    assert all(got.values())
-    assert all(type(e) is tuple and len(e) == n for e in got)
+    assert got.order == order
+    assert got.terms == from_sympy(total, order)
+    assert all(got.terms.values())
 
 
 # -- compose ----------------------------------------------------------------

@@ -521,6 +521,13 @@ def test_jet_order_guard():
         jet(SeriesMap([x]), 4)
 
 
+def test_jet_rejects_negative_order():
+    # it used to fail with "a series map needs at least one component"
+    x = var(CTX1, "x", 3)
+    with pytest.raises(SeriesError, match="jet order must be non-negative"):
+        jet(SeriesMap([x]), -1)
+
+
 # -- structural helpers ----------------------------------------------------------
 
 
