@@ -301,6 +301,7 @@ def psi_table(h: FormalCRMap, beta_max: int = 1) -> dict:
     over (z, w, zeta, t').  The seed is exact to the order, so each entry
     is exact to order - |beta|.
     """
+    _require_non_negative(beta_max=beta_max)
     M, Mp = h.M, h.Mp
     ctx = VariableContext(M.ctx_restrict_xi.names + Mp.names.t)
     hbar_on = [c.remapped(ctx) for c in M.restrict(h.hbar, "xi")]
@@ -353,8 +354,12 @@ def degenerate_selfmap_generator(Mp: GraphedManifold, field: SeriesMap,
                                  varpi=None, seed: int = 0) -> FormalCRMap:
     """Flow a tangent holomorphic field for a formal time varpi'(t').
 
-    The flow is integrated degree by degree; substituting the formal time
-    gives a self-map of the manifold which is returned verified.  With a
+    The flow Phi(s, t') is integrated degree by degree, and the self-map is
+    t' -> Phi(varpi'(t'), t').  It is CR by theorem, so it is not checked
+    again here: X.theta' = 0 is checked exactly where the field enters, so
+    for fixed tau' the flow of X moves t' inside the leaf xi' =
+    theta'(zeta', t'), for any time, and the conjugate flow does the same
+    for the other graph; hence the map takes M' to M'.  With a
     nonconvergent varpi' this is the classical counterexample showing that
     holomorphically degenerate targets admit divergent CR self-maps; at
     finite order every choice of varpi' works.
@@ -397,11 +402,7 @@ def degenerate_selfmap_generator(Mp: GraphedManifold, field: SeriesMap,
 
     subs = {"s_flow": varpi}
     hmap = SeriesMap([c.substitute(subs, ctx_tp) for c in phi])
-    out = FormalCRMap(hmap, Mp, Mp)
-    if not out.cr_report.ok:
-        raise AssertionError(
-            "flow of a tangent field failed the CR check: %r" % out.cr_report)
-    return out
+    return FormalCRMap(hmap, Mp, Mp)
 
 
 def _check_tangent(Mp: GraphedManifold, field: SeriesMap):

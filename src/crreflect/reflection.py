@@ -20,7 +20,7 @@ from .context import VariableContext, multidegrees, zero_exponent
 from .gaussian import ONE, MINUS_ONE
 from .kernels import echelon
 from .linalg import kernel_basis, numeric_rank
-from .manifold import (Derivation, GraphedManifold, JetSymbols, cr_fields,
+from .manifold import (GraphedManifold, JetSymbols, cr_fields,
                        extend_derivation_to_jets)
 from .segre import SegreChain
 from .series import (SeriesMap, TruncatedSeries, SeriesError,
@@ -704,7 +704,10 @@ class Resolution:
     `phi` is a series map over (t, tau, jet symbols) with
     h(t) == phi(t, zeta, theta(zeta, t), strict-jet values of hbar composed
     with (zeta, theta)), modulo the surviving precision; the conjugate line
-    holds as well.
+    holds as well.  `phi` is fixed at construction, where the family-1
+    residual h_i - phi_i is formed once, on side 'xi' with the level-ell0
+    jet values of hbar, over (z, w, zeta); both reports read it.  Another
+    phi is another `Resolution`.
     """
 
     def __init__(self, h, ell0, jets, phi, rows_used):
@@ -713,6 +716,10 @@ class Resolution:
         self.jets = jets
         self.phi = phi
         self.rows_used = rows_used
+        uargs = self._jet_args(ell0, jets, "xi")
+        values = [h.M.restrict(c, "xi", uargs) for c in phi.components]
+        self.residuals = [f.remapped(v.context).truncated(v.order) - v
+                          for f, v in zip(h.h, values)]
 
     def _jet_args(self, level, jets, side):
         """u_{i,alpha} -> the strict jet values on the manifold.  On side
@@ -732,15 +739,6 @@ class Resolution:
                     M.restrict(comp.derive_multi(alpha), side) - c
         return out
 
-    def _residuals(self):
-        """h_i - phi_i on side 'xi', with the level-ell0 jet values of hbar,
-        over (z, w, zeta)."""
-        M = self.h.M
-        uargs = self._jet_args(self.ell0, self.jets, "xi")
-        values = [M.restrict(c, "xi", uargs) for c in self.phi.components]
-        return [f.remapped(v.context).truncated(v.order) - v
-                for f, v in zip(self.h.h, values)]
-
     def verification_report(self) -> ResidualReport:
         """Both lines of the solved identity; families 1 and 2 label the
         unbarred and the conjugate line.
@@ -756,51 +754,41 @@ class Resolution:
         """
         M = self.h.M
         swap = M.names.swap_map()
-        residuals = self._residuals()
         report = ResidualReport()
-        for i, res in enumerate(residuals):
+        for i, res in enumerate(self.residuals):
             report.add(1, i, (), res)
-        for i, res in enumerate(residuals):
+        for i, res in enumerate(self.residuals):
             report.add(2, i, (), res.conjugate_swapped(swap, M.ctx_restrict_w))
         return report
 
     def jet_identity_report(self, ell: int) -> ResidualReport:
         """The order-ell jet extension of the solved identity.
 
-        Entry ("jet", i, beta + delta) is L^beta Ups^delta (h_i - phi_i) on
-        the manifold, for |beta| + |delta| <= ell.  L and Ups are tangent
-        to the complexified manifold, so each word is taken after the
-        restriction xi := theta, on the family-1 residual over (z, w, zeta).
-        There Ups_j is d/dw_j, as theta involves no xi, and L_k is d/dz_k +
-        sum_j (d theta_bar_j/dz_k on the manifold) d/dw_j.  A word expands
-        into plain partials d^alpha, |alpha| <= |beta| + |delta|, with
-        coefficient 1 on d^(beta + delta): every word residual vanishes
-        exactly when every partial residual of h does.  Every entry is
-        exact to order - ell0 - ell, the precision of the jets of hbar of
-        order ell0 + ell; past the order this raises SeriesError.
+        Entry ("jet", i, alpha), alpha over (z, w) with |alpha| <= ell, is
+        the plain partial d^alpha of the family-1 residual h_i - phi_i.  On
+        side 'xi' the manifold is parametrised by (z, w, zeta), so d/dz and
+        d/dw are tangent there, and the words L^beta Ups^delta of the
+        identity are a unit-triangular combination of these partials: every
+        word residual vanishes exactly when every partial residual does.
+        Every entry is exact to order - ell0 - ell, the precision of the
+        jets of hbar of order ell0 + ell; past the order this raises
+        SeriesError.
+
+        The entries are partials of the residual the resolution was checked
+        on, so for a resolution that `resolve_finitely_nondeg` returned
+        every entry vanishes: the report records each tier's precision and
+        checks nothing that `verification_report` did not.
         """
         _require_non_negative(ell=ell)
-        M = self.h.M
         room = self.h.order - self.ell0 - ell
         if room < 0:
             raise SeriesError("no precision left to differentiate")
-        L = []
-        for z in M.names.z:
-            coeffs = {w: M.restrict(tb.derive(z), "xi")
-                      for w, tb in zip(M.names.w, M.theta_bar)}
-            coeffs[z] = ONE
-            L.append(Derivation(M.ctx_restrict_xi, coeffs))
         report = ResidualReport()
-        alphas = sorted(multidegrees(M.n, ell))
-        for i, seed in enumerate(self._residuals()):
-            words = {}
+        alphas = sorted(multidegrees(self.h.M.n, ell))
+        for i, res in enumerate(self.residuals):
             for alpha in alphas:
-                beta, delta = alpha[:M.m], alpha[M.m:]
-                if delta not in words:
-                    words[delta] = _WordCache(L, seed.derive_multi(
-                        zero_exponent(M.m) + delta))
                 report.add("jet", i, alpha,
-                           words[delta].get(beta).truncated(room))
+                           res.derive_multi(alpha).truncated(room))
         return report
 
 

@@ -1,10 +1,12 @@
 """Nondegeneracy ladders, degeneracy fields, degenerate self-maps."""
 
+import random
+
 import pytest
 
 from conftest import (echelon_reference, kernel_basis_reference, make_ex121,
                       make_flat, make_heisenberg, make_sphere3, make_z2zb2,
-                      quadric_pair, seeded_maps)
+                      quadric_pair, random_series, seeded_maps)
 from crreflect.context import VariableContext, multidegrees
 from crreflect import reflection
 from crreflect.gaussian import ZERO
@@ -424,6 +426,37 @@ def test_random_times_always_cr():
     for seed in range(5):
         gen = degenerate_selfmap_generator(Mp, field, None, seed=seed)
         assert verify_formal_cr_map(gen).ok
+
+
+def _flowed_selfmap_cases():
+    """(label, field, formal time) on ex121': the degeneracy field with a
+    dense time, and two tangent fields whose flows are not translations."""
+    Mp = make_ex121()
+    ctx_tp = VariableContext(Mp.names.t)
+    zp1, zp2, wp1 = (tvar(ctx_tp, n) for n in Mp.names.t)
+    zero = TruncatedSeries.zero(ctx_tp, 8)
+    dense = random_series(ctx_tp, 8, random.Random(11), min_degree=1,
+                          density=0.9)
+    fields = [("z2", SeriesMap([zero, zp2, zero])),
+              ("quadratic", SeriesMap([zero, zp2 * zp2 + wp1 + zp1 * zp2,
+                                       zero]))]
+    return ([("degeneracy-dense", holomorphic_degeneracy_field(Mp, 4),
+              dense)]
+            + [("%s-%s" % (label, time), field, t)
+               for label, field in fields
+               for time, t in (("seeded", None), ("dense", dense))])
+
+
+FLOWED_SELFMAPS = _flowed_selfmap_cases()
+
+
+@pytest.mark.parametrize("label, field, varpi", FLOWED_SELFMAPS,
+                         ids=[c[0] for c in FLOWED_SELFMAPS])
+def test_flowed_selfmaps_are_cr(label, field, varpi):
+    # the generator returns its map unchecked, CR by the flow theorem; the
+    # CR check of the map is made here
+    gen = degenerate_selfmap_generator(make_ex121(), field, varpi, seed=2)
+    assert verify_formal_cr_map(gen).ok
 
 
 def test_nontangent_field_rejected():

@@ -16,9 +16,9 @@ from crreflect.manifold import (GraphedManifold, JetSymbols, cr_fields,
                                 extend_derivation_to_jets,
                                 transversal_fields, verify_reality)
 from crreflect.nondegen import (degenerate_selfmap_generator,
-                                holomorphic_degeneracy_field)
+                                holomorphic_degeneracy_field, psi_table)
 from crreflect.reflection import (FormalCRMap, ReflectionComponents,
-                                  ReflectionError, ResidualReport,
+                                  ReflectionError, Resolution, ResidualReport,
                                   _WordCache, _compose_components,
                                   _jet_constants,
                                   _power_cache, chain_pullback,
@@ -974,13 +974,13 @@ def test_conjugate_families_match_reference_on_seeded_maps(record_residuals,
 
 
 def test_conjugate_families_restrict_one_side(monkeypatch):
-    # the CR check composes on side 'w' only and the resolution check on
-    # side 'xi' only: each conjugate family is a conjugate-swap
+    # the CR check composes on side 'w' only and the resolution, once its
+    # map's side-'w' identity is kept, on side 'xi' only: each conjugate
+    # family is a conjugate-swap
     M, Mp = heis_pair(order=6)
     ctx_t = VariableContext(M.names.t)
     z, w = tvar(ctx_t, "z1", 6), tvar(ctx_t, "w1", 6)
     maps = [identity_on(M, Mp), hmap(M, Mp, [z + w * z, w + z * z * z])]
-    res = resolve_finitely_nondeg(maps[0], ell0=1)
     restrict = GraphedManifold.restrict
     sides = []
 
@@ -993,8 +993,12 @@ def test_conjugate_families_restrict_one_side(monkeypatch):
         verify_formal_cr_map(h)
     assert sides and set(sides) == {"w"}
     sides.clear()
-    res.verification_report()
+    res = resolve_finitely_nondeg(maps[0], ell0=1)
     assert sides and "w" not in sides
+    sides.clear()
+    res.verification_report()
+    res.jet_identity_report(1)
+    assert not sides
 
 
 def _jet_identity_report_reference(res, ell):
@@ -1095,6 +1099,7 @@ NEGATIVE_BOUNDS = [
                                          [ZERO] * h.mp, h.mp, -1)),
     ("bmax", lambda h: invert_expansion(composed_jet_table(h, 1),
                                         [ZERO] * h.mp, h.mp, -1)),
+    ("beta_max", lambda h: psi_table(h, beta_max=-1)),
 ]
 
 
@@ -1130,13 +1135,6 @@ def _jet_resolutions():
     return out
 
 
-def _lowest_failing_tier(rep):
-    """(|alpha|, failing keys) of the lowest order with a failing entry."""
-    bad = [k for k, (v, _) in rep.entries.items() if v is not None]
-    tier = min(sum(k[2]) for k in bad)
-    return tier, [k for k in bad if sum(k[2]) == tier]
-
-
 def test_jet_identity_report_matches_reference(record_residuals):
     cases = _jet_resolutions()
     for label, res, ells in cases:
@@ -1145,24 +1143,42 @@ def test_jet_identity_report_matches_reference(record_residuals):
             want = record_residuals(_jet_identity_report_reference, res, ell)
             _assert_same_residuals(got, want)
             assert got[0].ok, (label, ell)
-    # a perturbed phi: each entry is one word's residual, so only the
-    # lowest failing order is bound to agree with the old inversion, which
-    # could cancel a failure above it
+    # a perturbed phi, as its own resolution: each entry is a plain
+    # partial of the residual, so the failing entries agree with the old
+    # inversion's, entry for entry
     res = cases[0][1]
     phi = res.phi
     z, w = (TruncatedSeries.variable(phi.context, phi.order, n)
             for n in res.h.M.names.t)
-    for degree, bump in ((2, z * w), (3, w ** 3), (4, w ** 4)):
-        res.phi = SeriesMap([phi[0], phi[1] + bump])
+    for bump in (z * w, w ** 3, w ** 4):
+        bumped = Resolution(res.h, res.ell0, res.jets,
+                            SeriesMap([phi[0], phi[1] + bump]), res.rows_used)
         for ell in (1, 2):
-            got = res.jet_identity_report(ell)
-            want = _jet_identity_report_reference(res, ell)
-            assert not got.ok and not want.ok
-            assert list(got.entries) == list(want.entries)
-            assert _lowest_failing_tier(got) == _lowest_failing_tier(want)
-        if degree == 2:
-            assert got.entries[("jet", 1, (2, 0))][0] == 1
-            assert want.entries[("jet", 1, (2, 0))][0] is None
+            got = bumped.jet_identity_report(ell)
+            want = _jet_identity_report_reference(bumped, ell)
+            assert not got.ok
+            assert got.entries == want.entries
+
+
+def test_resolution_residual_is_formed_once(monkeypatch):
+    # resolve_finitely_nondeg checks the residual it builds; both reports
+    # read that one residual and form no jet values of their own
+    jet_args = Resolution._jet_args
+    calls = []
+
+    def counting(self, level, jets, side):
+        calls.append(side)
+        return jet_args(self, level, jets, side)
+
+    monkeypatch.setattr(Resolution, "_jet_args", counting)
+    S, Sp = make_sphere3(order=6), make_sphere3(order=6, primed=True)
+    for h in (identity_on(*heis_pair(order=7)), identity_on(S, Sp)):
+        calls.clear()
+        res = resolve_finitely_nondeg(h, ell0=1)
+        assert res.verification_report().ok
+        for ell in (1, 2, 3):
+            assert res.jet_identity_report(ell).ok
+        assert calls == ["xi"]
 
 
 def test_jet_identity_report_precision_edge(record_residuals):
