@@ -122,10 +122,11 @@ def _int_field(data: dict, key: str, default: int) -> int:
 # and `psi_and_h_conditions` start at jet order 1.  Every bound is also at
 # most the order, and those in BELOW_ORDER are below it: on a
 # Levi-degenerate source the nd2 rung of `classify_manifold` climbs to
-# k = kmax, and a Segre jet of order k = order has no precision left.  An
-# omitted BELOW_ORDER bound defaults below the order too, so it needs an
-# order above its smallest value.
-BELOW_ORDER = {("classify-manifold", "kmax")}
+# k = kmax, and a Segre jet of order k = order has no precision left; the
+# h4 rung of `psi_and_h_conditions` differentiates the entries with
+# |beta| = kmax once more.  An omitted BELOW_ORDER bound defaults below the
+# order too, so it needs an order above its smallest value.
+BELOW_ORDER = {("classify-manifold", "kmax"), ("psi-conditions", "kmax")}
 ANALYSES = {
     "verify-cr": {},
     "classify-manifold": {"kmax": 1, "Dmax": 0},
@@ -136,6 +137,7 @@ ANALYSES = {
     "degeneracy-field": {"Dmax": 0},
     "chains": {"k": 1},
 }
+NEEDS_MAP = ("verify-cr", "classify-map", "psi-conditions", "reflection")
 
 
 class Manifest:
@@ -171,6 +173,8 @@ class Manifest:
             if not isinstance(name, str) or name not in ANALYSES:
                 raise ManifestError("unknown analysis %r; known: %s"
                                     % (name, ", ".join(ANALYSES)))
+            if name in NEEDS_MAP and self.map_spec is None:
+                raise ManifestError("analysis %r needs a 'map' entry" % name)
             bounds = ANALYSES[name]
             a = dict(a)
             for key in a:
@@ -332,17 +336,11 @@ def run(manifest: Manifest) -> dict:
     return report
 
 
-def _need_map(hmap, name):
-    if hmap is None:
-        raise ManifestError("analysis %r needs a 'map' entry" % name)
-    return hmap
-
-
 def _run_one(name, spec, manifest, M, Mp, hmap):
     order = manifest.order
     seed = manifest.seed
     if name == "verify-cr":
-        return encode_residuals(_need_map(hmap, name).cr_report)
+        return encode_residuals(hmap.cr_report)
     if name == "classify-manifold":
         target = Mp if Mp is not None else M
         cls = classify_manifold(target, kmax=spec.get("kmax"),
@@ -350,13 +348,11 @@ def _run_one(name, spec, manifest, M, Mp, hmap):
         return encode_ladder("nd", cls.chain,
                              chain_consistent=cls.chain_consistent())
     if name == "classify-map":
-        cls = classify_map_cr(_need_map(hmap, name),
-                              dmax=spec.get("Dmax", 4), seed=seed)
+        cls = classify_map_cr(hmap, dmax=spec.get("Dmax", 4), seed=seed)
         return encode_ladder("cr", cls.cr_chain,
                              chain_consistent=cls.cr_chain_consistent())
     if name == "psi-conditions":
-        cls = psi_and_h_conditions(_need_map(hmap, name),
-                                   kmax=spec.get("kmax", 2), seed=seed)
+        cls = psi_and_h_conditions(hmap, kmax=spec.get("kmax"), seed=seed)
         return encode_ladder("h", [cls.h1, cls.h2, cls.h3, cls.h4],
                              ell0=cls.ell0)
     if name == "minimality":
@@ -372,11 +368,10 @@ def _run_one(name, spec, manifest, M, Mp, hmap):
             "order": rep.order,
         }
     if name == "reflection":
-        h = _need_map(hmap, name)
         gmax = spec.get("Gmax", min(order, 4))
-        comps = reflection_components(h, gmax=gmax)
-        beta_max = spec.get("betamax", 2)
-        idents = reflection_identities(h, beta_max=beta_max)
+        comps = reflection_components(hmap, gmax=gmax)
+        beta_max = spec.get("betamax", min(order, 2))
+        idents = reflection_identities(hmap, beta_max=beta_max)
         table = []
         for gamma in comps.nonzero_gammas():
             table.append({"gamma": list(gamma),

@@ -491,50 +491,6 @@ def transversal_fields(M: GraphedManifold):
     return _fields(M, "Ups"), _fields(M, "UpsBar")
 
 
-class DerivationWord:
-    """An iterated word L^beta Ups^delta (or the barred pair)."""
-
-    __slots__ = ("beta", "delta", "side")
-
-    def __init__(self, beta, delta=None, side="unbarred"):
-        self.beta = tuple(beta)
-        self.delta = tuple(delta) if delta is not None else ()
-        if side not in ("unbarred", "barred"):
-            raise ValueError("side must be 'unbarred' or 'barred'")
-        self.side = side
-
-    @property
-    def total_order(self):
-        return sum(self.beta) + sum(self.delta)
-
-    def __repr__(self):
-        return "DerivationWord(beta=%r, delta=%r, %s)" % (
-            self.beta, self.delta, self.side)
-
-
-def apply_derivation(M: GraphedManifold, word: DerivationWord,
-                     f: TruncatedSeries) -> TruncatedSeries:
-    """Apply L^beta Ups^delta (or barred) to a series over the joint context.
-
-    Precision drops by the total order of the word.
-    """
-    if word.total_order > f.order:
-        raise SeriesError("derivation word exhausts the series order")
-    barred = word.side == "barred"
-    fields_L = _fields(M, "Lbar" if barred else "L")
-    fields_U = _fields(M, "UpsBar" if barred else "Ups")
-    if len(word.beta) != M.m or (word.delta and len(word.delta) != M.d):
-        raise ValueError("word shape does not match the manifold")
-    out = f if f.context == M.ctx_joint else f.remapped(M.ctx_joint)
-    for j in reversed(range(M.d if word.delta else 0)):
-        for _ in range(word.delta[j]):
-            out = fields_U[j].apply(out)
-    for k in reversed(range(M.m)):
-        for _ in range(word.beta[k]):
-            out = fields_L[k].apply(out)
-    return out
-
-
 # -- formal jet symbols ------------------------------------------------------
 
 
@@ -570,16 +526,16 @@ class JetSymbols:
         return base + TruncatedSeries.variable(context, order, self.name(comp, alpha))
 
 
-def extend_derivation_to_jets(D: Derivation, blocks, context: VariableContext,
+def extend_derivation_to_jets(D: Derivation, jets: JetSymbols,
+                              context: VariableContext,
                               order: int) -> Derivation:
     """Lift a base-context derivation to a context with jet symbols.
 
-    For each block and each symbol u_{c,alpha} below the top level, the
-    lifted operator gains the coefficient
-    sum_v a_v * (const + u)_{c, alpha+e_v} over the block's dependency
-    variables v.  Top-level symbols are marked forbidden: applying the lifted
-    derivation to an operand that still involves them would silently drop
-    terms, so it raises instead.
+    For each symbol u_{c,alpha} of `jets` below the top level, the lifted
+    operator gains the coefficient sum_v a_v * (const + u)_{c, alpha+e_v}
+    over the dependency variables v of `jets`.  Top-level symbols are
+    marked forbidden: applying the lifted derivation to an operand that
+    still involves them would silently drop terms, so it raises instead.
     """
     base_coeffs = {}
     for key, val in D.coeffs.items():
@@ -589,23 +545,20 @@ def extend_derivation_to_jets(D: Derivation, blocks, context: VariableContext,
         base_coeffs[name] = val
     coeffs = dict(base_coeffs)
     forbidden = set()
-    for block in blocks:
-        active = [(slot, base_coeffs[n])
-                  for slot, n in enumerate(block.dep_names)
-                  if n in base_coeffs]
-        for c in range(block.n_components):
-            for alpha in block.alphas:
-                if sum(alpha) >= block.level:
-                    forbidden.add(block.name(c, alpha))
-                    continue
-                total = None
-                for slot, a_v in active:
-                    up = list(alpha)
-                    up[slot] += 1
-                    target = block.jet_series(c, tuple(up), context, order)
-                    piece = target * a_v
-                    total = piece if total is None else total + piece
-                if total is not None:
-                    coeffs[block.name(c, alpha)] = total
+    active = [(slot, base_coeffs[n]) for slot, n in enumerate(jets.dep_names)
+              if n in base_coeffs]
+    for c in range(jets.n_components):
+        for alpha in jets.alphas:
+            if sum(alpha) >= jets.level:
+                forbidden.add(jets.name(c, alpha))
+                continue
+            total = None
+            for slot, a_v in active:
+                up = list(alpha)
+                up[slot] += 1
+                piece = jets.jet_series(c, tuple(up), context, order) * a_v
+                total = piece if total is None else total + piece
+            if total is not None:
+                coeffs[jets.name(c, alpha)] = total
     return Derivation(context, coeffs, label=D.label + "^jet",
                       forbidden=frozenset(forbidden))

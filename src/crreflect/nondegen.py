@@ -314,10 +314,16 @@ def psi_table(h: FormalCRMap, beta_max: int = 1) -> dict:
             for beta in multidegrees(M.m, beta_max) for jp in range(h.dp)}
 
 
-def psi_and_h_conditions(h: FormalCRMap, kmax: int = 2,
+def psi_and_h_conditions(h: FormalCRMap, kmax: int = None,
                          seed: int = 0) -> MapClassification:
-    """Classification of the map through its reflection-identity data."""
+    """Classification of the map through its reflection-identity data.
+
+    The default kmax is min(order - 1, 2): the h4 rung differentiates the
+    entries with |beta| = kmax once more, which needs kmax below the
+    order."""
     M, Mp = h.M, h.Mp
+    if kmax is None:
+        kmax = min(h.order - 1, 2)
     _check_kmax(kmax, h.order)
     table = psi_table(h, beta_max=kmax)
     ctx_tp = VariableContext(Mp.names.t)

@@ -296,30 +296,30 @@ def _compose_components(h: FormalCRMap, gmax: int, entries) -> dict:
     return table
 
 
-# -- derivation caches --------------------------------------------------------
+# -- multidegree tables -------------------------------------------------------
 
 
-class _WordCache:
-    """Iterated applications of a commuting family of derivations.
+def _multidegree_table(step, seed):
+    """beta -> X^beta(seed) for a commuting family X, memoised.
 
-    Stores X^beta(seed) for multidegrees beta, reusing the predecessor with
-    the first nonzero slot decremented (valid because the family commutes).
+    Each value is step(k, value at beta - e_k), k the first nonzero slot of
+    beta; that is exact because the family commutes.
     """
+    memo = {}
 
-    def __init__(self, fields, seed: TruncatedSeries):
-        self.fields = fields
-        self.values = {zero_exponent(len(fields)): seed}
-
-    def get(self, beta):
+    def table(beta):
         beta = tuple(beta)
-        got = self.values.get(beta)
-        if got is not None:
-            return got
-        k = next(i for i, x in enumerate(beta) if x)
-        prev = self.get(beta[:k] + (beta[k] - 1,) + beta[k + 1:])
-        got = self.fields[k].apply(prev)
-        self.values[beta] = got
+        got = memo.get(beta)
+        if got is None:
+            if any(beta):
+                k = next(i for i, x in enumerate(beta) if x)
+                got = step(k, table(beta[:k] + (beta[k] - 1,) + beta[k + 1:]))
+            else:
+                got = seed
+            memo[beta] = got
         return got
+
+    return table
 
 
 def _identity_table(h, near, jets, beta_max):
@@ -330,13 +330,14 @@ def _identity_table(h, near, jets, beta_max):
     function of t', so each word is the gamma'-sum of the words of
     near_{<m'}^gamma' times Theta'_{j',gamma'}(t')."""
     ctx, N = near[0].context, h.order
-    Lbar = [extend_derivation_to_jets(D, [jets], ctx, N)
+    Lbar = [extend_derivation_to_jets(D, jets, ctx, N)
             for D in cr_fields(h.M)[1]]
     args = near[:h.mp] + [TruncatedSeries.variable(ctx, N, n)
                           for n in h.Mp.names.t]
-    words = [_WordCache(Lbar, near[h.mp + jp] - s.compose(args))
+    words = [_multidegree_table(lambda k, v: Lbar[k].apply(v),
+                                near[h.mp + jp] - s.compose(args))
              for jp, s in enumerate(h.Mp.theta)]
-    return {(jp, tuple(beta)): words[jp].get(beta)
+    return {(jp, tuple(beta)): words[jp](beta)
             for beta in multidegrees(h.M.m, beta_max) for jp in range(h.dp)}
 
 
@@ -388,24 +389,10 @@ def reflection_identities(h: FormalCRMap, beta_max=1) -> ResidualReport:
 
 
 def _power_cache(components, order):
-    """Memoized monomial powers of a component family."""
-    memo = {}
-
-    def power(gamma):
-        gamma = tuple(gamma)
-        got = memo.get(gamma)
-        if got is not None:
-            return got
-        if not any(gamma):
-            got = TruncatedSeries.constant(components[0].context, order, ONE)
-        else:
-            i = next(j for j, x in enumerate(gamma) if x)
-            prev = power(gamma[:i] + (gamma[i] - 1,) + gamma[i + 1:])
-            got = prev * components[i]
-        memo[gamma] = got
-        return got
-
-    return power
+    """gamma -> the monomial power of a component family, memoised."""
+    return _multidegree_table(
+        lambda i, v: v * components[i],
+        TruncatedSeries.constant(components[0].context, order, ONE))
 
 
 # -- Cramer jet identities ----------------------------------------------------
@@ -551,18 +538,7 @@ def _expansion(table: dict, zeta, mp: int, bmax: int, invert: bool) -> dict:
     if len(zeta) != mp:
         raise ReflectionError("zeta must have %d components" % mp)
     js = sorted({j for j, _ in table})
-    pow_cache = {}
-
-    def zpow(gamma):
-        got = pow_cache.get(gamma)
-        if got is None:
-            got = ONE
-            for i, k in enumerate(gamma):
-                for _ in range(k):
-                    got = zeta[i] * got
-            pow_cache[gamma] = got
-        return got
-
+    zpow = _multidegree_table(lambda i, v: zeta[i] * v, ONE)
     out = {}
     for j in js:
         for beta in multidegrees(mp, bmax):
@@ -716,27 +692,20 @@ class Resolution:
         self.jets = jets
         self.phi = phi
         self.rows_used = rows_used
-        uargs = self._jet_args(ell0, jets, "xi")
+        uargs = self._jet_args(ell0, jets)
         values = [h.M.restrict(c, "xi", uargs) for c in phi.components]
         self.residuals = [f.remapped(v.context).truncated(v.order) - v
                           for f, v in zip(h.h, values)]
 
-    def _jet_args(self, level, jets, side):
-        """u_{i,alpha} -> the strict jet values on the manifold.  On side
-        'xi', (d^alpha hbar_i)(zeta, theta(zeta, t)) minus the constant, over
-        (z, w, zeta); on side 'w', the conjugate line: jets of h composed
-        with (z, theta_bar(z, tau)) minus the conjugated constants, over
-        (z, zeta, xi)."""
-        h, M = self.h, self.h.M
-        comps = h.hbar if side == "xi" else h.h
+    def _jet_args(self, level, jets):
+        """u_{i,alpha} -> (d^alpha hbar_i)(zeta, theta(zeta, t)) minus the
+        constant: the strict jet values on side 'xi', over (z, w, zeta)."""
+        M = self.h.M
         out = {}
-        for i, comp in enumerate(comps.components):
+        for i, comp in enumerate(self.h.hbar.components):
             for alpha in multidegrees(M.n, level):
-                c = jets.constant(i, alpha)
-                if side == "w":
-                    c = c.conjugate()
-                out[jets.name(i, alpha)] = \
-                    M.restrict(comp.derive_multi(alpha), side) - c
+                value = M.restrict(comp.derive_multi(alpha), "xi")
+                out[jets.name(i, alpha)] = value - jets.constant(i, alpha)
         return out
 
     def verification_report(self) -> ResidualReport:

@@ -10,7 +10,7 @@ from crreflect.context import VariableContext, multidegrees
 from crreflect.gaussian import ONE, ZERO, GaussianRational, I
 from crreflect.kernels import divexact, iadd_scaled, mul_terms
 from crreflect.manifold import RealDefiningSystem, complexify_and_graph
-from crreflect.reflection import FormalCRMap
+from crreflect.reflection import FormalCRMap, _multidegree_table
 from crreflect.series import SeriesError, SeriesMap, TruncatedSeries, _coeff
 
 
@@ -178,6 +178,12 @@ def seeded_maps(order=5, seeds=(11, 12, 13)):
         out.append(("%d%d-cr" % (m, d), FormalCRMap(ident, M, Mp)))
         out.append(("%d%d-non-cr" % (m, d), FormalCRMap(bent, M, Mp)))
     return out
+
+
+def derivation_words(fields, seed):
+    """beta -> X^beta(seed) for the commuting derivations X = `fields`."""
+    return _multidegree_table(lambda k, v: fields[k].apply(v), seed)
+
 
 def echelon_reference(rows):
     """Dense Gauss-Jordan elimination, the layout `kernels.echelon` had

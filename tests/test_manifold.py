@@ -15,9 +15,8 @@ from crreflect.context import VariableContext, multidegrees
 from crreflect.exprparse import parse_expression
 from crreflect.gaussian import I, ONE, gr
 from crreflect.linalg import numeric_rank
-from crreflect.manifold import (Derivation, DerivationWord, GraphedManifold,
-                                JetSymbols, ManifoldError, Names,
-                                RealDefiningSystem, apply_derivation,
+from crreflect.manifold import (Derivation, GraphedManifold, JetSymbols,
+                                ManifoldError, Names, RealDefiningSystem,
                                 complexify_and_graph, cr_fields,
                                 extend_derivation_to_jets, transversal_fields,
                                 verify_reality)
@@ -354,23 +353,6 @@ def test_restrict_values():
     assert out == xi + I * z * zeta
 
 
-def test_apply_derivation_word():
-    M = make_heisenberg()
-    ctxj = M.ctx_joint
-    f = M.embedded_theta_bar()[0]
-    word = DerivationWord((1,), (0,), side="barred")
-    assert apply_derivation(M, word, f).is_zero()
-    word0 = DerivationWord((0,), (0,), side="unbarred")
-    assert apply_derivation(M, word0, f) == f
-
-
-def test_word_order_exhaustion():
-    M = make_heisenberg(order=2)
-    f = M.embedded_theta()[0]
-    with pytest.raises(Exception):
-        apply_derivation(M, DerivationWord((3,), (0,), "barred"), f)
-
-
 def test_split_autodetection_permuted():
     # genericity pivot lands on t1 when the transversal slot is first
     ctx = VariableContext(("t1", "t2", "tau1", "tau2"))
@@ -669,7 +651,7 @@ def test_apply_matches_reference_on_jet_lifts(M):
     t_jets = JetSymbols("v", 1, M.names.t, 1, {})
     for jets, fields in ((tau_jets, L + U), (t_jets, Lbar + U)):
         ctx = VariableContext(M.ctx_joint.names + jets.names)
-        lifted = [extend_derivation_to_jets(D, [jets], ctx, N)
+        lifted = [extend_derivation_to_jets(D, jets, ctx, N)
                   for D in fields]
         low = [jets.name(c, a) for c in range(jets.n_components)
                for a in jets.alphas if not any(a)]
@@ -755,7 +737,7 @@ def test_apply_errors_match_reference():
     _raises_same(Derivation(ctxj, {}), f.truncated(0), "empty derivation")
     jets = JetSymbols("u", 1, M.names.tau, 1)
     ctx = VariableContext(ctxj.names + jets.names)
-    lifted = extend_derivation_to_jets(L[0], [jets], ctx, 4)
+    lifted = extend_derivation_to_jets(L[0], jets, ctx, 4)
     top = jets.name(0, (1, 0))
     assert ctx.index(top) in lifted.forbidden
     g = TruncatedSeries.variable(ctx, 4, top) * f.remapped(ctx)

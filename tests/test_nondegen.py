@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from conftest import (echelon_reference, kernel_basis_reference, make_ex121,
-                      make_flat, make_heisenberg, make_sphere3, make_z2zb2,
-                      quadric_pair, random_series, seeded_maps)
+from conftest import (derivation_words, echelon_reference,
+                      kernel_basis_reference, make_ex121, make_flat,
+                      make_heisenberg, make_sphere3, make_z2zb2, quadric_pair,
+                      random_series, seeded_maps)
 from crreflect.context import VariableContext, multidegrees
 from crreflect import reflection
 from crreflect.gaussian import ZERO
@@ -19,8 +20,8 @@ from crreflect.nondegen import (FAILS, HOLDS, INCONCLUSIVE,
                                 holomorphic_degeneracy_field,
                                 ideal_contains_power_of_maximal,
                                 psi_and_h_conditions, psi_table)
-from crreflect.reflection import (FormalCRMap, ReflectionError, _WordCache,
-                                  _power_cache, resolve_finitely_nondeg,
+from crreflect.reflection import (FormalCRMap, ReflectionError, _power_cache,
+                                  resolve_finitely_nondeg,
                                   target_component_tables,
                                   verify_formal_cr_map)
 from crreflect.segre import segre_jet_map
@@ -342,15 +343,15 @@ def _psi_table_reference(h, beta_max):
     table, _ = target_component_tables(Mp)
     gammas = sorted({g for tab in table for g in tab},
                     key=lambda g: (sum(g), g))
-    caches_f = {g: _WordCache(Lbar, fpow(g)) for g in gammas}
-    caches_g = [_WordCache(Lbar, s) for s in gbar_emb]
+    caches_f = {g: derivation_words(Lbar, fpow(g)) for g in gammas}
+    caches_g = [derivation_words(Lbar, s) for s in gbar_emb]
     out = {}
     for beta in multidegrees(M.m, beta_max):
         room = h.order - sum(beta)
         for jp in range(h.dp):
-            psi = caches_g[jp].get(beta).remapped(ctx_psi).truncated(room)
+            psi = caches_g[jp](beta).remapped(ctx_psi).truncated(room)
             for g, s in table[jp].items():
-                term = mul_precise(caches_f[g].get(beta).remapped(ctx_psi),
+                term = mul_precise(caches_f[g](beta).remapped(ctx_psi),
                                    s.remapped(ctx_psi))
                 psi = psi - term.truncated(room)
             out[(jp, tuple(beta))] = psi
@@ -387,9 +388,9 @@ def test_lbar_powers_match_expansion_coefficients():
     horiz = h.horizontal_part_bar()
     for gamma in [(0,), (1,), (2,), (3,)]:
         horiz_pow = SeriesMap([horiz[0] ** gamma[0]]) if gamma[0] else None
-        cache = _WordCache(Lbar, power(gamma))
+        cache = derivation_words(Lbar, power(gamma))
         for beta in [(0,), (1,), (2,)]:
-            lhs = cache.get(beta).evaluate(
+            lhs = cache(beta).evaluate(
                 [ZERO] * M.ctx_joint.arity)
             hp = horiz[0] ** gamma[0]
             rhs = hp.derive_multi(beta).constant_term()

@@ -12,8 +12,7 @@ from crreflect.cli import main
 from crreflect.context import VariableContext
 from crreflect.exprparse import ParseError, parse_expression
 from crreflect.gaussian import gr
-from crreflect.manifest import (AnalysisFailure, Manifest, ManifestError,
-                                render_report, run)
+from crreflect.manifest import Manifest, ManifestError, render_report, run
 
 CTX = VariableContext(("z1", "w1", "zeta1", "xi1"))
 
@@ -122,9 +121,9 @@ def test_missing_map_is_surfaced():
         "source": {"m": 1, "d": 1, "rho": ["w1 - xi1 - i*z1*zeta1"]},
         "analyses": [{"name": "verify-cr"}],
     }
-    with pytest.raises(AnalysisFailure) as err:
-        run(Manifest(data))
-    assert err.value.name == "verify-cr"
+    with pytest.raises(ManifestError,
+                       match="analysis 'verify-cr' needs a 'map' entry"):
+        Manifest(data)
 
 
 def test_ex121_manifest_flags_degeneracy():
@@ -442,6 +441,43 @@ def test_cli_classify_manifold_default_kmax_stays_below_the_order(
     assert ladder["nd3"]["bound"] == [kmax, 4]
 
 
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_cli_psi_conditions_and_reflection_bounds_stay_in_precision(
+        tmp_path, capsys, order):
+    # the h4 rung differentiates the psi entries with |beta| = kmax once
+    # more, so kmax = order is refused when the manifest is read and kmax
+    # defaults to min(order - 1, 2); reflection defaults betamax to
+    # min(order, 2), whose entries are exact to degree order - |beta|
+    data = {"order": order, "map": ["z1", "w1"],
+            "source": {"m": 1, "d": 1, "rho": ["w1 - xi1 - i*z1*zeta1"]}}
+    mpath = tmp_path / "m.json"
+    out = tmp_path / "r.json"
+
+    def analyze(analysis):
+        mpath.write_text(json.dumps(dict(data, analyses=[analysis])))
+        return main(["analyze", str(mpath), "--out", str(out)])
+
+    def result():
+        return json.loads(out.read_text())["analyses"][0]["result"]
+
+    assert analyze({"name": "psi-conditions", "kmax": order}) == 2
+    assert ("kmax=%d of 'psi-conditions' must be below order %d"
+            % (order, order)) in capsys.readouterr().err
+    if order == 1:
+        assert analyze({"name": "psi-conditions"}) == 2
+        assert ("analysis 'psi-conditions' without 'kmax' needs an order "
+                "above 1, got order 1") in capsys.readouterr().err
+    else:
+        assert analyze({"name": "psi-conditions"}) == 0
+        assert result()["h2"] == {"bound": min(order - 1, 2), "k0": 1,
+                                  "status": "holds"}
+    assert analyze({"name": "reflection"}) == 0
+    identities = result()["identities"]
+    assert identities["ok"]
+    assert max(sum(e["beta"]) for e in identities["entries"]) \
+        == min(order, 2)
+
 QUADRIC_MANIFEST = {
     "order": 7,
     "seed": 0,
@@ -492,6 +528,27 @@ def test_cli_unknown_analysis_exits_2_before_any_runs(tmp_path, capsys,
     assert "unknown analysis 'bogus'" in captured.err
     assert captured.out == "" and not ran and not out.exists()
 
+
+
+@pytest.mark.parametrize("analysis", ["verify-cr", "classify-map",
+                                      "psi-conditions", "reflection"])
+def test_cli_missing_map_exits_2_before_any_runs(tmp_path, capsys,
+                                                 monkeypatch, analysis):
+    ran = []
+    monkeypatch.setattr("crreflect.manifest.minimality",
+                        lambda *args, **kw: ran.append(args))
+    data = dict(HEIS_MANIFEST, order=4,
+                analyses=[{"name": "minimality", "kmax": 3},
+                          {"name": analysis}])
+    del data["map"]
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(data))
+    out = tmp_path / "r.json"
+    assert main(["analyze", str(mpath), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "analysis %r needs a 'map' entry" % analysis in captured.err
+    assert "failed" not in captured.err
+    assert captured.out == "" and not ran and not out.exists()
 
 @pytest.mark.parametrize("out", ["missing/r.json", "."])
 def test_cli_unwritable_out_exits_2_before_any_runs(tmp_path, capsys,

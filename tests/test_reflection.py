@@ -5,10 +5,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import (kernel_basis_reference, make_ex121, make_flat,
-                      make_heisenberg, make_sphere3, quadric_pair,
-                      random_minimal_manifold, random_series, seeded_maps)
+from conftest import (derivation_words, kernel_basis_reference, make_ex121,
+                      make_flat, make_heisenberg, make_sphere3, quadric_pair,
+                      random_coeff, random_minimal_manifold, random_series,
+                      seeded_maps)
 from crreflect import reflection
 from crreflect.context import VariableContext, multidegrees, zero_exponent
 from crreflect.gaussian import GaussianRational, I, ONE, ZERO, gr
@@ -19,9 +21,9 @@ from crreflect.nondegen import (degenerate_selfmap_generator,
                                 holomorphic_degeneracy_field, psi_table)
 from crreflect.reflection import (FormalCRMap, ReflectionComponents,
                                   ReflectionError, Resolution, ResidualReport,
-                                  _WordCache, _compose_components,
-                                  _jet_constants,
-                                  _power_cache, chain_pullback,
+                                  _compose_components, _jet_constants,
+                                  _multidegree_table, _power_cache,
+                                  chain_pullback,
                                   composed_jet_table,
                                   forward_expansion, formal_cramer_solve,
                                   invert_expansion, q_jbeta_cramer,
@@ -403,7 +405,7 @@ def _transversality_uniqueness_defect_reference(h, degree, beta_max,
     fbar_emb = [c.remapped(M.ctx_joint) for c in h.fbar.components]
     power = _power_cache(fbar_emb, h.order)
     gammas = list(multidegrees(h.mp, gamma_max))
-    caches = {g: _WordCache(Lbar, power(g)) for g in gammas}
+    caches = {g: derivation_words(Lbar, power(g)) for g in gammas}
     ctx_z = VariableContext(M.names.z)
     rel_monos = list(multidegrees(M.m, degree))
     column = {u: k for k, u in enumerate(
@@ -414,7 +416,7 @@ def _transversality_uniqueness_defect_reference(h, degree, beta_max,
         if room < 0:
             continue
         for g in gammas:
-            w = M.restrict(caches[g].get(beta), "leaf").truncated(room)
+            w = M.restrict(caches[g](beta), "leaf").truncated(room)
             for mono in rel_monos:
                 shifted = w * TruncatedSeries.monomial(ctx_z, room, mono)
                 col = column[(g, mono)]
@@ -497,15 +499,15 @@ def _resolution_rows_reference(h, ell0):
                       _jet_constants(h.hbar, ell0))
     ctx_ext = VariableContext(M.ctx_joint.names + jets.names + Mp.names.t)
     _, Lbar = cr_fields(M)
-    lifted = [extend_derivation_to_jets(D, [jets], ctx_ext, N) for D in Lbar]
+    lifted = [extend_derivation_to_jets(D, jets, ctx_ext, N) for D in Lbar]
     base_u = [jets.jet_series(i, zero_exponent(M.n), ctx_ext, N)
               for i in range(h.np)]
     fpow = _power_cache(base_u[:h.mp], N)
     table, _ = target_component_tables(Mp)
     gammas = sorted({g for tab in table for g in tab},
                     key=lambda g: (sum(g), g))
-    caches_f = {g: _WordCache(lifted, fpow(g)) for g in gammas}
-    caches_g = [_WordCache(lifted, base_u[h.mp + j]) for j in range(h.dp)]
+    caches_f = {g: derivation_words(lifted, fpow(g)) for g in gammas}
+    caches_g = [derivation_words(lifted, base_u[h.mp + j]) for j in range(h.dp)]
     theta_emb = [{g: s.remapped(ctx_ext) for g, s in table[j].items()}
                  for j in range(h.dp)]
     rows = []
@@ -513,9 +515,9 @@ def _resolution_rows_reference(h, ell0):
     for beta in multidegrees(M.m, ell0):
         room = N - sum(beta)
         for j in range(h.dp):
-            R = caches_g[j].get(beta).truncated(room)
+            R = caches_g[j](beta).truncated(room)
             for g, s in theta_emb[j].items():
-                R = R - mul_precise(caches_f[g].get(beta), s).truncated(room)
+                R = R - mul_precise(caches_f[g](beta), s).truncated(room)
             rows.append(R)
             keys.append((j, beta))
     return rows, keys
@@ -556,6 +558,35 @@ def test_resolution_rows_match_reference(monkeypatch, label, h):
         # series equality compares the context and the order too
         assert list(table.values()) == rows
 
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), arity=st.integers(1, 3),
+       order=st.integers(0, 5))
+def test_multidegree_table_matches_direct_products(seed, arity, order):
+    # each entry is built from beta - e_k, k the first nonzero slot; the
+    # direct paths share no memo and multiply or differentiate in another
+    # order: powers by `TruncatedSeries.__pow__`, partials by
+    # `derive_multi`, zeta-powers by `GaussianRational.__pow__`
+    rng = random.Random(seed)
+    ctx = VariableContext(tuple("x%d" % i for i in range(arity)))
+    comps = [random_series(ctx, order, rng, degree=2) for _ in range(arity)]
+    f = random_series(ctx, order, rng)
+    zeta = [random_coeff(rng) for _ in range(arity)]
+    power = _power_cache(comps, order)
+    partial = _multidegree_table(lambda i, v: v.derive(i), f)
+    zpow = _multidegree_table(lambda i, v: zeta[i] * v, ONE)
+    for gamma in multidegrees(arity, 3):
+        direct = TruncatedSeries.constant(ctx, order, ONE)
+        zdirect = ONE
+        for c, z, k in zip(comps, zeta, gamma):
+            direct = direct * c ** k
+            zdirect = zdirect * z ** k
+        # series equality compares the context and the order too
+        assert power(gamma) == direct
+        assert zpow(gamma) == zdirect
+        if sum(gamma) <= order:
+            assert partial(gamma) == f.derive_multi(gamma)
 
 # -- transport ------------------------------------------------------------------------
 
@@ -677,22 +708,22 @@ def _reflection_identities_reference(h, beta_max, families):
     betas = list(multidegrees(M.m, beta_max))
     report = ResidualReport()
     if 1 in families or 2 in families:
-        lbar_fbar = {g: _WordCache(Lbar, fbar_pow(g)) for g in gammas}
-        lbar_gbar = [_WordCache(Lbar, s) for s in gbar_emb]
-        lbar_compbar = {jp: {g: _WordCache(Lbar, s)
+        lbar_fbar = {g: derivation_words(Lbar, fbar_pow(g)) for g in gammas}
+        lbar_gbar = [derivation_words(Lbar, s) for s in gbar_emb]
+        lbar_compbar = {jp: {g: derivation_words(Lbar, s)
                              for g, s in comp_bar[jp].items()}
                         for jp in range(h.dp)} if 2 in families else None
         for beta in betas:
             room = N - sum(beta)
             for jp in range(h.dp):
                 if 1 in families:
-                    res = lbar_gbar[jp].get(beta)
+                    res = lbar_gbar[jp](beta)
                     for g in gammas:
                         piece = comp[jp].get(g)
                         if piece is None:
                             continue
                         res = res - mul_precise(
-                            lbar_fbar[g].get(beta), piece).truncated(room)
+                            lbar_fbar[g](beta), piece).truncated(room)
                     report.add(1, jp, beta,
                                M.restrict(res.truncated(room), "xi"))
                 if 2 in families:
@@ -702,25 +733,25 @@ def _reflection_identities_reference(h, beta_max, families):
                         res = TruncatedSeries.zero(ctxj, room)
                     for g, cache in lbar_compbar[jp].items():
                         res = res - mul_precise(
-                            f_pow(g), cache.get(beta)).truncated(room)
+                            f_pow(g), cache(beta)).truncated(room)
                     report.add(2, jp, beta,
                                M.restrict(res.truncated(room), "xi"))
     if 3 in families or 4 in families:
-        l_f = {g: _WordCache(L, f_pow(g)) for g in gammas}
-        l_g = [_WordCache(L, s) for s in g_emb]
-        l_comp = {jp: {g: _WordCache(L, s) for g, s in comp[jp].items()}
+        l_f = {g: derivation_words(L, f_pow(g)) for g in gammas}
+        l_g = [derivation_words(L, s) for s in g_emb]
+        l_comp = {jp: {g: derivation_words(L, s) for g, s in comp[jp].items()}
                   for jp in range(h.dp)} if 4 in families else None
         for beta in betas:
             room = N - sum(beta)
             for jp in range(h.dp):
                 if 3 in families:
-                    res = l_g[jp].get(beta)
+                    res = l_g[jp](beta)
                     for g in gammas:
                         piece = comp_bar[jp].get(g)
                         if piece is None:
                             continue
                         res = res - mul_precise(
-                            l_f[g].get(beta), piece).truncated(room)
+                            l_f[g](beta), piece).truncated(room)
                     report.add(3, jp, beta,
                                M.restrict(res.truncated(room), "w"))
                 if 4 in families:
@@ -730,7 +761,7 @@ def _reflection_identities_reference(h, beta_max, families):
                         res = TruncatedSeries.zero(ctxj, room)
                     for g, cache in l_comp[jp].items():
                         res = res - mul_precise(
-                            fbar_pow(g), cache.get(beta)).truncated(room)
+                            fbar_pow(g), cache(beta)).truncated(room)
                     report.add(4, jp, beta,
                                M.restrict(res.truncated(room), "w"))
     return report
@@ -787,18 +818,32 @@ def _gamma_sum_identities_reference(h, beta_max):
     return report
 
 
+def _jet_args_side_w(res):
+    """The conjugate line's jet values: u_{i,alpha} -> jets of h composed
+    with (z, theta_bar(z, tau)) minus the conjugated constants, over
+    (z, zeta, xi)."""
+    M, jets = res.h.M, res.jets
+    out = {}
+    for i, comp in enumerate(res.h.h.components):
+        for alpha in multidegrees(M.n, res.ell0):
+            out[jets.name(i, alpha)] = (
+                M.restrict(comp.derive_multi(alpha), "w")
+                - jets.constant(i, alpha).conjugate())
+    return out
+
+
 def _verification_report_reference(res):
     h, M = res.h, res.h.M
     report = ResidualReport()
     ctx_v = M.ctx_restrict_xi
-    uargs = res._jet_args(res.ell0, res.jets, "xi")
+    uargs = res._jet_args(res.ell0, res.jets)
     for i, comp in enumerate(res.phi.components):
         value = M.restrict(comp, "xi", uargs)
         report.add(1, i, (), h.h[i].remapped(ctx_v).truncated(value.order)
                    - value)
     swap = M.names.swap_map()
     ctx_cv = M.ctx_restrict_w
-    uargs_bar = res._jet_args(res.ell0, res.jets, "w")
+    uargs_bar = _jet_args_side_w(res)
     for i, comp in enumerate(res.phi.components):
         phibar = comp.conjugate_swapped(swap, comp.context)
         value = M.restrict(phibar, "w", uargs_bar)
@@ -1016,19 +1061,19 @@ def _jet_identity_report_reference(res, ell):
     phi2 = [c.remapped(ctx2) for c in res.phi.components]
     L, _ = cr_fields(M)
     U, _ = transversal_fields(M)
-    liftL = [extend_derivation_to_jets(D, [jets2], ctx2, N) for D in L]
-    liftU = [extend_derivation_to_jets(D, [jets2], ctx2, N) for D in U]
+    liftL = [extend_derivation_to_jets(D, jets2, ctx2, N) for D in L]
+    liftU = [extend_derivation_to_jets(D, jets2, ctx2, N) for D in U]
 
     def nested_values(seed, liftL, liftU):
-        by_delta = _WordCache(liftU, seed)
+        by_delta = derivation_words(liftU, seed)
         caches = {}
 
         def get(beta, delta):
             cache = caches.get(delta)
             if cache is None:
-                cache = _WordCache(liftL, by_delta.get(delta))
+                cache = derivation_words(liftL, by_delta(delta))
                 caches[delta] = cache
-            return cache.get(beta)
+            return cache(beta)
 
         return get
 
@@ -1036,8 +1081,8 @@ def _jet_identity_report_reference(res, ell):
 
     vjets = JetSymbols("vres", 1, M.names.t, ell, {})
     ctx_c = VariableContext(M.ctx_joint.names + vjets.names)
-    liftLc = [extend_derivation_to_jets(D, [vjets], ctx_c, N) for D in L]
-    liftUc = [extend_derivation_to_jets(D, [vjets], ctx_c, N) for D in U]
+    liftLc = [extend_derivation_to_jets(D, vjets, ctx_c, N) for D in L]
+    liftUc = [extend_derivation_to_jets(D, vjets, ctx_c, N) for D in U]
     seed = vjets.jet_series(0, zero_exponent(M.n), ctx_c, N)
     W = nested_values(seed, liftLc, liftUc)
 
@@ -1072,7 +1117,7 @@ def _jet_identity_report_reference(res, ell):
             exprs[(i, diag)] = expr
 
     report = ResidualReport()
-    uargs = res._jet_args(level, jets2, "xi")
+    uargs = res._jet_args(level, jets2)
     for (i, alpha), expr in sorted(exprs.items()):
         value = M.restrict(expr, "xi", uargs)
         lhs = h.h[i].derive_multi(alpha).remapped(M.ctx_restrict_xi)
@@ -1166,9 +1211,9 @@ def test_resolution_residual_is_formed_once(monkeypatch):
     jet_args = Resolution._jet_args
     calls = []
 
-    def counting(self, level, jets, side):
-        calls.append(side)
-        return jet_args(self, level, jets, side)
+    def counting(self, level, jets):
+        calls.append(level)
+        return jet_args(self, level, jets)
 
     monkeypatch.setattr(Resolution, "_jet_args", counting)
     S, Sp = make_sphere3(order=6), make_sphere3(order=6, primed=True)
@@ -1178,7 +1223,7 @@ def test_resolution_residual_is_formed_once(monkeypatch):
         assert res.verification_report().ok
         for ell in (1, 2, 3):
             assert res.jet_identity_report(ell).ok
-        assert calls == ["xi"]
+        assert calls == [1]
 
 
 def test_jet_identity_report_precision_edge(record_residuals):
