@@ -278,11 +278,14 @@ def classify_map_cr(h: FormalCRMap, dmax: int = 4,
         cr3 = Verdict(FAILS, bound=dmax)
     rg = generic_rank(horiz, seed=seed)
     cr4 = Verdict(HOLDS if (mp <= m and rg == mp) else FAILS, bound=h.order)
-    relations = transversality_kernel(h, degree=dmax)
+    # a monomial of degree above the order truncates to zero and would read
+    # as a relation, so cr5 searches relations up to the order at most
+    degree = min(dmax, h.order)
+    relations = transversality_kernel(h, degree=degree)
     if relations:
-        cr5 = Verdict(FAILS, bound=dmax, witness=relations)
+        cr5 = Verdict(FAILS, bound=degree, witness=relations)
     else:
-        cr5 = Verdict(HOLDS, bound=dmax)
+        cr5 = Verdict(HOLDS, bound=degree)
     cls = MapClassification(cr1, cr2, cr3, cr4, cr5, mp=mp, m=m)
     if not cls.cr_chain_consistent():
         raise AssertionError("cr chain violated: %r" % cls)

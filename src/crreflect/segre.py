@@ -95,10 +95,6 @@ class SegreChain:
         self.context = components.context
         self.order = components.order
 
-    @property
-    def t_components(self):
-        return SeriesMap(self.components.components[:self.M.n])
-
     def on_manifold_defect(self):
         """Valuation of the worst xi - theta residual; None when exact."""
         return _xi_defect(self.M, self.components.components)
@@ -298,20 +294,6 @@ class JetMapData:
         self.k = k
         self.components = components
         self.betas = betas
-
-    def project(self, k2: int) -> "JetMapData":
-        """Drop jet entries of order above k2 (projection compatibility)."""
-        if k2 > self.k:
-            raise ValueError("cannot project upward")
-        keep = [c for c in self.components.components[:self.M.m]]
-        idx = self.M.m
-        for _ in range(self.M.d):
-            for beta in self.betas:
-                if sum(beta) <= k2:
-                    keep.append(self.components.components[idx])
-                idx += 1
-        betas = [b for b in self.betas if sum(b) <= k2]
-        return JetMapData(self.M, k2, SeriesMap(keep), betas)
 
     def __repr__(self):
         return "JetMapData(k=%d, %d components)" % (

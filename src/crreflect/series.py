@@ -670,13 +670,23 @@ def formal_ift(F: SeriesMap, unknowns) -> SeriesMap:
     """Solve F(x, u) = 0 for the `unknowns` u as series in the free variables.
 
     Requirements: F(0) = 0, as many equations as unknowns, and the constant
-    Jacobian block J = dF/du(0) invertible.  The solution is produced degree
-    by degree and is the unique one with u(0) = 0.  Step k composes
-    F(x, u_{<k}) to degree k and sets u_k = -J^{-1} g_k from its degree-k
-    part g_k; the composition must have no term below degree k.  After the
-    last step N, g_N + J u_N must vanish.  Since u_N has degree N,
-    F(x, u_{<N} + u_N) = F(x, u_{<N}) + J u_N mod degree N+1, so the two
-    checks prove F(x, u) = 0 to the working order without composing again.
+    Jacobian block J = dF/du(0) invertible.  The solution is the unique one
+    with u(0) = 0, lifted by precision doubling (Brent & Kung, J. ACM 1978):
+    from u = 0 at precision 0 through the precisions ..., N // 4, N // 2,
+    N, with N the working order.  The step from a solution u to precision
+    h to precision n (h = n // 2) composes G = F(x, u) once to order n,
+    which must have no term of degree <= h, and P = dF/du(x, u) to order
+    n - h - 1; the partials of F are taken once per solve.  Since
+    F(x, u + d) = G + P d + O(d^2) and a correction d of valuation h + 1
+    has d^2 of valuation 2h + 2 > n, the degrees h < j <= n of d are solved
+    on-line, one after the other (van der Hoeven, JSC 2002):
+    d_j = -J^{-1} r_j with r_j = G_j + sum_(1 <= i < j - h) (P - J)_i
+    d_(j-i), and r_j + J d_j must vanish.  Given the correction's products,
+    the two checks prove F(x, u) = 0 to the working order without composing
+    again; the next step's composition rechecks them, except at the last
+    step.  Each right-hand side is one packed accumulator, as in
+    `divide_with_valuation`: every degree part of P and every d_j is
+    converted to packed rows once, and each r_j is normalized once.
     """
     ctx_all = F.context
     unk = [u if isinstance(u, int) else ctx_all.index(u) for u in unknowns]
@@ -697,30 +707,68 @@ def formal_ift(F: SeriesMap, unknowns) -> SeriesMap:
                           "constant linear block is singular")
 
     unverified = "internal: implicit solve failed to verify"
-    sol = [TruncatedSeries.zero(free_ctx, order) for _ in unk]
-    for k in range(1, order + 1):
-        args = [sol[pos[i]].truncated(k) if i in pos
+    arity = free_ctx.arity
+    width, weights = _packing(arity, order)
+    partials = [[c.derive(i) for i in unk] for c in F.components]
+    sol = [{} for _ in unk]
+
+    def composed(series, k):
+        """Each of `series` composed with (x, u) to order k."""
+        args = [TruncatedSeries._make(
+                    free_ctx, k, {e: c for e, c in sol[pos[i]].items()
+                                  if sum(e) <= k}) if i in pos
                 else TruncatedSeries.variable(free_ctx, k, name)
                 for i, name in enumerate(ctx_all.names)]
-        g = [c.truncated(k).compose(args).terms for c in F.components]
-        if any(sum(e) < k for terms in g for e in terms):
-            raise SeriesError(unverified)
-        parts = []
-        for j, sol_j in enumerate(sol):
-            part: dict = {}
-            for r in range(len(unk)):
-                iadd_scaled(part, g[r], -inv_block[j][r])
-            parts.append(part)
-            sol[j] = TruncatedSeries._make(free_ctx, order,
-                                           {**sol_j.terms, **part})
+        return [f.truncated(k).compose(args).terms for f in series]
 
-    for terms, row in zip(g, block):
-        residual = dict(terms)
-        for part, c in zip(parts, row):
-            iadd_scaled(residual, part, c)
-        if residual:
+    def by_degree(terms, k):
+        """The degree parts 0..k of a term dict."""
+        parts = [{} for _ in range(k + 1)]
+        for e, c in terms.items():
+            parts[sum(e)][e] = c
+        return parts
+
+    h = 0
+    for n in reversed([order >> s for s in range(order.bit_length())]):
+        g = [by_degree(t, n) for t in composed(F.components, n)]
+        if any(parts[k] for parts in g for k in range(h + 1)):
             raise SeriesError(unverified)
-    return SeriesMap(sol)
+        # p_rows[r][c][i - 1]: the degree-i part of P_rc in packed rows
+        p_rows = [[[_numerators(part, weights, None)
+                    for part in by_degree(t, n - h - 1)[1:]]
+                   for t in composed(row, n - h - 1)]
+                  for row in partials] if n - h > 1 else None
+        d_rows = [{} for _ in unk]  # d_rows[c][j]: d_j of u_c, packed
+        for j in range(h + 1, n + 1):
+            rhs = []
+            for r, parts in enumerate(g):
+                total, rows = _numerators(parts[j], weights, None)
+                acc = {p: [x, y] for p, x, y in rows}
+                for c, deltas in enumerate(d_rows):
+                    for i in range(1, j - h):
+                        dp, rp = p_rows[r][c][i - 1]
+                        dd, rd = deltas[j - i]
+                        if rp and rd:
+                            total = _add_product(total, acc, dp * dd, rp, rd,
+                                                 None)
+                rhs.append(_unpacked(acc, total, width, arity))
+            ds = []
+            for row in inv_block:
+                d: dict = {}
+                for t, coeff in zip(rhs, row):
+                    iadd_scaled(d, t, -coeff)
+                ds.append(d)
+            for t, row in zip(rhs, block):
+                residual = dict(t)
+                for d, coeff in zip(ds, row):
+                    iadd_scaled(residual, d, coeff)
+                if residual:
+                    raise SeriesError(unverified)
+            for terms, deltas, d in zip(sol, d_rows, ds):
+                terms.update(d)
+                deltas[j] = _numerators(d, weights, None)
+        h = n
+    return SeriesMap([TruncatedSeries._make(free_ctx, order, t) for t in sol])
 
 
 def invert_matrix(m):

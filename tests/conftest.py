@@ -11,7 +11,8 @@ from crreflect.gaussian import ONE, ZERO, GaussianRational, I
 from crreflect.kernels import divexact, iadd_scaled, mul_terms
 from crreflect.manifold import RealDefiningSystem, complexify_and_graph
 from crreflect.reflection import FormalCRMap, _multidegree_table
-from crreflect.series import SeriesError, SeriesMap, TruncatedSeries, _coeff
+from crreflect.series import (SeriesError, SeriesMap, TruncatedSeries, _coeff,
+                              invert_matrix, jacobian_at_zero)
 
 
 def make_heisenberg(order=8, primed=False):
@@ -338,6 +339,56 @@ def _divide_with_valuation_reference(num, den):
     for qp in q_parts:
         out.update(qp)
     return TruncatedSeries._make(num.context, order - mu, out), mu
+
+
+def _formal_ift_reference(F, unknowns):
+    """`series.formal_ift` as it was before it lifted by precision
+    doubling: step k composes F(x, u_{<k}) to degree k, requires no term
+    below degree k, and sets u_k = -J^{-1} g_k from its degree-k part g_k;
+    after the last step N, g_N + J u_N must vanish."""
+    ctx_all = F.context
+    unk = [u if isinstance(u, int) else ctx_all.index(u) for u in unknowns]
+    if len(unk) != len(F.components):
+        raise SeriesError("need exactly one equation per unknown")
+    if any(F.constant_terms()):
+        raise SeriesError("system does not vanish at the origin")
+    pos = {i: j for j, i in enumerate(unk)}
+    free = [i for i in range(ctx_all.arity) if i not in pos]
+    free_ctx = VariableContext(tuple(ctx_all.names[i] for i in free))
+    order = F.order
+
+    block = jacobian_at_zero(F.components, unk)
+    try:
+        inv_block = invert_matrix(block)
+    except ZeroDivisionError:
+        raise SeriesError("implicit function hypothesis fails: "
+                          "constant linear block is singular")
+
+    unverified = "internal: implicit solve failed to verify"
+    sol = [TruncatedSeries.zero(free_ctx, order) for _ in unk]
+    for k in range(1, order + 1):
+        args = [sol[pos[i]].truncated(k) if i in pos
+                else TruncatedSeries.variable(free_ctx, k, name)
+                for i, name in enumerate(ctx_all.names)]
+        g = [c.truncated(k).compose(args).terms for c in F.components]
+        if any(sum(e) < k for terms in g for e in terms):
+            raise SeriesError(unverified)
+        parts = []
+        for j, sol_j in enumerate(sol):
+            part = {}
+            for r in range(len(unk)):
+                iadd_scaled(part, g[r], -inv_block[j][r])
+            parts.append(part)
+            sol[j] = TruncatedSeries._make(free_ctx, order,
+                                           {**sol_j.terms, **part})
+
+    for terms, row in zip(g, block):
+        residual = dict(terms)
+        for part, c in zip(parts, row):
+            iadd_scaled(residual, part, c)
+        if residual:
+            raise SeriesError(unverified)
+    return SeriesMap(sol)
 
 
 def _evaluate_reference(series, point):

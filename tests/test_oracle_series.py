@@ -15,7 +15,7 @@ import pytest
 pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 from sympy import Matrix, symbols
 from sympy.polys.domains import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
@@ -23,7 +23,8 @@ from sympy.polys.polyerrors import ExactQuotientFailed
 from sympy.polys.rings import ring
 
 from conftest import (_bareiss_rank_reference, _divexact_reference,
-                      _divide_with_valuation_reference, _evaluate_reference)
+                      _divide_with_valuation_reference, _evaluate_reference,
+                      _formal_ift_reference)
 from crreflect import kernels
 from crreflect.context import VariableContext, multidegrees
 from crreflect.gaussian import ONE, ZERO, GaussianRational, gr
@@ -655,23 +656,35 @@ def test_divide_with_valuation_matches_reference(case):
 
 
 @st.composite
-def ift_cases(draw):
+def ift_cases(draw, planted=True):
     """(free variables, unknowns, order, equations as term dicts over
     (x, u)): the u-block of the linear part is a planted invertible
-    lower-triangular matrix, everything else is random of degree >= 1."""
+    lower-triangular matrix, everything else is random of degree >= 1.
+    Unplanted, every term is random: the block may be singular and an
+    equation may have a constant term."""
     nx = draw(st.integers(0, 2))
-    nu = draw(st.integers(1, 2))
-    order = draw(st.integers(1, 4))
+    nu = draw(st.integers(1, 3))
+    order = draw(st.integers(1, 7))
+    monomials = st.integers(int(planted), order).flatmap(
+        lambda k: _of_degree(nx + nu, k))
     eqs = []
     for r in range(nu):
-        terms = draw(term_dicts(nx + nu, order, max_size=6, min_degree=1))
+        terms = draw(st.dictionaries(monomials, coefficients(), max_size=6))
         terms = {e: c for e, c in terms.items()
-                 if sum(e) <= order
-                 and not (sum(e) == 1 and any(e[nx + k] for k in range(r, nu)))}
-        diag = tuple(int(i == nx + r) for i in range(nx + nu))
-        terms[diag] = draw(coefficients())
+                 if not (planted and sum(e) == 1
+                         and any(e[nx + k] for k in range(r, nu)))}
+        if planted:
+            diag = tuple(int(i == nx + r) for i in range(nx + nu))
+            terms[diag] = draw(coefficients())
         eqs.append(terms)
     return nx, nu, order, eqs
+
+
+def _ift_system(case):
+    nx, nu, order, eqs = case
+    names = ["x%d" % i for i in range(nx)] + ["u%d" % k for k in range(nu)]
+    ctx = VariableContext(names)
+    return SeriesMap([TruncatedSeries(ctx, order, t) for t in eqs]), names
 
 
 @SETTINGS
@@ -681,9 +694,7 @@ def ift_cases(draw):
                      (2, 0, 0): gr(-1), (1, 1, 1): gr(5)}]))
 def test_formal_ift_matches_oracle(case):
     nx, nu, order, eqs = case
-    names = ["x%d" % i for i in range(nx)] + ["u%d" % k for k in range(nu)]
-    ctx = VariableContext(names)
-    F = SeriesMap([TruncatedSeries(ctx, order, t) for t in eqs])
+    F, names = _ift_system(case)
     sol = formal_ift(F, names[nx:])
     assert sol.context.names == tuple(names[:nx]) and sol.order == order
     assert not any(sol.constant_terms())  # u(0) = 0
@@ -695,6 +706,39 @@ def test_formal_ift_matches_oracle(case):
     for t in eqs:
         # F(x, u(x)) == 0 mod degree order + 1
         assert not from_sympy(to_sympy(R, t).compose(subs), order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(ift_cases(), ift_cases(planted=False)))
+# the degree-2 correction d_2 = -J^{-1} (P - J)_1 d_1 at order 3: u u' and
+# x u terms make P - J nonzero in degree 1
+@example((1, 2, 3, [{(0, 1, 0): gr(1), (1, 0, 0): gr(-1), (0, 1, 1): gr(2),
+                     (1, 1, 0): gr(0, 1)},
+                    {(0, 0, 1): gr(3), (1, 0, 0): gr(1, 1),
+                     (1, 0, 1): gr("1/2"), (2, 1, 0): gr(-1)}]))
+# Catalan, u = x + u^2: the step from 3 to 6 reads (P - J)_2 = -2 u_2 at
+# degree 6, and (P - J)_1 = -2 u_1 at every degree
+@example((1, 1, 6, [{(0, 1): gr(1), (1, 0): gr(-1), (0, 2): gr(-1)}]))
+def test_formal_ift_matches_reference(case):
+    # the same solution as the step loop, or the same SeriesError text
+    nx, nu, order, eqs = case
+    F, names = _ift_system(case)
+    try:
+        want = _formal_ift_reference(F, names[nx:])
+    except SeriesError as exc:
+        event("refused")
+        with pytest.raises(SeriesError, match=re.escape(str(exc))):
+            formal_ift(F, names[nx:])
+        return
+    # from order 3 on, some step solves for two degrees or more, and its
+    # correction products are nonzero when some term is nonlinear in u
+    nonlinear = any(sum(e) >= 2 and any(e[nx:]) for t in eqs for e in t)
+    event("solved, order below 3" if order < 3
+          else "solved, correction with nonzero P - J" if nonlinear
+          else "solved, correction with P = J")
+    got = formal_ift(F, names[nx:])
+    assert got == want and got.order == want.order
+    assert got.context == want.context
 
 
 @st.composite

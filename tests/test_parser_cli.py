@@ -1,6 +1,10 @@
 """Expression grammar, manifest orchestration, CLI determinism."""
 
+import contextlib
+import functools
 import hashlib
+import importlib.util
+import io
 import json
 import random
 from pathlib import Path
@@ -152,6 +156,27 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert "minimality: minimal" in text
     report = json.loads(out.read_text())
     assert report["provenance"]["order"] == 6
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("rho", ["w1 - xi1 - i*z1*zeta1",
+                                 "w1 - xi1 - i*z1^2*zeta1^2"])
+def test_cli_classify_map_default_dmax_above_the_order(tmp_path, capsys,
+                                                       rho, order):
+    # The default Dmax of 4 is above these orders.  A monomial of degree
+    # above the order truncates to zero and would read as a relation, so
+    # cr5 searches relations up to the order and records that as its bound.
+    mpath = tmp_path / "m.json"
+    out = tmp_path / "r.json"
+    mpath.write_text(json.dumps(dict(
+        HEIS_MANIFEST, order=order, source=dict(HEIS_MANIFEST["source"],
+                                                rho=[rho]),
+        analyses=[{"name": "classify-map"}])))
+    assert main(["analyze", str(mpath), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    result = json.loads(out.read_text())["analyses"][0]["result"]
+    assert result["chain_consistent"]
+    assert result["cr5"]["bound"] == order
 
 
 NON_CR_MANIFEST = dict(HEIS_MANIFEST, map=["z1", "w1 + z1^2"])
@@ -511,6 +536,129 @@ def test_report_bytes_are_pinned(data, sha256):
     # A new digest means the same manifest now gives different report bytes.
     text = render_report(run(Manifest(data)))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha256
+
+
+# sha256 of (exit code, stderr, report bytes) of `crreflect analyze` on the
+# benchmark's manifests, `perfbench/workloads.py::manifest_documents`.  A
+# manifest that fails by a known defect is pinned as it fails today, under
+# the key the benchmark gives the defect: its fix shows up as a re-pin.
+KNOWN_DEFECTS = {"ex121-varpi": "map-chain-violated"}
+MANIFEST_PINS = [
+    (0, "heisenberg-identity",
+     "206406f7452829e822decddbf905dc8ec1065ac9cb512f6f1a37c60568d65c8a"),
+    (0, "heisenberg-dilation0",
+     "355636d8813a72144503546c566b4269beb0e28ca2157b08734570e591833a2e"),
+    (0, "heisenberg-dilation1",
+     "206406f7452829e822decddbf905dc8ec1065ac9cb512f6f1a37c60568d65c8a"),
+    (0, "sphere3-identity",
+     "1186752e32334d78f880fbbb57536176a6da7f53c964a4f87744aedbb238169d"),
+    (0, "sphere3-dilation0",
+     "0d84d9c687e1daf06c7bf42fcfb5ac8483bff2e383bc743283368a47ba2a26bb"),
+    (0, "sphere3-dilation1",
+     "242b18dc6cc8c4b13c9ec9f420ab898ec862efa6332379ef19f4e56d5c24fb44"),
+    (0, "ex121-identity",
+     "f8394da40b416b36d1def7e8b568ca255601a6a2358d63cf2902e2a7a0bd8311"),
+    (0, "ex121-dilation0",
+     "3214713b23ac7ff8bb09fc7d2652a3a6fba9d66b63ba02333984e696d4bbbbd9"),
+    (0, "ex121-varpi",
+     "d89021d34425c6d249d743e9e9f1186a06d9d261a74b947178e75fbf4680460a"),
+    (0, "z2zb2-identity",
+     "4a70a9682ba96322bebaf82cb3032e12cb8c4277ecfa5217c844d09ec5bbcb18"),
+    (0, "z2zb2-dilation0",
+     "4a70a9682ba96322bebaf82cb3032e12cb8c4277ecfa5217c844d09ec5bbcb18"),
+    (0, "z2zb2-dilation1",
+     "b1b43c33cc0fceeb9a4d0c1217249d0e85931917fa6095aaead06ab0b5ce2475"),
+    (0, "quadric_pair-identity",
+     "2357ad0bdcd306ae8a8b384a4dca4962497d8b2f5034c6a71087f028fa5a058b"),
+    (0, "quadric_pair-dilation0",
+     "2357ad0bdcd306ae8a8b384a4dca4962497d8b2f5034c6a71087f028fa5a058b"),
+    (0, "quadric_pair-dilation1",
+     "3bdbb2f10a570739d1531a580c226fe88e5b197ee76afd470e8f8359254f9371"),
+    (0, "dense-00",
+     "042715f1553f5a2f9b6ecc8da7591a9c50f5b357f4f423bec2848039a536fd6b"),
+    (0, "dense-01",
+     "c05cfce8002c7930db7d89656e34f4153906e60e016098e3e50f30957202662c"),
+    (0, "dense-02",
+     "e63c21b0b15eebb91078972a46e861f1124397458f97a3afa530ec87cec28c58"),
+    (0, "dense-03",
+     "7b7767f7582e9644c126b46c4633436f5ea404af66ac6e43390aa79106f4bd8a"),
+    (0, "dense-04",
+     "045ad8ce69042fa02817494b2087f03975d27cbe59039e9b5f2cffe0cef86c89"),
+    (0, "dense-05",
+     "c14208db6b6c9fe6e6b81a6dda50e4c7bea9c4637bbd11ad96aa5c66b5a127c2"),
+    (777, "heisenberg-identity",
+     "2694dc841d8e27ae012d3fa6817d2162c8d2215c5acc1b805045bbda4dead659"),
+    (777, "heisenberg-dilation0",
+     "22d77ed1b340351e14982aa6298a323091bb581c8ec571a2e7ee179bac1c7b9b"),
+    (777, "heisenberg-dilation1",
+     "dadcf9fb82e862588b682ee9fc41539128b66c2bda411e5586f0799177627da1"),
+    (777, "sphere3-identity",
+     "2c9b6f5abb3e446084e1b8e577523ef335151e0f2455e3454947fc1a6e13353c"),
+    (777, "sphere3-dilation0",
+     "2ebc7ecac64d9c5089e32eecd8923b1ec5e61d214d20f91a42074eb92046e019"),
+    (777, "sphere3-dilation1",
+     "a80902ee5892409d60f18749e6aa9debac2dc9de868bf798f0d6f4f801f95118"),
+    (777, "ex121-identity",
+     "61de39459de3290941cfef29f1b5447509323bf75c9332b69b8ca7dae8731707"),
+    (777, "ex121-dilation0",
+     "fd8ae28da3ee6a8f9ee29fc2518fffcf32b92cb1a70f242addf9f269f3d26efe"),
+    (777, "ex121-varpi",
+     "d89021d34425c6d249d743e9e9f1186a06d9d261a74b947178e75fbf4680460a"),
+    (777, "z2zb2-identity",
+     "41ad2dea36c5ca346013fd7252f837843beee04ee4b42b6564841840dfa226d2"),
+    (777, "z2zb2-dilation0",
+     "41ad2dea36c5ca346013fd7252f837843beee04ee4b42b6564841840dfa226d2"),
+    (777, "z2zb2-dilation1",
+     "d3f07c7e13733a2b9776328b1005b39c074dcf69a259511e966965d40de672bd"),
+    (777, "quadric_pair-identity",
+     "cca539767f31ec9eb7df56c7bf93db64280168842aba4b162b64b60c6505c93d"),
+    (777, "quadric_pair-dilation0",
+     "5240722819d155fceffadc665a065e337a72579336302ce820c62bad3e1babe4"),
+    (777, "quadric_pair-dilation1",
+     "616e1358df038bef602714269573249fc7eb6d16b8eab924910b29aed324afd2"),
+    (777, "dense-00",
+     "3cf904d774f2f692fe17a80b847082de68cdcf988dfe725b7d1054b2b595db5b"),
+    (777, "dense-01",
+     "b4cb83ecfc123353e578057bc2ecc4ea48bda54af1d77dafcbc2ad240de60878"),
+    (777, "dense-02",
+     "113cf5e312068a73edef6e8cde04b6976164bdb99b8ea25a05c72738c74d1d4b"),
+    (777, "dense-03",
+     "d4c0587dc6ec909ade1e6e1f141264f36644f61a541cc8322f0aa0c5ad8b5f29"),
+    (777, "dense-04",
+     "964a587623e47e352b66bd4738235b6dfaa9e9cd17b31ae2a6bfaf259db5b96c"),
+    (777, "dense-05",
+     "11a917d2dc3fc209a816d4aca8561556fb24ce4b35d9c6d68026073660fe8eec"),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _benchmark_manifests(seed):
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "perfbench"
+        / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return dict(workloads.manifest_documents(seed))
+
+
+def _pin_id(seed, label):
+    key = KNOWN_DEFECTS.get(label)
+    return "%d-%s%s" % (seed, label, "-" + key if key else "")
+
+
+@pytest.mark.parametrize("seed, label, sha256", [
+    pytest.param(*pin, id=_pin_id(*pin[:2])) for pin in MANIFEST_PINS])
+def test_benchmark_manifest_reports_are_pinned(tmp_path, seed, label, sha256):
+    path, out = tmp_path / "m.json", tmp_path / "r.json"
+    path.write_text(json.dumps(_benchmark_manifests(seed)[label]))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(["analyze", str(path), "--out", str(out)])
+    assert code == (3 if label in KNOWN_DEFECTS else 0)
+    digest = hashlib.sha256(("%d\n%s\n" % (code, err.getvalue())).encode())
+    digest.update(out.read_bytes() if out.exists() else b"")
+    assert digest.hexdigest() == sha256
 
 
 def test_cli_unknown_analysis_exits_2_before_any_runs(tmp_path, capsys,

@@ -469,11 +469,11 @@ def test_formal_ift_substitute_back():
 @pytest.mark.parametrize("order, quadratic", [
     (1, True), (2, True), (4, True), (2, False), (4, False)])
 def test_formal_ift_rejects_a_wrong_inverse(monkeypatch, order, quadratic):
-    # Twice the true inverse over-corrects every step.  At order 1 only the
-    # last step's residual g_1 + J u_1 can show it; from order 2 on, the
-    # next step's composition has a term below its degree.  For the linear
-    # u - x every later degree-k part is 0, so that is the only check that
-    # sees the wrong solution there.
+    # Twice the true inverse over-corrects every degree.  At every order the
+    # per-degree check r_j + J d_j = 0 fires first, at degree 1 of the step
+    # to precision 1: there r_1 = -x and d_1 = 2x, so r_1 + J d_1 = x.  The
+    # check that the next step's composition has no term of degree <= h
+    # is not reached.
     true_inverse = series.invert_matrix
     monkeypatch.setattr(series, "invert_matrix", lambda m: [
         [c * 2 for c in row] for row in true_inverse(m)])
