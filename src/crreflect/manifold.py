@@ -250,13 +250,6 @@ class GraphedManifold:
             self.theta_bar.remapped(names.graph_context("w"), rename),
             names, check=False)
 
-    def embedded_theta(self) -> SeriesMap:
-        """theta over the joint (z, w, zeta, xi) context."""
-        return self.theta.remapped(self.ctx_joint)
-
-    def embedded_theta_bar(self) -> SeriesMap:
-        return self.theta_bar.remapped(self.ctx_joint)
-
     # -- restriction to the manifold ----------------------------------------
 
     @property

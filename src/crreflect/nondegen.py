@@ -111,6 +111,14 @@ class ManifoldClassification:
                 "nd5=%s)") % tuple(v.status for v in self.chain)
 
 
+def _ideal_search_degree(generators, dmax: int) -> int:
+    """The highest degree `ideal_contains_power_of_maximal` searches: dmax,
+    cut at the least order among the nonconstant generators (0 when there
+    are none, as no degree is searched then)."""
+    orders = [g.order for g in generators if any(map(sum, g.terms))]
+    return min(dmax, *orders) if orders else 0
+
+
 def ideal_contains_power_of_maximal(generators, dmax: int):
     """Smallest D <= dmax with every degree-D monomial inside the truncated
     ideal of the generators (a finite-map certificate), or None.
@@ -126,7 +134,7 @@ def ideal_contains_power_of_maximal(generators, dmax: int):
     if not gens:
         return None
     arity = gens[0].context.arity
-    for D in range(1, min(dmax, min(g.order for g in gens)) + 1):
+    for D in range(1, _ideal_search_degree(gens, dmax) + 1):
         monos = list(multidegrees(arity, D))
         index = {e: i for i, e in enumerate(monos)}
         rows = []
@@ -272,8 +280,8 @@ def classify_map_cr(h: FormalCRMap, dmax: int = 4,
     cr2 = Verdict(HOLDS if (mp <= m and r0 == mp) else FAILS, bound=1)
     if mp == m:
         D = ideal_contains_power_of_maximal(horiz.components, dmax)
-        cr3 = Verdict(HOLDS if D is not None else INCONCLUSIVE,
-                      k0=D, bound=dmax)
+        cr3 = Verdict(HOLDS if D is not None else INCONCLUSIVE, k0=D,
+                      bound=_ideal_search_degree(horiz.components, dmax))
     else:
         cr3 = Verdict(FAILS, bound=dmax)
     rg = generic_rank(horiz, seed=seed)

@@ -182,18 +182,6 @@ def _chains(M: GraphedManifold, kmax: int, start_side: str, budget: int):
         yield SegreChain(M, k, start_side, SeriesMap(p))
 
 
-def conjugate_chain_symmetry_defect(M, k):
-    """sigma-bar symmetry: the conjugate (`SegreChain.conjugate`) of the
-    flow-built barred chain == the flow-built unbarred chain.  Returns None
-    when the identity holds exactly, else the first differing pair."""
-    read = chain(M, k, "barred").conjugate()
-    built = chain(M, k, "unbarred")
-    for a, b in zip(read.components, built.components):
-        if a != b:
-            return (a, b)
-    return None
-
-
 class MinimalityReport:
     __slots__ = ("minimal", "nu0", "ranks", "mu0_witness", "kmax", "order",
                  "conclusive")
@@ -225,9 +213,10 @@ def minimality(M: GraphedManifold, kmax=None, seed: int = 0) -> MinimalityReport
 
     Only the barred chain is ranked; `ranks[k]` repeats its rank for both
     parities.  The unbarred chain is its conjugate with the t/tau blocks
-    swapped (`conjugate_chain_symmetry_defect`, exact given the reality
-    pairing), and neither conjugation nor a row permutation changes the
-    Bareiss rank or the rank at a real rational point.
+    swapped (`SegreChain.conjugate`, exact given the reality pairing; the
+    tests compare it with the flow-built unbarred chain), and neither
+    conjugation nor a row permutation changes the Bareiss rank or the rank
+    at a real rational point.
     """
     if kmax is None:
         kmax = 2 * (M.d + 1) + 1

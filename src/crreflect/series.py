@@ -18,9 +18,9 @@ from .context import (VariableContext, multidegrees, unit_exponent,
                       zero_exponent)
 from .gaussian import (GaussianRational, MINUS_ONE, ONE, ZERO, _coerce,
                        _norm)
-from .kernels import (_add_product, _numerators, _packing, _unpacked,
-                      compose_terms, divexact, echelon, iadd_scaled,
-                      mul_terms)
+from .kernels import (_add_product, _make as _normalized, _numerators,
+                      _packing, _unpacked, compose_terms, divexact, echelon,
+                      iadd_scaled, mul_terms)
 
 
 class SeriesError(ValueError):
@@ -244,7 +244,7 @@ class TruncatedSeries:
             k = e[i]
             if k:
                 ne = e[:i] + (k - 1,) + e[i + 1:]
-                out[ne] = c * k
+                out[ne] = c if k == 1 else _normalized(c.a * k, c.b * k, c.c)
         return TruncatedSeries._make(self.context, order, out)
 
     def derive_multi(self, exponent) -> "TruncatedSeries":
@@ -687,6 +687,13 @@ def formal_ift(F: SeriesMap, unknowns) -> SeriesMap:
     step.  Each right-hand side is one packed accumulator, as in
     `divide_with_valuation`: every degree part of P and every d_j is
     converted to packed rows once, and each r_j is normalized once.
+
+    The schedule is read off F.  If no term of F has total degree >= 2 in
+    the unknowns, then F(x, u + d) = G + P d holds exactly, with P = dF/du
+    free of u: there is no d^2 term for the doubling to keep past the
+    precision, so the one step 0 -> N solves every degree, with the same
+    two checks.  Otherwise the precisions double as above.  At order 0
+    there is no step.
     """
     ctx_all = F.context
     unk = [u if isinstance(u, int) else ctx_all.index(u) for u in unknowns]
@@ -728,8 +735,12 @@ def formal_ift(F: SeriesMap, unknowns) -> SeriesMap:
             parts[sum(e)][e] = c
         return parts
 
+    halvings = [order >> s for s in range(order.bit_length())]
+    if all(sum(e[i] for i in unk) <= 1
+           for f in F.components for e in f.terms):
+        halvings = halvings[:1]  # F is affine in u: one step 0 -> N
     h = 0
-    for n in reversed([order >> s for s in range(order.bit_length())]):
+    for n in reversed(halvings):
         g = [by_degree(t, n) for t in composed(F.components, n)]
         if any(parts[k] for parts in g for k in range(h + 1)):
             raise SeriesError(unverified)

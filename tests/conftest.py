@@ -11,6 +11,7 @@ from crreflect.gaussian import ONE, ZERO, GaussianRational, I
 from crreflect.kernels import divexact, iadd_scaled, mul_terms
 from crreflect.manifold import RealDefiningSystem, complexify_and_graph
 from crreflect.reflection import FormalCRMap, _multidegree_table
+from crreflect.segre import chain
 from crreflect.series import (SeriesError, SeriesMap, TruncatedSeries, _coeff,
                               invert_matrix, jacobian_at_zero)
 
@@ -179,6 +180,28 @@ def seeded_maps(order=5, seeds=(11, 12, 13)):
         out.append(("%d%d-cr" % (m, d), FormalCRMap(ident, M, Mp)))
         out.append(("%d%d-non-cr" % (m, d), FormalCRMap(bent, M, Mp)))
     return out
+
+
+def embedded_theta(M):
+    """theta over the joint (z, w, zeta, xi) context."""
+    return M.theta.remapped(M.ctx_joint)
+
+
+def embedded_theta_bar(M):
+    """theta_bar over the joint (z, w, zeta, xi) context."""
+    return M.theta_bar.remapped(M.ctx_joint)
+
+
+def conjugate_chain_symmetry_defect(M, k):
+    """sigma-bar symmetry: the conjugate (`SegreChain.conjugate`) of the
+    flow-built barred chain == the flow-built unbarred chain.  Returns None
+    when the identity holds exactly, else the first differing pair."""
+    read = chain(M, k, "barred").conjugate()
+    built = chain(M, k, "unbarred")
+    for a, b in zip(read.components, built.components):
+        if a != b:
+            return (a, b)
+    return None
 
 
 def derivation_words(fields, seed):

@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import (make_ex121, make_flat, make_heisenberg, make_sphere3,
-                      make_z2zb2, quadric_pair, random_coeff,
-                      random_real_system, random_series)
+from conftest import (embedded_theta, embedded_theta_bar, make_ex121,
+                      make_flat, make_heisenberg, make_sphere3, make_z2zb2,
+                      quadric_pair, random_coeff, random_real_system,
+                      random_series)
 from crreflect import manifold
 from crreflect.context import VariableContext, multidegrees
 from crreflect.exprparse import parse_expression
@@ -278,8 +279,8 @@ def test_tangency_identities():
         for j in range(M.d):
             w = tvar(ctxj, M.names.w[j])
             xi = tvar(ctxj, M.names.xi[j])
-            rbar = w - M.embedded_theta_bar()[j]
-            r = xi - M.embedded_theta()[j]
+            rbar = w - embedded_theta_bar(M)[j]
+            r = xi - embedded_theta(M)[j]
             for k in range(M.m):
                 assert L[k].apply(rbar).is_zero()
                 assert Lbar[k].apply(r).is_zero()
@@ -334,8 +335,8 @@ def test_restrictions_vanish_together():
     ctxj = M.ctx_joint
     w = tvar(ctxj, "w1")
     xi = tvar(ctxj, "xi1")
-    r = xi - M.embedded_theta()[0]
-    rbar = w - M.embedded_theta_bar()[0]
+    r = xi - embedded_theta(M)[0]
+    rbar = w - embedded_theta_bar(M)[0]
     for f in (r, rbar):
         a = M.restrict(f, "xi").is_zero()
         b = M.restrict(f, "w").is_zero()
@@ -471,7 +472,7 @@ def test_restrict_with_extra_names(M):
 
 def test_restrict_rejects_unknown_side_and_names():
     M = make_heisenberg(order=4)
-    f = M.embedded_theta()[0]
+    f = embedded_theta(M)[0]
     with pytest.raises(ValueError, match="'leaf_bar', 'zeta0'"):
         M.restrict(f, "zeta")
     stray = TruncatedSeries.variable(
@@ -542,8 +543,8 @@ def test_from_either_graph_gives_the_same_manifold(M):
 
 def _fields_reference(M):
     ctxj = M.ctx_joint
-    tb = M.embedded_theta_bar()
-    th = M.embedded_theta()
+    tb = embedded_theta_bar(M)
+    th = embedded_theta(M)
     L = []
     for k, zk in enumerate(M.names.z):
         coeffs = {zk: ONE}
@@ -731,7 +732,7 @@ def test_apply_errors_match_reference():
     M = make_heisenberg(order=4)
     ctxj = M.ctx_joint
     L, _ = cr_fields(M)
-    f = M.embedded_theta()[0]
+    f = embedded_theta(M)[0]
     _raises_same(L[0], f.truncated(0), "no precision left")
     _raises_same(Derivation(ctxj, {}), f, "empty derivation")
     _raises_same(Derivation(ctxj, {}), f.truncated(0), "empty derivation")

@@ -209,6 +209,22 @@ def test_identity_cr_ladder():
     assert cls.cr_chain_consistent()
 
 
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_cr3_bound_is_the_degree_searched(order):
+    # The default dmax of 4 is above these orders.  The finite-map
+    # certificate searches degrees up to the horizontal part's order, and
+    # cr3 records that degree as its bound, as cr5 does.
+    M = make_heisenberg(order=order)
+    h = identity_on(M, make_heisenberg(order=order, primed=True))
+    for dmax, searched in ((4, order), (order - 1, order - 1)):
+        cls = classify_map_cr(h, dmax=dmax)
+        assert (cls.cr3.k0, cls.cr3.bound) == ((1 if searched else None),
+                                               searched)
+        assert cls.cr3.status == (HOLDS if searched else INCONCLUSIVE)
+        assert cls.cr5.bound == searched
+        assert cls.cr_chain_consistent()
+
+
 def test_square_map_cr_ladder():
     # horizontal part z -> z^2: cr1 fails, cr4 holds
     M = make_heisenberg()

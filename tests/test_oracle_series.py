@@ -656,17 +656,29 @@ def test_divide_with_valuation_matches_reference(case):
 
 
 @st.composite
-def ift_cases(draw, planted=True):
+def ift_cases(draw, planted=True, affine=False):
     """(free variables, unknowns, order, equations as term dicts over
     (x, u)): the u-block of the linear part is a planted invertible
     lower-triangular matrix, everything else is random of degree >= 1.
     Unplanted, every term is random: the block may be singular and an
-    equation may have a constant term."""
-    nx = draw(st.integers(0, 2))
+    equation may have a constant term.  Affine, every term is a monomial
+    in x times at most one unknown, x u terms included: F has no term of
+    degree >= 2 in u, so the solver takes one step, and P - J is nonzero
+    wherever an x u term is drawn."""
+    nx = draw(st.integers(int(affine), 2))
     nu = draw(st.integers(1, 3))
     order = draw(st.integers(1, 7))
-    monomials = st.integers(int(planted), order).flatmap(
-        lambda k: _of_degree(nx + nu, k))
+
+    def times_unknown(c):
+        """x^a u_c, or x^a alone for c = nu, of total degree in range."""
+        low, high = (int(planted), order) if c == nu else (0, order - 1)
+        return st.integers(low, high).flatmap(
+            lambda a: _of_degree(nx, a)).map(
+            lambda e: e + tuple(int(k == c) for k in range(nu)))
+
+    monomials = (st.integers(0, nu).flatmap(times_unknown) if affine
+                 else st.integers(int(planted), order).flatmap(
+                     lambda k: _of_degree(nx + nu, k)))
     eqs = []
     for r in range(nu):
         terms = draw(st.dictionaries(monomials, coefficients(), max_size=6))
@@ -687,13 +699,26 @@ def _ift_system(case):
     return SeriesMap([TruncatedSeries(ctx, order, t) for t in eqs]), names
 
 
-@SETTINGS
-@given(ift_cases())
+# affine in u, solved in one step 0 -> 4: the x u terms make P - J nonzero
+_AFFINE_IFT = (1, 2, 4, [{(0, 1, 0): gr(1), (1, 0, 1): gr(1),
+                          (1, 0, 0): gr(-1), (2, 1, 0): gr(0, 1)},
+                         {(0, 0, 1): gr(3), (1, 1, 0): gr(1, 1),
+                          (2, 0, 0): gr("1/2"), (3, 0, 1): gr(-1)}])
+
+
+def _affine_in_u(nx, eqs):
+    return all(sum(e[nx:]) <= 1 for t in eqs for e in t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(ift_cases(), ift_cases(affine=True)))
 @example((1, 2, 3, [{(0, 1, 0): gr(2), (1, 0, 0): gr(1), (0, 0, 2): gr(0, 1)},
                     {(0, 1, 0): gr(1, 1), (0, 0, 1): gr("1/3"),
                      (2, 0, 0): gr(-1), (1, 1, 1): gr(5)}]))
+@example(_AFFINE_IFT)
 def test_formal_ift_matches_oracle(case):
     nx, nu, order, eqs = case
+    event("affine in u" if _affine_in_u(nx, eqs) else "degree >= 2 in u")
     F, names = _ift_system(case)
     sol = formal_ift(F, names[nx:])
     assert sol.context.names == tuple(names[:nx]) and sol.order == order
@@ -708,8 +733,9 @@ def test_formal_ift_matches_oracle(case):
         assert not from_sympy(to_sympy(R, t).compose(subs), order)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(ift_cases(), ift_cases(planted=False)))
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(ift_cases(), ift_cases(planted=False),
+                 ift_cases(affine=True)))
 # the degree-2 correction d_2 = -J^{-1} (P - J)_1 d_1 at order 3: u u' and
 # x u terms make P - J nonzero in degree 1
 @example((1, 2, 3, [{(0, 1, 0): gr(1), (1, 0, 0): gr(-1), (0, 1, 1): gr(2),
@@ -719,6 +745,7 @@ def test_formal_ift_matches_oracle(case):
 # Catalan, u = x + u^2: the step from 3 to 6 reads (P - J)_2 = -2 u_2 at
 # degree 6, and (P - J)_1 = -2 u_1 at every degree
 @example((1, 1, 6, [{(0, 1): gr(1), (1, 0): gr(-1), (0, 2): gr(-1)}]))
+@example(_AFFINE_IFT)
 def test_formal_ift_matches_reference(case):
     # the same solution as the step loop, or the same SeriesError text
     nx, nu, order, eqs = case
@@ -736,6 +763,9 @@ def test_formal_ift_matches_reference(case):
     event("solved, order below 3" if order < 3
           else "solved, correction with nonzero P - J" if nonlinear
           else "solved, correction with P = J")
+    if _affine_in_u(nx, eqs):
+        event("solved in one step (affine in u), "
+              + ("nonzero P - J" if nonlinear else "P = J"))
     got = formal_ift(F, names[nx:])
     assert got == want and got.order == want.order
     assert got.context == want.context

@@ -165,7 +165,8 @@ def test_cli_classify_map_default_dmax_above_the_order(tmp_path, capsys,
                                                        rho, order):
     # The default Dmax of 4 is above these orders.  A monomial of degree
     # above the order truncates to zero and would read as a relation, so
-    # cr5 searches relations up to the order and records that as its bound.
+    # cr5 searches relations up to the order and records that as its bound;
+    # cr3's finite-map certificate searches degrees up to the order as well.
     mpath = tmp_path / "m.json"
     out = tmp_path / "r.json"
     mpath.write_text(json.dumps(dict(
@@ -177,6 +178,7 @@ def test_cli_classify_map_default_dmax_above_the_order(tmp_path, capsys,
     result = json.loads(out.read_text())["analyses"][0]["result"]
     assert result["chain_consistent"]
     assert result["cr5"]["bound"] == order
+    assert result["cr3"]["bound"] == order
 
 
 NON_CR_MANIFEST = dict(HEIS_MANIFEST, map=["z1", "w1 + z1^2"])

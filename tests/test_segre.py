@@ -4,17 +4,16 @@ import pytest
 
 import random
 
-from conftest import (make_flat, make_heisenberg, make_z2zb2,
-                      random_minimal_manifold, random_real_system,
-                      random_series)
+from conftest import (conjugate_chain_symmetry_defect, make_flat,
+                      make_heisenberg, make_z2zb2, random_minimal_manifold,
+                      random_real_system, random_series)
 from crreflect import segre
 from crreflect.context import VariableContext
 from crreflect.linalg import generic_rank
 from crreflect.manifold import ManifoldError, complexify_and_graph
 from crreflect.segre import (DEFAULT_CHAIN_BUDGET, JetMapData, _chains,
                              chain, chain_time_names, check_on_manifold,
-                             conjugate_chain_symmetry_defect, flow,
-                             minimality, origin_point, segre_jet_map)
+                             flow, minimality, origin_point, segre_jet_map)
 from crreflect.series import SeriesError, SeriesMap, TruncatedSeries
 
 

@@ -6,8 +6,9 @@ from math import comb
 
 import pytest
 
-from conftest import (_evaluate_reference, random_minimal_manifold,
-                      random_real_system, random_series, seeded_maps)
+from conftest import (_evaluate_reference, _formal_ift_reference,
+                      random_minimal_manifold, random_real_system,
+                      random_series, seeded_maps)
 from crreflect import series
 from crreflect.context import VariableContext, multidegrees, zero_exponent
 from crreflect.gaussian import I, ONE, ZERO, gr
@@ -470,10 +471,10 @@ def test_formal_ift_substitute_back():
     (1, True), (2, True), (4, True), (2, False), (4, False)])
 def test_formal_ift_rejects_a_wrong_inverse(monkeypatch, order, quadratic):
     # Twice the true inverse over-corrects every degree.  At every order the
-    # per-degree check r_j + J d_j = 0 fires first, at degree 1 of the step
-    # to precision 1: there r_1 = -x and d_1 = 2x, so r_1 + J d_1 = x.  The
-    # check that the next step's composition has no term of degree <= h
-    # is not reached.
+    # per-degree check r_j + J d_j = 0 fires first, at degree 1 of the first
+    # step (to precision 1, or to the order when F is affine in u): there
+    # r_1 = -x and d_1 = 2x, so r_1 + J d_1 = x.  The check that the next
+    # step's composition has no term of degree <= h is not reached.
     true_inverse = series.invert_matrix
     monkeypatch.setattr(series, "invert_matrix", lambda m: [
         [c * 2 for c in row] for row in true_inverse(m)])
@@ -483,6 +484,32 @@ def test_formal_ift_rejects_a_wrong_inverse(monkeypatch, order, quadratic):
     with pytest.raises(SeriesError,
                        match="internal: implicit solve failed to verify"):
         formal_ift(SeriesMap([F]), ["u"])
+
+
+def test_formal_ift_schedule_is_read_off_the_system(monkeypatch):
+    # The orders of the `compose` calls give the schedule.  Affine in the
+    # unknowns (x u terms, no term of degree >= 2 in u, v): one step 0 -> 8
+    # composes each equation to order 8 and each partial to order 7, once.
+    # Catalan, u = x + u^2, at order 6: doubling through 1, 3, 6, with the
+    # partial composed to n - h - 1 from the second step on.
+    ctx = VariableContext(("x", "y", "u", "v"))
+    x, y, u, v = (var(ctx, n) for n in ctx.names)
+    affine = SeriesMap([u - x + x * v + y * y * u,
+                        2 * v + I * x * u - y + x * y * v])
+    ctx = VariableContext(("x", "u"))
+    x, u = var(ctx, "x", 6), var(ctx, "u", 6)
+    catalan = SeriesMap([u - x - u * u])
+    want = [_formal_ift_reference(affine, ["u", "v"]),
+            _formal_ift_reference(catalan, ["u"])]
+    orders = []
+    plain = TruncatedSeries.compose
+    monkeypatch.setattr(TruncatedSeries, "compose", lambda self, args: (
+        orders.append(self.order) or plain(self, args)))
+    assert formal_ift(affine, ["u", "v"]) == want[0]
+    assert orders == [8, 8, 7, 7, 7, 7]
+    orders.clear()
+    assert formal_ift(catalan, ["u"]) == want[1]
+    assert orders == [1, 3, 1, 6, 2]
 
 
 def test_formal_ift_singular_block_raises():
