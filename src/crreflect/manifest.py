@@ -25,7 +25,7 @@ from .nondegen import (classify_manifold, classify_map_cr,
 from .reflection import (FormalCRMap, ReflectionError,
                          reflection_components, reflection_identities)
 from .segre import chain, minimality
-from .series import SeriesError, SeriesMap, TruncatedSeries
+from .series import PRECISION_BUDGET, SeriesError, SeriesMap, TruncatedSeries
 
 
 class ManifestError(ValueError):
@@ -68,10 +68,11 @@ def build_manifold(spec: dict, order: int, primed: bool) -> GraphedManifold:
     raise ManifestError("manifold spec needs 'rho' or 'theta_bar'")
 
 
-def _check_manifold_spec(spec, role: str) -> None:
+def _check_manifold_spec(spec, role: str, order: int) -> None:
     """Check the shape of a source or target spec: positive ints `m` and
     `d`, `split`, when given, as d distinct indices into t, and at most
-    one of `rho` and `theta_bar`, as a list of d expression strings."""
+    one of `rho` and `theta_bar`, as a list of d expression strings; and
+    for `rho` the order that `complexify_and_graph` needs to graph it."""
     if not isinstance(spec, dict):
         raise ManifestError("%s manifold must be a JSON object" % role)
     for key in ("m", "d"):
@@ -99,6 +100,10 @@ def _check_manifold_spec(spec, role: str) -> None:
             raise ManifestError("%s manifold: '%s' must be a list of %d "
                                 "expression strings, got %r"
                                 % (role, key, d, texts))
+    least = PRECISION_BUDGET["complexify_and_graph"]["order"][0]
+    if "rho" in spec and order < least:
+        raise ManifestError("%s manifold: 'rho' needs an 'order' of at least "
+                            "%d, got %d" % (role, least, order))
 
 
 def _int_field(data: dict, key: str, default: int) -> int:
@@ -117,25 +122,19 @@ def _int_field(data: dict, key: str, default: int) -> int:
     raise ManifestError("'%s' must be an integer, got %r" % (key, value))
 
 
-# Each analysis, the bounds it reads and the smallest value of each: the
-# checks in `minimality` and `chain`, and the ladders of `classify_manifold`
-# and `psi_and_h_conditions` start at jet order 1.  Every bound is also at
-# most the order, and those in BELOW_ORDER are below it: on a
-# Levi-degenerate source the nd2 rung of `classify_manifold` climbs to
-# k = kmax, and a Segre jet of order k = order has no precision left; the
-# h4 rung of `psi_and_h_conditions` differentiates the entries with
-# |beta| = kmax once more.  An omitted BELOW_ORDER bound defaults below the
-# order too, so it needs an order above its smallest value.
-BELOW_ORDER = {("classify-manifold", "kmax"), ("psi-conditions", "kmax")}
+# Each analysis's bounds, key -> (entry point, bound): checked by the rule
+# in PRECISION_BUDGET when the manifest is read, and at most the order.
 ANALYSES = {
     "verify-cr": {},
-    "classify-manifold": {"kmax": 1, "Dmax": 0},
-    "classify-map": {"Dmax": 0},
-    "psi-conditions": {"kmax": 1},
-    "minimality": {"kmax": 2},
-    "reflection": {"Gmax": 0, "betamax": 0},
-    "degeneracy-field": {"Dmax": 0},
-    "chains": {"k": 1},
+    "classify-manifold": {"kmax": ("classify_manifold", "kmax"),
+                          "Dmax": ("classify_manifold", "dmax")},
+    "classify-map": {"Dmax": ("classify_map_cr", "dmax")},
+    "psi-conditions": {"kmax": ("psi_and_h_conditions", "kmax")},
+    "minimality": {"kmax": ("minimality", "kmax")},
+    "reflection": {"Gmax": ("reflection_components", "gmax"),
+                   "betamax": ("reflection_identities", "beta_max")},
+    "degeneracy-field": {"Dmax": ("holomorphic_degeneracy_field", "dmax")},
+    "chains": {"k": ("chain", "k")},
 }
 NEEDS_MAP = ("verify-cr", "classify-map", "psi-conditions", "reflection")
 
@@ -153,9 +152,9 @@ class Manifest:
             raise ManifestError("manifest needs a 'source' manifold")
         self.source_spec = data["source"]
         self.target_spec = data.get("target")
-        _check_manifold_spec(self.source_spec, "source")
+        _check_manifold_spec(self.source_spec, "source", self.order)
         if self.target_spec is not None:
-            _check_manifold_spec(self.target_spec, "target")
+            _check_manifold_spec(self.target_spec, "target", self.order)
         self.map_spec = data.get("map")
         if self.map_spec is not None and not (
                 isinstance(self.map_spec, list)
@@ -175,34 +174,44 @@ class Manifest:
                                     % (name, ", ".join(ANALYSES)))
             if name in NEEDS_MAP and self.map_spec is None:
                 raise ManifestError("analysis %r needs a 'map' entry" % name)
-            bounds = ANALYSES[name]
+            rules = ANALYSES[name]
             a = dict(a)
             for key in a:
                 if key == "name":
                     continue
-                if key not in bounds:
+                if key not in rules:
                     raise ManifestError(
                         "analysis %r does not read '%s'; it reads %s"
-                        % (name, key, ", ".join(bounds) or "no bounds"))
-                a[key] = _int_field(a, key, 0)
-                if (name, key) in BELOW_ORDER and a[key] >= self.order:
+                        % (name, key, ", ".join(rules) or "no bounds"))
+                a[key] = value = _int_field(a, key, 0)
+                entry, bound = rules[key]
+                least, spend = PRECISION_BUDGET[entry][bound]
+                if spend and value + spend > self.order:
+                    problem = "of %r must be below order %d" % (
+                        name, self.order + 1 - spend)
+                elif value > self.order:
+                    problem = "exceeds order %d" % self.order
+                elif value < least:
+                    problem = "of %r is below %d" % (name, least)
+                else:
+                    continue
+                raise ManifestError("analysis bound %s=%s %s"
+                                    % (key, value, problem))
+            for key, (entry, bound) in rules.items():
+                least, spend = PRECISION_BUDGET[entry][bound]
+                floor = PRECISION_BUDGET[entry].get("order", (0,))[0]
+                if self.order < floor:
                     raise ManifestError(
-                        "analysis bound %s=%s of %r must be below order %d"
-                        % (key, a[key], name, self.order))
-                if a[key] > self.order:
-                    raise ManifestError(
-                        "analysis bound %s=%s exceeds order %d"
-                        % (key, a[key], self.order))
-                if a[key] < bounds[key]:
-                    raise ManifestError(
-                        "analysis bound %s=%s of %r is below %d"
-                        % (key, a[key], name, bounds[key]))
-            for key, low in bounds.items():
-                if (name, key) in BELOW_ORDER and key not in a \
-                        and self.order <= low:
+                        "analysis %r needs an order above %d, got order %d"
+                        % (name, floor - 1, self.order))
+                # an omitted bound with a spend defaults to at most the
+                # order less the spend
+                if key not in a and spend is not None \
+                        and self.order < least + spend:
                     raise ManifestError(
                         "analysis %r without '%s' needs an order above %d, "
-                        "got order %d" % (name, key, low, self.order))
+                        "got order %d"
+                        % (name, key, least + spend - 1, self.order))
             self.analyses.append(a)
 
     @classmethod

@@ -42,8 +42,8 @@ from .context import VariableContext, multidegrees, numbered
 from .gaussian import GaussianRational, I, ONE, ZERO
 from .kernels import echelon
 from .linalg import numeric_rank
-from .series import (SeriesMap, TruncatedSeries, SeriesError, formal_ift,
-                     jacobian_at_zero)
+from .series import (SeriesMap, TruncatedSeries, SeriesError, check_budget,
+                     formal_ift, jacobian_at_zero)
 
 
 class ManifoldError(ValueError):
@@ -373,6 +373,7 @@ def complexify_and_graph(system: RealDefiningSystem, split=None,
     theta) both solve rho(z, ., zeta, theta) = 0 for the w-block, and a
     formal implicit solution is unique.
     """
+    check_budget("complexify_and_graph", system.rho.order)
     n, d = system.n, system.d
     jac = jacobian_at_zero(system.rho.components, range(n))
     if split is None:

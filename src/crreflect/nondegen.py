@@ -19,10 +19,9 @@ from .kernels import echelon
 from .linalg import (generic_rank, kernel_basis, rank_at_origin,
                      symbolic_rank)
 from .manifold import GraphedManifold
-from .reflection import (FormalCRMap, ReflectionError, _require_non_negative,
-                         transversality_kernel)
+from .reflection import FormalCRMap, ReflectionError, transversality_kernel
 from .segre import segre_jet_map
-from .series import SeriesMap, TruncatedSeries, SeriesError
+from .series import SeriesMap, TruncatedSeries, check_budget
 
 
 HOLDS = "holds"
@@ -62,22 +61,6 @@ def _chain_consistent(verdicts, unbound=()):
     return not any(a.status == HOLDS and b.status == FAILS
                    for i, (a, b) in enumerate(zip(verdicts, verdicts[1:]))
                    if i not in unbound)
-
-
-def _check_kmax(kmax: int, order: int):
-    """A ladder searches k in 1..kmax: with kmax < 1 it would decide on no
-    data, and past the order its jets have no precision left."""
-    if kmax < 1:
-        raise SeriesError("kmax must be at least 1")
-    if kmax > order:
-        raise SeriesError("kmax exceeds the truncation order")
-
-
-def _check_dmax(dmax: int):
-    """A negative degree bound searches no degree: it would read as a bound
-    reached without a certificate."""
-    if dmax < 0:
-        raise SeriesError("dmax must be non-negative")
 
 
 def _least_k(kmax: int, test):
@@ -128,7 +111,7 @@ def ideal_contains_power_of_maximal(generators, dmax: int):
     m^D inside the ideal, hence finiteness.  D stops at the generators'
     least order: past it, truncated-away terms would read as zero.
     """
-    _check_dmax(dmax)
+    check_budget("ideal_contains_power_of_maximal", None, dmax=dmax)
     gens = [g - g.constant_term() for g in generators]
     gens = [g for g in gens if g]
     if not gens:
@@ -166,7 +149,7 @@ def holomorphic_degeneracy_field(Mp: GraphedManifold, dmax: int = 4):
     linear algebra on the coefficients.  None means the kernel is trivial
     at these bounds (holomorphic nondegeneracy is then plausible).
     """
-    _check_dmax(dmax)
+    check_budget("holomorphic_degeneracy_field", Mp.order, dmax=dmax)
     ctx = Mp.ctx_theta
     N = Mp.order
     t_idx = [ctx.index(n) for n in Mp.names.t]
@@ -202,8 +185,7 @@ def classify_manifold(Mp: GraphedManifold, kmax: int = None,
     no precision left to differentiate."""
     if kmax is None:
         kmax = min(Mp.order - 1, 4)
-    _check_kmax(kmax, Mp.order)
-    _check_dmax(dmax)
+    check_budget("classify_manifold", Mp.order, kmax=kmax, dmax=dmax)
     full = Mp.m + Mp.n
     jet_maps = {}
 
@@ -269,7 +251,7 @@ class MapClassification:
 def classify_map_cr(h: FormalCRMap, dmax: int = 4,
                     seed: int = 0) -> MapClassification:
     """The CR-horizontal ladder cr1..cr5 of a verified formal CR map."""
-    _require_non_negative(dmax=dmax)
+    check_budget("classify_map_cr", h.order, dmax=dmax)
     if not h.cr_report.ok:
         raise ReflectionError("map is not CR to the working order")
     horiz = h.horizontal_part()
@@ -312,7 +294,7 @@ def psi_table(h: FormalCRMap, beta_max: int = 1) -> dict:
     over (z, w, zeta, t').  The seed is exact to the order, so each entry
     is exact to order - |beta|.
     """
-    _require_non_negative(beta_max=beta_max)
+    check_budget("psi_table", h.order, beta_max=beta_max)
     M, Mp = h.M, h.Mp
     ctx = VariableContext(M.ctx_restrict_xi.names + Mp.names.t)
     hbar_on = [c.remapped(ctx) for c in M.restrict(h.hbar, "xi")]
@@ -335,7 +317,7 @@ def psi_and_h_conditions(h: FormalCRMap, kmax: int = None,
     M, Mp = h.M, h.Mp
     if kmax is None:
         kmax = min(h.order - 1, 2)
-    _check_kmax(kmax, h.order)
+    check_budget("psi_and_h_conditions", h.order, kmax=kmax)
     table = psi_table(h, beta_max=kmax)
     ctx_tp = VariableContext(Mp.names.t)
     zero = TruncatedSeries.zero(ctx_tp, h.order)

@@ -23,7 +23,7 @@ from .linalg import kernel_basis, numeric_rank
 from .manifold import (GraphedManifold, JetSymbols, cr_fields,
                        extend_derivation_to_jets)
 from .segre import SegreChain
-from .series import (SeriesMap, TruncatedSeries, SeriesError,
+from .series import (SeriesMap, TruncatedSeries, SeriesError, check_budget,
                      divide_with_valuation, factorial_multi, formal_ift,
                      jacobian_at_zero, mul_precise)
 
@@ -160,14 +160,6 @@ class ResidualReport:
             len(self.entries), bad)
 
 
-def _require_non_negative(**bounds):
-    """Reject a negative bound, which would pass a check vacuously or fail
-    deep inside it."""
-    for name, value in bounds.items():
-        if value < 0:
-            raise ReflectionError("%s must be non-negative" % name)
-
-
 def verify_formal_cr_map(h: FormalCRMap) -> ResidualReport:
     """The beta = 0 reflection identities, in substituted form.
 
@@ -266,9 +258,7 @@ def target_component_tables(Mp: GraphedManifold):
 def reflection_components(h: FormalCRMap, gmax=None) -> ReflectionComponents:
     """Each Theta'_{j',gamma'}(h(t)) as an exact truncated series."""
     gmax = h.order if gmax is None else gmax
-    if gmax > h.order:
-        raise ReflectionError("gmax exceeds the truncation order")
-    _require_non_negative(gmax=gmax)
+    check_budget("reflection_components", h.order, gmax=gmax)
     table, _ = target_component_tables(h.Mp)
     return ReflectionComponents(h, gmax, _compose_components(
         h, gmax, (((jp, gamma), s) for jp in range(h.dp)
@@ -363,7 +353,7 @@ def reflection_identities(h: FormalCRMap, beta_max=1) -> ResidualReport:
     differentiation, restriction and truncation.  For a formal CR map all
     residuals vanish within precision.
     """
-    _require_non_negative(beta_max=beta_max)
+    check_budget("reflection_identities", h.order, beta_max=beta_max)
     M, Mp = h.M, h.Mp
     on, family3 = h._side_w_identity()
     hbar = [c.remapped(M.ctx_restrict_w) for c in h.hbar]
@@ -456,7 +446,7 @@ def q_jbeta_cramer(h: FormalCRMap, beta_max=1) -> CramerTable:
     the composed fbar must be a unit (its vanishing at 0 would contradict
     invertibility and is reported as an inconsistency).
     """
-    _require_non_negative(beta_max=beta_max)
+    check_budget("q_jbeta_cramer", h.order, beta_max=beta_max)
     M, Mp = h.M, h.Mp
     if not h.is_invertible():
         raise ReflectionError("Cramer identities need an invertible map")
@@ -523,17 +513,18 @@ def _binom_multi(beta, gamma):
 def forward_expansion(theta_table: dict, zeta, mp: int, bmax: int) -> dict:
     """q_{j,beta} = sum_gamma ((beta+gamma)!/(beta! gamma!)) zeta^gamma
     theta_{j,beta+gamma}, over table depth bmax."""
+    check_budget("forward_expansion", None, bmax=bmax)
     return _expansion(theta_table, zeta, mp, bmax, invert=False)
 
 
 def invert_expansion(q_table: dict, zeta, mp: int, bmax: int) -> dict:
     """theta_{j,beta} = sum_gamma (-1)^|gamma| ((beta+gamma)!/(beta! gamma!))
     zeta^gamma q_{j,beta+gamma}: the exact inverse of `forward_expansion`."""
+    check_budget("invert_expansion", None, bmax=bmax)
     return _expansion(q_table, zeta, mp, bmax, invert=True)
 
 
 def _expansion(table: dict, zeta, mp: int, bmax: int, invert: bool) -> dict:
-    _require_non_negative(bmax=bmax)
     zeta = list(zeta)
     if len(zeta) != mp:
         raise ReflectionError("zeta must have %d components" % mp)
@@ -604,9 +595,7 @@ def transversality_kernel(h: FormalCRMap, degree: int = 4, nwork=None):
     these bounds can see.
     """
     nwork = h.order if nwork is None else nwork
-    _require_non_negative(degree=degree, nwork=nwork)
-    if nwork > h.order:
-        raise ReflectionError("nwork exceeds the truncation order")
+    check_budget("transversality_kernel", h.order, degree=degree, nwork=nwork)
     horiz = [c.truncated(nwork) for c in h.horizontal_part_bar().components]
     gammas = list(multidegrees(h.mp, degree))
     power = _power_cache(horiz, nwork)
@@ -617,47 +606,6 @@ def transversality_kernel(h: FormalCRMap, degree: int = 4, nwork=None):
         terms = {gamma: coeff for gamma, coeff in zip(gammas, vec) if coeff}
         out.append(TruncatedSeries(ctx_rel, degree, terms))
     return out
-
-
-def transversality_uniqueness_defect(h: FormalCRMap, degree: int = 2,
-                                     nwork=None, beta_max=None,
-                                     gamma_max=None):
-    """The generalized graded uniqueness principle behind CR-transversality.
-
-    Looks for series families {Fbar_gamma'(z)} of degree <= `degree`,
-    |gamma'| <= gamma_max, solving
-    sum_gamma' [Lbar^beta fbar^gamma'](z, theta_bar(z,0), 0, 0) *
-    Fbar_gamma'(z) == 0  for all |beta| <= beta_max, to order nwork.
-    Returns the kernel dimension: 0 means the only family is zero, which is
-    what transversality forces.
-    """
-    M = h.M
-    nwork = h.order if nwork is None else nwork
-    beta_max = nwork if beta_max is None else beta_max
-    gamma_max = degree if gamma_max is None else gamma_max
-    _require_non_negative(degree=degree, nwork=nwork, beta_max=beta_max,
-                          gamma_max=gamma_max)
-    # Lbar is tangent to the manifold and restricts to d/dzeta on side
-    # 'xi', since theta depends on (zeta, z, w) only: Lbar^beta fbar^gamma'
-    # on the leaf is d_zeta^beta of fbar^gamma' restricted there.
-    power = _power_cache(list(M.restrict(h.fbar, "xi")), h.order)
-    gammas = list(multidegrees(h.mp, gamma_max))
-    ctx_z = VariableContext(M.names.z)
-    rel_monos = list(multidegrees(M.m, degree))
-    columns = {(g, mono): {} for g in gammas for mono in rel_monos}
-    for beta in multidegrees(M.m, beta_max):
-        room = nwork - sum(beta)
-        if room < 0:
-            continue
-        dzeta = zero_exponent(M.n) + tuple(beta)
-        for g in gammas:
-            w = M.restrict(power(g).derive_multi(dzeta),
-                           "leaf").truncated(room)
-            for mono in rel_monos:
-                shifted = w * TruncatedSeries.monomial(ctx_z, room, mono)
-                columns[(g, mono)].update(
-                    ((beta, e), c) for e, c in shifted.terms.items())
-    return len(kernel_basis(list(columns.values())))
 
 
 # -- chain pullbacks ----------------------------------------------------------
@@ -748,10 +696,9 @@ class Resolution:
         every entry vanishes: the report records each tier's precision and
         checks nothing that `verification_report` did not.
         """
-        _require_non_negative(ell=ell)
+        check_budget("jet_identity_report", self.h.order, ell=ell,
+                     ell0=self.ell0)
         room = self.h.order - self.ell0 - ell
-        if room < 0:
-            raise SeriesError("no precision left to differentiate")
         report = ResidualReport()
         alphas = sorted(multidegrees(self.h.M.n, ell))
         for i, res in enumerate(self.residuals):
@@ -769,7 +716,7 @@ def resolve_finitely_nondeg(h: FormalCRMap, ell0: int = 1) -> Resolution:
     phi is produced by the formal implicit function theorem on n' selected
     rows and verified against h before being returned.
     """
-    _require_non_negative(ell0=ell0)
+    check_budget("resolve_finitely_nondeg", h.order, ell0=ell0)
     M, Mp = h.M, h.Mp
     if not h.cr_report.ok:
         raise ReflectionError("the map is not CR to the working order")
@@ -861,7 +808,7 @@ def composed_jet_table(hmap: FormalCRMap, depth: int) -> dict:
     These are the right-hand sides of the component expansion, as series in
     the source t variables; entry (j, beta) is exact to order - |beta|.
     """
-    _require_non_negative(depth=depth)
+    check_budget("composed_jet_table", hmap.order, depth=depth)
     M, Mp = hmap.M, hmap.Mp
     args = list(M.restrict(hmap.fbar, "zeta0")) + list(hmap.h.components)
     out = {}

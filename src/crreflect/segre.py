@@ -17,7 +17,7 @@ from .context import VariableContext, count_multidegrees, multidegrees
 from .gaussian import ONE, ZERO
 from .linalg import generic_rank, numeric_rank, random_rational_point
 from .manifold import FAMILIES, GraphedManifold, ManifoldError
-from .series import (SeriesMap, TruncatedSeries, SeriesError,
+from .series import (SeriesMap, TruncatedSeries, SeriesError, check_budget,
                      factorial_multi)
 
 
@@ -141,8 +141,7 @@ def chain(M: GraphedManifold, k: int, start_side: str = "barred",
     Cost grows combinatorially in k*m and the order; `budget` caps the
     number of potential monomials of one chain component.
     """
-    if k < 1:
-        raise ValueError("chain length must be >= 1")
+    check_budget("chain", M.order, k=k)
     if start_side not in ("barred", "unbarred"):
         raise ValueError("start_side must be 'barred' or 'unbarred'")
     _check_chain_budget(M, k, budget)
@@ -220,8 +219,7 @@ def minimality(M: GraphedManifold, kmax=None, seed: int = 0) -> MinimalityReport
     """
     if kmax is None:
         kmax = 2 * (M.d + 1) + 1
-    if kmax < 2:
-        raise ValueError("kmax must be at least 2")
+    check_budget("minimality", M.order, kmax=kmax)
     full = 2 * M.m + M.d
     ranks = {}
     chains_b = {}
@@ -291,8 +289,7 @@ class JetMapData:
 
 def segre_jet_map(M: GraphedManifold, k: int) -> JetMapData:
     """phi'_k: (zeta, t) -> (zeta, normalized zeta-jets of theta)."""
-    if k > M.order:
-        raise SeriesError("jet order exceeds the truncation order")
+    check_budget("segre_jet_map", M.order, k=k)
     out_order = M.order - k
     ctx = M.ctx_theta
     comps = [TruncatedSeries.variable(ctx, out_order, n) for n in M.names.zeta]

@@ -27,6 +27,49 @@ class SeriesError(ValueError):
     pass
 
 
+# Each bounded entry point's rule, bound -> (least value, spend): the bound
+# plus the precision its deepest step spends beyond it is at most the input's
+# order.  A spend that names a bound spends its value; None spends nothing.
+# "order" is the input's order itself, with the least its first step needs.
+PRECISION_BUDGET = {
+    "classify_manifold": {"kmax": (1, 1), "dmax": (0, None)},
+    "classify_map_cr": {"order": (1, None), "dmax": (0, None)},
+    "psi_table": {"beta_max": (0, 0)},
+    "psi_and_h_conditions": {"kmax": (1, 1)},
+    "ideal_contains_power_of_maximal": {"dmax": (0, None)},
+    "holomorphic_degeneracy_field": {"order": (1, None), "dmax": (0, None)},
+    "reflection_components": {"gmax": (0, 0)},
+    "reflection_identities": {"beta_max": (0, 0)},
+    "q_jbeta_cramer": {"order": (1, None), "beta_max": (0, 0)},
+    "forward_expansion": {"bmax": (0, None)},
+    "invert_expansion": {"bmax": (0, None)},
+    "transversality_kernel": {"degree": (0, None), "nwork": (0, 0)},
+    "resolve_finitely_nondeg": {"ell0": (0, 1)},
+    "jet_identity_report": {"ell": (0, "ell0")},
+    "composed_jet_table": {"depth": (0, 0)},
+    "chain": {"k": (1, None)},
+    "minimality": {"kmax": (2, None)},
+    "segre_jet_map": {"k": (0, 0)},
+    "complexify_and_graph": {"order": (1, None)},
+}
+
+
+def check_budget(entry: str, order, **bounds) -> None:
+    """Raise SeriesError, before any work, when a bound breaks the rule of
+    `entry` in PRECISION_BUDGET for an input of order `order`."""
+    for name, (least, spend) in PRECISION_BUDGET[entry].items():
+        value = order if name == "order" else bounds[name]
+        if value < least:
+            raise SeriesError("%s must be non-negative" % name if least == 0
+                              else "%s must be at least %d" % (name, least))
+        if spend is None:
+            continue
+        cost = bounds[spend] if isinstance(spend, str) else spend
+        if value + cost > order:
+            raise SeriesError("%s%s exceeds the truncation order"
+                              % (name, " + %s" % spend if spend else ""))
+
+
 def _coeff(value) -> GaussianRational:
     c = _coerce(value)
     if c is NotImplemented:

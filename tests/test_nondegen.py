@@ -9,7 +9,7 @@ from conftest import (derivation_words, echelon_reference,
                       make_heisenberg, make_sphere3, make_z2zb2, quadric_pair,
                       random_series, seeded_maps)
 from crreflect.context import VariableContext, multidegrees
-from crreflect import reflection
+from crreflect import nondegen, reflection
 from crreflect.gaussian import ZERO
 from crreflect.linalg import generic_rank, rank_at_origin, symbolic_rank
 from crreflect.manifold import cr_fields
@@ -66,7 +66,7 @@ def _negative_dmax_cases():
         ("ideal_contains_power_of_maximal", SeriesError,
          lambda d: ideal_contains_power_of_maximal(gens, d),
          lambda D: D == 1),
-        ("classify_map_cr", ReflectionError,
+        ("classify_map_cr", SeriesError,
          lambda d: classify_map_cr(h, dmax=d),
          lambda cls: cls.cr5.status == HOLDS),
     ]
@@ -712,21 +712,27 @@ LADDER_MANIFOLDS = [
 
 @pytest.mark.parametrize("label, Mp", LADDER_MANIFOLDS,
                          ids=[c[0] for c in LADDER_MANIFOLDS])
-def test_manifold_ladder_matches_reference(label, Mp):
-    raised = set()
-    for kmax in range(1, LADDER_ORDER + 1):
+def test_manifold_ladder_matches_reference(monkeypatch, label, Mp):
+    for kmax in range(1, LADDER_ORDER):
         for dmax in range(5):
             got = _outcome(classify_manifold, lambda c: c.chain, Mp,
                            kmax=kmax, dmax=dmax)
             want = _outcome(_classify_manifold_reference, lambda c: c.chain,
                             Mp, kmax=kmax, dmax=dmax)
             assert got == want
-            if isinstance(got, tuple):
-                raised.add(kmax)
-    # nd2 of a Levi-degenerate manifold climbs to k = order, where no
-    # precision is left; the other ladders settle at k = 1
-    degenerate = label in ("ex121", "z2zb2", "flat", "flat12")
-    assert raised == ({LADDER_ORDER} if degenerate else set())
+            assert not isinstance(got, tuple)
+    # nd2 of a Levi-degenerate manifold climbs to k = kmax, and a Segre jet
+    # of order k = order has no precision left; so kmax = order is refused
+    # on every manifold, before any jet map is built
+    _assert_kmax_refused(monkeypatch, Mp, LADDER_ORDER)
+
+
+def _assert_kmax_refused(monkeypatch, Mp, kmax):
+    monkeypatch.setattr(nondegen, "segre_jet_map",
+                        lambda *args: pytest.fail("a jet map was built"))
+    with pytest.raises(SeriesError,
+                       match=r"kmax \+ 1 exceeds the truncation order"):
+        classify_manifold(Mp, kmax=kmax)
 
 
 def test_ladders_reject_kmax_below_one():
@@ -742,9 +748,9 @@ def test_ladders_reject_kmax_below_one():
     assert psi_and_h_conditions(identity_on(M, Mp), kmax=1).h1.status == HOLDS
 
 
-def test_flat_ladder_raises_at_the_parent():
-    with pytest.raises(SeriesError, match="no precision left"):
-        classify_manifold(make_flat(order=4), kmax=4)
+def test_flat_ladder_raises_at_the_parent(monkeypatch):
+    # nd2 would reach k = 4, whose jet map has no precision left to rank
+    _assert_kmax_refused(monkeypatch, make_flat(order=4), 4)
 
 
 def _ladder_maps():

@@ -211,6 +211,46 @@ def test_cli_order_override(tmp_path):
     assert json.loads(out.read_text())["provenance"]["order"] == 5
 
 
+@pytest.mark.parametrize("role", ["source", "target"])
+@pytest.mark.parametrize("where", ["file", "flag"])
+def test_cli_rho_manifest_at_order_0_exits_2(tmp_path, capsys, role, where):
+    # graphing `rho` reads its Jacobian at 0, which needs order 1; at order 0
+    # the manifest is refused when read, even with no analyses, where it
+    # used to escape `main` with a SeriesError traceback
+    data = dict(HEIS_MANIFEST, analyses=[],
+                order=0 if where == "file" else 6)
+    if role == "target":
+        data.update(source={"m": 1, "d": 1, "theta_bar": ["xi1 + i*z1*zeta1"]},
+                    target={"m": 1, "d": 1,
+                            "rho": ["wp1 - xip1 - i*zp1*zetap1"]})
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(data))
+    out = tmp_path / "r.json"
+    argv = ["analyze", str(mpath), "--out", str(out)]
+    assert main(argv + (["--order", "0"] if where == "flag" else [])) == 2
+    assert ("error: %s manifold: 'rho' needs an 'order' of at least 1, got 0"
+            % role) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("analysis", ["classify-map", "degeneracy-field"])
+def test_cli_order_0_graph_is_refused_where_a_rung_differentiates(
+        tmp_path, capsys, analysis):
+    # a `theta_bar` source graphs at order 0, but these analyses read first
+    # derivatives; they used to exit 3 with "no precision left"
+    data = dict(HEIS_MANIFEST, order=0, analyses=[{"name": analysis}],
+                source={"m": 1, "d": 1, "theta_bar": ["xi1 + i*z1*zeta1"]})
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(data))
+    out = tmp_path / "r.json"
+    assert main(["analyze", str(mpath), "--out", str(out)]) == 2
+    assert ("analysis %r needs an order above 0, got order 0" % analysis) \
+        in capsys.readouterr().err
+    data["analyses"] = [{"name": "verify-cr"}, {"name": "chains"}]
+    mpath.write_text(json.dumps(data))
+    assert main(["analyze", str(mpath), "--out", str(out)]) == 0
+
+
 def test_cli_parse_check(capsys):
     assert main(["parse-check", "w1 - xi1 - i*z1*zeta1"]) == 0
     assert "w1" in capsys.readouterr().out

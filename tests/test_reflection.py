@@ -14,6 +14,7 @@ from conftest import (derivation_words, kernel_basis_reference, make_ex121,
 from crreflect import reflection
 from crreflect.context import VariableContext, multidegrees, zero_exponent
 from crreflect.gaussian import GaussianRational, I, ONE, ZERO, gr
+from crreflect.linalg import kernel_basis
 from crreflect.manifold import (GraphedManifold, JetSymbols, cr_fields,
                                 extend_derivation_to_jets,
                                 transversal_fields, verify_reality)
@@ -33,7 +34,6 @@ from crreflect.reflection import (FormalCRMap, ReflectionComponents,
                                   target_change_transport,
                                   target_component_tables, transform_target,
                                   transversality_kernel,
-                                  transversality_uniqueness_defect,
                                   verify_formal_cr_map)
 from crreflect.segre import chain
 from crreflect.series import (SeriesError, SeriesMap, TruncatedSeries,
@@ -94,7 +94,7 @@ def test_components_reject_gmax_outside_the_order():
     M, Mp = heis_pair()
     h = identity_on(M, Mp)
     for gmax in (-1, M.order + 1):
-        with pytest.raises(ReflectionError, match="gmax"):
+        with pytest.raises(SeriesError, match="gmax"):
             reflection_components(h, gmax=gmax)
 
 
@@ -393,6 +393,49 @@ def _transversality_kernel_reference(h, degree):
     return [TruncatedSeries(ctx_rel, degree,
                             {g: c for g, c in zip(gammas, vec) if c})
             for vec in kernel_basis_reference(matrix)]
+
+
+def transversality_uniqueness_defect(h: FormalCRMap, degree: int = 2,
+                                     nwork=None, beta_max=None,
+                                     gamma_max=None):
+    """The generalized graded uniqueness principle behind CR-transversality.
+
+    Looks for series families {Fbar_gamma'(z)} of degree <= `degree`,
+    |gamma'| <= gamma_max, solving
+    sum_gamma' [Lbar^beta fbar^gamma'](z, theta_bar(z,0), 0, 0) *
+    Fbar_gamma'(z) == 0  for all |beta| <= beta_max, to order nwork.
+    Returns the kernel dimension: 0 means the only family is zero, which is
+    what transversality forces.
+    """
+    M = h.M
+    nwork = h.order if nwork is None else nwork
+    beta_max = nwork if beta_max is None else beta_max
+    gamma_max = degree if gamma_max is None else gamma_max
+    for name, value in (("degree", degree), ("nwork", nwork),
+                        ("beta_max", beta_max), ("gamma_max", gamma_max)):
+        if value < 0:
+            raise SeriesError("%s must be non-negative" % name)
+    # Lbar is tangent to the manifold and restricts to d/dzeta on side
+    # 'xi', since theta depends on (zeta, z, w) only: Lbar^beta fbar^gamma'
+    # on the leaf is d_zeta^beta of fbar^gamma' restricted there.
+    power = _power_cache(list(M.restrict(h.fbar, "xi")), h.order)
+    gammas = list(multidegrees(h.mp, gamma_max))
+    ctx_z = VariableContext(M.names.z)
+    rel_monos = list(multidegrees(M.m, degree))
+    columns = {(g, mono): {} for g in gammas for mono in rel_monos}
+    for beta in multidegrees(M.m, beta_max):
+        room = nwork - sum(beta)
+        if room < 0:
+            continue
+        dzeta = zero_exponent(M.n) + tuple(beta)
+        for g in gammas:
+            w = M.restrict(power(g).derive_multi(dzeta),
+                           "leaf").truncated(room)
+            for mono in rel_monos:
+                shifted = w * TruncatedSeries.monomial(ctx_z, room, mono)
+                columns[(g, mono)].update(
+                    ((beta, e), c) for e, c in shifted.terms.items())
+    return len(kernel_basis(list(columns.values())))
 
 
 def _transversality_uniqueness_defect_reference(h, degree, beta_max,
@@ -1155,7 +1198,7 @@ def test_negative_bounds_are_rejected(bound, call):
     # a negative bound must be refused up front, not pass a check with no
     # entries or fail deep inside it
     h = identity_on(*heis_pair(order=7))
-    with pytest.raises(ReflectionError, match="%s must be non-negative"
+    with pytest.raises(SeriesError, match="%s must be non-negative"
                        % bound):
         call(h)
 
@@ -1226,9 +1269,10 @@ def test_resolution_residual_is_formed_once(monkeypatch):
         assert calls == [1]
 
 
-def test_jet_identity_report_precision_edge(record_residuals):
+def test_jet_identity_report_precision_edge(monkeypatch, record_residuals):
     # at ell = order - ell0 every entry is exact to degree 0; one order
-    # further, the report and its reference both raise
+    # further, the reference raises, and the report refuses before it
+    # differentiates anything
     for label, res, _ in _jet_resolutions():
         edge = res.h.order - res.ell0
         if label in ("heisenberg-identity", "sphere3-6"):
@@ -1237,11 +1281,15 @@ def test_jet_identity_report_precision_edge(record_residuals):
                 _jet_identity_report_reference, res, edge))
             assert got[0].ok
             assert {p for _, p in got[0].entries.values()} == {0}
-        for report in (res.jet_identity_report,
-                       lambda ell: _jet_identity_report_reference(res, ell)):
-            with pytest.raises(SeriesError,
-                               match="no precision left to differentiate"):
-                report(edge + 1)
+        with pytest.raises(SeriesError,
+                           match="no precision left to differentiate"):
+            _jet_identity_report_reference(res, edge + 1)
+        with monkeypatch.context() as patched:
+            patched.setattr(TruncatedSeries, "derive", lambda *args:
+                            pytest.fail("the report differentiated"))
+            with pytest.raises(SeriesError, match=r"ell \+ ell0 exceeds "
+                               "the truncation order"):
+                res.jet_identity_report(edge + 1)
 
 
 # References for the three substitutions that built their own arguments
