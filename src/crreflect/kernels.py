@@ -9,9 +9,13 @@ both use it without an import cycle.
   accumulation of term dicts.
 * `compose_terms`: the body of `TruncatedSeries.compose`, the sum of
   group_beta * u^beta over the exponents beta of the moving arguments u.
-* `divexact`: exact division of term dicts by graded-lex reduction on
-  packed exponents with a guard bit per field, the remainder's packed keys
-  kept in a heap and the divisor held as Gaussian-integer numerators.
+* `divexact`: exact division of term dicts.  A one-term divisor c * x^e
+  divides term by term, shifting each exponent down by e and scaling by
+  1/c (not at all for c = 1); Bareiss's pivots are chosen sparsest, so
+  they are one term wherever their column holds a monomial, mostly the
+  constant 1.  Any other divisor runs graded-lex reduction on packed
+  exponents with a guard bit per field, the remainder's packed keys kept
+  in a heap and the divisor held as Gaussian-integer numerators.
 * `echelon`: Gauss-Jordan elimination of a constant matrix given as sparse
   {column: coefficient} rows, the one elimination behind every rank,
   kernel, inverse and span test.
@@ -62,7 +66,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, gt, mul, neg
 
 from .gaussian import ONE, GaussianRational
 
@@ -92,7 +96,8 @@ def _triple(a: int, b: int, c: int) -> tuple:
 
 
 def _scale_shift(e: tuple, c: GaussianRational, T: dict, order: int) -> dict:
-    """`{e: c} * T` truncated to total degree <= order (order < 0: none)."""
+    """`{e: c} * T` truncated to total degree <= order (order < 0: none).
+    `divexact` shifts down with an e of negated exponents."""
     if order >= 0:
         room = order - sum(e)
         T = {f: d for f, d in T.items() if sum(f) <= room}
@@ -346,12 +351,21 @@ def _division_packing(arity: int, top: int):
 def divexact(f: dict, g: dict) -> dict:
     """Exact quotient f / g of term dicts (any degrees, no truncation).
 
-    Graded-lex reduction: each step cancels the leading term of the
-    remainder, popped from a heap of its keys (Monagan & Pearce, JSC 2011).
-    A step pushes only the keys it adds, all below the lead it cancels; a
-    popped key no longer in the remainder is skipped.  Raises
-    ZeroDivisionError for g = 0 and ArithmeticError, naming the leading term
-    left over, when g does not divide f.
+    A one-term divisor c * x^e divides term by term: each exponent of f
+    minus e is one of the quotient, and each coefficient is f's as it is
+    for c = 1, or times 1/c with one normalization per term.  When some
+    term of f has a field below e's, the error names the largest such term
+    in graded-lex order, the one where the reduction below would stop.  On
+    the benchmark's workloads every divisor is one term, most often the
+    constant 1: Bareiss's pivots are chosen sparsest, and the leads of the
+    series divisions are constants or monic monomials.
+
+    Any other divisor takes graded-lex reduction: each step cancels the
+    leading term of the remainder, popped from a heap of its keys (Monagan
+    & Pearce, JSC 2011).  A step pushes only the keys it adds, all below
+    the lead it cancels; a popped key no longer in the remainder is
+    skipped.  Raises ZeroDivisionError for g = 0 and ArithmeticError,
+    naming the leading term left over, when g does not divide f.
 
     Exponents are packed by `_division_packing`, x0 in the highest field
     below the degree (the reverse of `_packing`), so the heap holds ints in
@@ -370,6 +384,15 @@ def divexact(f: dict, g: dict) -> dict:
         return {}
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
+    if len(g) == 1:
+        (e, c), = g.items()
+        q = _scale_shift(tuple(map(neg, e)), c if c == ONE else c.inverse(),
+                         f, -1)
+        if any(e) and any([min(k) < 0 for k in q]):
+            left = [k for k in f if any(map(gt, e, k))]
+            raise ArithmeticError("remainder at %r" % (
+                max(left, key=lambda k: (sum(k), k)),))
+        return q
     arity = len(next(iter(g)))
     top = max(max(map(sum, f)), max(map(sum, g)))
     width, weights, guards = _division_packing(arity, top)

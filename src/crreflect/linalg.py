@@ -14,10 +14,14 @@ is a numerator divided by the previous pivot, a nonzero polynomial, and
 the polynomials over Q(i) have no zero divisors, so the step tests the
 numerators and divides nothing.  Every earlier step divides its entries
 by the previous pivot through `kernels.divexact`, the package's one exact
-division (also behind `series.divide_with_valuation`): it converts the
-pivot once to Gaussian-integer numerators and reduces on packed exponent
-keys, one normalization per remainder term and no product per quotient
-term."""
+division (also behind `series.divide_with_valuation`).  The pivot is the
+sparsest entry of its column, so it is one term whenever the column holds
+a monomial, and the first divisor is the constant 1 (on the Segre-chain
+Jacobians of the benchmark, every divisor is 1).  A one-term divisor
+divides term by term, with no scaling at all by 1.  A pivot of several
+terms is converted once to Gaussian-integer numerators and reduced on
+packed exponent keys, one normalization per remainder term and no product
+per quotient term."""
 
 from __future__ import annotations
 

@@ -150,9 +150,6 @@ class TruncatedSeries:
             return None
         return min(sum(e) for e in self.terms)
 
-    def degree_part(self, k: int) -> dict:
-        return {e: c for e, c in self.terms.items() if sum(e) == k}
-
     def support_variables(self):
         used = set()
         for e in self.terms:
@@ -656,18 +653,31 @@ def jet(F: SeriesMap, ell: int) -> SeriesMap:
     return SeriesMap(comps)
 
 
+def by_degree(terms: dict, k: int) -> list:
+    """The degree parts 0..k of a term dict; terms above degree k are
+    dropped."""
+    parts = [{} for _ in range(k + 1)]
+    for e, c in terms.items():
+        d = sum(e)
+        if d <= k:
+            parts[d][e] = c
+    return parts
+
+
 def divide_with_valuation(num: TruncatedSeries, den: TruncatedSeries):
     """Exact division of truncated series.
 
-    Returns (quotient, lost_order) where lost_order is the valuation of the
-    denominator; the quotient is exact to degree num.order - lost_order.
-    Raises if the denominator vanishes identically or the division leaves a
+    The working order is min(num.order, den.order).  Returns (quotient,
+    lost_order) where lost_order is the valuation of the denominator within
+    it; the quotient is exact to degree order - lost_order.  Raises if the
+    denominator vanishes to the working order or the division leaves a
     remainder within provable degrees.
 
-    Degree by degree: with mu the valuation of den and d_k, n_k, q_k the
-    degree-k parts, q_s = (n_(mu+s) - sum_(1 <= l <= s) q_(s-l) d_(mu+l)) /
-    d_mu, and the quotient of that polynomial division by the lead d_mu is
-    `divexact`'s.  Every d_k and every q_s is converted once to packed
+    Degree by degree: with mu that valuation and d_k, n_k, q_k the
+    degree-k parts, split off once by `by_degree`, q_s = (n_(mu+s) -
+    sum_(1 <= l <= s) q_(s-l) d_(mu+l)) / d_mu, and the quotient of that
+    polynomial division by the lead d_mu is `divexact`'s, term by term for
+    a one-term lead.  Every d_k and every q_s is converted once to packed
     Gaussian-integer rows (the layout of `mul_terms`), and each right-hand
     side is one accumulator of [re, im] numerators over a running lcm
     denominator, filled by `_product` as `compose_terms` fills its levels;
@@ -677,22 +687,22 @@ def divide_with_valuation(num: TruncatedSeries, den: TruncatedSeries):
     """
     num._check_compatible(den)
     order = min(num.order, den.order)
-    mu = den.valuation()
+    d_parts = by_degree(den.terms, order)
+    mu = next((k for k, part in enumerate(d_parts) if part), None)
     if mu is None:
         raise SeriesError("division by a series that is zero to its order")
-    for e in num.terms:
-        if sum(e) < mu:
-            raise SeriesError("numerator valuation below denominator valuation")
+    n_parts = by_degree(num.terms, order)
+    if any(n_parts[:mu]):
+        raise SeriesError("numerator valuation below denominator valuation")
     arity = num.context.arity
     width, weights = _packing(arity, order)
-    lead = den.degree_part(mu)
+    lead = d_parts[mu]
     # d_rows[l - 1] and minus_q[s] are d_(mu+l) and -q_s in packed rows
-    d_rows = [_numerators(den.degree_part(mu + l), weights, None)
-              for l in range(1, order - mu + 1)]
+    d_rows = [_numerators(part, weights, None) for part in d_parts[mu + 1:]]
     minus_q = []
     out: dict = {}
     for s in range(order - mu + 1):
-        total, rows = _numerators(num.degree_part(mu + s), weights, None)
+        total, rows = _numerators(n_parts[mu + s], weights, None)
         acc = {p: [x, y] for p, x, y in rows}
         for l in range(1, s + 1):
             dd, rd = d_rows[l - 1]
@@ -770,13 +780,6 @@ def formal_ift(F: SeriesMap, unknowns) -> SeriesMap:
                 else TruncatedSeries.variable(free_ctx, k, name)
                 for i, name in enumerate(ctx_all.names)]
         return [f.truncated(k).compose(args).terms for f in series]
-
-    def by_degree(terms, k):
-        """The degree parts 0..k of a term dict."""
-        parts = [{} for _ in range(k + 1)]
-        for e, c in terms.items():
-            parts[sum(e)][e] = c
-        return parts
 
     halvings = [order >> s for s in range(order.bit_length())]
     if all(sum(e[i] for i in unk) <= 1

@@ -8,7 +8,7 @@ import pytest
 
 from crreflect.context import VariableContext, multidegrees
 from crreflect.gaussian import ONE, ZERO, GaussianRational, I
-from crreflect.kernels import divexact, iadd_scaled, mul_terms
+from crreflect.kernels import iadd_scaled, mul_terms
 from crreflect.manifold import RealDefiningSystem, complexify_and_graph
 from crreflect.reflection import FormalCRMap, _multidegree_table
 from crreflect.segre import chain
@@ -259,7 +259,8 @@ def _bareiss_rank_reference(entries):
     dividing: every row below every pivot is eliminated and divided by the
     previous pivot, the last one included, and the loop reads the rank off
     the pivots it finds.  Only the guard for empty rows is new; the old
-    code raised IndexError on [[]]."""
+    code raised IndexError on [[]].  It divides with `_divexact_reference`,
+    so one-term pivots are checked against the heap reduction."""
     m = [[dict(e) for e in row] for row in entries]
     if not m or not m[0]:
         return 0
@@ -289,7 +290,7 @@ def _bareiss_rank_reference(entries):
                 term = mul_terms(pivot, m[r][c], -1)
                 if head:
                     iadd_scaled(term, mul_terms(head, m[rank][c], -1), -ONE)
-                m[r][c] = divexact(term, prev) if term else {}
+                m[r][c] = _divexact_reference(term, prev) if term else {}
         prev = pivot
         rank += 1
         if rank == nrows:
@@ -336,7 +337,7 @@ def _divide_with_valuation_reference(num, den):
     """`series.divide_with_valuation` as it was before its degree loop ran
     on packed rows: the degree-(mu + s) right-hand side built from one
     normalized `mul_terms` product and one `iadd_scaled` pass per (s, l),
-    then divided by the lead with `divexact`."""
+    then divided by the lead with `_divexact_reference`."""
     num._check_compatible(den)
     order = min(num.order, den.order)
     mu = den.valuation()
@@ -345,17 +346,21 @@ def _divide_with_valuation_reference(num, den):
     for e in num.terms:
         if sum(e) < mu:
             raise SeriesError("numerator valuation below denominator valuation")
-    d_parts = [den.degree_part(k) for k in range(order + 1)]
+
+    def degree_part(f, k):
+        return {e: c for e, c in f.terms.items() if sum(e) == k}
+
+    d_parts = [degree_part(den, k) for k in range(order + 1)]
     lead = d_parts[mu]
     q_parts = []
     for s in range(order - mu + 1):
-        rhs = dict(num.degree_part(mu + s))
+        rhs = degree_part(num, mu + s)
         for l in range(1, s + 1):
             if d_parts[mu + l]:
                 prod = mul_terms(q_parts[s - l], d_parts[mu + l], order)
                 iadd_scaled(rhs, prod, -ONE)
         try:
-            q_parts.append(divexact(rhs, lead))
+            q_parts.append(_divexact_reference(rhs, lead))
         except ArithmeticError as exc:
             raise SeriesError("series not divisible (%s)" % exc) from None
     out = {}

@@ -517,6 +517,18 @@ _MIXED_G = {(1, 0): gr(Fraction(1, 3), 2), (0, 1): gr(Fraction(5, 7)),
           {(1, 0, 0, 1): gr(Fraction(2, 3), 1)}))
 # a divisor of higher degree than the dividend
 @example(({(1, 1): gr(1), (0, 0): gr(2)}, {(3, 0): gr(1), (0, 0): gr(1)}))
+# the divisor 1 in three variables, as Bareiss's first pivot is
+@example(({(1, 0, 2): gr(Fraction(1, 2), 3), (0, 0, 0): gr(-1)},
+          {(0, 0, 0): gr(1)}))
+# a non-real constant
+@example(({(1, 1): gr(2, 1), (0, 2): gr(Fraction(1, 3))},
+          {(0, 0): gr(Fraction(2, 5), -1)}))
+# a monic monomial
+@example(({(3, 1): gr(1, 2), (1, 2): gr(Fraction(-1, 4))}, {(1, 1): gr(1)}))
+# two terms x0 does not divide, the smaller first in dict order: the
+# error names the larger, where the reduction stops
+@example(({(0, 1): gr(1), (2, 0): gr(3), (0, 2): gr(Fraction(1, 2))},
+          {(1, 0): gr(3)}))
 def test_divexact_matches_reference(case):
     f, g = case
     try:

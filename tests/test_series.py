@@ -398,6 +398,10 @@ def test_divide_by_zero_raises():
     z = var(CTX2, "z")
     with pytest.raises(SeriesError):
         divide_with_valuation(z, TruncatedSeries.zero(CTX2, 8))
+    # z^3 + 2*w^4 is zero to the working order 2 of the division
+    den = TruncatedSeries(CTX2, 5, {(3, 0): ONE, (0, 4): gr(2)})
+    with pytest.raises(SeriesError, match="zero to its order"):
+        divide_with_valuation(TruncatedSeries.zero(CTX2, 2), den)
 
 
 def test_mul_precise_gains_precision():
