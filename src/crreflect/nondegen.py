@@ -6,6 +6,22 @@ and four conditions on a map through its reflection-identity data.  Every
 "generic rank" or "does not vanish identically" verdict is decided on the
 working truncation and carries the bound it was decided at: verdicts are
 tri-state, never silent booleans.
+
+A rung that a certificate already computed decides returns that answer
+without further work; each rule is a theorem about the stored
+truncations, so verdicts are the same as when the rung is computed.
+
+- The finite-map certificate needs at least as many nonconstant
+  generators as variables.  Success at D gives m^D inside I + m^(D+1),
+  so m^D inside I over the formal power series by Nakayama, so I is
+  m-primary, and an m-primary ideal of C[[x_1..x_n]] needs n generators
+  (Krull's height theorem).  This serves nd3, cr3 and h3.
+- nd5 holds at every k >= k2, the least k at which nd2 holds: the
+  Jacobian of the jet map has full rank at 0 there, and a minor that is
+  nonzero at 0 is a nonzero polynomial, so the generic rank is full.
+- h4 holds once h2 does (ell0 set): at z = 0 the h4 matrix holds the
+  t'-Jacobian at 0 of the Psi' entries, among them those of order ell0,
+  of rank n', and the matrix has n' columns.
 """
 
 from __future__ import annotations
@@ -110,6 +126,10 @@ def ideal_contains_power_of_maximal(generators, dmax: int):
     combination sum c_q g_q modulo degree D+1; by Nakayama this certifies
     m^D inside the ideal, hence finiteness.  D stops at the generators'
     least order: past it, truncated-away terms would read as zero.
+
+    Fewer nonconstant generators than variables give None before any row
+    is built: an ideal containing m^D is m-primary, of height n, and by
+    Krull's height theorem it needs at least n generators.
     """
     check_budget("ideal_contains_power_of_maximal", None, dmax=dmax)
     gens = [g - g.constant_term() for g in generators]
@@ -117,6 +137,8 @@ def ideal_contains_power_of_maximal(generators, dmax: int):
     if not gens:
         return None
     arity = gens[0].context.arity
+    if len(gens) < arity:
+        return None
     for D in range(1, _ideal_search_degree(gens, dmax) + 1):
         monos = list(multidegrees(arity, D))
         index = {e: i for i, e in enumerate(monos)}
@@ -207,8 +229,10 @@ def classify_manifold(Mp: GraphedManifold, kmax: int = None,
     k4, _ = _least_k(kmax, lambda k: generic_rank(
         Mp.restrict(jet_map(k), "leaf"), seed=seed) == Mp.m)
     nd4 = Verdict(HOLDS if k4 else FAILS, k0=k4, bound=kmax)
-    k5, _ = _least_k(kmax, lambda k: generic_rank(jet_map(k), seed=seed)
-                     == full)
+    # nd5 holds at k2, where the Jacobian has full rank at 0, so full
+    # generic rank; the search stops there.
+    k5, _ = _least_k(kmax, lambda k: k == k2
+                     or generic_rank(jet_map(k), seed=seed) == full)
     nd5 = Verdict(HOLDS if k5 else INCONCLUSIVE, k0=k5, bound=kmax)
     if not k5:
         field = holomorphic_degeneracy_field(Mp, dmax)
@@ -338,11 +362,15 @@ def psi_and_h_conditions(h: FormalCRMap, kmax: int = None,
                  bound=(kmax, D) if k3 else kmax)
 
     # h4: rank of the t'-gradients of Psi along the Segre leaf through 0,
-    # evaluated at t' = h(z, theta_bar(z, 0)).
-    h_on = dict(zip(Mp.names.t, M.restrict(h.h, "leaf").components))
-    rows = [[M.restrict(table[key].derive(n), "leaf", h_on)
-             for n in Mp.names.t] for key in sorted(table)]
-    r4 = symbolic_rank(rows, seed=seed)
+    # evaluated at t' = h(z, theta_bar(z, 0)).  At z = 0 that matrix holds
+    # the t'-Jacobian at 0 of psi_k(ell0), of rank n', so h2 decides it.
+    if ell0:
+        r4 = h.np
+    else:
+        h_on = dict(zip(Mp.names.t, M.restrict(h.h, "leaf").components))
+        rows = [[M.restrict(table[key].derive(n), "leaf", h_on)
+                 for n in Mp.names.t] for key in sorted(table)]
+        r4 = symbolic_rank(rows, seed=seed)
     h4 = Verdict(HOLDS if r4 == h.np else FAILS, bound=kmax)
 
     return MapClassification(None, None, None, None, None,

@@ -714,12 +714,18 @@ def resolve_finitely_nondeg(h: FormalCRMap, ell0: int = 1) -> Resolution:
     Requires the rank-n' hypothesis on the differentiated system at 0 (the
     finitely-nondegenerate condition on h with order ell0); the solution map
     phi is produced by the formal implicit function theorem on n' selected
-    rows and verified against h before being returned.
+    rows and verified against h before being returned.  A system of
+    d' C(m + ell0, m) rows, fewer than n', fails the rank hypothesis before
+    any row is built (always so at ell0 = 0 when m' >= 1); the rows of a
+    CR map vanish at 0, so none could have failed "does not vanish at 0"
+    first.
     """
     check_budget("resolve_finitely_nondeg", h.order, ell0=ell0)
     M, Mp = h.M, h.Mp
     if not h.cr_report.ok:
         raise ReflectionError("the map is not CR to the working order")
+    if h.dp * comb(M.m + ell0, M.m) < h.np:
+        raise _rank_failure(ell0, h.np)
     jets = JetSymbols("ujb", h.np, M.names.tau, ell0,
                       _jet_constants(h.hbar, ell0))
     ctx_ext = VariableContext(M.ctx_joint.names + jets.names + Mp.names.t)
@@ -735,9 +741,7 @@ def resolve_finitely_nondeg(h: FormalCRMap, ell0: int = 1) -> Resolution:
     grads = jacobian_at_zero(rows, tp_idx)
     chosen = _independent_rows(grads, h.np)
     if chosen is None:
-        raise ReflectionError(
-            "rank hypothesis fails: the order-%d system has rank < %d"
-            % (ell0, h.np))
+        raise _rank_failure(ell0, h.np)
     system = SeriesMap([rows[i].truncated(min(rows[i].order for i in chosen))
                         for i in chosen])
     phi = formal_ift(system, list(Mp.names.t))
@@ -746,6 +750,12 @@ def resolve_finitely_nondeg(h: FormalCRMap, ell0: int = 1) -> Resolution:
     if not rep.ok:
         raise AssertionError("resolution failed verification: %r" % rep)
     return res
+
+
+def _rank_failure(ell0, need):
+    return ReflectionError(
+        "rank hypothesis fails: the order-%d system has rank < %d"
+        % (ell0, need))
 
 
 def _independent_rows(matrix, need):

@@ -3,16 +3,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (derivation_words, echelon_reference,
                       kernel_basis_reference, make_ex121, make_flat,
                       make_heisenberg, make_sphere3, make_z2zb2, quadric_pair,
-                      random_series, seeded_maps)
+                      random_coeff, random_series, seeded_maps)
 from crreflect.context import VariableContext, multidegrees
 from crreflect import nondegen, reflection
 from crreflect.gaussian import ZERO
 from crreflect.linalg import generic_rank, rank_at_origin, symbolic_rank
-from crreflect.manifold import cr_fields
+from crreflect.manifold import GraphedManifold, cr_fields
 from crreflect.nondegen import (FAILS, HOLDS, INCONCLUSIVE,
                                 ManifoldClassification, MapClassification,
                                 Verdict, classify_manifold, classify_map_cr,
@@ -580,6 +581,46 @@ def test_jet_map_ideals_match_reference():
                     == _ideal_contains_power_of_maximal_reference(gens, 3))
 
 
+def _krull_generators(rng, n, order, k):
+    """k generators over n variables: full-rank linear parts, their
+    squares or random series, each shifted by a random constant."""
+    ctx = VariableContext(tuple("x%d" % i for i in range(n)))
+    shape = rng.choice(("linear", "square", "random"))
+    gens = []
+    for i in range(k):
+        if shape == "random":
+            g = random_series(ctx, order, rng, min_degree=1)
+        else:
+            g = tvar(ctx, "x%d" % (i % n), order) + random_series(
+                ctx, order, rng, min_degree=2, density=0.3)
+        if shape == "square":
+            g = g * g
+        gens.append(g + random_coeff(rng, small=True))
+    return gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), n=st.integers(2, 4),
+       order=st.integers(1, 4), excess=st.integers(-3, 1))
+def test_ideal_search_needs_as_many_generators_as_variables(seed, n, order,
+                                                            excess):
+    # an ideal holding m^D is m-primary, so by Krull's height theorem it
+    # needs n generators: with fewer nonconstant ones the reference
+    # elimination finds no degree, and the search builds no row
+    rng = random.Random(seed)
+    gens = _krull_generators(rng, n, order, max(1, n + excess))
+    nonconstant = sum(1 for g in gens if g - g.constant_term())
+    with pytest.MonkeyPatch.context() as mp:
+        if nonconstant < n:
+            mp.setattr(nondegen, "echelon",
+                       lambda rows: pytest.fail("the search eliminated"))
+        for dmax in range(order + 1):
+            want = _ideal_contains_power_of_maximal_reference(gens, dmax)
+            assert ideal_contains_power_of_maximal(gens, dmax) == want
+            if nonconstant < n:
+                assert want is None
+
+
 def test_degeneracy_field_matches_reference():
     for Mp in _target_manifolds():
         for dmax in (1, 2):
@@ -778,3 +819,82 @@ def test_h_ladder_matches_reference(label, h):
         got = _outcome(psi_and_h_conditions, ladder, h, kmax=kmax)
         want = _outcome(_psi_and_h_reference, ladder, h, kmax=kmax)
         assert got == want
+
+
+# -- rungs that a computed certificate decides --------------------------------
+
+
+@pytest.mark.parametrize("Mp", [make_heisenberg(5, primed=True),
+                                make_sphere3(5, primed=True)],
+                         ids=["heisenberg", "sphere3"])
+def test_nd5_is_read_off_nd2(monkeypatch, Mp):
+    # nd5 ranks Segre jet maps, over (zeta', t'); nd4 ranks leaf maps
+    calls = []
+    rank = nondegen.generic_rank
+
+    def spy(F, seed=0):
+        if F.context == Mp.ctx_theta:
+            calls.append(F)
+        return rank(F, seed=seed)
+
+    monkeypatch.setattr(nondegen, "generic_rank", spy)
+    cls = classify_manifold(Mp, kmax=3)
+    assert (cls.nd2.k0, cls.nd5.status, cls.nd5.k0) == (1, HOLDS, 1)
+    assert calls == []
+
+
+# the conftest targets whose nd2 first holds at k2 >= 2
+PAST_LEVI = [(label, h.Mp) for label, h in SEEDED_MAPS
+             if label in ("21-cr", "12-cr")]
+
+
+@pytest.mark.parametrize("label, Mp", PAST_LEVI,
+                         ids=[c[0] for c in PAST_LEVI])
+def test_ladder_past_levi_matches_reference(label, Mp):
+    assert classify_manifold(Mp, kmax=2, dmax=0).nd2.k0 == 2
+    for kmax in (2, 3):
+        for dmax in (0, 2, 4):
+            got = _outcome(classify_manifold, lambda c: c.chain, Mp,
+                           kmax=kmax, dmax=dmax)
+            want = _outcome(_classify_manifold_reference, lambda c: c.chain,
+                            Mp, kmax=kmax, dmax=dmax)
+            assert got == want
+            assert not isinstance(got, tuple)
+
+
+def _h4_work(monkeypatch):
+    """Spies on the h4 rung: its `symbolic_rank` calls and the sides of
+    every `GraphedManifold.restrict`."""
+    ranks, sides = [], []
+    rank, restrict = nondegen.symbolic_rank, GraphedManifold.restrict
+    monkeypatch.setattr(nondegen, "symbolic_rank", lambda rows, seed=0: (
+        ranks.append(len(rows)) or rank(rows, seed=seed)))
+    monkeypatch.setattr(GraphedManifold, "restrict",
+                        lambda self, f, side, extra=None: (
+                            sides.append(side)
+                            or restrict(self, f, side, extra)))
+    return ranks, sides
+
+
+@pytest.mark.parametrize("make", [make_heisenberg, make_sphere3],
+                         ids=["heisenberg", "sphere3"])
+def test_h4_is_read_off_h2(monkeypatch, make):
+    h = identity_on(make(order=5), make(order=5, primed=True))
+    ranks, sides = _h4_work(monkeypatch)
+    cls = psi_and_h_conditions(h, kmax=2)
+    assert (cls.ell0, cls.h4.status) == (1, HOLDS)
+    assert ranks == []
+    assert "leaf" not in sides
+
+
+def test_h4_is_ranked_without_h2(monkeypatch):
+    Ms, Mp = make_ex121(order=5, primed=False), make_ex121(order=5)
+    ctx_t = VariableContext(Ms.names.t)
+    z1, z2, w = (tvar(ctx_t, n, 5) for n in ("z1", "z2", "w1"))
+    h = FormalCRMap(SeriesMap([z1, z2 + 4 * z2 * z2, w]), Ms, Mp)
+    want = _psi_and_h_reference(h, kmax=2)
+    ranks, sides = _h4_work(monkeypatch)
+    cls = psi_and_h_conditions(h, kmax=2)
+    assert cls.ell0 is None
+    assert cls.h4.status == want.h4.status
+    assert len(ranks) == 1 and "leaf" in sides

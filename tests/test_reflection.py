@@ -14,7 +14,7 @@ from conftest import (derivation_words, kernel_basis_reference, make_ex121,
 from crreflect import reflection
 from crreflect.context import VariableContext, multidegrees, zero_exponent
 from crreflect.gaussian import GaussianRational, I, ONE, ZERO, gr
-from crreflect.linalg import kernel_basis
+from crreflect.linalg import kernel_basis, numeric_rank
 from crreflect.manifold import (GraphedManifold, JetSymbols, cr_fields,
                                 extend_derivation_to_jets,
                                 transversal_fields, verify_reality)
@@ -37,7 +37,8 @@ from crreflect.reflection import (FormalCRMap, ReflectionComponents,
                                   verify_formal_cr_map)
 from crreflect.segre import chain
 from crreflect.series import (SeriesError, SeriesMap, TruncatedSeries,
-                              factorial_multi, formal_ift, mul_precise)
+                              factorial_multi, formal_ift, jacobian_at_zero,
+                              mul_precise)
 
 
 def tvar(ctx, name, order=8):
@@ -600,6 +601,40 @@ def test_resolution_rows_match_reference(monkeypatch, label, h):
         assert list(table) == keys
         # series equality compares the context and the order too
         assert list(table.values()) == rows
+
+
+
+def test_too_few_rows_fail_the_rank_hypothesis_before_any_row(monkeypatch):
+    # d' C(m + ell0, m) rows, fewer than n', cannot have rank n'.  The
+    # reference rows confirm the verdict the built rows would give: they
+    # vanish at 0 and their t'-gradients have rank below n'
+    M, Mp = heis_pair(order=5)
+    S, Sp = make_sphere3(order=5), make_sphere3(order=5, primed=True)
+    z, w = (tvar(VariableContext(M.names.t), n, 5) for n in M.names.t)
+    embedding = hmap(M, Sp, [z, 0 * z, w])
+    cases = [(identity_on(M, Mp), 0), (identity_on(S, Sp), 0),
+             (embedding, 0), (embedding, 1)]
+    for h, ell0 in cases:
+        assert h.dp * len(list(multidegrees(h.M.m, ell0))) < h.np
+        rows, _ = _resolution_rows_reference(h, ell0)
+        assert not any(R.constant_term() for R in rows)
+        ctx = rows[0].context
+        grads = jacobian_at_zero(rows, [ctx.index(n) for n in h.Mp.names.t])
+        assert numeric_rank(grads) < h.np
+    built = []
+    build = reflection._identity_table
+    monkeypatch.setattr(reflection, "_identity_table",
+                        lambda *a: built.append(a[-1]) or build(*a))
+    for h, ell0 in cases:
+        with pytest.raises(ReflectionError) as exc:
+            resolve_finitely_nondeg(h, ell0=ell0)
+        assert str(exc.value) == ("rank hypothesis fails: the order-%d "
+                                  "system has rank < %d" % (ell0, h.np))
+    assert built == []
+    # at ell0 = 2 the embedding has n' = 3 rows: they are built and ranked
+    with pytest.raises(ReflectionError, match="order-2 system has rank < 3"):
+        resolve_finitely_nondeg(embedding, ell0=2)
+    assert built == [2]
 
 
 
