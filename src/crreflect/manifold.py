@@ -34,13 +34,17 @@ The field of a family along a moved coordinate a is d/da plus, for each
 solved coordinate, the a-derivative of its graph; the family's flow adds
 the time to the moved block and recomposes the solved one.  `SIDES` lists
 the substitutions of `GraphedManifold.restrict` in the same terms.
+
+`fields(M, family)` builds a family's fields as `Derivation`s.  On a
+context that also holds jet symbols they apply by the chain rule, with the
+total derivative, so the lift to the jets is never built.
 """
 
 from __future__ import annotations
 
 from .context import VariableContext, multidegrees, numbered
 from .gaussian import GaussianRational, I, ONE, ZERO
-from .kernels import echelon
+from .kernels import echelon, iadd_scaled
 from .linalg import numeric_rank
 from .series import (SeriesMap, TruncatedSeries, SeriesError, check_budget,
                      formal_ift, jacobian_at_zero)
@@ -411,78 +415,104 @@ def complexify_and_graph(system: RealDefiningSystem, split=None,
 
 
 class Derivation:
-    """First-order operator  sum_v coeff_v * d/dx_v  on a fixed context.
+    """First-order operator  sum_v coeff_v * D_v  on a fixed context.
 
-    Coefficients are series over the same context; missing entries mean 0.
-    Constant-coefficient entries may be given as plain numbers.
+    Coefficients are series over the same context, or plain numbers;
+    missing entries mean 0.  D_v is d/dx_v, except for a dependency variable
+    v of the `JetSymbols` block `jets`: there it is the total derivative
+    (Olver, Applications of Lie Groups to Differential Equations, 1986,
+    section 2.3), D_v f = df/dv + sum (const + u)_{c,alpha+e_v}
+    df/du_{c,alpha} over the symbols below the top level.  So the
+    derivation acts as its lift to the jets, and the lift is never built.
     """
 
-    __slots__ = ("context", "coeffs", "label", "forbidden")
+    __slots__ = ("context", "coeffs", "label", "jets", "_top", "_rises")
 
     def __init__(self, context: VariableContext, coeffs: dict, label="",
-                 forbidden=frozenset()):
+                 jets=None):
         self.context = context
-        norm = {}
-        for key, val in coeffs.items():
-            i = key if isinstance(key, int) else context.index(key)
-            norm[i] = val
-        self.coeffs = norm
+        self.coeffs = {key if isinstance(key, int) else context.index(key): c
+                       for key, c in coeffs.items()}
         self.label = label
-        self.forbidden = frozenset(context.index(n) if isinstance(n, str) else n
-                                   for n in forbidden)
+        self.jets = jets
+        # context indices: the top-level symbols, and for each dependency
+        # variable v the (u_{c,alpha}, u_{c,alpha+e_v}, const) it raises
+        self._top, self._rises = set(), {}
+        if jets is None:
+            return
+        index = context.index
+        for c in range(jets.n_components):
+            for alpha in jets.alphas:
+                u = index(jets.name(c, alpha))
+                if sum(alpha) == jets.level:
+                    self._top.add(u)
+                    continue
+                for slot, v in enumerate(jets.dep_names):
+                    up = alpha[:slot] + (alpha[slot] + 1,) + alpha[slot + 1:]
+                    self._rises.setdefault(index(v), []).append(
+                        (u, index(jets.name(c, up)), jets.constant(c, up)))
 
     def apply(self, f: TruncatedSeries) -> TruncatedSeries:
-        """sum_v coeff_v * df/dx_v, each series coefficient cut to the order
-        of df.
-
-        The result has order min(f.order - 1, the order of each series
-        coefficient).  Raises SeriesError when f involves a forbidden
-        (top-level jet) variable, when the derivation has no coefficient
-        and when f has no precision left, checked in that order.
+        """sum_v coeff_v * D_v f, each series coefficient cut to the order
+        f.order - 1 of D_v f, which is the order of the result unless a
+        coefficient's is less.  Raises SeriesError when f involves a
+        top-level jet symbol, when the derivation has no coefficient and
+        when f has no precision left, checked in that order.
         """
         if f.context != self.context:
             f = f.remapped(self.context)
-        if self.forbidden and (f.support_variables() & self.forbidden):
+        if self._top & f.support_variables():
             raise SeriesError(
                 "operand involves jet symbols beyond the lifted level")
         if not self.coeffs:
             raise SeriesError("empty derivation")
         out = None
         for i, c in self.coeffs.items():
-            df = f.derive(i)
+            df = self._derive(f, i)
             if isinstance(c, TruncatedSeries):
                 c = c.truncated(df.order)
             piece = df * c
             out = piece if out is None else out + piece
         return out
 
+    def _derive(self, f, i):
+        """D_i f by rewriting terms: for each (u, up, const) that x_i
+        raises, a term k x^e with p = e[u] > 0 adds p k x^(e - e_u) (const
+        + x_up), cut to the order f.order - 1."""
+        df = f.derive(i)
+        extra = {}
+        for u, up, const in self._rises.get(i, ()):
+            for e, k in f.terms.items():
+                p = e[u]
+                if p:
+                    low = e[:u] + (p - 1,) + e[u + 1:]
+                    high = low[:up] + (low[up] + 1,) + low[up + 1:]
+                    for key, c in ((low, const), (high, ONE)):
+                        if c and sum(key) <= df.order:
+                            extra[key] = extra.get(key, ZERO) + k * p * c
+        iadd_scaled(df.terms, {e: c for e, c in extra.items() if c}, ONE)
+        return df
+
     def __repr__(self):
         return "Derivation(%s)" % (self.label or "?")
 
 
-def _fields(M: GraphedManifold, family: str):
+def fields(M: GraphedManifold, family: str, context=None, jets=None):
     """The derivations of one tangent family, one per moved coordinate a:
-    d/da plus, on each solved coordinate, the a-derivative of its graph."""
+    d/da plus, on each solved coordinate, the a-derivative of its graph.
+    They live on `context` (the joint one by default), which holds the
+    `jets` block when given."""
     moved, solved = FAMILIES[family]
-    ctxj = M.ctx_joint
-    graph = M.graph(solved).remapped(ctxj)
+    context = context or M.ctx_joint
     out = []
     for a in getattr(M.names, moved):
         coeffs = {a: ONE}
-        coeffs.update((b, g.derive(ctxj.index(a)))
-                      for b, g in zip(getattr(M.names, solved), graph))
-        out.append(Derivation(ctxj, coeffs, label="%s_%s" % (family, a)))
+        coeffs.update((b, g.derive(a).remapped(context))
+                      for b, g in zip(getattr(M.names, solved),
+                                      M.graph(solved)))
+        out.append(Derivation(context, coeffs, label="%s_%s" % (family, a),
+                              jets=jets))
     return out
-
-
-def cr_fields(M: GraphedManifold):
-    """The two families of complexified CR fields (L_k, and barred)."""
-    return _fields(M, "L"), _fields(M, "Lbar")
-
-
-def transversal_fields(M: GraphedManifold):
-    """The two transversal families (Upsilon_j, and barred)."""
-    return _fields(M, "Ups"), _fields(M, "UpsBar")
 
 
 # -- formal jet symbols ------------------------------------------------------
@@ -518,41 +548,3 @@ class JetSymbols:
         """constant + symbol, as a series over `context`."""
         base = TruncatedSeries.constant(context, order, self.constant(comp, alpha))
         return base + TruncatedSeries.variable(context, order, self.name(comp, alpha))
-
-
-def extend_derivation_to_jets(D: Derivation, jets: JetSymbols,
-                              context: VariableContext,
-                              order: int) -> Derivation:
-    """Lift a base-context derivation to a context with jet symbols.
-
-    For each symbol u_{c,alpha} of `jets` below the top level, the lifted
-    operator gains the coefficient sum_v a_v * (const + u)_{c, alpha+e_v}
-    over the dependency variables v of `jets`.  Top-level symbols are
-    marked forbidden: applying the lifted derivation to an operand that
-    still involves them would silently drop terms, so it raises instead.
-    """
-    base_coeffs = {}
-    for key, val in D.coeffs.items():
-        name = D.context.names[key] if isinstance(key, int) else key
-        if isinstance(val, TruncatedSeries):
-            val = val.remapped(context)
-        base_coeffs[name] = val
-    coeffs = dict(base_coeffs)
-    forbidden = set()
-    active = [(slot, base_coeffs[n]) for slot, n in enumerate(jets.dep_names)
-              if n in base_coeffs]
-    for c in range(jets.n_components):
-        for alpha in jets.alphas:
-            if sum(alpha) >= jets.level:
-                forbidden.add(jets.name(c, alpha))
-                continue
-            total = None
-            for slot, a_v in active:
-                up = list(alpha)
-                up[slot] += 1
-                piece = jets.jet_series(c, tuple(up), context, order) * a_v
-                total = piece if total is None else total + piece
-            if total is not None:
-                coeffs[jets.name(c, alpha)] = total
-    return Derivation(context, coeffs, label=D.label + "^jet",
-                      forbidden=frozenset(forbidden))

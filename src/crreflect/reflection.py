@@ -20,8 +20,7 @@ from .context import VariableContext, multidegrees, zero_exponent
 from .gaussian import ONE, MINUS_ONE
 from .kernels import echelon
 from .linalg import kernel_basis, numeric_rank
-from .manifold import (GraphedManifold, JetSymbols, cr_fields,
-                       extend_derivation_to_jets)
+from .manifold import GraphedManifold, JetSymbols, fields
 from .segre import SegreChain
 from .series import (SeriesMap, TruncatedSeries, SeriesError, check_budget,
                      divide_with_valuation, factorial_multi, formal_ift,
@@ -316,12 +315,13 @@ def _identity_table(h, near, jets, beta_max):
     """(j', beta) -> Lbar^beta of near_{m'+j'} - Theta'_{j'}(near_{<m'}, t')
     for |beta| <= beta_max, beta outer and j' inner: the rows of
     `resolve_finitely_nondeg`.  `near` lives over a context that contains
-    t'; Lbar is lifted to it over the `jets` block.  The fields kill every
-    function of t', so each word is the gamma'-sum of the words of
-    near_{<m'}^gamma' times Theta'_{j',gamma'}(t')."""
+    the `jets` block and t', where Lbar_a acts by the chain rule as
+    D_{zeta_a} + sum_b (d theta_b/d zeta_a) D_{xi_b}, D the total
+    derivative (`Derivation`).  The fields kill every function of t', so
+    each word is the gamma'-sum of the words of near_{<m'}^gamma' times
+    Theta'_{j',gamma'}(t')."""
     ctx, N = near[0].context, h.order
-    Lbar = [extend_derivation_to_jets(D, jets, ctx, N)
-            for D in cr_fields(h.M)[1]]
+    Lbar = fields(h.M, "Lbar", ctx, jets)
     args = near[:h.mp] + [TruncatedSeries.variable(ctx, N, n)
                           for n in h.Mp.names.t]
     words = [_multidegree_table(lambda k, v: Lbar[k].apply(v),

@@ -216,6 +216,11 @@ def minimality(M: GraphedManifold, kmax=None, seed: int = 0) -> MinimalityReport
     tests compare it with the flow-built unbarred chain), and neither
     conjugation nor a row permutation changes the Bareiss rank or the rank
     at a real rational point.
+
+    Past nu0 no chain is ranked: its rank is 2m+d, since the rank never
+    drops as k grows (Gamma_{k+1}(z_1..z_k, 0) = Gamma_k(z_1..z_k), so J_k
+    is a column block of J_{k+1} on z_{k+1} = 0) and never exceeds 2m+d,
+    the dimension of the complexified manifold.
     """
     if kmax is None:
         kmax = 2 * (M.d + 1) + 1
@@ -227,7 +232,7 @@ def minimality(M: GraphedManifold, kmax=None, seed: int = 0) -> MinimalityReport
     for gb in _chains(M, kmax, "barred", DEFAULT_CHAIN_BUDGET):
         k = gb.k
         chains_b[k] = gb
-        r = generic_rank(gb.components, seed=seed)
+        r = full if nu0 is not None else generic_rank(gb.components, seed=seed)
         ranks[k] = (r, r)
         if nu0 is None and r == full:
             nu0 = k - 1

@@ -9,7 +9,8 @@ import pytest
 from crreflect.context import VariableContext, multidegrees
 from crreflect.gaussian import ONE, ZERO, GaussianRational, I
 from crreflect.kernels import iadd_scaled, mul_terms
-from crreflect.manifold import RealDefiningSystem, complexify_and_graph
+from crreflect.manifold import (Derivation, RealDefiningSystem,
+                                complexify_and_graph, fields)
 from crreflect.reflection import FormalCRMap, _multidegree_table
 from crreflect.segre import chain
 from crreflect.series import (SeriesError, SeriesMap, TruncatedSeries, _coeff,
@@ -204,9 +205,65 @@ def conjugate_chain_symmetry_defect(M, k):
     return None
 
 
-def derivation_words(fields, seed):
-    """beta -> X^beta(seed) for the commuting derivations X = `fields`."""
-    return _multidegree_table(lambda k, v: fields[k].apply(v), seed)
+def derivation_words(family, seed):
+    """beta -> X^beta(seed) for the commuting derivations X = `family`."""
+    return _multidegree_table(lambda k, v: family[k].apply(v), seed)
+
+
+def cr_fields(M):
+    """The two families of complexified CR fields (L_k, and barred)."""
+    return fields(M, "L"), fields(M, "Lbar")
+
+
+def transversal_fields(M):
+    """The two transversal families (Upsilon_j, and barred)."""
+    return fields(M, "Ups"), fields(M, "UpsBar")
+
+
+class LiftReference:
+    """Reference for a `Derivation` on jet space: the lift built in full,
+    as the program built it before it applied the chain rule.
+
+    The base derivation D gains, for each symbol u_{c,alpha} of `jets`
+    below the top level, the coefficient sum_v a_v * (const + u)_{c,
+    alpha+e_v} over the dependency variables v of `jets`, one product
+    series per symbol, and is applied as the plain sum over all of them.
+    Top-level symbols are forbidden: an operand that involves one raises.
+    """
+
+    def __init__(self, D, jets, context, order):
+        base = {}
+        for i, val in D.coeffs.items():
+            if isinstance(val, TruncatedSeries):
+                val = val.remapped(context)
+            base[D.context.names[i]] = val
+        coeffs = dict(base)
+        forbidden = set()
+        active = [(slot, base[n]) for slot, n in enumerate(jets.dep_names)
+                  if n in base]
+        for c in range(jets.n_components):
+            for alpha in jets.alphas:
+                if sum(alpha) >= jets.level:
+                    forbidden.add(context.index(jets.name(c, alpha)))
+                    continue
+                total = None
+                for slot, a_v in active:
+                    up = list(alpha)
+                    up[slot] += 1
+                    piece = jets.jet_series(c, tuple(up), context, order) * a_v
+                    total = piece if total is None else total + piece
+                if total is not None:
+                    coeffs[jets.name(c, alpha)] = total
+        self.plain = Derivation(context, coeffs, label=D.label + "^jet")
+        self.forbidden = frozenset(forbidden)
+
+    def apply(self, f):
+        if f.context != self.plain.context:
+            f = f.remapped(self.plain.context)
+        if f.support_variables() & self.forbidden:
+            raise SeriesError(
+                "operand involves jet symbols beyond the lifted level")
+        return self.plain.apply(f)
 
 
 def echelon_reference(rows):

@@ -7,10 +7,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import (embedded_theta, embedded_theta_bar, make_ex121,
-                      make_flat, make_heisenberg, make_sphere3, make_z2zb2,
-                      quadric_pair, random_coeff, random_real_system,
-                      random_series)
+from conftest import (LiftReference, cr_fields, embedded_theta,
+                      embedded_theta_bar, make_ex121, make_flat,
+                      make_heisenberg, make_sphere3, make_z2zb2, quadric_pair,
+                      random_coeff, random_real_system, random_series,
+                      transversal_fields)
 from crreflect import manifold
 from crreflect.context import VariableContext, multidegrees
 from crreflect.exprparse import parse_expression
@@ -18,9 +19,7 @@ from crreflect.gaussian import I, ONE, gr
 from crreflect.linalg import numeric_rank
 from crreflect.manifold import (Derivation, GraphedManifold, JetSymbols,
                                 ManifoldError, Names, RealDefiningSystem,
-                                complexify_and_graph, cr_fields,
-                                extend_derivation_to_jets, transversal_fields,
-                                verify_reality)
+                                complexify_and_graph, fields, verify_reality)
 from crreflect.reflection import transform_target
 from crreflect.series import (SeriesError, SeriesMap, TruncatedSeries,
                               jacobian_at_zero)
@@ -581,7 +580,7 @@ def test_fields_match_reference_loops(M):
         assert len(fam_got) == len(fam_want)
         for D, E in zip(fam_got, fam_want):
             assert D.label == E.label and D.context == E.context
-            assert D.forbidden == E.forbidden
+            assert D.jets is None and E.jets is None
             # in insertion order; series equality compares order and context
             assert list(D.coeffs.items()) == list(E.coeffs.items())
 
@@ -591,11 +590,9 @@ def test_fields_match_reference_loops(M):
 
 
 def _apply_reference(D, f):
+    assert D.jets is None  # a derivation on jet space: `LiftReference`
     if f.context != D.context:
         f = f.remapped(D.context)
-    if D.forbidden and (f.support_variables() & D.forbidden):
-        raise SeriesError(
-            "operand involves jet symbols beyond the lifted level")
     out = None
     for i, c in D.coeffs.items():
         df = f.derive(i)
@@ -609,9 +606,9 @@ def _apply_reference(D, f):
     return out
 
 
-def _check_apply(D, f):
+def _check_apply(D, f, reference=None):
     got = D.apply(f)
-    want = _apply_reference(D, f)
+    want = reference.apply(f) if reference else _apply_reference(D, f)
     assert got == want
     assert got.order == want.order and got.context == D.context
     assert all(got.terms.values())
@@ -637,6 +634,14 @@ def test_apply_matches_reference_loop(M):
         f = _check_apply(D, f)
 
 
+def _on_jets(M, family, jets, context):
+    """(field, reference lift) pairs of one family on `context`, which
+    holds the `jets` block."""
+    return list(zip(fields(M, family, context, jets),
+                    [LiftReference(D, jets, context, M.order)
+                     for D in fields(M, family)]))
+
+
 @pytest.mark.parametrize("M", SEEDED[::2], ids=SEEDED_IDS[::2])
 def test_apply_matches_reference_on_jet_lifts(M):
     """Both lifts: hbar jets over tau at level 2 with constants (as
@@ -644,30 +649,28 @@ def test_apply_matches_reference_on_jet_lifts(M):
     component's jets over t at level 1 (a generic t-jet)."""
     rng = random.Random(7 + M.m + 2 * M.d)
     N = M.order
-    L, Lbar = cr_fields(M)
-    U, _ = transversal_fields(M)
     tau_jets = JetSymbols("u", 2, M.names.tau, 2, {
         (c, a): gr(rng.randint(-3, 3), rng.randint(-3, 3))
         for c in range(2) for a in multidegrees(M.n, 2)})
     t_jets = JetSymbols("v", 1, M.names.t, 1, {})
-    for jets, fields in ((tau_jets, L + U), (t_jets, Lbar + U)):
+    for jets, families in ((tau_jets, "L Ups"), (t_jets, "Lbar Ups")):
         ctx = VariableContext(M.ctx_joint.names + jets.names)
-        lifted = [extend_derivation_to_jets(D, jets, ctx, N)
-                  for D in fields]
+        lifted = [pair for family in families.split()
+                  for pair in _on_jets(M, family, jets, ctx)]
         low = [jets.name(c, a) for c in range(jets.n_components)
                for a in jets.alphas if not any(a)]
         base = VariableContext(M.ctx_joint.names[:M.n] + tuple(low))
         f = random_series(base, N, rng, degree=3, density=0.3).remapped(ctx)
         f = f + jets.jet_series(0, (0,) * len(jets.dep_names), ctx, N)
-        for D in lifted:
-            assert D.forbidden
-            g = _check_apply(D, f)
-            for E in lifted:
-                top = g.support_variables() & E.forbidden
+        for D, ref in lifted:
+            assert D.jets is jets and ref.forbidden
+            g = _check_apply(D, f, ref)
+            for E, ref_E in lifted:
+                top = g.support_variables() & ref_E.forbidden
                 if top:  # level 1: D put the top jets into g
-                    _raises_same(E, g, "beyond the lifted level")
+                    _raises_same(E, g, "beyond the lifted level", ref_E)
                 else:
-                    _check_apply(E, g)
+                    _check_apply(E, g, ref_E)
 
 
 @pytest.mark.parametrize("M", SEEDED, ids=SEEDED_IDS)
@@ -721,11 +724,11 @@ def test_apply_constant_zero_and_series_coefficients():
     assert Derivation(ctx, {"x": 5}).apply(f).order == 5
 
 
-def _raises_same(D, f, text):
+def _raises_same(D, f, text, reference=None):
     with pytest.raises(SeriesError, match=text):
         D.apply(f)
     with pytest.raises(SeriesError, match=text):
-        _apply_reference(D, f)
+        reference.apply(f) if reference else _apply_reference(D, f)
 
 
 def test_apply_errors_match_reference():
@@ -738,15 +741,69 @@ def test_apply_errors_match_reference():
     _raises_same(Derivation(ctxj, {}), f.truncated(0), "empty derivation")
     jets = JetSymbols("u", 1, M.names.tau, 1)
     ctx = VariableContext(ctxj.names + jets.names)
-    lifted = extend_derivation_to_jets(L[0], jets, ctx, 4)
+    lifted, ref = _on_jets(M, "L", jets, ctx)[0]
     top = jets.name(0, (1, 0))
-    assert ctx.index(top) in lifted.forbidden
+    assert lifted.jets is jets and ctx.index(top) in ref.forbidden
     g = TruncatedSeries.variable(ctx, 4, top) * f.remapped(ctx)
-    _raises_same(lifted, g, "beyond the lifted level")
-    # checked first: an empty derivation with forbidden names says so too
-    _raises_same(Derivation(ctx, {}, forbidden={top}), g,
-                 "beyond the lifted level")
+    _raises_same(lifted, g, "beyond the lifted level", ref)
+    # checked first: an empty derivation on jet space says so too
+    empty = Derivation(ctx, {}, jets=jets)
+    empty_ref = LiftReference(Derivation(ctxj, {}), jets, ctx, 4)
+    _raises_same(empty, g, "beyond the lifted level", empty_ref)
     # a symbol below the top level is fine
     low = jets.name(0, (0, 0))
     h = TruncatedSeries.variable(ctx, 4, low) * f.remapped(ctx)
-    _check_apply(lifted, h)
+    _check_apply(lifted, h, ref)
+
+
+def _outcome(apply, f):
+    try:
+        return apply(f)
+    except SeriesError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.tuples(
+    st.integers(0, len(SEEDED) - 1), st.sampled_from(("L", "Lbar", "Ups")),
+    st.booleans(), st.integers(1, 3), st.integers(1, 2), st.integers(0, 5),
+    st.booleans(), st.integers(0, 10 ** 6)))
+def test_chain_rule_apply_matches_reference_lift(case):
+    """`Derivation.apply` on jet space, by the chain rule, against the lift
+    built in full: the same series, order and context, or the same
+    SeriesError message.  The derivations are one family's fields and the
+    bare total derivative D_v along one dependency variable v.  Operands
+    carry a few jet symbols below the top level, and with `with_top` one
+    top-level symbol, at orders down to 0; each result is fed to every
+    derivation once more."""
+    index, family, on_tau, level, comps, order, with_top, seed = case
+    M = SEEDED[index]
+    rng = random.Random(seed)
+    if on_tau:  # hbar jets, as the resolution lifts Lbar, with constants
+        jets = JetSymbols("u", comps, M.names.tau, level, {
+            (c, a): gr(rng.randint(-3, 3), rng.randint(-3, 3))
+            for c in range(comps) for a in multidegrees(M.n, level)})
+    else:  # a generic t-jet
+        jets = JetSymbols("v", comps, M.names.t, level, {})
+    ctx = VariableContext(M.ctx_joint.names + jets.names)
+    v = rng.choice(jets.dep_names)
+    pairs = _on_jets(M, family, jets, ctx) + [(
+        Derivation(ctx, {v: ONE}, jets=jets),
+        LiftReference(Derivation(M.ctx_joint, {v: ONE}), jets, ctx, M.order))]
+    below = [jets.name(c, a) for c in range(comps) for a in jets.alphas
+             if sum(a) < level]
+    top = [n for n in jets.names if n not in below]
+    symbols = rng.sample(below, min(3, len(below)))
+    if with_top:
+        symbols.append(rng.choice(top))
+    base = VariableContext(M.ctx_joint.names + tuple(symbols))
+    f = random_series(base, min(order, M.order), rng, degree=3,
+                      density=0.15).remapped(ctx)
+    for D, ref in pairs:
+        got = _outcome(D.apply, f)
+        assert got == _outcome(ref.apply, f)
+        if f.support_variables() & ref.forbidden:
+            assert "beyond the lifted level" in got
+        if isinstance(got, TruncatedSeries):
+            for E, ref_E in pairs:
+                assert _outcome(E.apply, got) == _outcome(ref_E.apply, got)

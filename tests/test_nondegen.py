@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (derivation_words, echelon_reference,
+from conftest import (cr_fields, derivation_words, echelon_reference,
                       kernel_basis_reference, make_ex121, make_flat,
                       make_heisenberg, make_sphere3, make_z2zb2, quadric_pair,
                       random_coeff, random_series, seeded_maps)
@@ -13,7 +13,7 @@ from crreflect.context import VariableContext, multidegrees
 from crreflect import nondegen, reflection
 from crreflect.gaussian import ZERO
 from crreflect.linalg import generic_rank, rank_at_origin, symbolic_rank
-from crreflect.manifold import GraphedManifold, cr_fields
+from crreflect.manifold import GraphedManifold
 from crreflect.nondegen import (FAILS, HOLDS, INCONCLUSIVE,
                                 ManifoldClassification, MapClassification,
                                 Verdict, classify_manifold, classify_map_cr,

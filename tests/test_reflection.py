@@ -7,17 +7,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (derivation_words, kernel_basis_reference, make_ex121,
-                      make_flat, make_heisenberg, make_sphere3, quadric_pair,
+from conftest import (LiftReference, cr_fields, derivation_words,
+                      kernel_basis_reference, make_ex121, make_flat,
+                      make_heisenberg, make_sphere3, quadric_pair,
                       random_coeff, random_minimal_manifold, random_series,
-                      seeded_maps)
+                      seeded_maps, transversal_fields)
 from crreflect import reflection
 from crreflect.context import VariableContext, multidegrees, zero_exponent
 from crreflect.gaussian import GaussianRational, I, ONE, ZERO, gr
 from crreflect.linalg import kernel_basis, numeric_rank
-from crreflect.manifold import (GraphedManifold, JetSymbols, cr_fields,
-                                extend_derivation_to_jets,
-                                transversal_fields, verify_reality)
+from crreflect.manifold import GraphedManifold, JetSymbols, verify_reality
 from crreflect.nondegen import (degenerate_selfmap_generator,
                                 holomorphic_degeneracy_field, psi_table)
 from crreflect.reflection import (FormalCRMap, ReflectionComponents,
@@ -543,7 +542,7 @@ def _resolution_rows_reference(h, ell0):
                       _jet_constants(h.hbar, ell0))
     ctx_ext = VariableContext(M.ctx_joint.names + jets.names + Mp.names.t)
     _, Lbar = cr_fields(M)
-    lifted = [extend_derivation_to_jets(D, jets, ctx_ext, N) for D in Lbar]
+    lifted = [LiftReference(D, jets, ctx_ext, N) for D in Lbar]
     base_u = [jets.jet_series(i, zero_exponent(M.n), ctx_ext, N)
               for i in range(h.np)]
     fpow = _power_cache(base_u[:h.mp], N)
@@ -1139,8 +1138,8 @@ def _jet_identity_report_reference(res, ell):
     phi2 = [c.remapped(ctx2) for c in res.phi.components]
     L, _ = cr_fields(M)
     U, _ = transversal_fields(M)
-    liftL = [extend_derivation_to_jets(D, jets2, ctx2, N) for D in L]
-    liftU = [extend_derivation_to_jets(D, jets2, ctx2, N) for D in U]
+    liftL = [LiftReference(D, jets2, ctx2, N) for D in L]
+    liftU = [LiftReference(D, jets2, ctx2, N) for D in U]
 
     def nested_values(seed, liftL, liftU):
         by_delta = derivation_words(liftU, seed)
@@ -1159,8 +1158,8 @@ def _jet_identity_report_reference(res, ell):
 
     vjets = JetSymbols("vres", 1, M.names.t, ell, {})
     ctx_c = VariableContext(M.ctx_joint.names + vjets.names)
-    liftLc = [extend_derivation_to_jets(D, vjets, ctx_c, N) for D in L]
-    liftUc = [extend_derivation_to_jets(D, vjets, ctx_c, N) for D in U]
+    liftLc = [LiftReference(D, vjets, ctx_c, N) for D in L]
+    liftUc = [LiftReference(D, vjets, ctx_c, N) for D in U]
     seed = vjets.jet_series(0, zero_exponent(M.n), ctx_c, N)
     W = nested_values(seed, liftLc, liftUc)
 

@@ -5,8 +5,9 @@ import pytest
 import random
 
 from conftest import (conjugate_chain_symmetry_defect, make_flat,
-                      make_heisenberg, make_z2zb2, random_minimal_manifold,
-                      random_real_system, random_series)
+                      make_heisenberg, make_sphere3, make_z2zb2, quadric_pair,
+                      random_minimal_manifold, random_real_system,
+                      random_series)
 from crreflect import segre
 from crreflect.context import VariableContext
 from crreflect.linalg import generic_rank
@@ -255,6 +256,69 @@ def test_minimality_reports_unchanged():
         got = (None if rep.mu0_witness is None
                else [str(c) for c in rep.mu0_witness])
         assert got == witness
+
+
+def _ranks_reference(M, kmax=None, seed=0):
+    """(nu0, ranks) as `minimality` had them when it ranked every chain up
+    to the one of length 2 nu0 + 1."""
+    kmax = 2 * (M.d + 1) + 1 if kmax is None else kmax
+    full = 2 * M.m + M.d
+    ranks, nu0 = {}, None
+    for gb in _chains(M, kmax, "barred", DEFAULT_CHAIN_BUDGET):
+        r = generic_rank(gb.components, seed=seed)
+        ranks[gb.k] = (r, r)
+        if nu0 is None and r == full:
+            nu0 = gb.k - 1
+        if nu0 is not None and gb.k >= 2 * nu0 + 1:
+            break
+    return nu0, ranks
+
+
+def test_minimality_ranks_match_every_chain_ranked():
+    # Ranked in full, a chain past nu0 may read above 2m+d (seeds 0, 1 and
+    # 3 do, at k = 4 and 5): there the report now reads 2m+d, and
+    # everywhere else it is unchanged.  Seeds 2 and 5 are left out by cost:
+    # ranking their chains past nu0 takes seconds.  Seed 7 jumps past 2m+d
+    # and never reaches nu0, so all its chains are still ranked.
+    manifolds = [make_heisenberg(order=6), make_z2zb2(order=6),
+                 make_flat(order=6), make_flat(order=6, m=2),
+                 make_sphere3(order=6), quadric_pair(order=6)[0]]
+    manifolds += [random_minimal_manifold(seed) for seed in (0, 1, 3, 4, 7)]
+    above = 0
+    for M in manifolds:
+        full = 2 * M.m + M.d
+        rep = minimality(M)
+        nu0, ranks = _ranks_reference(M)
+        assert rep.nu0 == nu0 and list(rep.ranks) == list(ranks)
+        for k, r in ranks.items():
+            if nu0 is not None and k > nu0 + 1:
+                assert r[0] >= full and rep.ranks[k] == (full, full)
+                above += r[0] > full
+            else:
+                assert rep.ranks[k] == r
+    assert above == 6
+
+
+def test_minimality_ranks_no_chain_past_nu0(monkeypatch):
+    ranked = []
+    rank = segre.generic_rank
+
+    def spy(F, seed=0):
+        ranked.append(F)
+        return rank(F, seed=seed)
+
+    monkeypatch.setattr(segre, "generic_rank", spy)
+    # seed 2 at the default kmax is the (1,2) case that took seconds in
+    # Bareiss when its chains past nu0 were ranked
+    for M in (make_heisenberg(order=6), random_minimal_manifold(2),
+              random_minimal_manifold(4), quadric_pair(order=6)[0]):
+        ranked.clear()
+        rep = minimality(M)
+        full = 2 * M.m + M.d
+        assert rep.minimal and len(ranked) == rep.nu0 + 1
+        assert max(rep.ranks) == 2 * rep.nu0 + 1
+        assert all(rep.ranks[k] == (full, full)
+                   for k in range(rep.nu0 + 1, 2 * rep.nu0 + 2))
 
 
 def test_chain_symmetry():
