@@ -11,6 +11,7 @@ from . import __version__
 from .context import VariableContext
 from .exprparse import ParseError, parse_expression
 from .manifest import AnalysisFailure, Manifest, ManifestError, render_report, run, summarize
+from .series import SeriesError
 
 
 def _detect_context(text: str) -> VariableContext:
@@ -75,7 +76,10 @@ def main(argv=None) -> int:
             series = parse_expression(args.expression, ctx, args.order)
         except (ParseError, KeyError) as exc:
             print("parse error: %s" % exc, file=sys.stderr)
-            return 1
+            return 2
+        except SeriesError as exc:
+            print("error: --order %d: %s" % (args.order, exc), file=sys.stderr)
+            return 2
         print(series)
         return 0
 

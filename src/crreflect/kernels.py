@@ -14,8 +14,11 @@ both use it without an import cycle.
   1/c (not at all for c = 1); Bareiss's pivots are chosen sparsest, so
   they are one term wherever their column holds a monomial, mostly the
   constant 1.  Any other divisor runs graded-lex reduction on packed
-  exponents with a guard bit per field, the remainder's packed keys kept
-  in a heap and the divisor held as Gaussian-integer numerators.
+  exponents, the remainder's packed keys kept in a heap and the divisor
+  held as Gaussian-integer numerators.
+* `online_solve`: the degree-by-degree solve behind
+  `series.divide_with_valuation` and `series.formal_ift`, each degree's
+  right-hand side one packed accumulator.
 * `echelon`: Gauss-Jordan elimination of a constant matrix given as sparse
   {column: coefficient} rows, the one elimination behind every rank,
   kernel, inverse and span test.
@@ -29,14 +32,16 @@ two paths:
 * **Common denominator, packed exponents.**  Otherwise each operand is
   converted once to Gaussian-integer numerators over the lcm of its
   denominators (the layout of FLINT's ``fmpq_poly``).  Exponent tuples are
-  packed into ints, one field per variable with the total degree in the
-  top field (Monagan & Pearce, "Polynomial division using dynamic arrays,
-  heaps, and packed exponent vectors", CASC 2007).  Adding two keys
-  multiplies the monomials, and since keys sort by degree first, one
-  binary search per row of the smaller operand finds the terms of the
-  other that stay within the truncation order.  Real and imaginary parts
-  are accumulated as plain ints per packed key, and one normalized
-  coefficient is built per nonzero output term.
+  packed into ints by `_packing`, the one layout of this module: the total
+  degree in the top field, then x0 down to the last variable, with a guard
+  bit per field (Monagan & Pearce, "Polynomial division using dynamic
+  arrays, heaps, and packed exponent vectors", CASC 2007).  Keys sort in
+  graded-lex order.  Adding two keys multiplies the monomials, and since
+  keys sort by degree first, one binary search per row of the smaller
+  operand finds the terms of the other that stay within the truncation
+  order.  Real and imaginary parts are accumulated as plain ints per
+  packed key, and one normalized coefficient is built per nonzero output
+  term.
 
 `compose_terms` keeps that layout across a whole composition instead of
 one product.  It packs exponents once, with one field width for the
@@ -53,8 +58,16 @@ coefficient is built per nonzero output term.  On `graph_reality`, where
 composition is most of the work, `cpu_s` fell from 0.617 s to 0.467 s
 (medians of ten paired benchmark runs on a 2-vCPU Xeon VM).  `mul_terms`
 and `compose_terms` share the packed product loop `_product`, and
-`compose_terms` and the degree loop of `series.divide_with_valuation` add
-products into a running-denominator accumulator with `_add_product`.
+`compose_terms` and `online_solve` add products into a running-denominator
+accumulator with `_add_product`.
+
+`online_solve` solves a triangular system of truncated series on-line,
+one degree after the other (van der Hoeven, JSC 2002): the degree-j part
+x_j of the unknowns comes from a right-hand side built of the parts
+x_(j-1), x_(j-2), ... solved before.  Each coefficient part and each x_j
+is converted once to packed rows, and each right-hand side is one
+accumulator, normalized once.  Division with valuation and each step of
+the implicit solve are this loop with their own `solve` of one degree.
 
 `iadd_scaled` likewise forms `acc + coeff * c` on the integer triples and
 normalizes once per updated term.
@@ -127,14 +140,20 @@ def _numerators(T: dict, weights: list, limit):
 
 @lru_cache(maxsize=None)
 def _packing(arity: int, top: int):
-    """(width, weights) for exponent fields of at most `top`: one field of
-    `width` bits per variable and the total degree above them, so that
-    e . weights packs e, keys sort by degree first, and for order <= top a
-    key is below (order + 1) << (width * arity) iff its degree is <= order."""
-    width = max(top.bit_length(), 1)
+    """(width, weights, guards), the one packed layout, for exponent fields
+    of at most `top`: the total degree in the top field, then x0 down to the
+    last variable, so that e . weights packs e and keys sort in graded-lex
+    order.  For order <= top a key is below (order + 1) << (width * arity)
+    iff its degree is <= order.  Each field has one guard bit above the bits
+    `top` needs, so adding two keys never carries between fields, and
+    `guards` marks them all: for packed monomials a and b, b divides a iff
+    a - b borrows into no field, that is iff (a - b) & guards is 0."""
+    width = top.bit_length() + 1
     shift = width * arity
-    return width, tuple([(1 << (width * i)) + (1 << shift)
-                         for i in range(arity)])
+    weights = tuple([(1 << (width * (arity - 1 - i))) + (1 << shift)
+                     for i in range(arity)])
+    guards = sum([1 << (width * j + width - 1) for j in range(arity + 1)])
+    return width, weights, guards
 
 
 def _product(acc: dict, ra: list, rb: list, limit) -> None:
@@ -195,7 +214,7 @@ def _unpacked(acc: dict, den: int, width: int, arity: int) -> dict:
     """Term dict of an accumulator over `den`: one normalized coefficient
     per nonzero packed key."""
     mask = (1 << width) - 1
-    shifts = range(0, width * arity, width)
+    shifts = range(width * (arity - 1), -1, -width)
     return {tuple([(k >> s) & mask for s in shifts]): _make(x, y, den)
             for k, (x, y) in acc.items() if x or y}
 
@@ -219,7 +238,7 @@ def mul_terms(A: dict, B: dict, order: int) -> dict:
         top = order
     else:
         top = max(max(e) for e in A) + max(max(e) for e in B)
-    width, weights = _packing(arity, top)
+    width, weights, _ = _packing(arity, top)
     limit = (order + 1) << (width * arity) if order >= 0 else None
     da, ra = _numerators(A, weights, limit)
     db, rb = _numerators(B, weights, limit)
@@ -255,7 +274,7 @@ def compose_terms(groups: dict, args: list, arity: int, order: int) -> dict:
         return {}
     if len(nonzero) == 1 and not any(nonzero[0][0]):
         return nonzero[0][1]
-    width, weights = _packing(arity, order)
+    width, weights, _ = _packing(arity, order)
     shift = width * arity
     converted = [None] * len(args)
 
@@ -309,6 +328,45 @@ def compose_terms(groups: dict, args: list, arity: int, order: int) -> dict:
     return _unpacked(acc, den, width, arity)
 
 
+def online_solve(bases, coeffs, first, last, solve, arity, top):
+    """Solve a triangular system for the unknowns x degree by degree,
+    on-line (van der Hoeven, JSC 2002): for j = first, ..., last,
+    x_j = solve(j, rhs) with
+
+        rhs[r] = bases[r][j] + sum_(c, i >= 1) coeffs[r][c][i-1] * x_(j-i)[c]
+
+    over the parts x_first, ..., x_(j-1) solved before.  `bases[r]` lists
+    term dicts by degree, `coeffs[r][c]` the parts of degree 1, 2, ... of
+    a coefficient, and `solve` returns x_j, one term dict per unknown.  All
+    exponents are at most `top`.  Returns [x_first, ..., x_last].
+
+    Every coefficient part and every x_j is converted once to packed
+    Gaussian-integer rows.  Each rhs[r] is one accumulator of [re, im]
+    numerators over a running lcm denominator, filled by `_add_product` as
+    `compose_terms` fills its levels, and each of its terms is normalized
+    once.
+    """
+    width, weights, _ = _packing(arity, top)
+    packed = [[[_numerators(part, weights, None) for part in parts]
+               for parts in row] for row in coeffs]
+    out, xs = [], []  # xs[k][c]: out[k][c] in packed rows
+    for j in range(first, last + 1):
+        rhs = []
+        for base, row in zip(bases, packed):
+            den, rows = _numerators(base[j], weights, None)
+            acc = {p: [x, y] for p, x, y in rows}
+            for c, parts in enumerate(row):
+                for i, (dp, rp) in enumerate(parts[:j - first], 1):
+                    dx, rx = xs[j - first - i][c]
+                    if rp and rx:
+                        den = _add_product(den, acc, dp * dx, rx, rp, None)
+            rhs.append(_unpacked(acc, den, width, arity))
+        x = solve(j, rhs)
+        out.append(x)
+        xs.append([_numerators(t, weights, None) for t in x])
+    return out
+
+
 def iadd_scaled(out: dict, A: dict, coeff) -> None:
     """In-place `out += coeff * A`; zero entries are removed."""
     if not coeff or not A:
@@ -330,24 +388,6 @@ def iadd_scaled(out: dict, A: dict, coeff) -> None:
         out[e] = _make(x, y, z)
 
 
-
-
-@lru_cache(maxsize=None)
-def _division_packing(arity: int, top: int):
-    """(width, weights, guards) for exponent fields of at most `top`, the
-    layout of `divexact`: the total degree in the top field, then x0 down to
-    the last variable, so that keys sort in graded-lex order.  Each field
-    has one guard bit above the bits `top` needs, and `guards` marks them
-    all: for packed monomials a and b, b divides a iff a - b borrows into
-    no field, that is iff (a - b) & guards is 0."""
-    width = top.bit_length() + 1
-    shift = width * arity
-    weights = tuple([(1 << (width * (arity - 1 - i))) + (1 << shift)
-                     for i in range(arity)])
-    guards = sum([1 << (width * j + width - 1) for j in range(arity + 1)])
-    return width, weights, guards
-
-
 def divexact(f: dict, g: dict) -> dict:
     """Exact quotient f / g of term dicts (any degrees, no truncation).
 
@@ -367,13 +407,12 @@ def divexact(f: dict, g: dict) -> dict:
     skipped.  Raises ZeroDivisionError for g = 0 and ArithmeticError,
     naming the leading term left over, when g does not divide f.
 
-    Exponents are packed by `_division_packing`, x0 in the highest field
-    below the degree (the reverse of `_packing`), so the heap holds ints in
+    Exponents are packed by `_packing`, so the heap holds ints in
     graded-lex order and the test that g's lead divides the remainder's
-    lead is one masked subtraction.  g is converted once to
-    Gaussian-integer numerators X + iY over the lcm D of its denominators.
-    With the lead X0 + iY0 and its norm N = X0^2 + Y0^2, a remainder lead
-    (a + ib)/c gives the quotient coefficient
+    lead is one masked subtraction.  g is converted once by `_numerators`
+    to Gaussian-integer numerators X + iY over the lcm D of its
+    denominators.  With the lead X0 + iY0 and its norm N = X0^2 + Y0^2, a
+    remainder lead (a + ib)/c gives the quotient coefficient
     (a + ib) * D * (X0 - iY0) / (c * N), normalized once.  The step then
     subtracts it times x^t * g from the remainder's normalized (a, b, c)
     triples directly, one gcd per updated term, with no product dict,
@@ -395,10 +434,8 @@ def divexact(f: dict, g: dict) -> dict:
         return q
     arity = len(next(iter(g)))
     top = max(max(map(sum, f)), max(map(sum, g)))
-    width, weights, guards = _division_packing(arity, top)
-    den = lcm(*[c.c for c in g.values()])
-    rows = sorted([(sum(map(mul, e, weights)), c.a * m, c.b * m)
-                   for e, c in g.items() for m in (den // c.c,)])
+    width, weights, guards = _packing(arity, top)
+    den, rows = _numerators(g, weights, None)
     glead, x0, y0 = rows.pop()
     norm = x0 * x0 + y0 * y0
     lead_re, lead_im = x0 * den, y0 * den

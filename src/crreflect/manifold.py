@@ -71,13 +71,11 @@ SIDES = {"xi": (("z", "w", "zeta"), (), "xi"),
          "zeta0": (("z", "w"), ("zeta",), "xi")}
 
 
-def _swap_map_for(context: VariableContext, n: int):
-    names = context.names
-    out = {}
-    for i in range(n):
-        out[names[i]] = names[n + i]
-        out[names[n + i]] = names[i]
-    return out
+def _swap_map_for(names, n: int):
+    """The renaming that swaps names[i] and names[n + i] for i < n, the
+    conjugation of roles t <-> tau."""
+    t, tau = names[:n], names[n:]
+    return {**dict(zip(t, tau)), **dict(zip(tau, t))}
 
 
 class Names:
@@ -110,14 +108,7 @@ class Names:
 
     def swap_map(self):
         """Renaming that conjugates roles: z <-> zeta, w <-> xi."""
-        out = {}
-        for a, b in zip(self.z, self.zeta):
-            out[a] = b
-            out[b] = a
-        for a, b in zip(self.w, self.xi):
-            out[a] = b
-            out[b] = a
-        return out
+        return _swap_map_for(self.t + self.tau, len(self.t))
 
 
 class RealDefiningSystem:
@@ -141,7 +132,7 @@ class RealDefiningSystem:
             raise ManifoldError("defining series must vanish at 0")
         self.n = n
         self.d = d
-        swap = _swap_map_for(rho.context, n)
+        swap = _swap_map_for(rho.context.names, n)
         comps = []
         for j, r in enumerate(rho.components):
             flipped = r.conjugate_swapped(swap)
@@ -154,12 +145,9 @@ class RealDefiningSystem:
                     "defining system is not real (component %d)" % j)
         self.rho = SeriesMap(comps)
 
-    def _swap_map(self):
-        return _swap_map_for(self.rho.context, self.n)
-
     def reality_defect(self):
         """Index of the first component violating (normalized) reality."""
-        swap = self._swap_map()
+        swap = _swap_map_for(self.rho.context.names, self.n)
         for j, r in enumerate(self.rho.components):
             if r.conjugate_swapped(swap) != r:
                 return j
@@ -170,7 +158,7 @@ class RealDefiningSystem:
         """Project arbitrary series onto real ones:
         rho -> (rho + swapped conjugate)/2.  Used to manufacture test data.
         """
-        swap = _swap_map_for(rho.context, n)
+        swap = _swap_map_for(rho.context.names, n)
         half = GaussianRational(1) / 2
         comps = [(r + r.conjugate_swapped(swap)) * half
                  for r in rho.components]

@@ -18,9 +18,8 @@ from .context import (VariableContext, multidegrees, unit_exponent,
                       zero_exponent)
 from .gaussian import (GaussianRational, MINUS_ONE, ONE, ZERO, _coerce,
                        _norm)
-from .kernels import (_add_product, _make as _normalized, _numerators,
-                      _packing, _unpacked, compose_terms, divexact, echelon,
-                      iadd_scaled, mul_terms)
+from .kernels import (_make as _normalized, compose_terms, divexact, echelon,
+                      iadd_scaled, mul_terms, online_solve)
 
 
 class SeriesError(ValueError):
@@ -70,6 +69,11 @@ def check_budget(entry: str, order, **bounds) -> None:
                               % (name, " + %s" % spend if spend else ""))
 
 
+def _check_order(order: int) -> None:
+    if order < 0:
+        raise SeriesError("order must be non-negative")
+
+
 def _coeff(value) -> GaussianRational:
     c = _coerce(value)
     if c is NotImplemented:
@@ -81,8 +85,7 @@ class TruncatedSeries:
     __slots__ = ("context", "order", "terms")
 
     def __init__(self, context: VariableContext, order: int, terms=None):
-        if order < 0:
-            raise SeriesError("order must be non-negative")
+        _check_order(order)
         clean = {}
         arity = context.arity
         for e, c in (terms or {}).items():
@@ -110,10 +113,12 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, context, order):
+        _check_order(order)
         return cls._make(context, order, {})
 
     @classmethod
     def constant(cls, context, order, value):
+        _check_order(order)
         c = _coeff(value)
         if not c:
             return cls.zero(context, order)
@@ -122,7 +127,7 @@ class TruncatedSeries:
     @classmethod
     def variable(cls, context, order, name):
         i = context.index(name)
-        if order < 1:
+        if order < 1:  # zero refuses a negative order
             return cls.zero(context, order)
         return cls._make(context, order, {unit_exponent(context.arity, i): ONE})
 
@@ -675,15 +680,11 @@ def divide_with_valuation(num: TruncatedSeries, den: TruncatedSeries):
 
     Degree by degree: with mu that valuation and d_k, n_k, q_k the
     degree-k parts, split off once by `by_degree`, q_s = (n_(mu+s) -
-    sum_(1 <= l <= s) q_(s-l) d_(mu+l)) / d_mu, and the quotient of that
-    polynomial division by the lead d_mu is `divexact`'s, term by term for
-    a one-term lead.  Every d_k and every q_s is converted once to packed
-    Gaussian-integer rows (the layout of `mul_terms`), and each right-hand
-    side is one accumulator of [re, im] numerators over a running lcm
-    denominator, filled by `_product` as `compose_terms` fills its levels;
-    each of its terms is normalized once, with no `mul_terms` product and
-    no `iadd_scaled` pass.  Every product stays within degree mu + s, so no
-    truncation is needed.
+    sum_(1 <= l <= s) d_(mu+l) q_(s-l)) / d_mu.  `online_solve` forms each
+    right-hand side from the numerator parts and the negated parts
+    d_(mu+l), and the quotient by the lead d_mu is `divexact`'s, term by
+    term for a one-term lead.  Every product stays within degree mu + s,
+    so no truncation is needed.
     """
     num._check_compatible(den)
     order = min(num.order, den.order)
@@ -694,28 +695,19 @@ def divide_with_valuation(num: TruncatedSeries, den: TruncatedSeries):
     n_parts = by_degree(num.terms, order)
     if any(n_parts[:mu]):
         raise SeriesError("numerator valuation below denominator valuation")
-    arity = num.context.arity
-    width, weights = _packing(arity, order)
     lead = d_parts[mu]
-    # d_rows[l - 1] and minus_q[s] are d_(mu+l) and -q_s in packed rows
-    d_rows = [_numerators(part, weights, None) for part in d_parts[mu + 1:]]
-    minus_q = []
-    out: dict = {}
-    for s in range(order - mu + 1):
-        total, rows = _numerators(n_parts[mu + s], weights, None)
-        acc = {p: [x, y] for p, x, y in rows}
-        for l in range(1, s + 1):
-            dd, rd = d_rows[l - 1]
-            dq, rq = minus_q[s - l]
-            if rd and rq:
-                total = _add_product(total, acc, dq * dd, rq, rd, None)
+
+    def solve(s, rhs):
         try:
-            q = divexact(_unpacked(acc, total, width, arity), lead)
+            return [divexact(rhs[0], lead)]
         except ArithmeticError as exc:
             raise SeriesError("series not divisible (%s)" % exc) from None
+
+    minus_d = [{e: -c for e, c in part.items()} for part in d_parts[mu + 1:]]
+    out: dict = {}
+    for q, in online_solve([n_parts[mu:]], [[minus_d]], 0, order - mu, solve,
+                           num.context.arity, order):
         out.update(q)
-        dq, rq = _numerators(q, weights, None)
-        minus_q.append((dq, [(p, -x, -y) for p, x, y in rq]))
     return TruncatedSeries._make(num.context, order - mu, out), mu
 
 
@@ -737,9 +729,7 @@ def formal_ift(F: SeriesMap, unknowns) -> SeriesMap:
     d_(j-i), and r_j + J d_j must vanish.  Given the correction's products,
     the two checks prove F(x, u) = 0 to the working order without composing
     again; the next step's composition rechecks them, except at the last
-    step.  Each right-hand side is one packed accumulator, as in
-    `divide_with_valuation`: every degree part of P and every d_j is
-    converted to packed rows once, and each r_j is normalized once.
+    step.  `online_solve` forms each r_j from the degree parts of G and P.
 
     The schedule is read off F.  If no term of F has total degree >= 2 in
     the unknowns, then F(x, u + d) = G + P d holds exactly, with P = dF/du
@@ -767,8 +757,6 @@ def formal_ift(F: SeriesMap, unknowns) -> SeriesMap:
                           "constant linear block is singular")
 
     unverified = "internal: implicit solve failed to verify"
-    arity = free_ctx.arity
-    width, weights = _packing(arity, order)
     partials = [[c.derive(i) for i in unk] for c in F.components]
     sol = [{} for _ in unk]
 
@@ -781,6 +769,22 @@ def formal_ift(F: SeriesMap, unknowns) -> SeriesMap:
                 for i, name in enumerate(ctx_all.names)]
         return [f.truncated(k).compose(args).terms for f in series]
 
+    def solve(j, rhs):
+        """d_j = -J^{-1} r_j, refused unless r_j + J d_j vanishes."""
+        ds = []
+        for row in inv_block:
+            d: dict = {}
+            for t, coeff in zip(rhs, row):
+                iadd_scaled(d, t, -coeff)
+            ds.append(d)
+        for t, row in zip(rhs, block):
+            residual = dict(t)
+            for d, coeff in zip(ds, row):
+                iadd_scaled(residual, d, coeff)
+            if residual:
+                raise SeriesError(unverified)
+        return ds
+
     halvings = [order >> s for s in range(order.bit_length())]
     if all(sum(e[i] for i in unk) <= 1
            for f in F.components for e in f.terms):
@@ -790,40 +794,12 @@ def formal_ift(F: SeriesMap, unknowns) -> SeriesMap:
         g = [by_degree(t, n) for t in composed(F.components, n)]
         if any(parts[k] for parts in g for k in range(h + 1)):
             raise SeriesError(unverified)
-        # p_rows[r][c][i - 1]: the degree-i part of P_rc in packed rows
-        p_rows = [[[_numerators(part, weights, None)
-                    for part in by_degree(t, n - h - 1)[1:]]
-                   for t in composed(row, n - h - 1)]
-                  for row in partials] if n - h > 1 else None
-        d_rows = [{} for _ in unk]  # d_rows[c][j]: d_j of u_c, packed
-        for j in range(h + 1, n + 1):
-            rhs = []
-            for r, parts in enumerate(g):
-                total, rows = _numerators(parts[j], weights, None)
-                acc = {p: [x, y] for p, x, y in rows}
-                for c, deltas in enumerate(d_rows):
-                    for i in range(1, j - h):
-                        dp, rp = p_rows[r][c][i - 1]
-                        dd, rd = deltas[j - i]
-                        if rp and rd:
-                            total = _add_product(total, acc, dp * dd, rp, rd,
-                                                 None)
-                rhs.append(_unpacked(acc, total, width, arity))
-            ds = []
-            for row in inv_block:
-                d: dict = {}
-                for t, coeff in zip(rhs, row):
-                    iadd_scaled(d, t, -coeff)
-                ds.append(d)
-            for t, row in zip(rhs, block):
-                residual = dict(t)
-                for d, coeff in zip(ds, row):
-                    iadd_scaled(residual, d, coeff)
-                if residual:
-                    raise SeriesError(unverified)
-            for terms, deltas, d in zip(sol, d_rows, ds):
+        # p[r][c][i - 1]: the degree-i part of P_rc
+        p = [[by_degree(t, n - h - 1)[1:] for t in composed(row, n - h - 1)]
+             for row in partials] if n - h > 1 else [[]] * len(g)
+        for ds in online_solve(g, p, h + 1, n, solve, free_ctx.arity, order):
+            for terms, d in zip(sol, ds):
                 terms.update(d)
-                deltas[j] = _numerators(d, weights, None)
         h = n
     return SeriesMap([TruncatedSeries._make(free_ctx, order, t) for t in sol])
 

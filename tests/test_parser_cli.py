@@ -254,8 +254,12 @@ def test_cli_order_0_graph_is_refused_where_a_rung_differentiates(
 def test_cli_parse_check(capsys):
     assert main(["parse-check", "w1 - xi1 - i*z1*zeta1"]) == 0
     assert "w1" in capsys.readouterr().out
-    assert main(["parse-check", "z1^^2"]) == 1
+    assert main(["parse-check", "z1^^2"]) == 2
     assert "position" in capsys.readouterr().err
+    assert main(["parse-check", "z1", "--order", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert "--order -5: order must be non-negative" in captured.err
 
 
 def test_cli_version(capsys):

@@ -1,14 +1,17 @@
 """Series-core operations against their independent oracles."""
 
+import ast
 import random
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
 from conftest import (_evaluate_reference, _formal_ift_reference,
                       random_minimal_manifold, random_real_system,
                       random_series, seeded_maps)
+import crreflect
 from crreflect import series
 from crreflect.context import VariableContext, multidegrees, zero_exponent
 from crreflect.gaussian import I, ONE, ZERO, gr
@@ -50,6 +53,19 @@ def test_truncation_drops_high_degrees():
 def test_context_mismatch_raises():
     with pytest.raises(SeriesError):
         var(CTX2, "z") * var(CTX1, "x")
+
+
+@pytest.mark.parametrize("make", [
+    lambda order: TruncatedSeries(CTX2, order),
+    lambda order: TruncatedSeries.zero(CTX2, order),
+    lambda order: TruncatedSeries.constant(CTX2, order, 3),
+    lambda order: TruncatedSeries.constant(CTX2, order, 0),
+    lambda order: TruncatedSeries.variable(CTX2, order, "z"),
+], ids=["init", "zero", "constant", "constant-zero", "variable"])
+def test_constructors_refuse_a_negative_order(make):
+    with pytest.raises(SeriesError, match="order must be non-negative"):
+        make(-5)
+    assert make(0).order == 0
 
 
 def test_ring_axioms_random():
@@ -604,3 +620,26 @@ def test_evaluate_edge_cases():
         got = g.evaluate(at)
         assert got == want == _evaluate_reference(g, at)
         assert (got.a, got.b, got.c) == (want.a, want.b, want.c)
+
+
+# The helpers that know the packed exponent layout of `kernels`.
+PACKED_HELPERS = {"_packing", "_numerators", "_unpacked", "_add_product",
+                  "_product", "_rows"}
+
+
+def test_packed_layout_stays_in_kernels():
+    # Only kernels.py may use the packed layout: no other module of the
+    # package imports its helpers, or reads them off the module.
+    leaks = []
+    for path in sorted(Path(crreflect.__file__).parent.glob("*.py")):
+        if path.name == "kernels.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            leaks += [(path.name, n) for n in names if n in PACKED_HELPERS]
+    assert not leaks
