@@ -67,7 +67,9 @@ x_j of the unknowns comes from a right-hand side built of the parts
 x_(j-1), x_(j-2), ... solved before.  Each coefficient part and each x_j
 is converted once to packed rows, and each right-hand side is one
 accumulator, normalized once.  Division with valuation and each step of
-the implicit solve are this loop with their own `solve` of one degree.
+the implicit solve are this loop with their own `solve` of one degree;
+a division of many numerators by one denominator is one diagonal system,
+whose divisor parts are packed once.
 
 `iadd_scaled` likewise forms `acc + coeff * c` on the integer triples and
 normalizes once per updated term.
@@ -340,15 +342,25 @@ def online_solve(bases, coeffs, first, last, solve, arity, top):
     a coefficient, and `solve` returns x_j, one term dict per unknown.  All
     exponents are at most `top`.  Returns [x_first, ..., x_last].
 
-    Every coefficient part and every x_j is converted once to packed
-    Gaussian-integer rows.  Each rhs[r] is one accumulator of [re, im]
-    numerators over a running lcm denominator, filled by `_add_product` as
-    `compose_terms` fills its levels, and each of its terms is normalized
-    once.
+    Every distinct coefficient list and every x_j is converted once to
+    packed Gaussian-integer rows: a list that stands at several places of
+    `coeffs`, as the one negated divisor does on the diagonal of a
+    division of many numerators, is packed once.  Each rhs[r] is one
+    accumulator of [re, im] numerators over a running lcm denominator,
+    filled by `_add_product` as `compose_terms` fills its levels, and each
+    of its terms is normalized once.
     """
     width, weights, _ = _packing(arity, top)
-    packed = [[[_numerators(part, weights, None) for part in parts]
-               for parts in row] for row in coeffs]
+    packs: dict = {}
+
+    def pack(parts):
+        got = packs.get(id(parts))
+        if got is None:
+            got = packs[id(parts)] = [_numerators(part, weights, None)
+                                      for part in parts]
+        return got
+
+    packed = [[pack(parts) for parts in row] for row in coeffs]
     out, xs = [], []  # xs[k][c]: out[k][c] in packed rows
     for j in range(first, last + 1):
         rhs = []

@@ -445,6 +445,12 @@ def q_jbeta_cramer(h: FormalCRMap, beta_max=1) -> CramerTable:
     Requires h invertible; the m x m determinant of the first derivatives of
     the composed fbar must be a unit (its vanishing at 0 would contradict
     invertibility and is reported as an inconsistency).
+
+    Level |beta| + 1 comes from level |beta|: the value at beta + e_l is
+    sum_k adj[l][k] d_(zeta_k) v_beta / det.  Each level's numerators form
+    one `SeriesMap` and are divided by det in one `divide_with_valuation`
+    call, which prepares det once; det is a unit, so each quotient is exact
+    to its numerator's order, and no inverse of det is formed.
     """
     check_budget("q_jbeta_cramer", h.order, beta_max=beta_max)
     M, Mp = h.M, h.Mp
@@ -464,7 +470,6 @@ def q_jbeta_cramer(h: FormalCRMap, beta_max=1) -> CramerTable:
         raise ReflectionError(
             "inconsistency: the Cramer determinant vanishes at 0 "
             "for an invertible map")
-    det_inv = det.invert_unit()
     adj = _adjugate(A)
 
     values = {}
@@ -472,22 +477,23 @@ def q_jbeta_cramer(h: FormalCRMap, beta_max=1) -> CramerTable:
         values[(j, zero_exponent(m))] = gbar_on[j]
     level = {zero_exponent(m)}
     for _ in range(beta_max):
-        nxt = set()
+        nums = {}  # (j, target) -> sum_k adj[l][k] d_(zeta_k) v
         for beta in sorted(level):
             for j in range(M.d):
                 v = values[(j, beta)]
                 rhs = [v.derive(zeta_idx[k]) for k in range(m)]
                 for l in range(m):
                     target = beta[:l] + (beta[l] + 1,) + beta[l + 1:]
-                    if (j, target) in values:
+                    if (j, target) in nums:
                         continue
                     sol = None
                     for k in range(m):
                         piece = adj[l][k] * rhs[k]
                         sol = piece if sol is None else sol + piece
-                    values[(j, target)] = sol * det_inv.truncated(sol.order)
-                    nxt.add(target)
-        level = nxt
+                    nums[(j, target)] = sol
+        quotients, _ = divide_with_valuation(SeriesMap(nums.values()), det)
+        values.update(zip(nums, quotients))
+        level = {target for _, target in nums}
 
     entries = {}
     for (j, beta), v in values.items():
@@ -560,27 +566,33 @@ def formal_cramer_solve(coeffs, rhs):
 
     The determinant must not vanish identically to the working order; the
     solution is obtained by adjugate multiplication and exact division and
-    is determined modulo degree order - valuation(det).  Returns
-    (solutions, lost_order).
+    is determined modulo degree order - valuation(det).  The n numerators
+    sum_k adj[i][k] b_k are divided by det in one `divide_with_valuation`
+    call.  Returns (solutions, lost_order).
     """
     n = len(coeffs)
+    if not n:
+        raise ReflectionError("system needs at least one equation")
     if any(len(row) != n for row in coeffs) or len(rhs) != n:
         raise ReflectionError("system must be square with matching rhs")
     det = _det(coeffs)
     if det.is_zero():
         raise ReflectionError("determinant vanishes to the working order")
     adj = _adjugate(coeffs)
-    sols = []
-    lost = None
+    nums = []
     for i in range(n):
         num = None
         for k in range(n):
             piece = adj[i][k] * rhs[k]
             num = piece if num is None else num + piece
-        q, mu = divide_with_valuation(num, det)
-        sols.append(q)
-        lost = mu if lost is None else max(lost, mu)
-    return sols, lost
+        nums.append(num)
+    # The least order is every numerator's working order with det: each
+    # entry of r lies in some cofactor, and no cofactor is less exact than
+    # det.  So the cut changes no quotient.
+    order = min(num.order for num in nums)
+    sols, lost = divide_with_valuation(
+        SeriesMap([num.truncated(order) for num in nums]), det)
+    return list(sols), lost
 
 
 # -- transversality -----------------------------------------------------------

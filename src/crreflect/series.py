@@ -669,7 +669,7 @@ def by_degree(terms: dict, k: int) -> list:
     return parts
 
 
-def divide_with_valuation(num: TruncatedSeries, den: TruncatedSeries):
+def divide_with_valuation(num, den: TruncatedSeries):
     """Exact division of truncated series.
 
     The working order is min(num.order, den.order).  Returns (quotient,
@@ -678,37 +678,66 @@ def divide_with_valuation(num: TruncatedSeries, den: TruncatedSeries):
     denominator vanishes to the working order or the division leaves a
     remainder within provable degrees.
 
+    A `SeriesMap` of numerators divides componentwise and returns
+    (SeriesMap of quotients, lost_order), with the error the first failing
+    component would raise on its own.
+
     Degree by degree: with mu that valuation and d_k, n_k, q_k the
     degree-k parts, split off once by `by_degree`, q_s = (n_(mu+s) -
     sum_(1 <= l <= s) d_(mu+l) q_(s-l)) / d_mu.  `online_solve` forms each
     right-hand side from the numerator parts and the negated parts
     d_(mu+l), and the quotient by the lead d_mu is `divexact`'s, term by
     term for a one-term lead.  Every product stays within degree mu + s,
-    so no truncation is needed.
+    so no truncation is needed.  The denominator is split, negated and
+    packed once per call: the numerators of a map are the rows of one
+    diagonal system, each with the same list of negated parts.
     """
-    num._check_compatible(den)
-    order = min(num.order, den.order)
+    nums = num.components if isinstance(num, SeriesMap) else [num]
+    nums[0]._check_compatible(den)
+    order = min(nums[0].order, den.order)
     d_parts = by_degree(den.terms, order)
     mu = next((k for k, part in enumerate(d_parts) if part), None)
     if mu is None:
         raise SeriesError("division by a series that is zero to its order")
-    n_parts = by_degree(num.terms, order)
-    if any(n_parts[:mu]):
-        raise SeriesError("numerator valuation below denominator valuation")
+    n_parts = [by_degree(n.terms, order) for n in nums]
+    # The first failing component's error is raised; components after it
+    # are not solved.  One with a term below mu fails before its solve.
+    live = next((r for r, parts in enumerate(n_parts) if any(parts[:mu])),
+                len(nums))
+    error = "numerator valuation below denominator valuation"
+    if not live:
+        raise SeriesError(error)
     lead = d_parts[mu]
 
     def solve(s, rhs):
-        try:
-            return [divexact(rhs[0], lead)]
-        except ArithmeticError as exc:
-            raise SeriesError("series not divisible (%s)" % exc) from None
+        nonlocal live, error
+        qs = [{}] * len(rhs)
+        for r in range(live):
+            try:
+                qs[r] = divexact(rhs[r], lead)
+            except ArithmeticError as exc:
+                live, error = r, "series not divisible (%s)" % exc
+                if not r:
+                    raise SeriesError(error) from None
+                break
+        return qs
 
     minus_d = [{e: -c for e, c in part.items()} for part in d_parts[mu + 1:]]
-    out: dict = {}
-    for q, in online_solve([n_parts[mu:]], [[minus_d]], 0, order - mu, solve,
-                           num.context.arity, order):
-        out.update(q)
-    return TruncatedSeries._make(num.context, order - mu, out), mu
+    diagonal = [[minus_d if c == r else [] for c in range(live)]
+                for r in range(live)]
+    outs = [{} for _ in range(live)]
+    for qs in online_solve([parts[mu:] for parts in n_parts[:live]],
+                           diagonal, 0, order - mu, solve,
+                           den.context.arity, order):
+        for out, q in zip(outs, qs):
+            out.update(q)
+    if live < len(nums):
+        raise SeriesError(error)
+    quotients = [TruncatedSeries._make(den.context, order - mu, out)
+                 for out in outs]
+    if isinstance(num, SeriesMap):
+        return SeriesMap(quotients), mu
+    return quotients[0], mu
 
 
 def formal_ift(F: SeriesMap, unknowns) -> SeriesMap:
@@ -730,6 +759,9 @@ def formal_ift(F: SeriesMap, unknowns) -> SeriesMap:
     the two checks prove F(x, u) = 0 to the working order without composing
     again; the next step's composition rechecks them, except at the last
     step.  `online_solve` forms each r_j from the degree parts of G and P.
+    While u = 0, as in the step from precision 0, G and P are read off F
+    and its partials without a composition: the terms free of u, put on
+    the free variables.
 
     The schedule is read off F.  If no term of F has total degree >= 2 in
     the unknowns, then F(x, u + d) = G + P d holds exactly, with P = dF/du
@@ -761,7 +793,13 @@ def formal_ift(F: SeriesMap, unknowns) -> SeriesMap:
     sol = [{} for _ in unk]
 
     def composed(series, k):
-        """Each of `series` composed with (x, u) to order k."""
+        """Each of `series` composed with (x, u) to order k.  At u = 0 that
+        is its terms free of u, put on the free variables."""
+        if not any(sol):
+            return [{tuple([e[i] for i in free]): c
+                     for e, c in f.terms.items()
+                     if sum(e) <= k and not any([e[i] for i in unk])}
+                    for f in series]
         args = [TruncatedSeries._make(
                     free_ctx, k, {e: c for e, c in sol[pos[i]].items()
                                   if sum(e) <= k}) if i in pos

@@ -6,15 +6,17 @@ from heapq import heapify, heappop, heappush
 
 import pytest
 
-from crreflect.context import VariableContext, multidegrees
+from crreflect.context import VariableContext, multidegrees, zero_exponent
 from crreflect.gaussian import ONE, ZERO, GaussianRational, I
 from crreflect.kernels import iadd_scaled, mul_terms
 from crreflect.manifold import (Derivation, RealDefiningSystem,
                                 complexify_and_graph, fields)
-from crreflect.reflection import FormalCRMap, _multidegree_table
+from crreflect.reflection import (CramerTable, FormalCRMap, ReflectionError,
+                                  _adjugate, _det, _multidegree_table)
 from crreflect.segre import chain
 from crreflect.series import (SeriesError, SeriesMap, TruncatedSeries, _coeff,
-                              invert_matrix, jacobian_at_zero)
+                              check_budget, factorial_multi, invert_matrix,
+                              jacobian_at_zero)
 
 
 def make_heisenberg(order=8, primed=False):
@@ -474,6 +476,63 @@ def _formal_ift_reference(F, unknowns):
         if residual:
             raise SeriesError(unverified)
     return SeriesMap(sol)
+
+
+def _q_jbeta_cramer_reference(h, beta_max=1):
+    """`reflection.q_jbeta_cramer` as it was before it divided by the
+    determinant: each value is its numerator times the inverse of det."""
+    check_budget("q_jbeta_cramer", h.order, beta_max=beta_max)
+    M, Mp = h.M, h.Mp
+    if not h.is_invertible():
+        raise ReflectionError("Cramer identities need an invertible map")
+    m = M.m
+    ctx = M.ctx_restrict_xi
+    fbar_on = list(M.restrict(h.fbar, "xi"))
+    gbar_on = list(M.restrict(h.gbar, "xi"))
+    h_emb = [c.remapped(ctx) for c in h.h.components]
+    zeta_idx = [ctx.index(n) for n in M.names.zeta]
+
+    A = [[fbar_on[l].derive(zeta_idx[k]) for l in range(m)] for k in range(m)]
+    det = _det(A)
+    det0 = det.constant_term()
+    if not det0:
+        raise ReflectionError(
+            "inconsistency: the Cramer determinant vanishes at 0 "
+            "for an invertible map")
+    det_inv = det.invert_unit()
+    adj = _adjugate(A)
+
+    values = {}
+    for j in range(M.d):
+        values[(j, zero_exponent(m))] = gbar_on[j]
+    level = {zero_exponent(m)}
+    for _ in range(beta_max):
+        nxt = set()
+        for beta in sorted(level):
+            for j in range(M.d):
+                v = values[(j, beta)]
+                rhs = [v.derive(zeta_idx[k]) for k in range(m)]
+                for l in range(m):
+                    target = beta[:l] + (beta[l] + 1,) + beta[l + 1:]
+                    if (j, target) in values:
+                        continue
+                    sol = None
+                    for k in range(m):
+                        piece = adj[l][k] * rhs[k]
+                        sol = piece if sol is None else sol + piece
+                    values[(j, target)] = sol * det_inv.truncated(sol.order)
+                    nxt.add(target)
+        level = nxt
+
+    entries = {}
+    for (j, beta), v in values.items():
+        scale = ONE / factorial_multi(beta)
+        cramer = v * scale
+        d_theta = Mp.theta[j].derive_multi(
+            tuple(beta) + zero_exponent(Mp.n))
+        direct = d_theta.compose(fbar_on + h_emb) * scale
+        entries[(j, beta)] = (cramer, direct)
+    return CramerTable(det0, entries)
 
 
 def _evaluate_reference(series, point):

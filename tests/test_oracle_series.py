@@ -609,11 +609,12 @@ def _of_degree(arity, k):
 
 
 @st.composite
-def valuation_divisions(draw):
+def valuation_divisions(draw, maps=False):
     """(arity, numerator order, numerator, denominator order, denominator):
     a denominator of valuation mu <= 3 whose lead is a constant, one
     monomial or several, with terms above it, and a numerator that is a
-    multiple of it, a multiple plus a few terms, or any terms at all."""
+    multiple of it, a multiple plus a few terms, or any terms at all.  With
+    `maps`, a list of 1-4 such numerators stands in the numerator's place."""
     n = draw(st.integers(1, 4))
     mu = draw(st.integers(0, 3))
     den_order = draw(st.integers(mu, mu + 4 - min(n, 3)))
@@ -623,19 +624,26 @@ def valuation_divisions(draw):
         den.update(draw(st.dictionaries(_of_degree(n, k), coefficients(),
                                         max_size=2)))
     num_order = den_order + draw(st.integers(0, 1))
-    kind = draw(st.sampled_from(("exact", "inexact", "any")))
-    terms = {}
-    for k in range(num_order + 1):
-        terms.update(draw(st.dictionaries(_of_degree(n, k), coefficients(),
-                                          max_size=2)))
-    if kind == "any":
-        num = terms
-    else:
+
+    def numerator():
+        kind = draw(st.sampled_from(("exact", "inexact", "any")))
+        terms = {}
+        for k in range(num_order + 1):
+            terms.update(draw(st.dictionaries(_of_degree(n, k),
+                                              coefficients(), max_size=2)))
+        if kind == "any":
+            return terms
         q = {e: c for e, c in terms.items() if sum(e) <= num_order - mu}
         num = kernels.mul_terms(q, den, num_order)
         if kind == "inexact":
             kernels.iadd_scaled(num, {e: c for e, c in terms.items()
                                       if sum(e) >= mu}, ONE)
+        return num
+
+    if maps:
+        num = [numerator() for _ in range(draw(st.integers(1, 4)))]
+    else:
+        num = numerator()
     return n, num_order, num, den_order, den
 
 
@@ -660,6 +668,36 @@ def test_divide_with_valuation_matches_reference(case):
         return
     quo, lost = divide_with_valuation(num, den)
     assert quo == want[0] and lost == want[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(valuation_divisions(maps=True))
+# the lead x0*x1 leaves x0^3 of the second numerator over at degree 3 and
+# x0^4 of the first at degree 4, and the third is below the valuation: the
+# first numerator's error is raised
+@example((2, 4, [{(4, 0): gr(1)}, {(3, 0): gr(1)}, {(1, 0): gr(1)}], 4,
+          {(1, 1): gr(1)}))
+# the first numerator divides, the second is below the valuation
+@example((2, 4, [{(2, 1): gr(1), (3, 1): gr(2)}, {(1, 0): gr(1)}], 4,
+          {(1, 1): gr(1)}))
+def test_divide_with_valuation_divides_maps_componentwise(case):
+    # A map divides componentwise: each quotient and the lost order are
+    # those of its numerator alone, and the error is the first failing
+    # component's.
+    n, num_order, nums, den_order, den = case
+    ctx = _context(n)
+    nums = [TruncatedSeries(ctx, num_order, num) for num in nums]
+    den = TruncatedSeries(ctx, den_order, den)
+    try:
+        want = [_divide_with_valuation_reference(num, den) for num in nums]
+    except SeriesError as exc:
+        with pytest.raises(SeriesError, match=re.escape(str(exc))):
+            divide_with_valuation(SeriesMap(nums), den)
+        return
+    quo, lost = divide_with_valuation(SeriesMap(nums), den)
+    assert isinstance(quo, SeriesMap)
+    assert list(quo) == [q for q, _ in want]
+    assert all(lost == mu for _, mu in want)
 
 
 @st.composite

@@ -7,9 +7,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (LiftReference, cr_fields, derivation_words,
-                      kernel_basis_reference, make_ex121, make_flat,
-                      make_heisenberg, make_sphere3, quadric_pair,
+from conftest import (LiftReference, _q_jbeta_cramer_reference, cr_fields,
+                      derivation_words, kernel_basis_reference, make_ex121,
+                      make_flat, make_heisenberg, make_sphere3, quadric_pair,
                       random_coeff, random_minimal_manifold, random_series,
                       seeded_maps, transversal_fields)
 from crreflect import reflection
@@ -196,6 +196,46 @@ def test_cramer_dilation_sphere3():
     assert table.defects() == []
 
 
+def _cramer_maps():
+    """(label, map): the invertible seeded maps, and three degenerate
+    self-maps of ex121' from seeded formal times."""
+    Mp = make_ex121()
+    field = holomorphic_degeneracy_field(Mp, 4)
+    return ([(label, h) for label, h in seeded_maps() if h.is_invertible()]
+            + [("ex121-selfmap-%d" % seed,
+                degenerate_selfmap_generator(Mp, field, None, seed=seed))
+               for seed in range(3)])
+
+
+CRAMER_MAPS = _cramer_maps()
+
+
+@pytest.mark.parametrize("beta_max", range(4))
+@pytest.mark.parametrize("label, h", CRAMER_MAPS,
+                         ids=[c[0] for c in CRAMER_MAPS])
+def test_q_jbeta_cramer_matches_reference(monkeypatch, label, h, beta_max):
+    # Each level divides its numerators by det in one call, and no inverse
+    # of det is formed; the table is the one of inverse-then-multiply.
+    want = _q_jbeta_cramer_reference(h, beta_max)
+    divisions = []
+    plain = reflection.divide_with_valuation
+
+    def spy(num, den):
+        divisions.append(num)
+        return plain(num, den)
+
+    def refuse(self):
+        raise AssertionError("q_jbeta_cramer inverted a series")
+
+    monkeypatch.setattr(reflection, "divide_with_valuation", spy)
+    monkeypatch.setattr(TruncatedSeries, "invert_unit", refuse)
+    got = q_jbeta_cramer(h, beta_max)
+    assert len(divisions) == beta_max
+    assert got.det_at_zero == want.det_at_zero
+    # series equality compares orders as well as terms
+    assert list(got.entries.items()) == list(want.entries.items())
+
+
 def test_cramer_needs_invertible():
     M, Mp = heis_pair()
     ctx_t = VariableContext(M.names.t)
@@ -273,6 +313,13 @@ def test_formal_cramer_planted_systems():
             assert lost == mu
             for got, want in zip(sols, a_true):
                 assert got == want.truncated(got.order)
+
+
+def test_formal_cramer_empty_system_rejected(monkeypatch):
+    # refused before any work: no determinant is formed
+    monkeypatch.setattr(reflection, "_det", None)
+    with pytest.raises(ReflectionError, match="at least one equation"):
+        formal_cramer_solve([], [])
 
 
 def test_formal_cramer_zero_det_rejected():
