@@ -13,9 +13,8 @@ both use it without an import cycle.
   divides term by term, shifting each exponent down by e and scaling by
   1/c (not at all for c = 1); Bareiss's pivots are chosen sparsest, so
   they are one term wherever their column holds a monomial, mostly the
-  constant 1.  Any other divisor runs graded-lex reduction on packed
-  exponents, the remainder's packed keys kept in a heap and the divisor
-  held as Gaussian-integer numerators.
+  constant 1.  Any other divisor runs graded-lex reduction on term dicts,
+  each step one `_scale_shift` and one `iadd_scaled`.
 * `online_solve`: the degree-by-degree solve behind
   `series.divide_with_valuation` and `series.formal_ift`, each degree's
   right-hand side one packed accumulator.
@@ -32,10 +31,11 @@ two paths:
 * **Common denominator, packed exponents.**  Otherwise each operand is
   converted once to Gaussian-integer numerators over the lcm of its
   denominators (the layout of FLINT's ``fmpq_poly``).  Exponent tuples are
-  packed into ints by `_packing`, the one layout of this module: the total
-  degree in the top field, then x0 down to the last variable, with a guard
-  bit per field (Monagan & Pearce, "Polynomial division using dynamic
-  arrays, heaps, and packed exponent vectors", CASC 2007).  Keys sort in
+  packed into ints by `_packing`, the one layout of this module, which
+  serves products, compositions and the on-line solve: the total degree in
+  the top field, then x0 down to the last variable, with a spare bit per
+  field (Monagan & Pearce, "Polynomial division using dynamic arrays,
+  heaps, and packed exponent vectors", CASC 2007).  Keys sort in
   graded-lex order.  Adding two keys multiplies the monomials, and since
   keys sort by degree first, one binary search per row of the smaller
   operand finds the terms of the other that stay within the truncation
@@ -81,7 +81,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import add, gt, mul, neg
+from operator import add, gt, mul, neg, sub
 
 from .gaussian import ONE, GaussianRational
 
@@ -102,17 +102,15 @@ def _make(a: int, b: int, c: int) -> GaussianRational:
     return z
 
 
-def _triple(a: int, b: int, c: int) -> tuple:
-    """Normalize (a + b*i)/c, c > 0, as an (a, b, c) triple."""
-    g = gcd(a, b, c)
-    if g != 1:
-        return a // g, b // g, c // g
-    return a, b, c
+def _descending(e: tuple) -> tuple:
+    """Sort key of exponent tuples in descending graded-lex order."""
+    return -sum(e), tuple(map(neg, e))
 
 
 def _scale_shift(e: tuple, c: GaussianRational, T: dict, order: int) -> dict:
     """`{e: c} * T` truncated to total degree <= order (order < 0: none).
-    `divexact` shifts down with an e of negated exponents."""
+    `divexact` shifts down with an e of negated exponents, and up by each
+    quotient exponent of its reduction."""
     if order >= 0:
         room = order - sum(e)
         T = {f: d for f, d in T.items() if sum(f) <= room}
@@ -142,20 +140,17 @@ def _numerators(T: dict, weights: list, limit):
 
 @lru_cache(maxsize=None)
 def _packing(arity: int, top: int):
-    """(width, weights, guards), the one packed layout, for exponent fields
-    of at most `top`: the total degree in the top field, then x0 down to the
-    last variable, so that e . weights packs e and keys sort in graded-lex
-    order.  For order <= top a key is below (order + 1) << (width * arity)
-    iff its degree is <= order.  Each field has one guard bit above the bits
-    `top` needs, so adding two keys never carries between fields, and
-    `guards` marks them all: for packed monomials a and b, b divides a iff
-    a - b borrows into no field, that is iff (a - b) & guards is 0."""
+    """(width, weights), the one packed layout, for exponent fields of at
+    most `top`: the total degree in the top field, then x0 down to the last
+    variable, so that e . weights packs e and keys sort in graded-lex order.
+    For order <= top a key is below (order + 1) << (width * arity) iff its
+    degree is <= order.  Each field has one bit above those `top` needs, so
+    adding two keys never carries between fields."""
     width = top.bit_length() + 1
     shift = width * arity
     weights = tuple([(1 << (width * (arity - 1 - i))) + (1 << shift)
                      for i in range(arity)])
-    guards = sum([1 << (width * j + width - 1) for j in range(arity + 1)])
-    return width, weights, guards
+    return width, weights
 
 
 def _product(acc: dict, ra: list, rb: list, limit) -> None:
@@ -240,7 +235,7 @@ def mul_terms(A: dict, B: dict, order: int) -> dict:
         top = order
     else:
         top = max(max(e) for e in A) + max(max(e) for e in B)
-    width, weights, _ = _packing(arity, top)
+    width, weights = _packing(arity, top)
     limit = (order + 1) << (width * arity) if order >= 0 else None
     da, ra = _numerators(A, weights, limit)
     db, rb = _numerators(B, weights, limit)
@@ -276,7 +271,7 @@ def compose_terms(groups: dict, args: list, arity: int, order: int) -> dict:
         return {}
     if len(nonzero) == 1 and not any(nonzero[0][0]):
         return nonzero[0][1]
-    width, weights, _ = _packing(arity, order)
+    width, weights = _packing(arity, order)
     shift = width * arity
     converted = [None] * len(args)
 
@@ -350,7 +345,7 @@ def online_solve(bases, coeffs, first, last, solve, arity, top):
     filled by `_add_product` as `compose_terms` fills its levels, and each
     of its terms is normalized once.
     """
-    width, weights, _ = _packing(arity, top)
+    width, weights = _packing(arity, top)
     packs: dict = {}
 
     def pack(parts):
@@ -412,24 +407,17 @@ def divexact(f: dict, g: dict) -> dict:
     constant 1: Bareiss's pivots are chosen sparsest, and the leads of the
     series divisions are constants or monic monomials.
 
-    Any other divisor takes graded-lex reduction: each step cancels the
-    leading term of the remainder, popped from a heap of its keys (Monagan
-    & Pearce, JSC 2011).  A step pushes only the keys it adds, all below
-    the lead it cancels; a popped key no longer in the remainder is
-    skipped.  Raises ZeroDivisionError for g = 0 and ArithmeticError,
-    naming the leading term left over, when g does not divide f.
-
-    Exponents are packed by `_packing`, so the heap holds ints in
-    graded-lex order and the test that g's lead divides the remainder's
-    lead is one masked subtraction.  g is converted once by `_numerators`
-    to Gaussian-integer numerators X + iY over the lcm D of its
-    denominators.  With the lead X0 + iY0 and its norm N = X0^2 + Y0^2, a
-    remainder lead (a + ib)/c gives the quotient coefficient
-    (a + ib) * D * (X0 - iY0) / (c * N), normalized once.  The step then
-    subtracts it times x^t * g from the remainder's normalized (a, b, c)
-    triples directly, one gcd per updated term, with no product dict,
-    `mul_terms` or `iadd_scaled` call.  Only the quotient keys, and the
-    leftover lead in the error, are unpacked.
+    Any other divisor takes graded-lex reduction on term dicts: each step
+    cancels the leading term of the remainder, popped from a heap of its
+    exponent tuples.  The quotient term is that coefficient over g's lead,
+    and its multiple x^t * g, one `_scale_shift`, is subtracted by
+    `iadd_scaled` with one normalization per updated term.  A step pushes
+    only the keys it adds, all below the lead it cancels; a popped key no
+    longer in the remainder is skipped.  Quotient keys come out in
+    descending graded-lex order.  No workload of the benchmark divides by
+    several terms, so this branch keeps no packed form of its own.  Raises
+    ZeroDivisionError for g = 0 and ArithmeticError, naming the leading
+    term left over, when g does not divide f.
     """
     if not f:
         return {}
@@ -444,51 +432,26 @@ def divexact(f: dict, g: dict) -> dict:
             raise ArithmeticError("remainder at %r" % (
                 max(left, key=lambda k: (sum(k), k)),))
         return q
-    arity = len(next(iter(g)))
-    top = max(max(map(sum, f)), max(map(sum, g)))
-    width, weights, guards = _packing(arity, top)
-    den, rows = _numerators(g, weights, None)
-    glead, x0, y0 = rows.pop()
-    norm = x0 * x0 + y0 * y0
-    lead_re, lead_im = x0 * den, y0 * den
-    rem = {sum(map(mul, e, weights)): (c.a, c.b, c.c) for e, c in f.items()}
-    get, pop = rem.get, rem.pop
-    heap = [-p for p in rem]
+    glead = min(g, key=_descending)
+    lead = g[glead]
+    rem = dict(f)
+    heap = [(_descending(e), e) for e in rem]
     heapify(heap)
-    mask = (1 << width) - 1
-    shifts = range(width * (arity - 1), -1, -width)
     q: dict = {}
     while rem:
-        p = -heappop(heap)
-        s = pop(p, None)
-        if s is None:
+        e = heappop(heap)[1]
+        c = rem.get(e)
+        if c is None:
             continue
-        t = p - glead
-        if t & guards:
-            lead = tuple([(p >> i) & mask for i in shifts])
-            raise ArithmeticError("remainder at %r" % (lead,))
-        a, b, c = s
-        z = _make(a * lead_re + b * lead_im, b * lead_re - a * lead_im,
-                  c * norm)
-        q[tuple([(t >> i) & mask for i in shifts])] = z
-        qa, qb = z.a, z.b
-        m = z.c * den
-        for pe, x, y in rows:
-            k = t + pe
-            re = qa * x - qb * y
-            im = qa * y + qb * x
-            s = get(k)
-            if s is None:
-                rem[k] = _triple(-re, -im, m)
-                heappush(heap, -k)
-                continue
-            a, b, c = s
-            a = a * m - c * re
-            b = b * m - c * im
-            if a or b:
-                rem[k] = _triple(a, b, c * m)
-            else:
-                del rem[k]
+        if any(map(gt, glead, e)):
+            raise ArithmeticError("remainder at %r" % (e,))
+        t = tuple(map(sub, e, glead))
+        z = q[t] = c / lead
+        step = _scale_shift(t, ONE, g, -1)
+        for k in step:
+            if k not in rem:
+                heappush(heap, (_descending(k), k))
+        iadd_scaled(rem, step, -z)
     return q
 
 

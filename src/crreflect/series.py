@@ -91,6 +91,8 @@ class TruncatedSeries:
         for e, c in (terms or {}).items():
             if len(e) != arity:
                 raise SeriesError("exponent %r has wrong arity for %r" % (e, context))
+            if min(e, default=0) < 0:
+                raise SeriesError("exponent %r has a negative entry" % (e,))
             if sum(e) > order:
                 continue
             c = _coeff(c)
@@ -293,6 +295,9 @@ class TruncatedSeries:
         return TruncatedSeries._make(self.context, order, out)
 
     def derive_multi(self, exponent) -> "TruncatedSeries":
+        if min(exponent, default=0) < 0:
+            raise SeriesError("derivative order %r has a negative entry"
+                              % (tuple(exponent),))
         f = self
         for i, k in enumerate(exponent):
             for _ in range(k):

@@ -534,6 +534,13 @@ def test_divexact_matches_reference(case):
         return
     got = kernels.divexact(f, g)
     assert got == want
+    if len(g) == 1:
+        # a one-term divisor c * x^e keeps the dividend's key order
+        (e, _), = g.items()
+        assert list(got) == [tuple([a - b for a, b in zip(k, e)]) for k in f]
+    else:
+        # the reduction yields quotient terms in descending graded-lex order
+        assert list(got.items()) == list(want.items())
     assert all(gcd(c.a, c.b, c.c) == 1 and c.c > 0 for c in got.values())
 
 
@@ -544,9 +551,9 @@ def test_divexact_matches_reference(case):
     ((0, 2, 1), (1, 0, 1)),
 ])
 def test_divexact_packed_fields_do_not_borrow(f, g):
-    # a field of g's lead above the remainder's borrows from the field above
-    # it in the packed subtraction; the guard bit under that borrow is what
-    # tells the lead is not divisible
+    # a field of g's lead above the remainder's, with a larger field above
+    # it that would cover a borrow in a packed subtraction: the lead is not
+    # divisible, and the error names it
     with pytest.raises(ArithmeticError,
                        match=re.escape("remainder at %r" % (f,))):
         kernels.divexact({f: gr(1)}, {g: gr(1)})

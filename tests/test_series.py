@@ -2,6 +2,7 @@
 
 import ast
 import random
+import re
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -66,6 +67,36 @@ def test_constructors_refuse_a_negative_order(make):
     with pytest.raises(SeriesError, match="order must be non-negative"):
         make(-5)
     assert make(0).order == 0
+
+
+XY = VariableContext(("x", "y"))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TruncatedSeries(XY, 3, {(-1, 2): 1}),
+    lambda: TruncatedSeries(XY, 3, {(-1, 2): 1, (1, 0): 1, (0, 1): 2}),
+    lambda: TruncatedSeries(XY, 3, {(0, 0): 1, (2, -1): 0}),
+    lambda: TruncatedSeries.monomial(XY, 3, (0, -1)),
+    lambda: TruncatedSeries.monomial(XY, 3, [-2, 5]),
+], ids=["init", "init-mixed", "init-zero-coefficient", "monomial",
+        "monomial-list"])
+def test_constructors_refuse_a_negative_exponent(make):
+    # a negative field would borrow from the field above it in a packed
+    # key: x^-1 * y^2 printed as y^2, and a product reached x^7 * y^3 at
+    # order 3
+    with pytest.raises(SeriesError, match=r"exponent \(.*-\d.*\) has a "
+                       r"negative entry"):
+        make()
+
+
+def test_derive_multi_refuses_a_negative_order():
+    u = TruncatedSeries(XY, 3, {(1, 1): 1, (0, 1): 2})
+    for exponent in [(-1, 0), (0, -2), (1, -1)]:
+        with pytest.raises(SeriesError, match=re.escape(
+                "derivative order %r has a negative entry" % (exponent,))):
+            u.derive_multi(exponent)
+    assert u.derive_multi((0, 0)) == u
+    assert u.derive_multi((1, 0)) == TruncatedSeries(XY, 2, {(0, 1): 1})
 
 
 def test_ring_axioms_random():
