@@ -16,8 +16,10 @@ both use it without an import cycle.
   constant 1.  Any other divisor runs graded-lex reduction on term dicts,
   each step one `_scale_shift` and one `iadd_scaled`.
 * `online_solve`: the degree-by-degree solve behind
-  `series.divide_with_valuation` and `series.formal_ift`, each degree's
-  right-hand side one packed accumulator.
+  `series.divide_with_valuation` and `series.formal_ift`, each degree
+  packed from right-hand side to unknown; `pack_parts` packs its
+  coefficients, and `divider` and `implicit_step` are its solves of one
+  degree.
 * `echelon`: Gauss-Jordan elimination of a constant matrix given as sparse
   {column: coefficient} rows, the one elimination behind every rank,
   kernel, inverse and span test.
@@ -64,12 +66,20 @@ accumulator with `_add_product`.
 `online_solve` solves a triangular system of truncated series on-line,
 one degree after the other (van der Hoeven, JSC 2002): the degree-j part
 x_j of the unknowns comes from a right-hand side built of the parts
-x_(j-1), x_(j-2), ... solved before.  Each coefficient part and each x_j
-is converted once to packed rows, and each right-hand side is one
-accumulator, normalized once.  Division with valuation and each step of
-the implicit solve are this loop with their own `solve` of one degree;
-a division of many numerators by one denominator is one diagonal system,
-whose divisor parts are packed once.
+x_(j-1), x_(j-2), ... solved before.  Each degree stays packed.  Its
+right-hand side is one accumulator, handed as it is to the solve of that
+degree, which works on its integer numerators and returns x_j normalized
+once: one gcd over its numerators and its denominator gives the lcm
+denominator and numerators that `_numerators` of its term dict would.
+x_j is kept in that form for the later degrees and unpacked once into
+the returned term dicts.  Division with valuation solves a degree with
+`divider`: a one-term lead c * x^e shifts keys down by e's packed key,
+reads divisibility off the spare bit of every field and scales by 1/c,
+and a lead of several terms goes through `divexact`.  Each step of the
+implicit solve solves a degree with `implicit_step`, d_j = -J^{-1} r_j
+with its check r_j + J d_j = 0 on integers.  A division of many
+numerators by one denominator is one diagonal system, whose divisor
+parts `pack_parts` negates as integers and packs once.
 
 `iadd_scaled` likewise forms `acc + coeff * c` on the integer triples and
 normalizes once per updated term.
@@ -325,6 +335,40 @@ def compose_terms(groups: dict, args: list, arity: int, order: int) -> dict:
     return _unpacked(acc, den, width, arity)
 
 
+def pack_parts(parts, arity, top, sign=1):
+    """The term dicts `parts` as packed parts for `online_solve`: each one
+    (lcm denominator, rows) under `_packing(arity, top)`, its numerators
+    times `sign`.  A division negates its divisor's parts here, as
+    integers."""
+    weights = _packing(arity, top)[1]
+    out = []
+    for part in parts:
+        den, rows = _numerators(part, weights, None)
+        if sign != 1:
+            rows = [(p, x * sign, y * sign) for p, x, y in rows]
+        out.append((den, rows))
+    return out
+
+
+def _reduced(den: int, rows: list):
+    """(den, rows) over the least denominator: one gcd over every numerator
+    and den, which gives exactly what `_numerators` of the term dict would
+    (its lcm denominator is den / gcd, each of its numerators x / gcd)."""
+    g = gcd(den, *[x for _, x, _ in rows], *[y for _, _, y in rows])
+    if g != 1:
+        den //= g
+        rows = [(p, x // g, y // g) for p, x, y in rows]
+    return den, rows
+
+
+def _exponents(keys, width: int, arity: int) -> dict:
+    """{packed key: exponent tuple} for the distinct `keys`, each decoded
+    once."""
+    mask = (1 << width) - 1
+    shifts = range(width * (arity - 1), -1, -width)
+    return {k: tuple([(k >> s) & mask for s in shifts]) for k in set(keys)}
+
+
 def online_solve(bases, coeffs, first, last, solve, arity, top):
     """Solve a triangular system for the unknowns x degree by degree,
     on-line (van der Hoeven, JSC 2002): for j = first, ..., last,
@@ -333,45 +377,113 @@ def online_solve(bases, coeffs, first, last, solve, arity, top):
         rhs[r] = bases[r][j] + sum_(c, i >= 1) coeffs[r][c][i-1] * x_(j-i)[c]
 
     over the parts x_first, ..., x_(j-1) solved before.  `bases[r]` lists
-    term dicts by degree, `coeffs[r][c]` the parts of degree 1, 2, ... of
-    a coefficient, and `solve` returns x_j, one term dict per unknown.  All
-    exponents are at most `top`.  Returns [x_first, ..., x_last].
+    term dicts by degree, and `coeffs[r][c]` the parts of degree 1, 2, ...
+    of a coefficient, made by `pack_parts`: a list that stands at several
+    places, as the one negated divisor does on the diagonal of a division
+    of many numerators, is packed once.  All exponents are at most `top`.
+    Returns [x_first, ..., x_last], each a list of term dicts.
 
-    Every distinct coefficient list and every x_j is converted once to
-    packed Gaussian-integer rows: a list that stands at several places of
-    `coeffs`, as the one negated divisor does on the diagonal of a
-    division of many numerators, is packed once.  Each rhs[r] is one
-    accumulator of [re, im] numerators over a running lcm denominator,
-    filled by `_add_product` as `compose_terms` fills its levels, and each
-    of its terms is normalized once.
+    Every degree stays packed from right-hand side to unknown.  Each
+    rhs[r] is one accumulator of [re, im] numerators over a running lcm
+    denominator, filled by `_add_product` as `compose_terms` fills its
+    levels, and `solve` gets it as a packed part (den, rows).  It returns
+    x_j as packed parts, one per unknown, each normalized once by
+    `_reduced` (None for an unknown it leaves unsolved, read as zero): the
+    solves are `divider`'s and `implicit_step`'s, integer steps of this
+    module.  x_j is kept as it is for the later degrees, and each of its
+    parts is unpacked once into the returned term dicts, with one decoding
+    of each packed key per call.
     """
     width, weights = _packing(arity, top)
-    packs: dict = {}
-
-    def pack(parts):
-        got = packs.get(id(parts))
-        if got is None:
-            got = packs[id(parts)] = [_numerators(part, weights, None)
-                                      for part in parts]
-        return got
-
-    packed = [[pack(parts) for parts in row] for row in coeffs]
-    out, xs = [], []  # xs[k][c]: out[k][c] in packed rows
+    xs = []  # xs[k][c]: the packed part of unknown c at degree first + k
     for j in range(first, last + 1):
         rhs = []
-        for base, row in zip(bases, packed):
+        for base, row in zip(bases, coeffs):
             den, rows = _numerators(base[j], weights, None)
             acc = {p: [x, y] for p, x, y in rows}
             for c, parts in enumerate(row):
                 for i, (dp, rp) in enumerate(parts[:j - first], 1):
-                    dx, rx = xs[j - first - i][c]
-                    if rp and rx:
-                        den = _add_product(den, acc, dp * dx, rx, rp, None)
-            rhs.append(_unpacked(acc, den, width, arity))
-        x = solve(j, rhs)
-        out.append(x)
-        xs.append([_numerators(t, weights, None) for t in x])
-    return out
+                    x = xs[j - first - i][c]
+                    if rp and x is not None and x[1]:
+                        den = _add_product(den, acc, dp * x[0], x[1], rp,
+                                           None)
+            rhs.append((den, _rows(acc)))
+        xs.append(solve(j, rhs))
+    exps = _exponents([p for x_j in xs for x in x_j if x is not None
+                       for p, _, _ in x[1]], width, arity)
+    return [[{} if x is None else {exps[p]: _make(a, b, x[0])
+                                   for p, a, b in x[1]}
+             for x in x_j] for x_j in xs]
+
+
+def divider(lead: dict, arity: int, top: int):
+    """The solve of one degree of a division by the term dict `lead`: a
+    function from a packed part f to the normalized packed part f / lead,
+    raising `divexact`'s ArithmeticError when lead does not divide f.
+
+    A one-term lead c * x^e is integer work: each key is shifted down by
+    e's packed key, and the numerators are scaled by 1/c (not at all for
+    c = 1) over a denominator times |c|^2.  A field of f below e's borrows
+    in the subtraction and sets that field's spare bit, which no field of
+    a divisible term has, so divisibility is read off the spare bits; the
+    error names the largest term with one, in graded-lex order.  Any other
+    lead unpacks f, divides with `divexact` and packs the quotient again,
+    so `divexact` stays the one division by several terms."""
+    width, weights = _packing(arity, top)
+    if len(lead) != 1:
+        def divide(part):
+            den, rows = part
+            exps = _exponents([p for p, _, _ in rows], width, arity)
+            q = divexact({exps[p]: _make(x, y, den) for p, x, y in rows},
+                         lead)
+            return _numerators(q, weights, None)
+        return divide
+    (e, c), = lead.items()
+    shift = sum(map(mul, e, weights))
+    spare = sum([1 << (width * f - 1) for f in range(1, arity + 2)])
+    unit = c == ONE
+    # 1/c = c.c * (c.a - i*c.b) / |c|^2 with |c|^2 = c.a^2 + c.b^2
+    a, b, norm = c.c * c.a, -c.c * c.b, c.a * c.a + c.b * c.b
+
+    def divide(part):
+        den, rows = part
+        if shift:
+            if any([(p - shift) & spare for p, _, _ in rows]):
+                left = max([p for p, _, _ in rows if (p - shift) & spare])
+                raise ArithmeticError("remainder at %r" % (
+                    _exponents([left], width, arity)[left],))
+            rows = [(p - shift, x, y) for p, x, y in rows]
+        if not unit:
+            rows = [(p, a * x - b * y, a * y + b * x) for p, x, y in rows]
+            den *= norm
+        return _reduced(den, rows)
+    return divide
+
+
+def implicit_step(rhs: list, inverse: list, block: list) -> list:
+    """One degree of an implicit solve: d = -inverse * r for the packed
+    right-hand sides r, each part of d normalized once by `_reduced`.
+    Raises ArithmeticError unless r + block * d vanishes, checked on the
+    integer numerators.  `inverse` and `block` are square matrices of
+    `GaussianRational`s; an entry multiplies a part as a product with one
+    row at packed key 0, the constant monomial."""
+    ds = []
+    for row in inverse:
+        den, acc = 1, {}
+        for (dr, rows), q in zip(rhs, row):
+            if q and rows:
+                den = _add_product(den, acc, dr * q.c, [(0, -q.a, -q.b)],
+                                   rows, None)
+        ds.append(_reduced(den, _rows(acc)))
+    for (den, rows), row in zip(rhs, block):
+        acc = {p: [x, y] for p, x, y in rows}
+        for (dd, drows), q in zip(ds, row):
+            if q and drows:
+                den = _add_product(den, acc, dd * q.c, [(0, q.a, q.b)],
+                                   drows, None)
+        if _rows(acc):
+            raise ArithmeticError("implicit step leaves a residual")
+    return ds
 
 
 def iadd_scaled(out: dict, A: dict, coeff) -> None:
@@ -404,8 +516,8 @@ def divexact(f: dict, g: dict) -> dict:
     term of f has a field below e's, the error names the largest such term
     in graded-lex order, the one where the reduction below would stop.  On
     the benchmark's workloads every divisor is one term, most often the
-    constant 1: Bareiss's pivots are chosen sparsest, and the leads of the
-    series divisions are constants or monic monomials.
+    constant 1: Bareiss's pivots are chosen sparsest.  (The series
+    divisions divide by a one-term lead with `divider`, on packed parts.)
 
     Any other divisor takes graded-lex reduction on term dicts: each step
     cancels the leading term of the remainder, popped from a heap of its

@@ -327,7 +327,8 @@ def psi_table(h: FormalCRMap, beta_max: int = 1) -> dict:
     seeds = [hbar_on[h.mp + jp] - s.compose(args)
              for jp, s in enumerate(Mp.theta)]
     return {(jp, tuple(beta)):
-            seeds[jp].derive_multi(zero_exponent(M.n) + tuple(beta))
+            seeds[jp].derive_multi(zero_exponent(M.n) + tuple(beta)
+                                   + zero_exponent(Mp.n))
             for beta in multidegrees(M.m, beta_max) for jp in range(h.dp)}
 
 

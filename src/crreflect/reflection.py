@@ -713,10 +713,11 @@ class Resolution:
         room = self.h.order - self.ell0 - ell
         report = ResidualReport()
         alphas = sorted(multidegrees(self.h.M.n, ell))
+        pad = zero_exponent(self.h.M.m)  # the residuals are over (z, w, zeta)
         for i, res in enumerate(self.residuals):
             for alpha in alphas:
                 report.add("jet", i, alpha,
-                           res.derive_multi(alpha).truncated(room))
+                           res.derive_multi(alpha + pad).truncated(room))
         return report
 
 

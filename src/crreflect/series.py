@@ -18,8 +18,9 @@ from .context import (VariableContext, multidegrees, unit_exponent,
                       zero_exponent)
 from .gaussian import (GaussianRational, MINUS_ONE, ONE, ZERO, _coerce,
                        _norm)
-from .kernels import (_make as _normalized, compose_terms, divexact, echelon,
-                      iadd_scaled, mul_terms, online_solve)
+from .kernels import (_make as _normalized, compose_terms, divider, echelon,
+                      iadd_scaled, implicit_step, mul_terms, online_solve,
+                      pack_parts)
 
 
 class SeriesError(ValueError):
@@ -140,7 +141,11 @@ class TruncatedSeries:
     # -- inspection --------------------------------------------------------
 
     def coefficient(self, exponent) -> GaussianRational:
-        return self.terms.get(tuple(exponent), ZERO)
+        exponent = tuple(exponent)
+        if len(exponent) != self.context.arity:
+            raise SeriesError("exponent %r does not have the arity %d of %r"
+                              % (exponent, self.context.arity, self.context))
+        return self.terms.get(exponent, ZERO)
 
     def constant_term(self) -> GaussianRational:
         return self.terms.get(zero_exponent(self.context.arity), ZERO)
@@ -295,9 +300,14 @@ class TruncatedSeries:
         return TruncatedSeries._make(self.context, order, out)
 
     def derive_multi(self, exponent) -> "TruncatedSeries":
+        exponent = tuple(exponent)
+        if len(exponent) != self.context.arity:
+            raise SeriesError(
+                "derivative order %r does not have the arity %d of %r"
+                % (exponent, self.context.arity, self.context))
         if min(exponent, default=0) < 0:
             raise SeriesError("derivative order %r has a negative entry"
-                              % (tuple(exponent),))
+                              % (exponent,))
         f = self
         for i, k in enumerate(exponent):
             for _ in range(k):
@@ -691,10 +701,13 @@ def divide_with_valuation(num, den: TruncatedSeries):
     degree-k parts, split off once by `by_degree`, q_s = (n_(mu+s) -
     sum_(1 <= l <= s) d_(mu+l) q_(s-l)) / d_mu.  `online_solve` forms each
     right-hand side from the numerator parts and the negated parts
-    d_(mu+l), and the quotient by the lead d_mu is `divexact`'s, term by
-    term for a one-term lead.  Every product stays within degree mu + s,
-    so no truncation is needed.  The denominator is split, negated and
-    packed once per call: the numerators of a map are the rows of one
+    d_(mu+l), and `divider` divides it by the lead d_mu while it is
+    packed: on integers for a one-term lead, with the error `divexact`
+    would raise, and through `divexact` for a lead of several terms.
+    Each q_s stays packed for the later degrees.  Every product stays
+    within degree mu + s, so no truncation is needed.  The denominator is
+    split, negated and packed once per call (`pack_parts` negates its
+    numerators as integers): the numerators of a map are the rows of one
     diagonal system, each with the same list of negated parts.
     """
     nums = num.components if isinstance(num, SeriesMap) else [num]
@@ -712,14 +725,15 @@ def divide_with_valuation(num, den: TruncatedSeries):
     error = "numerator valuation below denominator valuation"
     if not live:
         raise SeriesError(error)
-    lead = d_parts[mu]
+    arity = den.context.arity
+    divide = divider(d_parts[mu], arity, order)
 
     def solve(s, rhs):
         nonlocal live, error
-        qs = [{}] * len(rhs)
+        qs = [None] * len(rhs)
         for r in range(live):
             try:
-                qs[r] = divexact(rhs[r], lead)
+                qs[r] = divide(rhs[r])
             except ArithmeticError as exc:
                 live, error = r, "series not divisible (%s)" % exc
                 if not r:
@@ -727,13 +741,12 @@ def divide_with_valuation(num, den: TruncatedSeries):
                 break
         return qs
 
-    minus_d = [{e: -c for e, c in part.items()} for part in d_parts[mu + 1:]]
+    minus_d = pack_parts(d_parts[mu + 1:], arity, order, -1)
     diagonal = [[minus_d if c == r else [] for c in range(live)]
                 for r in range(live)]
     outs = [{} for _ in range(live)]
     for qs in online_solve([parts[mu:] for parts in n_parts[:live]],
-                           diagonal, 0, order - mu, solve,
-                           den.context.arity, order):
+                           diagonal, 0, order - mu, solve, arity, order):
         for out, q in zip(outs, qs):
             out.update(q)
     if live < len(nums):
@@ -763,7 +776,10 @@ def formal_ift(F: SeriesMap, unknowns) -> SeriesMap:
     d_(j-i), and r_j + J d_j must vanish.  Given the correction's products,
     the two checks prove F(x, u) = 0 to the working order without composing
     again; the next step's composition rechecks them, except at the last
-    step.  `online_solve` forms each r_j from the degree parts of G and P.
+    step.  `online_solve` forms each r_j from the degree parts of G and P,
+    packed once by `pack_parts`, and `implicit_step` solves for d_j and
+    checks r_j + J d_j = 0 on the packed integer numerators; d_j stays
+    packed for the later degrees of the step.
     While u = 0, as in the step from precision 0, G and P are read off F
     and its partials without a composition: the terms free of u, put on
     the free variables.
@@ -814,19 +830,10 @@ def formal_ift(F: SeriesMap, unknowns) -> SeriesMap:
 
     def solve(j, rhs):
         """d_j = -J^{-1} r_j, refused unless r_j + J d_j vanishes."""
-        ds = []
-        for row in inv_block:
-            d: dict = {}
-            for t, coeff in zip(rhs, row):
-                iadd_scaled(d, t, -coeff)
-            ds.append(d)
-        for t, row in zip(rhs, block):
-            residual = dict(t)
-            for d, coeff in zip(ds, row):
-                iadd_scaled(residual, d, coeff)
-            if residual:
-                raise SeriesError(unverified)
-        return ds
+        try:
+            return implicit_step(rhs, inv_block, block)
+        except ArithmeticError:
+            raise SeriesError(unverified) from None
 
     halvings = [order >> s for s in range(order.bit_length())]
     if all(sum(e[i] for i in unk) <= 1
@@ -838,7 +845,8 @@ def formal_ift(F: SeriesMap, unknowns) -> SeriesMap:
         if any(parts[k] for parts in g for k in range(h + 1)):
             raise SeriesError(unverified)
         # p[r][c][i - 1]: the degree-i part of P_rc
-        p = [[by_degree(t, n - h - 1)[1:] for t in composed(row, n - h - 1)]
+        p = [[pack_parts(by_degree(t, n - h - 1)[1:], free_ctx.arity, order)
+              for t in composed(row, n - h - 1)]
              for row in partials] if n - h > 1 else [[]] * len(g)
         for ds in online_solve(g, p, h + 1, n, solve, free_ctx.arity, order):
             for terms, d in zip(sol, ds):

@@ -9,6 +9,7 @@ import random
 import re
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 
@@ -25,7 +26,7 @@ from sympy.polys.rings import ring
 from conftest import (_bareiss_rank_reference, _divexact_reference,
                       _divide_with_valuation_reference, _evaluate_reference,
                       _formal_ift_reference)
-from crreflect import kernels
+from crreflect import kernels, series
 from crreflect.context import VariableContext, multidegrees
 from crreflect.gaussian import ONE, ZERO, GaussianRational, gr
 from crreflect.linalg import (bareiss_rank, kernel_basis, random_rational_point,
@@ -707,6 +708,36 @@ def test_divide_with_valuation_divides_maps_componentwise(case):
     assert all(lost == mu for _, mu in want)
 
 
+@pytest.mark.parametrize("num, den, order, left", [
+    # a field of the lead above the right-hand side's, with a larger field
+    # above it that would cover a borrow in a packed subtraction
+    ({(0, 2): gr(1)}, {(1, 1): gr(1)}, 2, (0, 2)),
+    ({(2, 0): gr(1)}, {(1, 1): gr(1)}, 2, (2, 0)),
+    ({(0, 2, 1): gr(1)}, {(1, 0, 1): gr(1)}, 3, (0, 2, 1)),
+    # the same in the degree-2 solve of a lead 3 * x1: its right-hand side
+    # 2 x0^3 - x0^2 x1 / 3 is formed from the degree-1 quotient x0 / 3
+    ({(1, 1): gr(1), (3, 0): gr(2)}, {(0, 1): gr(3), (1, 1): gr(1)}, 3,
+     (3, 0)),
+    # a lead whose field is the working order, the top of every field
+    ({(1, 1, 0): gr(1)}, {(0, 0, 2): gr(1)}, 2, (1, 1, 0)),
+    ({(1, 2): gr(1)}, {(0, 3): gr(0, 1)}, 3, (1, 2)),
+    ({(2, 1): gr("1/2")}, {(3, 0): gr(2, 1)}, 3, (2, 1)),
+    # a lead of several terms, divided by `divexact`'s reduction
+    ({(2, 0): gr(1)}, {(1, 0): gr(1), (0, 1): gr(1)}, 2, (0, 2)),
+])
+def test_divide_with_valuation_packed_fields_do_not_borrow(num, den, order,
+                                                           left):
+    ctx = _context(len(left))
+    num = TruncatedSeries(ctx, order, num)
+    den = TruncatedSeries(ctx, order, den)
+    with pytest.raises(SeriesError) as want:
+        _divide_with_valuation_reference(num, den)
+    assert str(want.value) == "series not divisible (remainder at %r)" % (
+        left,)
+    with pytest.raises(SeriesError, match=re.escape(str(want.value))):
+        divide_with_valuation(num, den)
+
+
 @st.composite
 def ift_cases(draw, planted=True, affine=False):
     """(free variables, unknowns, order, equations as term dicts over
@@ -821,6 +852,62 @@ def test_formal_ift_matches_reference(case):
     got = formal_ift(F, names[nx:])
     assert got == want and got.order == want.order
     assert got.context == want.context
+
+
+def _kept_parts(run):
+    """The packed parts of the unknowns x_j that `online_solve` keeps for
+    its later degrees while `run()` runs, each with its arity and top, as
+    the solve it is given returns them."""
+    kept = []
+
+    def spy(bases, coeffs, first, last, solve, arity, top):
+        def recording(j, rhs):
+            xs = solve(j, rhs)
+            kept.extend((x, arity, top) for x in xs if x is not None)
+            return xs
+        return kernels.online_solve(bases, coeffs, first, last, recording,
+                                    arity, top)
+
+    with mock.patch.object(series, "online_solve", spy):
+        try:
+            run()
+        except SeriesError:
+            pass
+    return kept
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    valuation_divisions().map(lambda c: ("divide", c)),
+    valuation_divisions(maps=True).map(lambda c: ("divide", c)),
+    ift_cases().map(lambda c: ("ift", c)),
+    ift_cases(affine=True).map(lambda c: ("ift", c))))
+# a constant lead 2: each quotient part is its numerator part over 2
+@example(("divide", (1, 2, {(0,): gr(1), (1,): gr(3), (2,): gr(0, 1)}, 2,
+                     {(0,): gr(2), (1,): gr(1)})))
+@example(("ift", _AFFINE_IFT))
+def test_online_solve_keeps_each_unknown_normalized(case):
+    # Each kept x_j is (denominator, rows) over the least denominator: the
+    # same denominator and numerators as `_numerators` of its term dict.
+    kind, case = case
+    if kind == "divide":
+        n, num_order, num, den_order, den = case
+        ctx = _context(n)
+        num = (SeriesMap([TruncatedSeries(ctx, num_order, t) for t in num])
+               if isinstance(num, list)
+               else TruncatedSeries(ctx, num_order, num))
+        den = TruncatedSeries(ctx, den_order, den)
+        kept = _kept_parts(lambda: divide_with_valuation(num, den))
+    else:
+        F, names = _ift_system(case)
+        kept = _kept_parts(lambda: formal_ift(F, names[case[0]:]))
+    event("%s, %d parts kept" % (kind, min(len(kept), 5)))
+    for (den, rows), arity, top in kept:
+        width, weights = kernels._packing(arity, top)
+        exps = kernels._exponents([p for p, _, _ in rows], width, arity)
+        assert all(x or y for _, x, y in rows)
+        terms = {exps[p]: kernels._make(x, y, den) for p, x, y in rows}
+        assert kernels._numerators(terms, weights, None) == (den, rows)
 
 
 @st.composite

@@ -99,6 +99,22 @@ def test_derive_multi_refuses_a_negative_order():
     assert u.derive_multi((1, 0)) == TruncatedSeries(XY, 2, {(0, 1): 1})
 
 
+def test_exponents_of_the_wrong_arity_are_refused():
+    # An exponent is not padded or cut to the context's arity: one entry
+    # too few, none at all, or one too many is an error naming the arity.
+    u = TruncatedSeries(XY, 3, {(1, 0): 1, (1, 1): 2})
+    for exponent in [(1,), (), (0, 0, 1)]:
+        with pytest.raises(SeriesError, match=re.escape(
+                "derivative order %r does not have the arity 2 of %r"
+                % (exponent, XY))):
+            u.derive_multi(exponent)
+        with pytest.raises(SeriesError, match=re.escape(
+                "exponent %r does not have the arity 2 of %r"
+                % (exponent, XY))):
+            u.coefficient(exponent)
+    assert u.coefficient([1, 1]) == gr(2)
+
+
 def test_ring_axioms_random():
     rng = random.Random(11)
     for _ in range(25):
