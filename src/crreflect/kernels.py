@@ -7,8 +7,10 @@ both use it without an import cycle.
 
 * `mul_terms` and `iadd_scaled`: the truncated product and the scaled
   accumulation of term dicts.
-* `compose_terms`: the body of `TruncatedSeries.compose`, the sum of
-  group_beta * u^beta over the exponents beta of the moving arguments u.
+* `compose_terms`: the body of `TruncatedSeries.compose`, from the terms
+  of the source and the term dicts of all its arguments: the grouping of
+  the terms by their exponents beta in the moving arguments u, and the
+  sum of group_beta * u^beta.
 * `divexact`: exact division of term dicts.  A one-term divisor c * x^e
   divides term by term, shifting each exponent down by e and scaling by
   1/c (not at all for c = 1); Bareiss's pivots are chosen sparsest, so
@@ -46,14 +48,19 @@ two paths:
   term.
 
 `compose_terms` keeps that layout across a whole composition instead of
-one product.  It packs exponents once, with one field width for the
-order.  Each moving argument is converted to (lcm denominator, packed
-rows) the first time a level needs it; many compositions use few of their
-arguments.  It evaluates by Horner's rule, one argument u after the
-other: H_b = G_b + u * H_(b+1) from the top exponent b down, each product
-cut to degree order - b*v(u), lower than the one before, so no power of u
-is built and fewer products are made (Paterson & Stockmeyer, SIAM J.
-Comput. 1973, count these as nonscalar multiplications).  Each level's sum
+one product, with one field width for the order.  It groups the source's
+terms on packed keys: each argument has one packed weight (a monomial's
+image key, one degree unit for a moving argument, the truncation limit
+for a zero one), so one dot product per term gives both the cut and the
+term's key, and each group goes straight to (lcm denominator, packed
+rows), with no `GaussianRational` sum.  Each moving argument is converted
+to the same form the first time a level needs it; many compositions use
+few of their arguments.  It evaluates by Horner's rule, one argument u
+after the other: H_b = G_b + u * H_(b+1) from the top exponent b down,
+each product cut to degree order - b*v(u), lower than the one before, so
+no power of u is built and fewer products are made (Paterson &
+Stockmeyer, SIAM J. Comput. 1973, count these as nonscalar
+multiplications).  Each level's sum
 stays [re, im] numerators over one running denominator, the lcm of its
 parts, accumulated into the dict of its part G_b; one normalized
 coefficient is built per nonzero output term.  On `graph_reality`, where
@@ -83,6 +90,10 @@ parts `pack_parts` negates as integers and packs once.
 
 `iadd_scaled` likewise forms `acc + coeff * c` on the integer triples and
 normalizes once per updated term.
+
+Every packed key goes back to its exponent tuple through `_exponent`, one
+bounded cache shared by all kernels: a key decoded by one call is mostly
+decoded again by later ones, while within one call keys seldom repeat.
 """
 
 from __future__ import annotations
@@ -91,7 +102,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import add, gt, mul, neg, sub
+from operator import add, gt, itemgetter, mul, neg, sub
 
 from .gaussian import ONE, GaussianRational
 
@@ -217,12 +228,22 @@ def _rows(acc: dict) -> list:
     return sorted([(p, x, y) for p, (x, y) in acc.items() if x or y])
 
 
+@lru_cache(maxsize=8192)
+def _exponent(key: int, width: int, arity: int) -> tuple:
+    """The exponent tuple of a packed key under `_packing`'s layout of
+    field width `width`.  Every kernel decodes through this one cache:
+    across calls most keys recur (two seed-0 passes of a benchmark
+    workload decode 491-3,875 distinct keys against 16k-38k decodes), and
+    the bound stays above those counts."""
+    mask = (1 << width) - 1
+    return tuple([(key >> s) & mask
+                  for s in range(width * (arity - 1), -1, -width)])
+
+
 def _unpacked(acc: dict, den: int, width: int, arity: int) -> dict:
     """Term dict of an accumulator over `den`: one normalized coefficient
     per nonzero packed key."""
-    mask = (1 << width) - 1
-    shifts = range(width * (arity - 1), -1, -width)
-    return {tuple([(k >> s) & mask for s in shifts]): _make(x, y, den)
+    return {_exponent(k, width, arity): _make(x, y, den)
             for k, (x, y) in acc.items() if x or y}
 
 
@@ -254,50 +275,137 @@ def mul_terms(A: dict, B: dict, order: int) -> dict:
     return _unpacked(acc, da * db, width, arity)
 
 
-def compose_terms(groups: dict, args: list, arity: int, order: int) -> dict:
-    """sum_beta groups[beta] * prod_i args[i]**beta[i], truncated to total
-    degree <= order.
+def _summed(items: list, width: int, arity: int) -> dict:
+    """Term dict of [(packed key, coefficient)]: the coefficients as they
+    are, summed only where keys collide, zero sums dropped, keys in the
+    order they first occur."""
+    out: dict = {}
+    get = out.get
+    for p, c in items:
+        prev = get(p)
+        out[p] = c if prev is None else prev + c
+    return {_exponent(p, width, arity): c for p, c in out.items() if c}
 
-    `groups` maps exponent tuples beta over `args` to term dicts of the
-    target arity; `args` are term dicts with no constant term.  Zero
-    coefficients in a group are dropped.  When the group beta = 0 is the
-    only nonzero one, it is the result as it is.
 
-    Horner's rule over the arguments, first to last.  The groups are split
-    by their exponent b in the first argument u that any of them uses, and
-    each part G_b, the sum over the remaining arguments of the groups with
-    exponent b, is formed the same way.  Since u has valuation v >= 1, G_b
-    is needed only to degree order - b*v.  The parts combine as H_b = G_b
-    + u * H_(b+1) from the top b down, each product cut to degree order -
-    b*v, lower than the one before.  The sum is H_0, and no power of u is
-    built.
+def _grouped(items: list, off: int):
+    """(lcm denominator, rows) of [(packed key, coefficient)], each key
+    less `off`: numerators summed where keys collide, zero sums dropped,
+    rows sorted by packed key."""
+    den = lcm(*[c.c for _, c in items])
+    acc: dict = {}
+    get = acc.get
+    for p, c in items:
+        m = den // c.c
+        s = get(p - off)
+        if s is None:
+            acc[p - off] = [c.a * m, c.b * m]
+        else:
+            s[0] += c.a * m
+            s[1] += c.b * m
+    return den, _rows(acc)
+
+
+def compose_terms(terms: dict, args: list, arity: int, order: int) -> dict:
+    """sum_alpha terms[alpha] * prod_i args[i]**alpha[i], truncated to
+    total degree <= order: the body of `TruncatedSeries.compose`.
+
+    `terms` is a term dict over len(args) variables, and `args` are term
+    dicts of the target arity with no constant term.
+
+    Each argument gets one packed weight under `_packing(arity, order)`.
+    A monomial argument's weight is the packed key of its image, a moving
+    argument's (one of several terms) one unit of the degree field, and a
+    zero argument's the limit (order + 1) << (width * arity).  So each term
+    of `terms` is keyed by one dot product: the sum is below the limit iff
+    the term survives, since a degree past the order, a field overflowed
+    by an image past the order or a zero argument all reach the degree
+    field.  The terms are grouped by their exponents beta in the moving
+    arguments, and a group's packed key is that sum less |beta| degree
+    units.  A scaled monomial's coefficient c enters by cached powers c^k.
+
+    When the group beta = 0 is the only nonzero one, it is the result: its
+    coefficients as they are, summed where keys collide, in the order the
+    keys first occur.  Otherwise each group becomes (lcm denominator,
+    packed rows), and the groups are summed with their powers by Horner's
+    rule over the moving arguments, first to last.  The groups are split
+    by their exponent b in the first moving argument u that any of them
+    uses, and each part G_b, the sum over the remaining arguments of the
+    groups with exponent b, is formed the same way.  Since u has valuation
+    v >= 1, G_b is needed only to degree order - b*v.  The parts combine as
+    H_b = G_b + u * H_(b+1) from the top b down, each product cut to
+    degree order - b*v, lower than the one before.  The sum is H_0, and no
+    power of u is built.
     """
-    nonzero = []
-    for beta, group in groups.items():
-        group = {e: c for e, c in group.items() if c}
-        if group:
-            nonzero.append((beta, group))
-    if not nonzero:
-        return {}
-    if len(nonzero) == 1 and not any(nonzero[0][0]):
-        return nonzero[0][1]
     width, weights = _packing(arity, order)
     shift = width * arity
-    converted = [None] * len(args)
+    limit = (order + 1) << shift
+    packed, moving, scaled = [], [], []
+    for i, a in enumerate(args):
+        if len(a) > 1:
+            moving.append(i)
+            packed.append(1 << shift)
+        elif a:
+            (m, c), = a.items()
+            packed.append(sum(map(mul, m, weights)))
+            if c != ONE:
+                scaled.append((i, c))
+        else:
+            packed.append(limit)
+    kept = [(p, alpha, c) for alpha, c in terms.items()
+            if (p := sum(map(mul, alpha, packed))) < limit]
+    if scaled:
+        powers: dict = {}
+
+        def scale(alpha, c):
+            for i, mc in scaled:
+                k = alpha[i]
+                if k:
+                    f = powers.get((i, k))
+                    if f is None:
+                        f = powers[(i, k)] = mc ** k
+                    c = c * f
+            return c
+        kept = [(p, alpha, scale(alpha, c)) for p, alpha, c in kept]
+    if not moving:
+        return _summed([(p, c) for p, _, c in kept], width, arity)
+    beta_of = itemgetter(*moving)
+    groups: dict = {}
+    for p, alpha, c in kept:
+        beta = beta_of(alpha)
+        group = groups.get(beta)
+        if group is None:
+            groups[beta] = [(p, c)]
+        else:
+            group.append((p, c))
+    if len(moving) == 1:  # itemgetter of one index gives no tuple
+        groups = {(b,): items for b, items in groups.items()}
+    zero = (0,) * len(moving)
+    rest = groups.pop(zero, [])
+    nonzero = []
+    for beta, items in groups.items():
+        group = _grouped(items, sum(beta) << shift)
+        if group[1]:
+            nonzero.append((beta, group))
+    if not nonzero:
+        return _summed(rest, width, arity)
+    group = _grouped(rest, 0)
+    if group[1]:
+        nonzero.append((zero, group))
+    converted = [None] * len(moving)
 
     def argument(i):
-        """(denominator, packed rows, valuation) of args[i], converted the
-        first time a level needs it."""
+        """(denominator, packed rows, valuation) of the i-th moving
+        argument, converted the first time a level needs it."""
         got = converted[i]
         if got is None:
-            den, rows = _numerators(args[i], weights, (order + 1) << shift)
+            den, rows = _numerators(args[moving[i]], weights, limit)
             got = converted[i] = (den, rows,
                                   rows[0][0] >> shift if rows else order + 1)
         return got
 
     def level(items, i, cut):
         """(den, acc): the sum over `items` of group * prod_(j >= i)
-        args[j]**beta[j] to degree <= cut, as [re, im] numerators over den
+        u_j**beta[j] to degree <= cut, as [re, im] numerators over den
         keyed by packed exponent.  All items share beta[:i], and some
         beta[i:] is nonzero: a part that is one group alone is read as it
         is, without a level of its own."""
@@ -313,7 +421,8 @@ def compose_terms(groups: dict, args: list, arity: int, order: int) -> dict:
         for b, part in split.items():
             c = cut - b * v
             if len(part) == 1 and not any(part[0][0][i + 1:]):
-                d, rows = _numerators(part[0][1], weights, (c + 1) << shift)
+                d, rows = part[0][1]
+                rows = rows[:bisect_left(rows, ((c + 1) << shift,))]
                 parts[b] = d, {p: [x, y] for p, x, y in rows}
             else:
                 parts[b] = level(part, i + 1, c)
@@ -361,14 +470,6 @@ def _reduced(den: int, rows: list):
     return den, rows
 
 
-def _exponents(keys, width: int, arity: int) -> dict:
-    """{packed key: exponent tuple} for the distinct `keys`, each decoded
-    once."""
-    mask = (1 << width) - 1
-    shifts = range(width * (arity - 1), -1, -width)
-    return {k: tuple([(k >> s) & mask for s in shifts]) for k in set(keys)}
-
-
 def online_solve(bases, coeffs, first, last, solve, arity, top):
     """Solve a triangular system for the unknowns x degree by degree,
     on-line (van der Hoeven, JSC 2002): for j = first, ..., last,
@@ -391,8 +492,8 @@ def online_solve(bases, coeffs, first, last, solve, arity, top):
     `_reduced` (None for an unknown it leaves unsolved, read as zero): the
     solves are `divider`'s and `implicit_step`'s, integer steps of this
     module.  x_j is kept as it is for the later degrees, and each of its
-    parts is unpacked once into the returned term dicts, with one decoding
-    of each packed key per call.
+    parts is unpacked once into the returned term dicts, its keys decoded
+    by `_exponent`.
     """
     width, weights = _packing(arity, top)
     xs = []  # xs[k][c]: the packed part of unknown c at degree first + k
@@ -409,10 +510,9 @@ def online_solve(bases, coeffs, first, last, solve, arity, top):
                                            None)
             rhs.append((den, _rows(acc)))
         xs.append(solve(j, rhs))
-    exps = _exponents([p for x_j in xs for x in x_j if x is not None
-                       for p, _, _ in x[1]], width, arity)
-    return [[{} if x is None else {exps[p]: _make(a, b, x[0])
-                                   for p, a, b in x[1]}
+    return [[{} if x is None else
+              {_exponent(p, width, arity): _make(a, b, x[0])
+               for p, a, b in x[1]}
              for x in x_j] for x_j in xs]
 
 
@@ -433,9 +533,8 @@ def divider(lead: dict, arity: int, top: int):
     if len(lead) != 1:
         def divide(part):
             den, rows = part
-            exps = _exponents([p for p, _, _ in rows], width, arity)
-            q = divexact({exps[p]: _make(x, y, den) for p, x, y in rows},
-                         lead)
+            q = divexact({_exponent(p, width, arity): _make(x, y, den)
+                          for p, x, y in rows}, lead)
             return _numerators(q, weights, None)
         return divide
     (e, c), = lead.items()
@@ -451,7 +550,7 @@ def divider(lead: dict, arity: int, top: int):
             if any([(p - shift) & spare for p, _, _ in rows]):
                 left = max([p for p, _, _ in rows if (p - shift) & spare])
                 raise ArithmeticError("remainder at %r" % (
-                    _exponents([left], width, arity)[left],))
+                    _exponent(left, width, arity),))
             rows = [(p - shift, x, y) for p, x, y in rows]
         if not unit:
             rows = [(p, a * x - b * y, a * y + b * x) for p, x, y in rows]

@@ -19,9 +19,8 @@ sparsest entry of its column, so it is one term whenever the column holds
 a monomial, and the first divisor is the constant 1 (on the Segre-chain
 Jacobians of the benchmark, every divisor is 1).  A one-term divisor
 divides term by term, with no scaling at all by 1.  A pivot of several
-terms is converted once to Gaussian-integer numerators and reduced on
-packed exponent keys, one normalization per remainder term and no product
-per quotient term."""
+terms takes `divexact`'s graded-lex reduction on term dicts, one
+normalization per updated remainder term."""
 
 from __future__ import annotations
 

@@ -184,6 +184,8 @@ class TruncatedSeries:
         """Transport into `target`, renaming variables via {old: new}.
 
         Only variables that actually occur need an image in the target.
+        Where several of them go to one variable, terms that meet there are
+        summed, as `compose` with the same images sums them.
         """
         name_map = name_map or {}
         used = self.support_variables()
@@ -192,13 +194,21 @@ class TruncatedSeries:
             n = self.context.names[i]
             positions[i] = target.index(name_map.get(n, n))
         arity = target.arity
-        out = {}
-        for e, c in self.terms.items():
+        keys = []
+        for e in self.terms:
             ne = [0] * arity
             for i, x in enumerate(e):
                 if x:
                     ne[positions[i]] += x
-            out[tuple(ne)] = c
+            keys.append(tuple(ne))
+        if len(set(positions.values())) == len(positions):
+            out = dict(zip(keys, self.terms.values()))
+        else:
+            out = {}
+            for k, c in zip(keys, self.terms.values()):
+                prev = out.get(k)
+                out[k] = c if prev is None else prev + c
+            out = {e: c for e, c in out.items() if c}
         return TruncatedSeries._make(target, self.order, out)
 
     # -- ring operations ----------------------------------------------------
@@ -328,14 +338,16 @@ class TruncatedSeries:
         """Substitute one series per context variable.
 
         Every argument must have zero constant term (otherwise the truncated
-        data of `self` does not determine the result).  Arguments with at
-        most one term (variables, renamed or scaled monomials, zero) act on
-        the exponents of `self` directly.  The terms of `self` are grouped
-        by their exponents beta in the remaining ("moving") arguments u, and
-        `kernels.compose_terms` sums group_beta * u^beta in numerator form,
-        by Horner's rule over the moving arguments: each one is converted
-        once, the partial sums stay Gaussian-integer numerators over common
-        denominators, and each output term is normalized once.
+        data of `self` does not determine the result).  The terms of `self`
+        and of every argument go to `kernels.compose_terms` as they are.
+        It groups the terms of `self` on packed keys: arguments with at most
+        one term (variables, renamed or scaled monomials, zero) act on those
+        keys directly, and the exponents beta in the remaining ("moving")
+        arguments u key the groups.  It sums group_beta * u^beta in
+        numerator form, by Horner's rule over the moving arguments: each
+        one is converted once, the partial sums stay Gaussian-integer
+        numerators over common denominators, and each output term is
+        normalized once, its key decoded through one bounded cache.
         """
         if isinstance(args, SeriesMap):
             args = args.components
@@ -346,53 +358,16 @@ class TruncatedSeries:
         if not args:
             return self
         target = args[0].context
+        zero = zero_exponent(target.arity)
         order = self.order
         for a in args:
             if a.context != target:
                 raise SeriesError("composition arguments disagree on context")
-            if a.constant_term():
+            if a.terms.get(zero):
                 raise SeriesError("composition argument has nonzero constant term")
             order = min(order, a.order)
 
-        moving = [i for i, a in enumerate(args) if len(a.terms) > 1]
-        dropped = [i for i, a in enumerate(args) if not a.terms]
-        # monomial arguments: (index, [(position, exponent)], degree, coeff)
-        monos = []
-        for i, a in enumerate(args):
-            if len(a.terms) == 1:
-                (m, c), = a.terms.items()
-                monos.append((i, [(p, x) for p, x in enumerate(m) if x],
-                              sum(m), None if c == ONE else c))
-        scale_powers: dict = {}
-        groups: dict = {}
-        for alpha, c in self.terms.items():
-            if any(alpha[i] for i in dropped):
-                continue
-            beta = tuple([alpha[i] for i in moving])
-            deg = sum(beta)
-            shifted = [0] * target.arity
-            for i, places, mdeg, mc in monos:
-                k = alpha[i]
-                if k:
-                    deg += k * mdeg
-                    for p, x in places:
-                        shifted[p] += k * x
-                    if mc is not None:
-                        f = scale_powers.get((i, k))
-                        if f is None:
-                            f = scale_powers[(i, k)] = mc ** k
-                        c = c * f
-            if deg > order:
-                continue
-            e = tuple(shifted)
-            group = groups.get(beta)
-            if group is None:
-                groups[beta] = {e: c}
-            else:
-                prev = group.get(e)
-                group[e] = c if prev is None else prev + c
-
-        out = compose_terms(groups, [args[i].terms for i in moving],
+        out = compose_terms(self.terms, [a.terms for a in args],
                             target.arity, order)
         return TruncatedSeries._make(target, order, out)
 

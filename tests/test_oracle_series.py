@@ -387,6 +387,199 @@ def test_compose_matches_oracle(case):
     assert all(got.terms.values())
 
 
+def _compose_grouped_reference(f, args):
+    """`compose` as it ran before the grouping moved into `kernels`: one
+    exponent tuple and one `GaussianRational` product per term of f, the
+    groups summed as term dicts, then Horner's rule on the groups, each
+    converted again with `_numerators`."""
+    args = list(args)
+    target = args[0].context
+    order = min([f.order] + [a.order for a in args])
+    moving = [i for i, a in enumerate(args) if len(a.terms) > 1]
+    dropped = [i for i, a in enumerate(args) if not a.terms]
+    monos = []
+    for i, a in enumerate(args):
+        if len(a.terms) == 1:
+            (m, c), = a.terms.items()
+            monos.append((i, [(p, x) for p, x in enumerate(m) if x],
+                          sum(m), None if c == ONE else c))
+    scale_powers = {}
+    groups = {}
+    for alpha, c in f.terms.items():
+        if any(alpha[i] for i in dropped):
+            continue
+        beta = tuple([alpha[i] for i in moving])
+        deg = sum(beta)
+        shifted = [0] * target.arity
+        for i, places, mdeg, mc in monos:
+            k = alpha[i]
+            if k:
+                deg += k * mdeg
+                for p, x in places:
+                    shifted[p] += k * x
+                if mc is not None:
+                    g = scale_powers.get((i, k))
+                    if g is None:
+                        g = scale_powers[(i, k)] = mc ** k
+                    c = c * g
+        if deg > order:
+            continue
+        e = tuple(shifted)
+        group = groups.get(beta)
+        if group is None:
+            groups[beta] = {e: c}
+        else:
+            prev = group.get(e)
+            group[e] = c if prev is None else prev + c
+    moving_terms = [args[i].terms for i in moving]
+    arity = target.arity
+
+    nonzero = []
+    for beta, group in groups.items():
+        group = {e: c for e, c in group.items() if c}
+        if group:
+            nonzero.append((beta, group))
+    if not nonzero:
+        return TruncatedSeries._make(target, order, {})
+    if len(nonzero) == 1 and not any(nonzero[0][0]):
+        return TruncatedSeries._make(target, order, nonzero[0][1])
+    width, weights = kernels._packing(arity, order)
+    shift = width * arity
+    converted = [None] * len(moving_terms)
+
+    def argument(i):
+        got = converted[i]
+        if got is None:
+            den, rows = kernels._numerators(moving_terms[i], weights,
+                                            (order + 1) << shift)
+            got = converted[i] = (den, rows,
+                                  rows[0][0] >> shift if rows else order + 1)
+        return got
+
+    def level(items, i, cut):
+        while not any([beta[i] for beta, _ in items]):
+            i += 1
+        du, ru, v = argument(i)
+        split = {}
+        for item in items:
+            b = item[0][i]
+            if b * v <= cut:
+                split.setdefault(b, []).append(item)
+        parts = {}
+        for b, part in split.items():
+            c = cut - b * v
+            if len(part) == 1 and not any(part[0][0][i + 1:]):
+                d, rows = kernels._numerators(part[0][1], weights,
+                                              (c + 1) << shift)
+                parts[b] = d, {p: [x, y] for p, x, y in rows}
+            else:
+                parts[b] = level(part, i + 1, c)
+        if not parts:
+            return 1, {}
+        b = max(parts)
+        den, acc = parts.pop(b)
+        while b:
+            b -= 1
+            rows = kernels._rows(acc)
+            dh = den * du
+            den, acc = parts.get(b) or (1, {})
+            if rows:
+                den = kernels._add_product(den, acc, dh, rows, ru,
+                                           (cut - b * v + 1) << shift)
+        return den, acc
+
+    den, acc = level(nonzero, 0, order)
+    return TruncatedSeries._make(target, order,
+                                 kernels._unpacked(acc, den, width, arity))
+
+
+_SOURCE = ["x%d" % i for i in range(4)]
+
+
+@st.composite
+def grouping_cases(draw):
+    """(f, args) for the grouping of `compose`: scaled monomials, zero
+    arguments, monomial images of degree past the order (their packed keys
+    overflow a field), targets of 1-3 or 12 variables, and, when x0 and x1
+    both go to one target variable, a source g - g(x1, x0) + h whose terms
+    collide there and cancel, as whole groups when some argument moves."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.sampled_from((1, 2, 3, 12)))
+    order = draw(st.integers(0, 5))
+    src = VariableContext(_SOURCE[:n])
+    tgt = VariableContext(["y%d" % i for i in range(m)])
+    kinds = ("renamed", "scaled", "scaled", "monomial", "past", "zero",
+             "series", "series")
+    args = []
+    for i in range(n):
+        kind = draw(st.sampled_from(kinds))
+        a_order = draw(st.integers(order, order + 2))
+        if kind in ("renamed", "scaled"):
+            a = TruncatedSeries.variable(tgt, a_order,
+                                         draw(st.sampled_from(tgt.names)))
+            if kind == "scaled":
+                a = a * draw(coefficients())
+        elif kind in ("monomial", "past"):
+            low = order + 1 if kind == "past" else 1
+            e = [0] * m
+            for _ in range(draw(st.integers(low, max(low, 3)))):
+                e[draw(st.integers(0, m - 1))] += 1
+            a = TruncatedSeries(tgt, max(a_order, sum(e)),
+                                {tuple(e): draw(coefficients())})
+        elif kind == "zero":
+            a = TruncatedSeries.zero(tgt, a_order)
+        else:
+            a = TruncatedSeries(tgt, a_order, draw(term_dicts(
+                m, 2, 2, 4, min_degree=1)))
+        args.append(a)
+    terms = draw(term_dicts(n, order, max_size=8))
+    if draw(st.integers(0, 2)):
+        args[1] = args[0]
+        for e, c in draw(term_dicts(n, order, 1, 6)).items():
+            swapped = (e[1], e[0]) + e[2:]
+            if swapped != e:
+                terms[e] = c
+                terms[swapped] = -c
+    return TruncatedSeries(src, order, terms), args
+
+
+_Y1 = VariableContext(["y0", "y1"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(grouping_cases(), recursion_cases()))
+@example((_series(_X3, 4, {(0, 2, 0): (1,), (1, 0, 0): (2,), (1, 1, 0): (0, 3),
+                           (0, 1, 0): (1, 1), (1, 0, 1): (5,),
+                           (2, 0, 0): ("1/2",)}),
+          [TruncatedSeries.variable(_Y1, 4, "y1") * gr(0, 1),
+           TruncatedSeries.variable(_Y1, 4, "y0"),
+           TruncatedSeries.zero(_Y1, 4)]))
+@example((_series(_XY[0], 2, {(1, 0): (1,), (0, 1): (2,)}),
+          [TruncatedSeries.zero(_Y1, 2),
+           TruncatedSeries.variable(_Y1, 2, "y0")]))
+@example((_series(_X3, 4, {(1, 1, 0): (1,), (0, 2, 0): (3,),
+                           (1, 0, 1): (-1,), (0, 0, 1): ("1/3",)}),
+          [_series(_XY[1], 4, {(1, 0): (1,), (0, 2): (2,)}),
+           TruncatedSeries.variable(_Y1, 4, "y1"),
+           TruncatedSeries.variable(_Y1, 4, "y1")]))
+def test_compose_matches_frozen_grouping(case):
+    # The grouping on packed keys gives the old grouping's result: the
+    # same order, values and key insertion order.  Explicit examples: (1)
+    # monomial images only, with keys first met out of graded-lex order,
+    # a collision and a zero argument; (2) a term x0 of degree 1 whose
+    # zero argument puts its packed sum at the limit itself; (3) a group
+    # of x0 that cancels, leaving the group beta = 0 alone.
+    f, args = case
+    got = f.compose(args)
+    want = _compose_grouped_reference(f, args)
+    assert got.order == want.order and got.context == want.context
+    assert list(got.terms.items()) == list(want.terms.items())
+    event("%s, %s%s" % (
+        "moving" if any(len(a.terms) > 1 for a in args) else "monomials",
+        "nonzero" if got.terms else "zero",
+        ", x0 and x1 alike" if len(args) > 1 and args[0] is args[1] else ""))
+
+
 # -- mul_precise ------------------------------------------------------------
 
 
@@ -904,9 +1097,9 @@ def test_online_solve_keeps_each_unknown_normalized(case):
     event("%s, %d parts kept" % (kind, min(len(kept), 5)))
     for (den, rows), arity, top in kept:
         width, weights = kernels._packing(arity, top)
-        exps = kernels._exponents([p for p, _, _ in rows], width, arity)
         assert all(x or y for _, x, y in rows)
-        terms = {exps[p]: kernels._make(x, y, den) for p, x, y in rows}
+        terms = {kernels._exponent(p, width, arity): kernels._make(x, y, den)
+                 for p, x, y in rows}
         assert kernels._numerators(terms, weights, None) == (den, rows)
 
 

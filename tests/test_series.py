@@ -181,6 +181,27 @@ def test_compose_associative():
         assert f.compose([g]).compose([h]) == f.compose([g.compose([h])])
 
 
+def test_remapped_sums_terms_that_meet():
+    # z and w both renamed to t: the terms that meet there are summed, and
+    # a sum of zero is dropped, as `compose` with the images t, t does.
+    ctx_t = VariableContext(("t", "s"))
+    t = var(ctx_t, "t", order=4)
+    z, w = var(CTX2, "z", order=4), var(CTX2, "w", order=4)
+    both = {"z": "t", "w": "t"}
+    for f in [z + w, z - w + z * w, 3 * z * w - w * z + z * z * (1 - I)]:
+        got = f.remapped(ctx_t, both)
+        want = f.compose([t, t])
+        assert got == want and got.order == want.order
+        assert list(got.terms.items()) == list(want.terms.items())
+    assert (z + w).remapped(ctx_t, both) == 2 * t
+    assert (z - w).remapped(ctx_t, both).is_zero()
+    # an injective rename keeps every term, in its order
+    f = w * w + 2 * z
+    got = f.remapped(ctx_t, {"z": "s", "w": "t"})
+    assert list(got.terms.items()) == list(
+        f.compose([var(ctx_t, "s", order=4), t]).terms.items())
+
+
 # Reference for `compose`: the loop it ran before `kernels.compose_terms`,
 # one `mul_terms` per power of the moving arguments and per group, summed
 # with `iadd_scaled`.
@@ -319,11 +340,11 @@ def test_compose_matches_reference_in_reflection(checked_compose,
     sizes = []
     plain = series.compose_terms
 
-    def compose_terms(groups, args, arity, order):
+    def compose_terms(terms, args, arity, order):
         for k, a in enumerate(args):
-            if any(beta[k] for beta in groups):
+            if len(a) > 1 and any(alpha[k] for alpha in terms):
                 sizes.append(sum(sum(e) <= order for e in a))
-        return plain(groups, args, arity, order)
+        return plain(terms, args, arity, order)
 
     monkeypatch.setattr(series, "compose_terms", compose_terms)
     maps = dict(seeded_maps())
@@ -672,7 +693,7 @@ def test_evaluate_edge_cases():
 
 # The helpers that know the packed exponent layout of `kernels`.
 PACKED_HELPERS = {"_packing", "_numerators", "_unpacked", "_add_product",
-                  "_product", "_rows"}
+                  "_product", "_rows", "_exponent"}
 
 
 def test_packed_layout_stays_in_kernels():
