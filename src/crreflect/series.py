@@ -194,20 +194,16 @@ class TruncatedSeries:
             n = self.context.names[i]
             positions[i] = target.index(name_map.get(n, n))
         arity = target.arity
-        keys = []
-        for e in self.terms:
+        out = {}
+        for e, c in self.terms.items():
             ne = [0] * arity
             for i, x in enumerate(e):
                 if x:
                     ne[positions[i]] += x
-            keys.append(tuple(ne))
-        if len(set(positions.values())) == len(positions):
-            out = dict(zip(keys, self.terms.values()))
-        else:
-            out = {}
-            for k, c in zip(keys, self.terms.values()):
-                prev = out.get(k)
-                out[k] = c if prev is None else prev + c
+            k = tuple(ne)
+            prev = out.get(k)
+            out[k] = c if prev is None else prev + c
+        if len(out) < len(self.terms):  # only terms that met can sum to 0
             out = {e: c for e, c in out.items() if c}
         return TruncatedSeries._make(target, self.order, out)
 

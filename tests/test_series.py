@@ -342,7 +342,8 @@ def test_compose_matches_reference_in_reflection(checked_compose,
 
     def compose_terms(terms, args, arity, order):
         for k, a in enumerate(args):
-            if len(a) > 1 and any(alpha[k] for alpha in terms):
+            if len(a) > 1 and any(alpha[k] and sum(alpha) <= order
+                                  for alpha in terms):
                 sizes.append(sum(sum(e) <= order for e in a))
         return plain(terms, args, arity, order)
 
