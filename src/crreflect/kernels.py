@@ -13,10 +13,11 @@ both use it without an import cycle.
   sum of group_beta * u^beta.
 * `divexact`: exact division of term dicts.  A one-term divisor c * x^e
   divides term by term, shifting each exponent down by e and scaling by
-  1/c (not at all for c = 1); Bareiss's pivots are chosen sparsest, so
-  they are one term wherever their column holds a monomial, mostly the
-  constant 1.  Any other divisor runs graded-lex reduction on term dicts,
-  each step one `_scale_shift` and one `iadd_scaled`.
+  1/c (not at all for c = 1); Bareiss's pivots are the sparsest entries
+  of the whole remaining matrix, so they are one term wherever it holds
+  a monomial, mostly the constant 1.  Any other divisor runs graded-lex
+  reduction on term dicts, each step one `_scale_shift` and one
+  `iadd_scaled`.
 * `online_solve`: the degree-by-degree solve behind
   `series.divide_with_valuation` and `series.formal_ift`, each degree
   packed from right-hand side to unknown; `pack_parts` packs its
@@ -25,6 +26,10 @@ both use it without an import cycle.
 * `echelon`: Gauss-Jordan elimination of a constant matrix given as sparse
   {column: coefficient} rows, the one elimination behind every rank,
   kernel, inverse and span test.
+* `evaluate_terms`: the exact values of several term dicts at one point
+  of Q(i)^n, in one pass that shares the point's powers and monomial
+  values; the one evaluator behind `TruncatedSeries.evaluate`,
+  `SeriesMap.evaluate` and the rank witness of `linalg`.
 
 `mul_terms` never multiplies `GaussianRational` objects.  It takes one of
 two paths:
@@ -60,11 +65,13 @@ after the other: H_b = G_b + u * H_(b+1) from the top exponent b down,
 each product cut to degree order - b*v(u), lower than the one before, so
 no power of u is built and fewer products are made (Paterson &
 Stockmeyer, SIAM J. Comput. 1973, count these as nonscalar
-multiplications).  Each level's sum
-stays [re, im] numerators over one running denominator, the lcm of its
-parts, accumulated into the dict of its part G_b; one normalized
-coefficient is built per nonzero output term.  On `graph_reality`, where
-composition is most of the work, `cpu_s` fell from 0.617 s to 0.467 s
+multiplications).  Each level's sum stays [re, im] numerators over one
+running denominator, the lcm of its parts, accumulated into the dict of
+its part G_b; each H_(b+1) is put over its least denominator by one gcd
+(`_reduced`) before it multiplies u, so the running denominator does not
+gather a factor of u's at every level.  One normalized coefficient is
+built per nonzero output term.  On `graph_reality`, where composition is
+most of the work, `cpu_s` fell from 0.617 s to 0.467 s
 (medians of ten paired benchmark runs on a 2-vCPU Xeon VM).  `mul_terms`
 and `compose_terms` share the packed product loop `_product`, and
 `compose_terms` and `online_solve` add products into a running-denominator
@@ -104,7 +111,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import add, gt, itemgetter, mul, neg, sub
 
-from .gaussian import ONE, GaussianRational
+from .gaussian import ONE, ZERO, GaussianRational
 
 _new = object.__new__
 
@@ -333,7 +340,8 @@ def compose_terms(terms: dict, args: list, arity: int, order: int) -> dict:
     groups with exponent b, is formed the same way.  Since u has valuation
     v >= 1, G_b is needed only to degree order - b*v.  The parts combine as
     H_b = G_b + u * H_(b+1) from the top b down, each product cut to
-    degree order - b*v, lower than the one before.  The sum is H_0, and no
+    degree order - b*v, lower than the one before, with H_(b+1) first put
+    over its least denominator by `_reduced`.  The sum is H_0, and no
     power of u is built.
     """
     width, weights = _packing(arity, order)
@@ -432,8 +440,8 @@ def compose_terms(terms: dict, args: list, arity: int, order: int) -> dict:
         den, acc = parts.pop(b)
         while b:  # H_b = G_b + u * H_(b+1), accumulated into G_b
             b -= 1
-            rows = _rows(acc)
-            dh = den * du
+            dh, rows = _reduced(den, _rows(acc))
+            dh *= du
             den, acc = parts.get(b) or (1, {})
             if rows:
                 den = _add_product(den, acc, dh, rows, ru,
@@ -606,6 +614,56 @@ def iadd_scaled(out: dict, A: dict, coeff) -> None:
         out[e] = _make(x, y, z)
 
 
+def evaluate_terms(dicts: list, point) -> list:
+    """Exact values of the term dicts `dicts` at `point`, a sequence of
+    GaussianRational coordinates: the one evaluator behind
+    `TruncatedSeries.evaluate`, `SeriesMap.evaluate` and the rank witness.
+
+    One pass in Gaussian integers shared by all the dicts.  With
+    p_i = (a_i + b_i*i)/c_i and t_i the top exponent of variable i over
+    every dict, the numerator of p_i^k scaled to the denominator c_i^t_i
+    is tabled for every k <= t_i, and each distinct monomial's numerator,
+    the product of its powers', is formed once.  Each dict puts its
+    coefficients over the lcm L of their denominators and sums their
+    products with the monomial numerators over L * prod_i c_i^t_i,
+    normalized once."""
+    monomials = set().union(*dicts)
+    if not monomials:
+        return [ZERO] * len(dicts)
+    scale = 1
+    powers = []
+    for i, top in enumerate(map(max, zip(*monomials))):
+        if top:
+            p = point[i]
+            a, b, c = p.a, p.b, p.c
+            x, y = c ** top, 0
+            row = [(x, y)]
+            for _ in range(top):
+                x, y = (x * a - y * b) // c, (x * b + y * a) // c
+                row.append((x, y))
+            powers.append((i, row))
+            scale *= row[0][0]
+    value = {}
+    for e in monomials:
+        x, y = 1, 0
+        for i, row in powers:
+            u, v = row[e[i]]
+            x, y = x * u - y * v, x * v + y * u
+        value[e] = x, y
+    out = []
+    for T in dicts:
+        den = lcm(*[c.c for c in T.values()])
+        re = im = 0
+        for e, c in T.items():
+            m = den // c.c
+            x, y = c.a * m, c.b * m
+            u, v = value[e]
+            re += x * u - y * v
+            im += x * v + y * u
+        out.append(_make(re, im, den * scale))
+    return out
+
+
 def divexact(f: dict, g: dict) -> dict:
     """Exact quotient f / g of term dicts (any degrees, no truncation).
 
@@ -615,7 +673,7 @@ def divexact(f: dict, g: dict) -> dict:
     term of f has a field below e's, the error names the largest such term
     in graded-lex order, the one where the reduction below would stop.  On
     the benchmark's workloads every divisor is one term, most often the
-    constant 1: Bareiss's pivots are chosen sparsest.  (The series
+    constant 1: Bareiss's pivots are the sparsest entries left.  (The series
     divisions divide by a one-term lead with `divider`, on packed parts.)
 
     Any other divisor takes graded-lex reduction on term dicts: each step

@@ -8,27 +8,36 @@ coefficient column of each unknown.  `symbolic_rank` computes the
 rank of a matrix of (truncated) polynomial entries over the fraction field
 of the polynomial ring, via fraction-free Bareiss elimination, checked
 against the rank at a seeded rational point (`symbolic_rank` states why
-that is a certified lower bound).  Bareiss's last step, with one row left
-below the pivot, only asks whether that row vanishes; each of its entries
-is a numerator divided by the previous pivot, a nonzero polynomial, and
-the polynomials over Q(i) have no zero divisors, so the step tests the
-numerators and divides nothing.  Every earlier step divides its entries
-by the previous pivot through `kernels.divexact`, the package's one exact
-division (also behind `series.divide_with_valuation`).  The pivot is the
-sparsest entry of its column, so it is one term whenever the column holds
-a monomial, and the first divisor is the constant 1 (on the Segre-chain
-Jacobians of the benchmark, every divisor is 1).  A one-term divisor
-divides term by term, with no scaling at all by 1.  A pivot of several
-terms takes `divexact`'s graded-lex reduction on term dicts, one
-normalization per updated remainder term."""
+that is a certified lower bound).  Each pivot is the entry with the
+fewest terms over the whole remaining matrix, all rows and columns not
+yet pivoted, as Markowitz (Management Science 1957) chooses pivots to
+limit fill-in: Bareiss on a row- and column-permuted matrix, with the
+same rank.  It is one term whenever the remaining matrix holds a
+monomial, and the first divisor is the constant 1 (on the Segre-chain
+Jacobians of the benchmark, every divisor is 1).  Bareiss's last step,
+with one row left below the pivot, only asks whether that row vanishes;
+each of its entries is a numerator divided by the previous pivot, a
+nonzero polynomial, and the polynomials over Q(i) have no zero divisors,
+so the step tests the numerators and divides nothing.  Every earlier
+step divides its entries by the previous pivot through `kernels.divexact`,
+the package's one exact division (also behind
+`series.divide_with_valuation`).  A one-term divisor divides term by
+term, with no scaling at all by 1.  A pivot of several terms takes
+`divexact`'s graded-lex reduction on term dicts, one normalization per
+updated remainder term.  The witness point is drawn once per (arity,
+seed), and `rank_at` evaluates all the entries of a matrix in one
+`kernels.evaluate_terms` pass, which shares the point's powers and
+monomial values among them."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 from .gaussian import GaussianRational, ONE, ZERO
-from .kernels import divexact, echelon, iadd_scaled, mul_terms
+from .kernels import (divexact, echelon, evaluate_terms, iadd_scaled,
+                      mul_terms)
 from .series import SeriesMap, jacobian_at_zero
 
 
@@ -67,19 +76,27 @@ def bareiss_rank(entries) -> int:
 
     Intermediate entries stay genuine minors of the input (the two-step
     division is always exact), so growth is bounded by the size of the
-    actual minors (Bareiss, Math. Comp. 22, 1968).  The sparsest available
-    pivot is chosen at each step and the matrix is oriented with the short
-    side as rows.
+    actual minors (Bareiss, Math. Comp. 22, 1968).  The matrix is oriented
+    with the short side as rows.  Each pivot is the nonzero entry with the
+    fewest terms over all the rows and columns not yet pivoted, the first
+    such column and then the first such row on a tie, as Markowitz
+    (Management Science 3, 1957) chooses pivots to limit fill-in.  So a
+    constant or a monomial is taken wherever the remaining matrix holds
+    one, and no polynomial pivot grows the entries while a constant column
+    waits.  This is Bareiss on a row- and column-permuted matrix, so the
+    entries stay minors, every division stays exact and the rank is the
+    same.
 
-    A step replaces each entry right of the pivot column in the rows below
-    by (pivot*m[r][c] - head*m[rank][c]) / prev, prev being the previous
+    A step replaces each entry of a remaining column in the rows below by
+    (pivot*m[r][c] - head*m[rank][c]) / prev, prev being the previous
     pivot; the pivot column itself becomes zero there and is never read
     again, so it is not formed.  When one row is left below the pivot,
     the rank is the number of rows or one less, and only whether that row
     vanishes decides which.  Since prev is a nonzero polynomial and the
     polynomial ring is an integral domain, an entry of that row is zero
     exactly when its numerator is.  So the last step forms the numerators
-    column by column, stops at the first nonzero one and divides nothing.
+    of the remaining columns one after the other, stops at the first
+    nonzero one and divides nothing.
     """
     m = [[dict(e) for e in row] for row in entries]
     if not m or not m[0]:
@@ -87,49 +104,59 @@ def bareiss_rank(entries) -> int:
     if len(m) > len(m[0]):
         m = [[m[r][c] for r in range(len(m))] for c in range(len(m[0]))]
     nrows, ncols = len(m), len(m[0])
-    arity = None
-    for row in m:
-        for e in row:
-            if e:
-                arity = len(next(iter(e)))
-                break
-        if arity is not None:
-            break
+    arity = next((len(next(iter(e))) for row in m for e in row if e), None)
     if arity is None:
         return 0
     prev = {(0,) * arity: ONE}
+    cols = list(range(ncols))
     rank = 0
-    for col in range(ncols):
-        piv = None
+    while True:
         best = None
-        for r in range(rank, nrows):
-            if m[r][col]:
-                size = len(m[r][col])
-                if best is None or size < best:
-                    best, piv = size, r
-        if piv is None:
-            continue
+        for col in cols:
+            for r in range(rank, nrows):
+                e = m[r][col]
+                if e and (best is None or len(e) < best):
+                    best, piv, pc = len(e), r, col
+            if best == 1:
+                break
+        if best is None:
+            return rank
+        cols.remove(pc)
         m[rank], m[piv] = m[piv], m[rank]
         top = m[rank]
-        pivot = top[col]
+        pivot = top[pc]
         if rank + 2 == nrows:
             last = m[rank + 1]
-            head = last[col]
-            if any(_cross(pivot, last[c], head, top[c])
-                   for c in range(col + 1, ncols)):
+            head = last[pc]
+            if any(_cross(pivot, last[c], head, top[c]) for c in cols):
                 return nrows
             return rank + 1
         for r in range(rank + 1, nrows):
             row = m[r]
-            head = row[col]
-            for c in range(col + 1, ncols):
+            head = row[pc]
+            for c in cols:
                 term = _cross(pivot, row[c], head, top[c])
                 row[c] = divexact(term, prev) if term else {}
         prev = pivot
         rank += 1
         if rank == nrows:
-            break
-    return rank
+            return rank
+
+
+@lru_cache(maxsize=64)
+def _witness_point(arity: int, seed: int) -> tuple:
+    """The point `random_rational_point(arity, random.Random(seed))`, drawn
+    once per (arity, seed)."""
+    return tuple(random_rational_point(arity, random.Random(seed)))
+
+
+def rank_at(matrix, point) -> int:
+    """Rank of a matrix of TruncatedSeries entries at `point`, its entries
+    evaluated in one `kernels.evaluate_terms` pass."""
+    ncols = len(matrix[0])
+    values = evaluate_terms([e.terms for row in matrix for e in row], point)
+    return numeric_rank([values[i:i + ncols]
+                         for i in range(0, len(values), ncols)])
 
 
 def symbolic_rank(matrix, seed: int = 0) -> int:
@@ -139,20 +166,20 @@ def symbolic_rank(matrix, seed: int = 0) -> int:
     the stored truncations; it equals the true generic rank once the
     truncation order is past the degree where the rank stabilizes.
 
-    Bareiss decides the value.  The entries are also evaluated exactly
-    over Q(i) at the point `random_rational_point` draws from
-    `random.Random(seed)`.  A minor that is nonzero at a point is a nonzero
-    polynomial, so that point rank is a certified lower bound
+    Bareiss decides the value, with `bareiss_rank`'s pivot rule: the
+    sparsest entry of the whole remaining matrix (Markowitz 1957).  The
+    entries are also evaluated exactly over Q(i), in one shared pass, at
+    `_witness_point(arity, seed)`, the point `random_rational_point` draws
+    from `random.Random(seed)`.  A minor that is nonzero at a point is a
+    nonzero polynomial, so that point rank is a certified lower bound
     (Schwartz, J. ACM 1980; Zippel 1979): point rank <= generic rank
     <= min(rows, cols).  A Bareiss rank below it raises `AssertionError`.
     """
     if not matrix or not matrix[0]:
         return 0
     rank = bareiss_rank([[e.terms for e in row] for row in matrix])
-    point = random_rational_point(matrix[0][0].context.arity,
-                                  random.Random(seed))
-    numeric = numeric_rank([[e.evaluate(point) for e in row]
-                            for row in matrix])
+    point = _witness_point(matrix[0][0].context.arity, seed)
+    numeric = rank_at(matrix, point)
     if numeric > rank:
         raise AssertionError(
             "rank witness exceeds symbolic rank (%d > %d)" % (numeric, rank))

@@ -15,7 +15,7 @@ from math import comb
 
 from .context import VariableContext, count_multidegrees, multidegrees
 from .gaussian import ONE, ZERO
-from .linalg import generic_rank, numeric_rank, random_rational_point
+from .linalg import generic_rank, random_rational_point, rank_at
 from .manifold import FAMILIES, GraphedManifold, ManifoldError
 from .series import (SeriesMap, TruncatedSeries, SeriesError, check_budget,
                      factorial_multi)
@@ -265,7 +265,7 @@ def _zero_fiber_witness(M, gamma, nu0, seed, attempts=8):
         values = gamma.components.evaluate(point)
         if any(values):
             raise AssertionError("mirrored multitime left the zero fiber")
-        rank = numeric_rank([[e.evaluate(point) for e in row] for row in jac])
+        rank = rank_at(jac, point)
         if rank == 2 * M.m + M.d:
             return point
     return None

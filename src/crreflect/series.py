@@ -12,15 +12,14 @@ in place, so values can be shared freely across threads and memo tables.
 
 from __future__ import annotations
 
-from math import factorial, lcm
+from math import factorial
 
 from .context import (VariableContext, multidegrees, unit_exponent,
                       zero_exponent)
-from .gaussian import (GaussianRational, MINUS_ONE, ONE, ZERO, _coerce,
-                       _norm)
+from .gaussian import GaussianRational, MINUS_ONE, ONE, ZERO, _coerce
 from .kernels import (_make as _normalized, compose_terms, divider, echelon,
-                      iadd_scaled, implicit_step, mul_terms, online_solve,
-                      pack_parts)
+                      evaluate_terms, iadd_scaled, implicit_step, mul_terms,
+                      online_solve, pack_parts)
 
 
 class SeriesError(ValueError):
@@ -73,6 +72,14 @@ def check_budget(entry: str, order, **bounds) -> None:
 def _check_order(order: int) -> None:
     if order < 0:
         raise SeriesError("order must be non-negative")
+
+
+def _point(context, point) -> list:
+    """The coordinates of `point`, a sequence or a dict keyed by the names
+    of `context`, as coefficients."""
+    if isinstance(point, dict):
+        point = [point[n] for n in context.names]
+    return [_coeff(p) for p in point]
 
 
 def _coeff(value) -> GaussianRational:
@@ -399,43 +406,11 @@ class TruncatedSeries:
         """Exact value of the stored polynomial at a point of Q(i)^n.
 
         `point` is a sequence of coordinates, or a dict keyed by variable
-        name; entries are anything a coefficient can be.  One pass over the
-        terms in Gaussian integers: with p_i = (a_i + b_i*i)/c_i and t_i
-        the top exponent of variable i, the numerator of p_i^k scaled to
-        the denominator c_i^t_i is cached for every k <= t_i, each
-        coefficient is put over the lcm L of the coefficient denominators,
-        and each term adds the product of its numerators to one running sum
-        over L * prod_i c_i^t_i.  The sum is normalized once at the end.
+        name; entries are anything a coefficient can be.  The value comes
+        from `kernels.evaluate_terms`, one pass in Gaussian integers
+        normalized once.
         """
-        if isinstance(point, dict):
-            point = [point[n] for n in self.context.names]
-        point = [_coeff(p) for p in point]
-        terms = self.terms
-        if not terms:
-            return ZERO
-        den = lcm(*[c.c for c in terms.values()])
-        total_den = den
-        powers = []
-        for i, top in enumerate(map(max, zip(*terms))):
-            if top:
-                a, b, c = point[i].a, point[i].b, point[i].c
-                x, y = c ** top, 0
-                row = [(x, y)]
-                for _ in range(top):
-                    x, y = (x * a - y * b) // c, (x * b + y * a) // c
-                    row.append((x, y))
-                powers.append((i, row))
-                total_den *= row[0][0]
-        re = im = 0
-        for e, c in terms.items():
-            scale = den // c.c
-            x, y = c.a * scale, c.b * scale
-            for i, row in powers:
-                u, v = row[e[i]]
-                x, y = x * u - y * v, x * v + y * u
-            re += x
-            im += y
-        return GaussianRational._raw(*_norm(re, im, total_den))
+        return evaluate_terms([self.terms], _point(self.context, point))[0]
 
     def coefficient_table(self, var_names):
         """Group terms by the exponents of `var_names`.
@@ -578,7 +553,11 @@ class SeriesMap:
         return SeriesMap([c.remapped(target, name_map) for c in self.components])
 
     def evaluate(self, point):
-        return [c.evaluate(point) for c in self.components]
+        """The components' values at `point`, as `TruncatedSeries.evaluate`
+        takes it, in one `kernels.evaluate_terms` pass that shares the
+        point's powers and monomial values."""
+        return evaluate_terms([c.terms for c in self.components],
+                              _point(self.context, point))
 
     def constant_terms(self):
         return [c.constant_term() for c in self.components]

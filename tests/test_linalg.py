@@ -4,12 +4,13 @@ import random
 
 import pytest
 
-from conftest import _bareiss_rank_reference, make_heisenberg, random_series
+from conftest import (_bareiss_rank_reference, _evaluate_reference,
+                      make_heisenberg, random_series)
 from crreflect import linalg
 from crreflect.context import VariableContext
 from crreflect.gaussian import ONE, ZERO, gr
 from crreflect.linalg import (bareiss_rank, generic_rank, kernel_basis,
-                              numeric_rank, random_rational_point,
+                              numeric_rank, random_rational_point, rank_at,
                               rank_at_origin, symbolic_rank)
 from crreflect.segre import chain
 from crreflect.series import SeriesMap, TruncatedSeries
@@ -140,6 +141,24 @@ def test_symbolic_rank_equals_bareiss(monkeypatch, seed):
             == expected, name
 
 
+def test_witness_point_is_the_seeded_point_drawn_once():
+    for arity in (1, 2, 5):
+        for seed in (0, 5, 17):
+            point = linalg._witness_point(arity, seed)
+            assert point == tuple(random_rational_point(
+                arity, random.Random(seed)))
+            assert linalg._witness_point(arity, seed) is point
+
+
+def test_rank_at_evaluates_every_entry_at_the_point():
+    for seed in (0, 5):
+        point, cases = _rank_cases(seed)
+        for name, m, _, _ in cases:
+            assert rank_at(m, point) == numeric_rank(
+                [[_evaluate_reference(e, point) for e in row]
+                 for row in m]), name
+
+
 def test_symbolic_rank_value_does_not_depend_on_the_seed():
     for name, m, expected, _ in _rank_cases(0)[1]:
         assert [symbolic_rank(m, seed=s) for s in range(6)] \
@@ -163,36 +182,107 @@ def test_rank_of_empty_rows_is_zero():
         assert numeric_rank(m) == 0
 
 
+def _spy_cross(monkeypatch):
+    """Record the arguments and the result of every numerator `_cross`
+    that Bareiss forms."""
+    calls = []
+    cross = linalg._cross
+
+    def spy(*args):
+        out = cross(*args)
+        calls.append((args, out))
+        return out
+    monkeypatch.setattr(linalg, "_cross", spy)
+    return calls
+
+
 def _last_step_cases():
-    """(name, matrix, rank): each exit of Bareiss's last step, where one
-    row is left below the pivot and only its numerators are formed."""
+    """(name, matrix, rank, numerators): each exit of Bareiss, and each exit
+    of its last step, where one row is left below the pivot and only its
+    numerators of the remaining columns are formed.  `numerators` says, in
+    order, whether each numerator Bareiss forms is nonzero; the last step's
+    are the trailing ones."""
     ctx = VariableContext(("x", "y"))
     x = TruncatedSeries.variable(ctx, 6, "x")
     y = TruncatedSeries.variable(ctx, 6, "y")
     one = TruncatedSeries.constant(ctx, 6, 1)
     zero = TruncatedSeries.zero(ctx, 6)
+    T, F = True, False
     return [
-        ("first numerator nonzero", [[x, y], [y, x]], 2),
+        ("first numerator nonzero", [[x, y], [y, x]], 2, [T]),
         ("first numerator zero, a later one not", [[x, y, one], [x, y, x]],
-         2),
-        ("every numerator zero", [[x, y, one], [x * x, x * y, x]], 1),
-        ("no column after the pivot", [[zero, x], [zero, y]], 1),
-        ("zero head, a later entry not", [[x, y, one], [zero, zero, y]], 2),
+         2, [F, T]),
+        ("every numerator zero", [[x, y, one], [x * x, x * y, x]], 1,
+         [F, F]),
+        ("pivot in the last column, the remaining column zero",
+         [[zero, x], [zero, y]], 1, [F]),
+        ("zero head, a later entry not", [[x, y, one], [zero, zero, y]], 2,
+         [F, T]),
+        ("sparser pivot in a later column", [[x + y, one], [x - y, x]], 2,
+         [T]),
         ("after one step, first numerator nonzero",
-         [[x, y, one], [y, x, one], [one, x, y]], 3),
+         [[x, y, one], [y, x, one], [one, x, y]], 3, [T, T, T, T, T]),
         ("after one step, every numerator zero",
-         [[x, y, one], [y, x, one], [x + y, x + y, 2 * one]], 2),
+         [[x, y, one], [y, x, one], [x + y, x + y, 2 * one]], 2,
+         [T, T, T, T, F]),
         ("tall, after one step, first numerator zero, a later one not",
-         [[one, zero, zero], [zero, x, x], [zero, y, y], [zero, one, x]], 3),
+         [[one, zero, zero], [zero, x, x], [zero, y, y], [zero, one, x]], 3,
+         [T, T, T, T, T, T, F, T]),
+        ("no pivot left before the last step",
+         [[x, y, one], [x * x, x * y, x], [x * y, y * y, y]], 1,
+         [F, F, F, F]),
+        ("one row", [[x + y, y]], 1, []),
     ]
 
 
 @pytest.mark.parametrize("case", _last_step_cases(), ids=lambda c: c[0])
-def test_bareiss_last_step_exits(case):
-    _, m, expected = case
+def test_bareiss_last_step_exits(monkeypatch, case):
+    _, m, expected, numerators = case
     entries = [[e.terms for e in row] for row in m]
+    calls = _spy_cross(monkeypatch)
     assert bareiss_rank(entries) == _bareiss_rank_reference(entries) \
         == expected
+    assert [bool(out) for _, out in calls] == numerators
+
+
+def _pivot_cases():
+    """(name, matrix, (row, column) of the first pivot): the sparsest
+    nonzero entry of the whole matrix, the first column and then the first
+    row on a tie."""
+    ctx = VariableContext(("x", "y"))
+    x = TruncatedSeries.variable(ctx, 6, "x")
+    y = TruncatedSeries.variable(ctx, 6, "y")
+    one = TruncatedSeries.constant(ctx, 6, 1)
+    zero = TruncatedSeries.zero(ctx, 6)
+    a, b, c = x + y + one, x * y + x + 2 * one, y * y - x + 3 * one
+    return [
+        ("neither first row nor first column",
+         [[a, b, c, b], [b, c, a, x + one], [c, a, b, y]], (2, 3)),
+        ("first column wins a tie",
+         [[a, b, c, x], [b, c, y, a], [zero, a, b, c]], (1, 2)),
+        ("first row wins a tie in one column",
+         [[a, b, c, a], [b, x, a, b], [c, y, b, c]], (1, 1)),
+        ("fewest terms beats an earlier column",
+         [[a, x + one, y], [b, c, a], [c, a, b]], (0, 2)),
+    ]
+
+
+@pytest.mark.parametrize("case", _pivot_cases(), ids=lambda c: c[0])
+def test_bareiss_pivots_on_the_sparsest_entry_anywhere(monkeypatch, case):
+    # The first step forms (pivot * m[r][c] - head * top[c]) for every row
+    # r below the pivot row and every column c but the pivot's, in order.
+    _, m, (pr, pc) = case
+    entries = [[e.terms for e in row] for row in m]
+    calls = _spy_cross(monkeypatch)
+    rank = bareiss_rank(entries)
+    assert rank == _bareiss_rank_reference(entries)
+    rows = list(range(len(m)))
+    rows[0], rows[pr] = pr, 0
+    cols = [c for c in range(len(m[0])) if c != pc]
+    top = entries[pr]
+    want = [(top[pc], entries[r][c], entries[r][pc], top[c])
+            for r in rows[1:] for c in cols]
+    assert [args for args, _ in calls[:len(want)]] == want
 
 
 def test_kernel_basis():

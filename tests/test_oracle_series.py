@@ -1173,6 +1173,46 @@ def test_evaluate_matches_oracle(case):
     assert got == from_qq_i(QQ_I.convert(want)) == _evaluate_reference(s, point)
 
 
+def _evaluate_terms_example(arity, dicts, point):
+    return arity, dicts, [GaussianRational(p) for p in point]
+
+
+@st.composite
+def evaluate_terms_cases(draw):
+    arity = draw(st.integers(1, 4))
+    dicts = draw(st.lists(term_dicts(arity, 4, max_size=6), max_size=5))
+    return arity, dicts, draw(points(arity))
+
+
+@SETTINGS
+@given(evaluate_terms_cases())
+@example(_evaluate_terms_example(1, [], [3]))
+@example(_evaluate_terms_example(1, [{}, {(2,): gr("1/2", 1)}, {}],
+                                 [Fraction(-5, 7)]))
+@example(_evaluate_terms_example(
+    2, [{(3, 0): gr(2, "1/3"), (1, 0): gr(-1)},
+        {(0, 2): gr(0, "5/4"), (0, 0): gr(7)}], [Fraction(3, 2), 0]))
+@example(_evaluate_terms_example(
+    3, [{(1, 1, 0): gr(1)}, {(0, 0, 4): gr("3/5", -2)}, {}],
+    [0, Fraction(-2, 3), 4]))
+def test_evaluate_terms_matches_oracle(case):
+    # One shared pass over several term dicts, including empty ones,
+    # disjoint supports and zero coordinates: each value is the dict's own
+    # value, as sympy and the per-term reference give it.
+    arity, dicts, point = case
+    ctx = VariableContext(["x%d" % i for i in range(arity)])
+    at = [QQ_I(QQ(p.a, p.c), QQ(p.b, p.c)) for p in point]
+    want = [from_qq_i(QQ_I.convert(to_sympy(_ring(arity), T)(*at)))
+            for T in dicts]
+    got = kernels.evaluate_terms(dicts, point)
+    assert got == want == [
+        _evaluate_reference(TruncatedSeries(ctx, 4 * arity, T), point)
+        for T in dicts]
+    if dicts:
+        F = SeriesMap([TruncatedSeries(ctx, 4 * arity, T) for T in dicts])
+        assert F.evaluate(point) == want
+
+
 # -- echelon and the code built on it ---------------------------------------
 
 
@@ -1350,3 +1390,40 @@ def test_bareiss_rank_matches_reference(m):
     # of `_bareiss_rank_reference`; `test_symbolic_rank_matches_oracle`
     # checks smaller matrices against sympy.
     assert bareiss_rank(m) == _bareiss_rank_reference(m)
+
+
+@st.composite
+def scrambled_matrices(draw):
+    """A planted matrix or its transpose, with all-zero rows and columns
+    inserted and its rows and columns permuted: a pivot may then sit in
+    any row and column, and some rows and columns hold no pivot at all."""
+    m = draw(planted_matrices())
+    if draw(st.booleans()):
+        m = [list(col) for col in zip(*m)]
+    for _ in range(draw(st.integers(0, 2))):
+        m.append([{} for _ in m[0]])
+    for _ in range(draw(st.integers(0, 2))):
+        for row in m:
+            row.append({})
+    rows = draw(st.permutations(range(len(m))))
+    cols = draw(st.permutations(range(len(m[0]))))
+    return [[m[r][c] for c in cols] for r in rows]
+
+
+@settings(max_examples=80, deadline=None)
+@given(scrambled_matrices())
+def test_bareiss_rank_ignores_row_and_column_order(m):
+    # The pivot is the sparsest entry of the whole remaining matrix, so the
+    # elimination runs on a row- and column-permuted matrix; the rank is
+    # that of the frozen column-order elimination, and sympy's rank over
+    # QQ_I(x0, x1) wherever a 3 x 3 block bounds it.
+    rank = bareiss_rank(m)
+    assert rank == _bareiss_rank_reference(m)
+    nonzero_rows = [r for r in m if any(r)]
+    nonzero_cols = [c for c in zip(*nonzero_rows) if any(c)]
+    if len(nonzero_rows) <= 3 and len(nonzero_cols) <= 3:
+        event("checked against sympy")
+        R = _ring(2)
+        K = QQ_I.frac_field(*symbols("x0 x1"))
+        rows = [[K.field(to_sympy(R, e)) for e in row] for row in m]
+        assert rank == DomainMatrix(rows, (len(m), len(m[0])), K).rank()
