@@ -8,17 +8,19 @@ coefficient column of each unknown.  `symbolic_rank` computes the
 rank of a matrix of (truncated) polynomial entries over the fraction field
 of the polynomial ring, via fraction-free Bareiss elimination, checked
 against the rank at a seeded rational point (`symbolic_rank` states why
-that is a certified lower bound).  Each pivot is the entry with the
-fewest terms over the whole remaining matrix, all rows and columns not
-yet pivoted, as Markowitz (Management Science 1957) chooses pivots to
-limit fill-in: Bareiss on a row- and column-permuted matrix, with the
-same rank.  It is one term whenever the remaining matrix holds a
-monomial, and the first divisor is the constant 1 (on the Segre-chain
-Jacobians of the benchmark, every divisor is 1).  Bareiss's last step,
-with one row left below the pivot, only asks whether that row vanishes;
-each of its entries is a numerator divided by the previous pivot, a
-nonzero polynomial, and the polynomials over Q(i) have no zero divisors,
-so the step tests the numerators and divides nothing.  Every earlier
+that is a certified lower bound) whenever Bareiss finds the rank below
+min(rows, cols); a point rank never exceeds min(rows, cols), so at full
+rank the check could not fail and is not run.  Each pivot is the entry
+with the fewest terms over the whole remaining matrix, all rows and
+columns not yet pivoted, as Markowitz (Management Science 1957)
+chooses pivots to limit fill-in: Bareiss on a row- and column-permuted
+matrix, with the same rank.  It is one term whenever the remaining
+matrix holds a monomial, and the first divisor is the constant 1 (on the
+Segre-chain Jacobians of the benchmark, every divisor is 1).  Bareiss's
+last step, with one row left below the pivot, only asks whether that row
+vanishes; each of its entries is a numerator divided by the previous
+pivot, a nonzero polynomial, and the polynomials over Q(i) have no zero
+divisors, so the step tests the numerators and divides nothing.  Every earlier
 step divides its entries by the previous pivot through `kernels.divexact`,
 the package's one exact division (also behind
 `series.divide_with_valuation`).  A one-term divisor divides term by
@@ -152,7 +154,9 @@ def _witness_point(arity: int, seed: int) -> tuple:
 
 def rank_at(matrix, point) -> int:
     """Rank of a matrix of TruncatedSeries entries at `point`, its entries
-    evaluated in one `kernels.evaluate_terms` pass."""
+    evaluated in one `kernels.evaluate_terms` pass (0 for no entries)."""
+    if not matrix or not matrix[0]:
+        return 0
     ncols = len(matrix[0])
     values = evaluate_terms([e.terms for row in matrix for e in row], point)
     return numeric_rank([values[i:i + ncols]
@@ -167,17 +171,23 @@ def symbolic_rank(matrix, seed: int = 0) -> int:
     truncation order is past the degree where the rank stabilizes.
 
     Bareiss decides the value, with `bareiss_rank`'s pivot rule: the
-    sparsest entry of the whole remaining matrix (Markowitz 1957).  The
-    entries are also evaluated exactly over Q(i), in one shared pass, at
-    `_witness_point(arity, seed)`, the point `random_rational_point` draws
-    from `random.Random(seed)`.  A minor that is nonzero at a point is a
-    nonzero polynomial, so that point rank is a certified lower bound
-    (Schwartz, J. ACM 1980; Zippel 1979): point rank <= generic rank
-    <= min(rows, cols).  A Bareiss rank below it raises `AssertionError`.
+    sparsest entry of the whole remaining matrix (Markowitz 1957).  A
+    minor that is nonzero at a point is a nonzero polynomial, so the rank
+    at a point is a certified lower bound (Schwartz, J. ACM 1980; Zippel
+    1979): point rank <= generic rank <= min(rows, cols).  When the
+    Bareiss rank is below min(rows, cols), the entries are evaluated
+    exactly over Q(i), in one shared pass, at `_witness_point(arity,
+    seed)`, the point `random_rational_point` draws from
+    `random.Random(seed)`, and a point rank above the Bareiss rank raises
+    `AssertionError`.  A Bareiss rank of min(rows, cols) is returned at
+    once: no point rank can exceed it, so the witness could not fire
+    there, and skipping it drops no check.
     """
     if not matrix or not matrix[0]:
         return 0
     rank = bareiss_rank([[e.terms for e in row] for row in matrix])
+    if rank == min(len(matrix), len(matrix[0])):
+        return rank
     point = _witness_point(matrix[0][0].context.arity, seed)
     numeric = rank_at(matrix, point)
     if numeric > rank:

@@ -177,9 +177,12 @@ def test_symbolic_rank_keeps_the_witness_check(monkeypatch):
 
 
 def test_rank_of_empty_rows_is_zero():
+    point = random_rational_point(2, random.Random(0))
     for m in ([], [[]], [[], []]):
         assert bareiss_rank(m) == 0
         assert numeric_rank(m) == 0
+        assert rank_at(m, point) == 0
+        assert symbolic_rank(m) == 0
 
 
 def _spy_cross(monkeypatch):
@@ -283,6 +286,41 @@ def test_bareiss_pivots_on_the_sparsest_entry_anywhere(monkeypatch, case):
     want = [(top[pc], entries[r][c], entries[r][pc], top[c])
             for r in rows[1:] for c in cols]
     assert [args for args, _ in calls[:len(want)]] == want
+
+
+def _spy_rank_at(monkeypatch):
+    """Record every point at which `symbolic_rank` evaluates its matrix."""
+    calls = []
+
+    def spy(matrix, point):
+        calls.append(point)
+        return rank_at(matrix, point)
+    monkeypatch.setattr(linalg, "rank_at", spy)
+    return calls
+
+
+def test_symbolic_rank_runs_the_witness_only_below_full_rank(monkeypatch):
+    # A point rank is at most min(rows, cols), so the witness can only
+    # contradict a Bareiss rank below that; there it runs once, at the
+    # seeded point, and nowhere else.
+    cases = [(seed, name, m, expected)
+             for seed in (0, 5)
+             for name, m, expected, _ in _rank_cases(seed)[1]]
+    cases += [(0, name, m, expected)
+              for name, m, expected, _ in _last_step_cases()]
+    cases += [(0, name, m, _bareiss_rank_reference(
+                  [[e.terms for e in row] for row in m]))
+              for name, m, _ in _pivot_cases()]
+    ran = 0
+    for seed, name, m, expected in cases:
+        calls = _spy_rank_at(monkeypatch)
+        assert symbolic_rank(m, seed=seed) == expected, name
+        if expected < min(len(m), len(m[0])):
+            assert calls == [linalg._witness_point(2, seed)], name
+            ran += 1
+        else:
+            assert calls == [], name
+    assert 0 < ran < len(cases)
 
 
 def test_kernel_basis():

@@ -26,7 +26,7 @@ from sympy.polys.rings import ring
 from conftest import (_bareiss_rank_reference, _divexact_reference,
                       _divide_with_valuation_reference, _evaluate_reference,
                       _formal_ift_reference)
-from crreflect import kernels, series
+from crreflect import kernels, linalg, series
 from crreflect.context import VariableContext, multidegrees
 from crreflect.gaussian import ONE, ZERO, GaussianRational, gr
 from crreflect.linalg import (bareiss_rank, kernel_basis, random_rational_point,
@@ -1351,7 +1351,14 @@ def test_symbolic_rank_matches_oracle(case):
     K = QQ_I.frac_field(*symbols("x0 x1"))
     want = DomainMatrix([[K.field(p) for p in row] for row in rows],
                         (len(rows), len(rows[0])), K).rank()
-    assert symbolic_rank(matrix, seed=seed) == want
+    # The witness runs exactly where it could contradict Bareiss: below
+    # full rank.  Both branches are checked against the oracle.
+    with mock.patch.object(linalg, "rank_at",
+                           wraps=linalg.rank_at) as witness:
+        assert symbolic_rank(matrix, seed=seed) == want
+    full = want == min(len(rows), len(rows[0]))
+    event("full rank" if full else "below full rank")
+    assert witness.call_count == (0 if full else 1)
 
 
 @st.composite
