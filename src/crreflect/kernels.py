@@ -13,11 +13,13 @@ both use it without an import cycle.
   sum of group_beta * u^beta.
 * `divexact`: exact division of term dicts.  A one-term divisor c * x^e
   divides term by term, shifting each exponent down by e and scaling by
-  1/c (not at all for c = 1); Bareiss's pivots are the sparsest entries
-  of the whole remaining matrix, so they are one term wherever it holds
-  a monomial, mostly the constant 1.  Any other divisor runs graded-lex
-  reduction on term dicts, each step one `_scale_shift` and one
-  `iadd_scaled`.
+  1/c (not at all for c = 1).  Bareiss divides only after a pivot that
+  is not 1, and its pivots are the sparsest entries of the whole
+  remaining matrix, so one term wherever it holds a monomial: on the
+  seed-0 benchmark passes, `manifest_analyze`'s 85 divisors are monic
+  monomials and `segre_minimality` divides nothing.  Any other divisor
+  runs graded-lex reduction on term dicts, each step one `_scale_shift`
+  and one `iadd_scaled`.
 * `online_solve`: the degree-by-degree solve behind
   `series.divide_with_valuation` and `series.formal_ift`, each degree
   packed from right-hand side to unknown; `pack_parts` packs its
@@ -672,9 +674,12 @@ def divexact(f: dict, g: dict) -> dict:
     for c = 1, or times 1/c with one normalization per term.  When some
     term of f has a field below e's, the error names the largest such term
     in graded-lex order, the one where the reduction below would stop.  On
-    the benchmark's workloads every divisor is one term, most often the
-    constant 1: Bareiss's pivots are the sparsest entries left.  (The series
-    divisions divide by a one-term lead with `divider`, on packed parts.)
+    the benchmark's workloads every divisor is one term: Bareiss divides
+    only after a pivot that is not 1, and its pivots are the sparsest
+    entries left, so a seed-0 `manifest_analyze` pass divides 85 times,
+    each by a monic monomial, and `segre_minimality` not at all.  (The
+    series divisions divide by a one-term lead with `divider`, on packed
+    parts.)
 
     Any other divisor takes graded-lex reduction on term dicts: each step
     cancels the leading term of the remainder, popped from a heap of its

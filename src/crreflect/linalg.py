@@ -15,21 +15,26 @@ with the fewest terms over the whole remaining matrix, all rows and
 columns not yet pivoted, as Markowitz (Management Science 1957)
 chooses pivots to limit fill-in: Bareiss on a row- and column-permuted
 matrix, with the same rank.  It is one term whenever the remaining
-matrix holds a monomial, and the first divisor is the constant 1 (on the
-Segre-chain Jacobians of the benchmark, every divisor is 1).  Bareiss's
+matrix holds a monomial, and the first divisor is the constant 1.  Most
+Segre-chain Jacobians have rows of 0/1 constants (the z and zeta rows), so
+in most steps the pivot and the previous pivot are both 1; such a unit
+step is plain row subtraction, x - head*y, with no product by the pivot
+and no division, and it leaves a row with a zero head as it is.  Bareiss's
 last step, with one row left below the pivot, only asks whether that row
 vanishes; each of its entries is a numerator divided by the previous
 pivot, a nonzero polynomial, and the polynomials over Q(i) have no zero
-divisors, so the step tests the numerators and divides nothing.  Every earlier
-step divides its entries by the previous pivot through `kernels.divexact`,
-the package's one exact division (also behind
-`series.divide_with_valuation`).  A one-term divisor divides term by
-term, with no scaling at all by 1.  A pivot of several terms takes
-`divexact`'s graded-lex reduction on term dicts, one normalization per
-updated remainder term.  The witness point is drawn once per (arity,
-seed), and `rank_at` evaluates all the entries of a matrix in one
-`kernels.evaluate_terms` pass, which shares the point's powers and
-monomial values among them."""
+divisors, so the step compares pivot*x with head*y column by column (or,
+with a zero head, reads x itself), subtracts nothing and divides nothing.
+Every other step forms its numerators with `_cross` and divides them by
+the previous pivot through `kernels.divexact`, the package's one exact
+division (also behind `series.divide_with_valuation`), unless that pivot
+is 1.  On the seed-0 benchmark passes no `segre_minimality` step divides
+and `manifest_analyze`'s 85 divisions are by a monic monomial, term by
+term.  A pivot of several terms takes `divexact`'s graded-lex reduction
+on term dicts, one normalization per updated remainder term.  The
+witness point is drawn once per (arity, seed), and `rank_at` evaluates
+all the entries of a matrix in one `kernels.evaluate_terms` pass, which
+shares the point's powers and monomial values among them."""
 
 from __future__ import annotations
 
@@ -52,6 +57,8 @@ def rank_at_origin(F) -> int:
     """Rank of the Jacobian at 0 of F, a `SeriesMap` or a list of series
     over one context (their orders may differ)."""
     F = list(F)
+    if not F:
+        return 0
     return numeric_rank(jacobian_at_zero(F, range(F[0].context.arity)))
 
 
@@ -92,13 +99,23 @@ def bareiss_rank(entries) -> int:
     A step replaces each entry of a remaining column in the rows below by
     (pivot*m[r][c] - head*m[rank][c]) / prev, prev being the previous
     pivot; the pivot column itself becomes zero there and is never read
-    again, so it is not formed.  When one row is left below the pivot,
-    the rank is the number of rows or one less, and only whether that row
-    vanishes decides which.  Since prev is a nonzero polynomial and the
-    polynomial ring is an integral domain, an entry of that row is zero
-    exactly when its numerator is.  So the last step forms the numerators
-    of the remaining columns one after the other, stops at the first
-    nonzero one and divides nothing.
+    again, so it is not formed.  When pivot and prev are both the
+    constant 1, that is m[r][c] - head*m[rank][c]: a row whose head is
+    zero stays as it is, and every other row takes `mul_terms(head, y)`
+    off each entry x, with no `_cross` and no `divexact`.  Any other step
+    forms its numerators with `_cross` and divides them by prev, unless
+    prev is 1.
+
+    When one row is left below the pivot, the rank is the number of rows
+    or one less, and only whether that row vanishes decides which.  Since
+    prev is a nonzero polynomial and the polynomial ring is an integral
+    domain, an entry of that row is zero exactly when its numerator
+    pivot*x - head*y is.  So the last step compares `mul_terms(pivot, x)`
+    with `mul_terms(head, y)` column by column, as dicts of normalized
+    (so canonical) coefficients, and stops at the first pair that
+    differs.  With a zero head the numerator is pivot*x, zero exactly when
+    x is, so the step reads x and forms no product.  It subtracts nothing
+    and divides nothing.
     """
     m = [[dict(e) for e in row] for row in entries]
     if not m or not m[0]:
@@ -109,7 +126,8 @@ def bareiss_rank(entries) -> int:
     arity = next((len(next(iter(e))) for row in m for e in row if e), None)
     if arity is None:
         return 0
-    prev = {(0,) * arity: ONE}
+    unit = {(0,) * arity: ONE}
+    prev = unit
     cols = list(range(ncols))
     rank = 0
     while True:
@@ -130,15 +148,30 @@ def bareiss_rank(entries) -> int:
         if rank + 2 == nrows:
             last = m[rank + 1]
             head = last[pc]
-            if any(_cross(pivot, last[c], head, top[c]) for c in cols):
-                return nrows
-            return rank + 1
-        for r in range(rank + 1, nrows):
-            row = m[r]
-            head = row[pc]
-            for c in cols:
-                term = _cross(pivot, row[c], head, top[c])
-                row[c] = divexact(term, prev) if term else {}
+            if head:
+                vanishes = all(mul_terms(pivot, last[c], -1)
+                               == mul_terms(head, top[c], -1) for c in cols)
+            else:
+                vanishes = not any(last[c] for c in cols)
+            return rank + 1 if vanishes else nrows
+        divide = prev != unit
+        if pivot == unit and not divide:
+            for r in range(rank + 1, nrows):
+                row = m[r]
+                head = row[pc]
+                if head:
+                    for c in cols:
+                        if top[c]:
+                            iadd_scaled(row[c], mul_terms(head, top[c], -1),
+                                        -ONE)
+        else:
+            for r in range(rank + 1, nrows):
+                row = m[r]
+                head = row[pc]
+                for c in cols:
+                    term = _cross(pivot, row[c], head, top[c])
+                    row[c] = divexact(term, prev) if term and divide \
+                        else term
         prev = pivot
         rank += 1
         if rank == nrows:

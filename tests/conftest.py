@@ -1,11 +1,14 @@
 """Shared fixtures: model manifolds and seeded random data generators."""
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from unittest import mock
 
 import pytest
 
+from crreflect import linalg
 from crreflect.context import VariableContext, multidegrees, zero_exponent
 from crreflect.gaussian import ONE, ZERO, GaussianRational, I
 from crreflect.kernels import iadd_scaled, mul_terms
@@ -355,6 +358,49 @@ def _bareiss_rank_reference(entries):
         if rank == nrows:
             break
     return rank
+
+
+@contextmanager
+def bareiss_steps():
+    """Record, in order, what `linalg.bareiss_rank` forms while the block
+    runs: each `_cross` numerator as ("cross", args, out), each product and
+    each `iadd_scaled` outside `_cross` as ("mul", (a, b), out) and
+    ("iadd", (out, a, coeff), None), and each division as ("divexact",
+    (f, g), out)."""
+    log = []
+    inside = []
+    mul, iadd = linalg.mul_terms, linalg.iadd_scaled
+    cross, div = linalg._cross, linalg.divexact
+
+    def spy_mul(a, b, order):
+        out = mul(a, b, order)
+        if not inside:
+            log.append(("mul", (a, b), out))
+        return out
+
+    def spy_iadd(out, a, coeff):
+        if not inside:
+            log.append(("iadd", (out, a, coeff), None))
+        iadd(out, a, coeff)
+
+    def spy_cross(*args):
+        inside.append(True)
+        try:
+            out = cross(*args)
+        finally:
+            inside.pop()
+        log.append(("cross", args, out))
+        return out
+
+    def spy_div(f, g):
+        out = div(f, g)
+        log.append(("divexact", (f, g), out))
+        return out
+    with mock.patch.object(linalg, "mul_terms", spy_mul), \
+            mock.patch.object(linalg, "iadd_scaled", spy_iadd), \
+            mock.patch.object(linalg, "_cross", spy_cross), \
+            mock.patch.object(linalg, "divexact", spy_div):
+        yield log
 
 
 def _divexact_reference(f, g):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import (_bareiss_rank_reference, _evaluate_reference,
-                      make_heisenberg, random_series)
+                      bareiss_steps, make_heisenberg, random_series)
 from crreflect import linalg
 from crreflect.context import VariableContext
 from crreflect.gaussian import ONE, ZERO, gr
@@ -178,6 +178,7 @@ def test_symbolic_rank_keeps_the_witness_check(monkeypatch):
 
 def test_rank_of_empty_rows_is_zero():
     point = random_rational_point(2, random.Random(0))
+    assert rank_at_origin([]) == 0
     for m in ([], [[]], [[], []]):
         assert bareiss_rank(m) == 0
         assert numeric_rank(m) == 0
@@ -200,11 +201,13 @@ def _spy_cross(monkeypatch):
 
 
 def _last_step_cases():
-    """(name, matrix, rank, numerators): each exit of Bareiss, and each exit
-    of its last step, where one row is left below the pivot and only its
-    numerators of the remaining columns are formed.  `numerators` says, in
-    order, whether each numerator Bareiss forms is nonzero; the last step's
-    are the trailing ones."""
+    """(name, matrix, rank, (numerators, last)): each exit of Bareiss, and
+    each exit of its last step, where one row is left below the pivot.
+    `numerators` says, in order, whether each `_cross` numerator of the
+    earlier steps is nonzero.  `last` is None when no last step runs, or
+    (pivot, head, compared): the last step compares pivot*x with head*y
+    for the pairs (x, y) of its two rows in `compared`, in column order,
+    and forms no product when head is zero."""
     ctx = VariableContext(("x", "y"))
     x = TruncatedSeries.variable(ctx, 6, "x")
     y = TruncatedSeries.variable(ctx, 6, "y")
@@ -212,40 +215,118 @@ def _last_step_cases():
     zero = TruncatedSeries.zero(ctx, 6)
     T, F = True, False
     return [
-        ("first numerator nonzero", [[x, y], [y, x]], 2, [T]),
+        ("first numerator nonzero", [[x, y], [y, x]], 2,
+         ([], (x, y, [(x, y)]))),
         ("first numerator zero, a later one not", [[x, y, one], [x, y, x]],
-         2, [F, T]),
+         2, ([], (x, x, [(y, y), (x, one)]))),
         ("every numerator zero", [[x, y, one], [x * x, x * y, x]], 1,
-         [F, F]),
+         ([], (x, x * x, [(x * y, y), (x, one)]))),
         ("pivot in the last column, the remaining column zero",
-         [[zero, x], [zero, y]], 1, [F]),
+         [[zero, x], [zero, y]], 1, ([], (x, y, [(zero, zero)]))),
         ("zero head, a later entry not", [[x, y, one], [zero, zero, y]], 2,
-         [F, T]),
+         ([], (x, zero, []))),
+        ("zero head, every entry zero", [[x, y, one], [zero, zero, zero]],
+         1, ([], (x, zero, []))),
         ("sparser pivot in a later column", [[x + y, one], [x - y, x]], 2,
-         [T]),
+         ([], (one, x, [(x - y, x + y)]))),
         ("after one step, first numerator nonzero",
-         [[x, y, one], [y, x, one], [one, x, y]], 3, [T, T, T, T, T]),
+         [[x, y, one], [y, x, one], [one, x, y]], 3,
+         ([T, T, T, T], (x * x - y * y, x * x - y, [(x * y - one, x - y)]))),
         ("after one step, every numerator zero",
          [[x, y, one], [y, x, one], [x + y, x + y, 2 * one]], 2,
-         [T, T, T, T, F]),
+         ([T, T, T, T],
+          (x * x - y * y, x * x - y * y, [(x - y, x - y)]))),
         ("tall, after one step, first numerator zero, a later one not",
          [[one, zero, zero], [zero, x, x], [zero, y, y], [zero, one, x]], 3,
-         [T, T, T, T, T, T, F, T]),
+         ([], (x, x, [(y, y), (x, one)]))),
         ("no pivot left before the last step",
          [[x, y, one], [x * x, x * y, x], [x * y, y * y, y]], 1,
-         [F, F, F, F]),
-        ("one row", [[x + y, y]], 1, []),
+         ([F, F, F, F], None)),
+        ("one row", [[x + y, y]], 1, ([], None)),
     ]
 
 
 @pytest.mark.parametrize("case", _last_step_cases(), ids=lambda c: c[0])
-def test_bareiss_last_step_exits(monkeypatch, case):
-    _, m, expected, numerators = case
+def test_bareiss_last_step_exits(case):
+    # The last step asks only whether (pivot*x - head*y) / prev vanishes
+    # in every remaining column: it compares pivot*x with head*y column by
+    # column, stops at the first pair that differs and subtracts and
+    # divides nothing; with a zero head it reads the row itself.
+    _, m, expected, (numerators, last) = case
     entries = [[e.terms for e in row] for row in m]
-    calls = _spy_cross(monkeypatch)
-    assert bareiss_rank(entries) == _bareiss_rank_reference(entries) \
-        == expected
-    assert [bool(out) for _, out in calls] == numerators
+    with bareiss_steps() as log:
+        rank = bareiss_rank(entries)
+    assert rank == _bareiss_rank_reference(entries) == expected
+    assert [bool(out) for kind, _, out in log if kind == "cross"] \
+        == numerators
+    products = [(args, out) for kind, args, out in log if kind == "mul"]
+    if last is None:
+        assert products == []
+        return
+    pivot, head, compared = last
+    assert [args for args, _ in products] == [
+        pair for x, y in compared
+        for pair in ((pivot.terms, x.terms), (head.terms, y.terms))]
+    differ = [p != q for (_, p), (_, q) in zip(products[::2],
+                                                products[1::2])]
+    if differ:
+        full = expected == min(len(m), len(m[0]))
+        assert differ == [False] * (len(differ) - 1) + [full]
+
+
+def test_bareiss_unit_pivot_step_is_row_subtraction():
+    # The first two pivots are the constant 1 over the previous pivot 1, so
+    # each of those steps is (1*x - head*y) / 1 = x - head*y: it forms no
+    # `_cross` numerator and divides nothing, a row with a zero head keeps
+    # its entries, and every other row takes head*y off each entry.  The
+    # third pivot, y, is the first to form numerators, and they show the
+    # rows the unit steps left; its previous pivot is 1, so it divides
+    # nothing either, and the step after it divides by y.
+    ctx = VariableContext(("x", "y"))
+    x = TruncatedSeries.variable(ctx, 8, "x")
+    y = TruncatedSeries.variable(ctx, 8, "y")
+    one = TruncatedSeries.constant(ctx, 8, 1)
+    zero = TruncatedSeries.zero(ctx, 8)
+    m = [
+        [one, one, x, y, x + y, one],
+        [zero, one, y, x * y, one, x],
+        [x, y, x * x + y, x, y * y, one],
+        [zero, zero, x + y, x - y, y, x * y],
+        [zero, x, one + y, y * y, x, y],
+        [y, zero, x, one + x, x * y, zero],
+    ]
+    entries = [[e.terms for e in row] for row in m]
+    state = [list(row) for row in m]
+    unit_products = []
+    for k in (0, 1):
+        for r in range(k + 1, len(state)):
+            head = state[r][k]
+            if not head.is_zero():
+                unit_products += [(head.terms, state[k][c].terms)
+                                  for c in range(k + 1, len(m[0]))]
+                state[r] = [e - head * p
+                            for e, p in zip(state[r], state[k])]
+    assert [row for row, old in zip(state, m) if row == old] \
+        == [m[0], m[1], m[3]]
+    with bareiss_steps() as log:
+        rank = bareiss_rank(entries)
+    assert rank == _bareiss_rank_reference(entries) == 6
+    # Step three pivots on y, row 3 and column 4 of the state, and
+    # eliminates columns 2, 3 and 5 in rows 2, 4 and 5.
+    top = state[3]
+    cross = [(top[4].terms, row[c].terms, row[4].terms, top[c].terms)
+             for row in (state[2], state[4], state[5]) for c in (2, 3, 5)]
+    n = 2 * len(unit_products)
+    assert [kind for kind, _, _ in log[:n]] == ["mul", "iadd"] * (n // 2)
+    assert [args for _, args, _ in log[:n:2]] == unit_products
+    for (_, _, product), (_, (_, a, coeff), _) in zip(log[:n:2],
+                                                      log[1:n:2]):
+        assert a is product and coeff == -ONE
+    assert [(kind, args) for kind, args, _ in log[n:n + len(cross)]] \
+        == [("cross", args) for args in cross]
+    divisors = [args[1] for kind, args, _ in log if kind == "divexact"]
+    assert divisors and all(g == y.terms for g in divisors)
+    assert [kind for kind, _, _ in log].index("divexact") > n + len(cross)
 
 
 def _pivot_cases():

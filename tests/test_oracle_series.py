@@ -25,7 +25,7 @@ from sympy.polys.rings import ring
 
 from conftest import (_bareiss_rank_reference, _divexact_reference,
                       _divide_with_valuation_reference, _evaluate_reference,
-                      _formal_ift_reference)
+                      _formal_ift_reference, bareiss_steps)
 from crreflect import kernels, linalg, series
 from crreflect.context import VariableContext, multidegrees
 from crreflect.gaussian import ONE, ZERO, GaussianRational, gr
@@ -1400,13 +1400,33 @@ def test_bareiss_rank_matches_reference(m):
 
 
 @st.composite
-def scrambled_matrices(draw):
-    """A planted matrix or its transpose, with all-zero rows and columns
+def scrambled_matrices(draw, ones=st.just(0)):
+    """A planted matrix or its transpose, with constant rows of 0/1
+    entries (as many as `ones` draws), all-zero rows and all-zero columns
     inserted and its rows and columns permuted: a pivot may then sit in
-    any row and column, and some rows and columns hold no pivot at all."""
+    any row and column, and some rows and columns hold no pivot at all.
+
+    The 0/1 rows are shaped like the z and zeta rows of the Segre-chain
+    Jacobians, each with at least one 1, and f times a 0/1 row is added to
+    some of the other rows, which keeps the rank.  Pivots of 1 over a
+    previous pivot 1 then make unit steps, which must take head*y off
+    those rows again, before steps that form numerators and before last
+    steps that may find a zero head."""
     m = draw(planted_matrices())
     if draw(st.booleans()):
         m = [list(col) for col in zip(*m)]
+    added = []
+    for _ in range(draw(ones)):
+        bits = draw(st.lists(st.booleans(), min_size=len(m[0]),
+                             max_size=len(m[0])))
+        bits[draw(st.integers(0, len(bits) - 1))] = True
+        added.append([{(0, 0): ONE} if bit else {} for bit in bits])
+    for u in added:
+        for r, row in enumerate(m):
+            if draw(st.booleans()):
+                f = draw(term_dicts(2, 1, min_size=1, max_size=2))
+                m[r] = [_plus(e, f) if one else e for e, one in zip(row, u)]
+    m += added
     for _ in range(draw(st.integers(0, 2))):
         m.append([{} for _ in m[0]])
     for _ in range(draw(st.integers(0, 2))):
@@ -1417,14 +1437,15 @@ def scrambled_matrices(draw):
     return [[m[r][c] for c in cols] for r in rows]
 
 
-@settings(max_examples=80, deadline=None)
-@given(scrambled_matrices())
-def test_bareiss_rank_ignores_row_and_column_order(m):
-    # The pivot is the sparsest entry of the whole remaining matrix, so the
-    # elimination runs on a row- and column-permuted matrix; the rank is
-    # that of the frozen column-order elimination, and sympy's rank over
-    # QQ_I(x0, x1) wherever a 3 x 3 block bounds it.
-    rank = bareiss_rank(m)
+def _plus(a, b):
+    out = dict(a)
+    kernels.iadd_scaled(out, b, ONE)
+    return out
+
+
+def _assert_rank_matches_oracles(m, rank):
+    """`rank` is that of the frozen column-order elimination, and sympy's
+    rank over QQ_I(x0, x1) wherever a 3 x 3 block bounds it."""
     assert rank == _bareiss_rank_reference(m)
     nonzero_rows = [r for r in m if any(r)]
     nonzero_cols = [c for c in zip(*nonzero_rows) if any(c)]
@@ -1434,3 +1455,45 @@ def test_bareiss_rank_ignores_row_and_column_order(m):
         K = QQ_I.frac_field(*symbols("x0 x1"))
         rows = [[K.field(to_sympy(R, e)) for e in row] for row in m]
         assert rank == DomainMatrix(rows, (len(m), len(m[0])), K).rank()
+
+
+@settings(max_examples=80, deadline=None)
+@given(scrambled_matrices())
+def test_bareiss_rank_ignores_row_and_column_order(m):
+    # The pivot is the sparsest entry of the whole remaining matrix, so the
+    # elimination runs on a row- and column-permuted matrix, with the rank
+    # of the oracles.
+    _assert_rank_matches_oracles(m, bareiss_rank(m))
+
+
+def _bareiss_paths(m):
+    """`bareiss_rank(m)` and the paths its steps took, read off the calls
+    it makes: a unit step (pivot and previous pivot 1) subtracts head*y
+    with `iadd_scaled` and no `_cross`, a later `_cross` is a step that
+    forms numerators, and a last step with a nonzero head ends on its
+    products, while one with a zero head forms none."""
+    with bareiss_steps() as log:
+        rank = bareiss_rank(m)
+    kinds = [kind for kind, _, _ in log]
+    paths = []
+    if "iadd" in kinds:
+        paths.append("unit step")
+        if "cross" in kinds[kinds.index("iadd"):]:
+            paths.append("unit step, then a numerator step")
+    short = min(len(m), len(m[0])) if m and m[0] else 0
+    if short >= 2 and rank >= short - 1:
+        paths.append("last step, %s head" % (
+            "nonzero" if kinds[-1:] == ["mul"] else "zero"))
+    return rank, paths
+
+
+@settings(max_examples=150, deadline=None)
+@given(scrambled_matrices(ones=st.integers(1, 3)))
+def test_bareiss_unit_steps_match_oracles(m):
+    # Constant 0/1 rows make unit steps, x - head*y with no numerator and
+    # no division, and last steps with a zero head; their ranks are the
+    # oracles'.
+    rank, paths = _bareiss_paths(m)
+    for path in paths:
+        event(path)
+    _assert_rank_matches_oracles(m, rank)
