@@ -15,26 +15,27 @@ with the fewest terms over the whole remaining matrix, all rows and
 columns not yet pivoted, as Markowitz (Management Science 1957)
 chooses pivots to limit fill-in: Bareiss on a row- and column-permuted
 matrix, with the same rank.  It is one term whenever the remaining
-matrix holds a monomial, and the first divisor is the constant 1.  Most
+matrix holds a monomial, and the first divisor is the constant 1.  Every
+step but the last forms each remaining entry as (pivot*x - head*y)/prev in
+one loop and skips what is trivial: no product by a pivot of 1, no
+subtraction where head or y is zero, no division by a prev of 1.  Most
 Segre-chain Jacobians have rows of 0/1 constants (the z and zeta rows), so
-in most steps the pivot and the previous pivot are both 1; such a unit
-step is plain row subtraction, x - head*y, with no product by the pivot
-and no division, and it leaves a row with a zero head as it is.  Bareiss's
-last step, with one row left below the pivot, only asks whether that row
-vanishes; each of its entries is a numerator divided by the previous
-pivot, a nonzero polynomial, and the polynomials over Q(i) have no zero
-divisors, so the step compares pivot*x with head*y column by column (or,
-with a zero head, reads x itself), subtracts nothing and divides nothing.
-Every other step forms its numerators with `_cross` and divides them by
-the previous pivot through `kernels.divexact`, the package's one exact
-division (also behind `series.divide_with_valuation`), unless that pivot
-is 1.  On the seed-0 benchmark passes no `segre_minimality` step divides
-and `manifest_analyze`'s 85 divisions are by a monic monomial, term by
-term.  A pivot of several terms takes `divexact`'s graded-lex reduction
-on term dicts, one normalization per updated remainder term.  The
-witness point is drawn once per (arity, seed), and `rank_at` evaluates
-all the entries of a matrix in one `kernels.evaluate_terms` pass, which
-shares the point's powers and monomial values among them."""
+in most steps the pivot and prev are both 1: the step is plain row
+subtraction, x - head*y, and a row with a zero head stays as it is.
+Bareiss's last step, with one row left below the pivot, only asks whether
+that row vanishes; each of its entries is a numerator divided by the
+previous pivot, a nonzero polynomial, and the polynomials over Q(i) have
+no zero divisors, so the step compares pivot*x with head*y column by
+column (or, with a zero head, reads x itself), subtracts nothing and
+divides nothing.  Divisions go through `kernels.divexact`, the package's
+exact division of term dicts.  On the seed-0 benchmark passes no
+`segre_minimality` step divides and `manifest_analyze`'s 85 divisions are
+by one term, i or -i times a variable, term by term.  A pivot of several
+terms takes `divexact`'s graded-lex reduction on term dicts, one
+normalization per updated remainder term.  The witness point is drawn
+once per (arity, seed), and `rank_at` evaluates all the entries of a
+matrix in one `kernels.evaluate_terms` pass, which shares the point's
+powers and monomial values among them."""
 
 from __future__ import annotations
 
@@ -72,14 +73,6 @@ def random_rational_point(arity: int, rng: random.Random):
     return pts
 
 
-def _cross(a: dict, b: dict, c: dict, d: dict) -> dict:
-    """a*b - c*d of term dicts, untruncated."""
-    term = mul_terms(a, b, -1)
-    if c:
-        iadd_scaled(term, mul_terms(c, d, -1), -ONE)
-    return term
-
-
 def bareiss_rank(entries) -> int:
     """Fraction-free elimination on a matrix of term dicts; exact rank.
 
@@ -96,15 +89,15 @@ def bareiss_rank(entries) -> int:
     entries stay minors, every division stays exact and the rank is the
     same.
 
-    A step replaces each entry of a remaining column in the rows below by
-    (pivot*m[r][c] - head*m[rank][c]) / prev, prev being the previous
-    pivot; the pivot column itself becomes zero there and is never read
-    again, so it is not formed.  When pivot and prev are both the
-    constant 1, that is m[r][c] - head*m[rank][c]: a row whose head is
-    zero stays as it is, and every other row takes `mul_terms(head, y)`
-    off each entry x, with no `_cross` and no `divexact`.  Any other step
-    forms its numerators with `_cross` and divides them by prev, unless
-    prev is 1.
+    A step replaces each entry x of a remaining column in the rows below
+    by (pivot*x - head*y) / prev, where head is the row's entry in the
+    pivot column, y the pivot row's entry in x's column and prev the
+    previous pivot; the pivot column itself becomes zero there and is never
+    read again, so it is not formed.  The step skips what is trivial: it
+    multiplies by no pivot of 1, subtracts nothing where head or y is zero
+    and divides by no prev of 1.  So when pivot and prev are both the
+    constant 1 a row whose head is zero stays as it is, and every other
+    row takes `mul_terms(head, y)` off each entry in place.
 
     When one row is left below the pivot, the rank is the number of rows
     or one less, and only whether that row vanishes decides which.  Since
@@ -154,24 +147,15 @@ def bareiss_rank(entries) -> int:
             else:
                 vanishes = not any(last[c] for c in cols)
             return rank + 1 if vanishes else nrows
-        divide = prev != unit
-        if pivot == unit and not divide:
-            for r in range(rank + 1, nrows):
-                row = m[r]
-                head = row[pc]
-                if head:
-                    for c in cols:
-                        if top[c]:
-                            iadd_scaled(row[c], mul_terms(head, top[c], -1),
-                                        -ONE)
-        else:
-            for r in range(rank + 1, nrows):
-                row = m[r]
-                head = row[pc]
-                for c in cols:
-                    term = _cross(pivot, row[c], head, top[c])
-                    row[c] = divexact(term, prev) if term and divide \
-                        else term
+        scale, divide = pivot != unit, prev != unit
+        for r in range(rank + 1, nrows):
+            row = m[r]
+            head = row[pc]
+            for c in cols:
+                x = mul_terms(pivot, row[c], -1) if scale else row[c]
+                if head and top[c]:
+                    iadd_scaled(x, mul_terms(head, top[c], -1), -ONE)
+                row[c] = divexact(x, prev) if x and divide else x
         prev = pivot
         rank += 1
         if rank == nrows:

@@ -29,9 +29,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .context import VariableContext, multidegrees, zero_exponent
-from .gaussian import GaussianRational
-from .kernels import echelon
+from .context import (VariableContext, exponents_of_degree, multidegrees,
+                      zero_exponent)
+from .gaussian import GaussianRational, ONE
+from .kernels import echelon, mul_terms
 from .linalg import (generic_rank, kernel_basis, rank_at_origin,
                      symbolic_rank)
 from .manifold import GraphedManifold
@@ -140,25 +141,13 @@ def ideal_contains_power_of_maximal(generators, dmax: int):
     if len(gens) < arity:
         return None
     for D in range(1, _ideal_search_degree(gens, dmax) + 1):
-        monos = list(multidegrees(arity, D))
-        index = {e: i for i, e in enumerate(monos)}
-        rows = []
-        for g in gens:
-            v = g.valuation()
-            if v > D:
-                continue
-            for mult in multidegrees(arity, D - v):
-                row = {}
-                for e, c in g.terms.items():
-                    shifted = tuple(a + b for a, b in zip(e, mult))
-                    if sum(shifted) <= D:
-                        row[index[shifted]] = c
-                rows.append(row)
-        # x^e lies in the span iff column e is a pivot whose reduced row
-        # is the unit vector.
+        rows = [mul_terms({mult: ONE}, g.terms, D) for g in gens
+                for mult in multidegrees(arity, D - g.valuation())]
+        # x^e lies in the span iff the RREF holds the unit row at e,
+        # whatever the column order.
         pivots, reduced = echelon(rows)
-        units = {col for col, row in zip(pivots, reduced) if len(row) == 1}
-        if all(index[e] in units for e in monos if sum(e) == D):
+        units = {e for e, row in zip(pivots, reduced) if len(row) == 1}
+        if all(e in units for e in exponents_of_degree(arity, D)):
             return D
     return None
 
@@ -170,6 +159,14 @@ def holomorphic_degeneracy_field(Mp: GraphedManifold, dmax: int = 4):
     sum_i a'_{i'} d theta'_j / d t'_{i'} == 0 to the working order, by
     linear algebra on the coefficients.  None means the kernel is trivial
     at these bounds (holomorphic nondegeneracy is then plausible).
+
+    Known bound: the partials are exact only through degree N - 1, N the
+    working order, and each column x^a * d theta'/d t'_i is cut there.  A
+    column with |a| >= N - v_i, v_i the least valuation of the i-th
+    partials, is then all zero and reads as a kernel vector.  So with
+    dmax >= N - 1 a partial that vanishes at 0 already gives such a
+    column, and the field returned may be a truncation artefact rather
+    than a tangent field.
     """
     check_budget("holomorphic_degeneracy_field", Mp.order, dmax=dmax)
     ctx = Mp.ctx_theta
@@ -177,25 +174,17 @@ def holomorphic_degeneracy_field(Mp: GraphedManifold, dmax: int = 4):
     t_idx = [ctx.index(n) for n in Mp.names.t]
     partials = [[Mp.theta[j].derive(i) for i in t_idx] for j in range(Mp.d)]
     alphas = list(multidegrees(Mp.n, dmax))
-    unknowns = [(i, a) for i in range(Mp.n) for a in alphas]
-    columns = []
-    for i, a in unknowns:
-        mono = TruncatedSeries.monomial(ctx, N - 1, (0,) * Mp.m + tuple(a))
-        columns.append({(j, e): c for j in range(Mp.d)
-                        for e, c in (partials[j][i] * mono).terms.items()})
+    pad = (0,) * Mp.m
+    columns = [{(j, e): c for j in range(Mp.d) for e, c in mul_terms(
+                    {pad + a: ONE}, partials[j][i].terms, N - 1).items()}
+               for i in range(Mp.n) for a in alphas]
     basis = kernel_basis(columns)
     if not basis:
         return None
     ctx_tp = VariableContext(Mp.names.t)
-    vec = basis[0]
-    comps = []
-    for i in range(Mp.n):
-        terms = {}
-        for col, (ci, a) in enumerate(unknowns):
-            if ci == i and vec[col]:
-                terms[tuple(a)] = vec[col]
-        comps.append(TruncatedSeries(ctx_tp, N, terms))
-    return SeriesMap(comps)
+    k = len(alphas)
+    return SeriesMap([TruncatedSeries(ctx_tp, N, dict(zip(
+        alphas, basis[0][i * k:(i + 1) * k]))) for i in range(Mp.n)])
 
 
 def classify_manifold(Mp: GraphedManifold, kmax: int = None,

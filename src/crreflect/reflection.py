@@ -19,7 +19,7 @@ from math import comb
 from .context import VariableContext, multidegrees, zero_exponent
 from .gaussian import ONE, MINUS_ONE
 from .kernels import echelon
-from .linalg import kernel_basis, numeric_rank
+from .linalg import kernel_basis, rank_at_origin
 from .manifold import GraphedManifold, JetSymbols, fields
 from .segre import SegreChain
 from .series import (SeriesMap, TruncatedSeries, SeriesError, check_budget,
@@ -83,8 +83,7 @@ class FormalCRMap:
         return self.h.order
 
     def is_invertible(self) -> bool:
-        return self.np == self.n and numeric_rank(
-            jacobian_at_zero(self.h.components, range(self.n))) == self.n
+        return self.np == self.n and rank_at_origin(self.h) == self.n
 
     def horizontal_part(self) -> SeriesMap:
         """The CR-horizontal restriction z -> f(z, theta_bar(z, 0))."""
@@ -613,11 +612,8 @@ def transversality_kernel(h: FormalCRMap, degree: int = 4, nwork=None):
     power = _power_cache(horiz, nwork)
     basis = kernel_basis([power(g).terms for g in gammas])
     ctx_rel = VariableContext(h.Mp.names.zeta)
-    out = []
-    for vec in basis:
-        terms = {gamma: coeff for gamma, coeff in zip(gammas, vec) if coeff}
-        out.append(TruncatedSeries(ctx_rel, degree, terms))
-    return out
+    return [TruncatedSeries(ctx_rel, degree, dict(zip(gammas, vec)))
+            for vec in basis]
 
 
 # -- chain pullbacks ----------------------------------------------------------
@@ -794,7 +790,7 @@ def transform_target(Mp: GraphedManifold, phi_p: SeriesMap) -> GraphedManifold:
     ctx_tp = VariableContext(Mp.names.t)
     if phi_p.context != ctx_tp:
         phi_p = phi_p.remapped(ctx_tp)
-    if numeric_rank(jacobian_at_zero(phi_p.components, range(Mp.n))) < Mp.n:
+    if rank_at_origin(phi_p) < Mp.n:
         raise ReflectionError("target change is not invertible")
     N = Mp.order
     tau_map = dict(zip(Mp.names.t, Mp.names.tau))

@@ -363,34 +363,23 @@ def _bareiss_rank_reference(entries):
 @contextmanager
 def bareiss_steps():
     """Record, in order, what `linalg.bareiss_rank` forms while the block
-    runs: each `_cross` numerator as ("cross", args, out), each product and
-    each `iadd_scaled` outside `_cross` as ("mul", (a, b), out) and
-    ("iadd", (out, a, coeff), None), and each division as ("divexact",
-    (f, g), out)."""
+    runs: each product as ("mul", (a, b), out), each `iadd_scaled` as
+    ("iadd", (out, a, coeff), sum), sum being a copy of out once a is
+    added, and each division as ("divexact", (f, g), out).  A step logs,
+    for each entry, its product by a pivot other than 1, the product
+    head*y and the `iadd_scaled` that takes it off where head and y are
+    both nonzero, and the division by a previous pivot other than 1."""
     log = []
-    inside = []
-    mul, iadd = linalg.mul_terms, linalg.iadd_scaled
-    cross, div = linalg._cross, linalg.divexact
+    mul, iadd, div = linalg.mul_terms, linalg.iadd_scaled, linalg.divexact
 
     def spy_mul(a, b, order):
         out = mul(a, b, order)
-        if not inside:
-            log.append(("mul", (a, b), out))
+        log.append(("mul", (a, b), out))
         return out
 
     def spy_iadd(out, a, coeff):
-        if not inside:
-            log.append(("iadd", (out, a, coeff), None))
         iadd(out, a, coeff)
-
-    def spy_cross(*args):
-        inside.append(True)
-        try:
-            out = cross(*args)
-        finally:
-            inside.pop()
-        log.append(("cross", args, out))
-        return out
+        log.append(("iadd", (out, a, coeff), dict(out)))
 
     def spy_div(f, g):
         out = div(f, g)
@@ -398,7 +387,6 @@ def bareiss_steps():
         return out
     with mock.patch.object(linalg, "mul_terms", spy_mul), \
             mock.patch.object(linalg, "iadd_scaled", spy_iadd), \
-            mock.patch.object(linalg, "_cross", spy_cross), \
             mock.patch.object(linalg, "divexact", spy_div):
         yield log
 

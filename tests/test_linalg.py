@@ -186,25 +186,38 @@ def test_rank_of_empty_rows_is_zero():
         assert symbolic_rank(m) == 0
 
 
-def _spy_cross(monkeypatch):
-    """Record the arguments and the result of every numerator `_cross`
-    that Bareiss forms."""
-    calls = []
-    cross = linalg._cross
+def _events(log):
+    """(kind, args) of each event a `bareiss_steps` log holds, with the
+    args of each `iadd_scaled` checked and left out: it takes the product
+    logged just before it off its sum, with coefficient -1."""
+    out = []
+    for i, (kind, args, _) in enumerate(log):
+        if kind == "iadd":
+            _, a, coeff = args
+            assert log[i - 1][0] == "mul" and a is log[i - 1][2]
+            assert coeff == -ONE
+            args = None
+        out.append((kind, args))
+    return out
 
-    def spy(*args):
-        out = cross(*args)
-        calls.append((args, out))
-        return out
-    monkeypatch.setattr(linalg, "_cross", spy)
-    return calls
+
+def _entry_events(pivot, x, head, y):
+    """The events that forming the numerator pivot*x - head*y of one entry
+    logs, as `_events` gives them: the product by the pivot unless it is
+    1, then head*y and its subtraction where head and y are both
+    nonzero."""
+    events = [] if pivot == {(0, 0): ONE} else [("mul", (pivot, x))]
+    if head and y:
+        events += [("mul", (head, y)), ("iadd", None)]
+    return events
 
 
 def _last_step_cases():
     """(name, matrix, rank, (numerators, last)): each exit of Bareiss, and
     each exit of its last step, where one row is left below the pivot.
-    `numerators` says, in order, whether each `_cross` numerator of the
-    earlier steps is nonzero.  `last` is None when no last step runs, or
+    `numerators` says, in order, whether each numerator of the earlier
+    steps is nonzero; in these cases every one of them subtracts, so it is
+    the sum of an `iadd_scaled`.  `last` is None when no last step runs, or
     (pivot, head, compared): the last step compares pivot*x with head*y
     for the pairs (x, y) of its two rows in `compared`, in column order,
     and forms no product when head is zero."""
@@ -257,9 +270,14 @@ def test_bareiss_last_step_exits(case):
     with bareiss_steps() as log:
         rank = bareiss_rank(entries)
     assert rank == _bareiss_rank_reference(entries) == expected
-    assert [bool(out) for kind, _, out in log if kind == "cross"] \
+    events = _events(log)
+    assert [bool(out) for kind, _, out in log if kind == "iadd"] \
         == numerators
-    products = [(args, out) for kind, args, out in log if kind == "mul"]
+    # The earlier steps end on a subtraction, so the last step's products
+    # are the products logged after the last event of another kind.
+    start = max((i + 1 for i, (kind, _) in enumerate(events)
+                 if kind != "mul"), default=0)
+    products = [(args, out) for _, args, out in log[start:]]
     if last is None:
         assert products == []
         return
@@ -277,11 +295,11 @@ def test_bareiss_last_step_exits(case):
 def test_bareiss_unit_pivot_step_is_row_subtraction():
     # The first two pivots are the constant 1 over the previous pivot 1, so
     # each of those steps is (1*x - head*y) / 1 = x - head*y: it forms no
-    # `_cross` numerator and divides nothing, a row with a zero head keeps
-    # its entries, and every other row takes head*y off each entry.  The
-    # third pivot, y, is the first to form numerators, and they show the
-    # rows the unit steps left; its previous pivot is 1, so it divides
-    # nothing either, and the step after it divides by y.
+    # product by the pivot and divides nothing, a row with a zero head
+    # keeps its entries, and every other row takes head*y off each entry.
+    # The third pivot, y, is the first to multiply by its pivot, and its
+    # products show the rows the unit steps left; its previous pivot is 1,
+    # so it divides nothing either, and the step after it divides by y.
     ctx = VariableContext(("x", "y"))
     x = TruncatedSeries.variable(ctx, 8, "x")
     y = TruncatedSeries.variable(ctx, 8, "y")
@@ -311,22 +329,21 @@ def test_bareiss_unit_pivot_step_is_row_subtraction():
     with bareiss_steps() as log:
         rank = bareiss_rank(entries)
     assert rank == _bareiss_rank_reference(entries) == 6
+    events = _events(log)
     # Step three pivots on y, row 3 and column 4 of the state, and
     # eliminates columns 2, 3 and 5 in rows 2, 4 and 5.
     top = state[3]
-    cross = [(top[4].terms, row[c].terms, row[4].terms, top[c].terms)
-             for row in (state[2], state[4], state[5]) for c in (2, 3, 5)]
+    third = [event for row in (state[2], state[4], state[5])
+             for c in (2, 3, 5)
+             for event in _entry_events(top[4].terms, row[c].terms,
+                                        row[4].terms, top[c].terms)]
     n = 2 * len(unit_products)
-    assert [kind for kind, _, _ in log[:n]] == ["mul", "iadd"] * (n // 2)
-    assert [args for _, args, _ in log[:n:2]] == unit_products
-    for (_, _, product), (_, (_, a, coeff), _) in zip(log[:n:2],
-                                                      log[1:n:2]):
-        assert a is product and coeff == -ONE
-    assert [(kind, args) for kind, args, _ in log[n:n + len(cross)]] \
-        == [("cross", args) for args in cross]
-    divisors = [args[1] for kind, args, _ in log if kind == "divexact"]
+    assert events[:n] == [event for args in unit_products
+                          for event in (("mul", args), ("iadd", None))]
+    assert events[n:n + len(third)] == third
+    divisors = [args[1] for kind, args in events if kind == "divexact"]
     assert divisors and all(g == y.terms for g in divisors)
-    assert [kind for kind, _, _ in log].index("divexact") > n + len(cross)
+    assert [kind for kind, _ in events].index("divexact") > n + len(third)
 
 
 def _pivot_cases():
@@ -352,21 +369,22 @@ def _pivot_cases():
 
 
 @pytest.mark.parametrize("case", _pivot_cases(), ids=lambda c: c[0])
-def test_bareiss_pivots_on_the_sparsest_entry_anywhere(monkeypatch, case):
+def test_bareiss_pivots_on_the_sparsest_entry_anywhere(case):
     # The first step forms (pivot * m[r][c] - head * top[c]) for every row
     # r below the pivot row and every column c but the pivot's, in order.
     _, m, (pr, pc) = case
     entries = [[e.terms for e in row] for row in m]
-    calls = _spy_cross(monkeypatch)
-    rank = bareiss_rank(entries)
+    with bareiss_steps() as log:
+        rank = bareiss_rank(entries)
     assert rank == _bareiss_rank_reference(entries)
     rows = list(range(len(m)))
     rows[0], rows[pr] = pr, 0
     cols = [c for c in range(len(m[0])) if c != pc]
     top = entries[pr]
-    want = [(top[pc], entries[r][c], entries[r][pc], top[c])
-            for r in rows[1:] for c in cols]
-    assert [args for args, _ in calls[:len(want)]] == want
+    want = [event for r in rows[1:] for c in cols
+            for event in _entry_events(top[pc], entries[r][c],
+                                       entries[r][pc], top[c])]
+    assert _events(log)[:len(want)] == want
 
 
 def _spy_rank_at(monkeypatch):

@@ -1467,23 +1467,45 @@ def test_bareiss_rank_ignores_row_and_column_order(m):
 
 
 def _bareiss_paths(m):
-    """`bareiss_rank(m)` and the paths its steps took, read off the calls
-    it makes: a unit step (pivot and previous pivot 1) subtracts head*y
-    with `iadd_scaled` and no `_cross`, a later `_cross` is a step that
-    forms numerators, and a last step with a nonzero head ends on its
-    products, while one with a zero head forms none."""
+    """`bareiss_rank(m)` and the paths its steps took, read off the events
+    it logs.  A product that the next event takes off an entry is head*y.
+    A last step with a nonzero head ends the log on its products pivot*x
+    and head*y, whose first factors are different entries; one with a
+    zero head forms none, and a step before it can end the log only on
+    products by its one pivot or on a subtraction or division.  Any other
+    product is one by a pivot other than 1, the mark of a numerator step,
+    as is a division.  A subtraction onto no product by the pivot, its sum
+    divided by no previous pivot, is a unit step: x - head*y."""
     with bareiss_steps() as log:
         rank = bareiss_rank(m)
     kinds = [kind for kind, _, _ in log]
+    taken = {i - 1 for i, kind in enumerate(kinds) if kind == "iadd"}
+    tail = log[-2:]
+    last_nonzero = (kinds[-2:] == ["mul", "mul"]
+                    and tail[0][1][0] is not tail[1][1][0])
+    last = [args[0] for _, args, _ in tail] if last_nonzero else []
+
+    def unit(i):
+        out = log[i][1][0]
+        scaled = i >= 2 and log[i - 2][0] == "mul" and log[i - 2][2] is out
+        divided = (i + 1 < len(log) and log[i + 1][0] == "divexact"
+                   and log[i + 1][1][0] is out)
+        return not (scaled or divided)
+
+    def numerator(i):
+        kind, args, _ = log[i]
+        return kind == "divexact" or (kind == "mul" and i not in taken and
+                                      not any(args[0] is a for a in last))
+    units = [i for i, kind in enumerate(kinds) if kind == "iadd" and unit(i)]
     paths = []
-    if "iadd" in kinds:
+    if units:
         paths.append("unit step")
-        if "cross" in kinds[kinds.index("iadd"):]:
+        if any(numerator(i) for i in range(units[0], len(log))):
             paths.append("unit step, then a numerator step")
     short = min(len(m), len(m[0])) if m and m[0] else 0
     if short >= 2 and rank >= short - 1:
         paths.append("last step, %s head" % (
-            "nonzero" if kinds[-1:] == ["mul"] else "zero"))
+            "nonzero" if last_nonzero else "zero"))
     return rank, paths
 
 
